@@ -19,8 +19,8 @@ from .hecke import (AffineDescriptor, GradedElement, HeckeElement,
 from .root_data import (RootDatum, build_classical, merge_components, product,
                         vneg)
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, RGroup,
-                   WeylElement, cone_classify, mat_apply, mat_mul,
-                   min_coset_reps, stabilizer_of_point)
+                   cone_classify, mat_apply, mat_mul, min_coset_reps,
+                   stabilizer_of_point)
 
 Result = Tuple[str, bool, str]
 

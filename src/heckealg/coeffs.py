@@ -138,9 +138,6 @@ class LaurentZ:
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.nvars: 1}
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
-
     def evaluate(self, zvals: Tuple[Fraction, ...]) -> Fraction:
         """Exact value at positive rational z's."""
         if len(zvals) != self.nvars:

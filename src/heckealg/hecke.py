@@ -21,6 +21,10 @@ alpha is divisible by two).
 The graded algebra has coefficients in S(t^*) (x) ZZ[r_1..r_d] and the
 commutation rule  N_s xi = (s xi) N_s + k(alpha) r_j (xi - s xi)/alpha,
 with the group algebra embedded (no quadratic correction).
+
+Both algebras share one multiplication skeleton (``multiply``, with the
+left actions ``_ns_mul`` and ``_ngamma_mul``); a descriptor supplies
+only its action on coefficients and its N_s correction term.
 """
 
 from __future__ import annotations
@@ -33,9 +37,8 @@ from .coeffs import LaurentZ, TorusAlgebraElement, z_bracket
 from .root_data import (Root, RootDatum, pairing, vadd, vneg, vscale,
                         vsub)
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, Matrix,
-                   RGroup, Vector, WeylElement, WeylGroup,
-                   identity_matrix, mat_apply, mat_det, mat_inv, mat_mul,
-                   stabilizer_of_point)
+                   RGroup, Vector, WeylElement, identity_matrix, mat_apply,
+                   mat_mul, stabilizer_of_point)
 
 
 class HeckeError(ValueError):
@@ -98,6 +101,129 @@ def bernstein_divide(x: Vector, alpha: Root, doubled: bool, one
 
 
 # ---------------------------------------------------------------------------
+# Elements
+# ---------------------------------------------------------------------------
+
+class HeckeElement:
+    """Normal form sum_w c_w N_w; keys are extended Weyl elements."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[ExtendedWeylElement, TorusAlgebraElement]):
+        self.terms = {w: c for w, c in terms.items() if c}
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, HeckeElement) and self.terms == other.terms
+
+    def __add__(self, other: "HeckeElement") -> "HeckeElement":
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            if w in out:
+                s = out[w] + c
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
+            else:
+                out[w] = c
+        return type(self)(out)
+
+    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
+        return self + other.scale(-1)
+
+    def scale(self, scalar) -> "HeckeElement":
+        if isinstance(scalar, int):
+            return type(self)({w: TorusAlgebraElement(
+                c.rank, {x: v * scalar for x, v in c.terms.items()})
+                for w, c in self.terms.items()})
+        return type(self)({w: c.scale(scalar) for w, c in self.terms.items()})
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join("(%r)*N[%r]" % (c, w) for w, c in self.terms.items())
+
+
+class GradedElement(HeckeElement):
+    """Graded normal form; scalars live in ZZ[r_1..r_d]."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        # rename the display variable of the scalar parts
+        return " + ".join("(%s)*N[%r]" % (repr(c).replace("z", "r"), w)
+                          for w, c in self.terms.items())
+
+
+def _add_term(out: Dict, key: ExtendedWeylElement, c: TorusAlgebraElement):
+    if not c:
+        return
+    if key in out:
+        s = out[key] + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    else:
+        out[key] = c
+
+
+# ---------------------------------------------------------------------------
+# Descriptors
+# ---------------------------------------------------------------------------
+
+class HeckeDescriptor:
+    """What the multiplication skeleton needs from an algebra.
+
+    Subclasses provide ``simple_info``, ``act_coeff(matrix, c)`` (the
+    action of a lattice automorphism on coefficients) and
+    ``ns_correction(info, c, cs, u, su)`` (the coefficient of N_u in
+    N_s * c N_u, where cs = s(c) and su = s u).
+    """
+
+    element_type = HeckeElement
+    z_values: Optional[Tuple[Fraction, ...]] = None
+
+    def __init__(self, rd: RootDatum, wext: ExtendedGroup, cocycle: Cocycle):
+        self.rd = rd
+        self.wext = wext
+        self.d = rd.num_z_vars
+        self.cocycle = cocycle
+        self._matrix_cache: set = set()
+        cocycle.check(wext.rgroup.table, wext.rgroup.identity)
+
+    def scalar_one(self):
+        return LaurentZ.one(self.d) if self.z_values is None else Fraction(1)
+
+    def element(self, terms: Dict[ExtendedWeylElement, TorusAlgebraElement]
+                ) -> HeckeElement:
+        return self.element_type(terms)
+
+    def zero(self) -> HeckeElement:
+        return self.element({})
+
+    def n_element(self, g: ExtendedWeylElement) -> HeckeElement:
+        return self.element({g: TorusAlgebraElement.theta(
+            (0,) * self.rd.rank, self.scalar_one())})
+
+    def unit(self) -> HeckeElement:
+        return self.n_element(self.wext.identity)
+
+    def n_simple(self, i: int) -> HeckeElement:
+        return self.n_element(ExtendedWeylElement(
+            WeylElement(self.simple_info[i].matrix), self.wext.rgroup.identity))
+
+    def n_gamma(self, label: str) -> HeckeElement:
+        return self.n_element(ExtendedWeylElement(self.wext.weyl.identity,
+                                                  label))
+
+
+# ---------------------------------------------------------------------------
 # Affine descriptor
 # ---------------------------------------------------------------------------
 
@@ -112,7 +238,7 @@ class SimpleRootInfo:
     halvable: bool
 
 
-class AffineDescriptor:
+class AffineDescriptor(HeckeDescriptor):
     """All data of a twisted affine Hecke algebra, plus the scalar mode.
 
     ``z_values=None`` gives the symbolic algebra over ZZ[z^{+-1}]; a tuple
@@ -126,12 +252,9 @@ class AffineDescriptor:
                  z_values: Optional[Tuple[Fraction, ...]] = None):
         if wext.rd is not rd:
             raise HeckeError("extended group must be built on the same datum")
-        self.rd = rd
-        self.wext = wext
-        self.d = rd.num_z_vars
+        super().__init__(rd, wext, cocycle)
         self.lam = {tuple(k): v for k, v in lam.items()}
         self.lam_star = {tuple(k): v for k, v in lam_star.items()}
-        self.cocycle = cocycle
         self.z_values = tuple(Fraction(z) for z in z_values) if z_values else None
         if self.z_values is not None:
             if len(self.z_values) != self.d:
@@ -139,12 +262,8 @@ class AffineDescriptor:
             if any(z <= 0 for z in self.z_values):
                 raise HeckeError("z-values must be positive rationals")
         self._validate_params()
-        self._matrix_cache: set = set()
         self.simple_info = tuple(self._simple_info(i)
                                  for i in range(len(rd.simple_roots)))
-        cocycle.check({(a, b): wext.rgroup.mult(a, b)
-                       for a in cocycle.labels for b in cocycle.labels},
-                      wext.rgroup.identity)
 
     # -- validation ----------------------------------------------------
 
@@ -189,11 +308,6 @@ class AffineDescriptor:
 
     # -- scalar ring ---------------------------------------------------
 
-    def scalar_one(self):
-        if self.z_values is None:
-            return LaurentZ.one(self.d)
-        return Fraction(1)
-
     def zbracket(self, j: int, m: int):
         """z_j^m - z_j^{-m} in the active scalar ring."""
         if self.z_values is None:
@@ -209,37 +323,28 @@ class AffineDescriptor:
             v *= z ** e
         return v
 
+    # -- the commutation rule ------------------------------------------
+
+    def act_coeff(self, matrix: Matrix, c: TorusAlgebraElement
+                  ) -> TorusAlgebraElement:
+        return c.act_matrix(matrix)
+
+    def ns_correction(self, info: SimpleRootInfo, c: TorusAlgebraElement,
+                      cs: TorusAlgebraElement, u: WeylElement,
+                      su: WeylElement) -> TorusAlgebraElement:
+        """Bernstein-Lusztig correction, plus (z^lambda - z^-lambda) s(c)
+        when s u is shorter than u (the quadratic relation)."""
+        corr = _g_correction(self, info, c)
+        wg = self.wext.weyl
+        if wg.length(su) < wg.length(u):
+            corr = corr + cs.scale(self.zbracket(info.zvar, info.lam))
+        return corr
+
     # -- element constructors -------------------------------------------
 
-    def zero(self) -> "HeckeElement":
-        return HeckeElement({})
-
-    def unit(self) -> "HeckeElement":
-        return HeckeElement({self.wext.identity: TorusAlgebraElement.theta(
-            (0,) * self.rd.rank, self.scalar_one())})
-
-    def theta_elem(self, x: Sequence[int]) -> "HeckeElement":
-        return HeckeElement({self.wext.identity: TorusAlgebraElement.theta(
+    def theta_elem(self, x: Sequence[int]) -> HeckeElement:
+        return self.element({self.wext.identity: TorusAlgebraElement.theta(
             tuple(x), self.scalar_one())})
-
-    def n_simple(self, i: int) -> "HeckeElement":
-        w = ExtendedWeylElement(WeylElement(self.simple_info[i].matrix),
-                                self.wext.rgroup.identity)
-        return HeckeElement({w: TorusAlgebraElement.theta(
-            (0,) * self.rd.rank, self.scalar_one())})
-
-    def n_gamma(self, label: str) -> "HeckeElement":
-        w = ExtendedWeylElement(self.wext.weyl.identity, label)
-        return HeckeElement({w: TorusAlgebraElement.theta(
-            (0,) * self.rd.rank, self.scalar_one())})
-
-    def n_element(self, g: ExtendedWeylElement) -> "HeckeElement":
-        return HeckeElement({g: TorusAlgebraElement.theta(
-            (0,) * self.rd.rank, self.scalar_one())})
-
-    def element(self, terms: Dict[ExtendedWeylElement, TorusAlgebraElement]
-                ) -> "HeckeElement":
-        return HeckeElement(terms)
 
     def specialized(self, z_values: Sequence[Fraction]) -> "AffineDescriptor":
         return AffineDescriptor(self.rd, self.wext, self.lam, self.lam_star,
@@ -264,64 +369,8 @@ def spread_invariant(rd: RootDatum, wext: ExtendedGroup,
 
 
 # ---------------------------------------------------------------------------
-# Elements and multiplication
+# Multiplication: one skeleton for the affine and the graded algebra
 # ---------------------------------------------------------------------------
-
-class HeckeElement:
-    """Normal form sum_w c_w N_w; keys are extended Weyl elements."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[ExtendedWeylElement, TorusAlgebraElement]):
-        self.terms = {w: c for w, c in terms.items() if c}
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, HeckeElement) and self.terms == other.terms
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            if w in out:
-                s = out[w] + c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-            else:
-                out[w] = c
-        return HeckeElement(out)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scale(-1)
-
-    def scale(self, scalar) -> "HeckeElement":
-        if isinstance(scalar, int):
-            return HeckeElement({w: TorusAlgebraElement(
-                c.rank, {x: v * scalar for x, v in c.terms.items()})
-                for w, c in self.terms.items()})
-        return HeckeElement({w: c.scale(scalar) for w, c in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("(%r)*N[%r]" % (c, w) for w, c in self.terms.items())
-
-
-def _add_term(out: Dict, key: ExtendedWeylElement, c: TorusAlgebraElement):
-    if not c:
-        return
-    if key in out:
-        s = out[key] + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    else:
-        out[key] = c
-
 
 def _g_correction(desc: AffineDescriptor, info: SimpleRootInfo,
                   c: TorusAlgebraElement) -> TorusAlgebraElement:
@@ -345,26 +394,21 @@ def _g_correction(desc: AffineDescriptor, info: SimpleRootInfo,
     return out
 
 
-def _ns_mul(desc: AffineDescriptor, i: int, elem: HeckeElement) -> HeckeElement:
-    """Left multiplication by N_{s_i}."""
+def _ns_mul(desc: HeckeDescriptor, i: int, elem: HeckeElement
+            ) -> HeckeElement:
+    """Left multiplication by N_{s_i}:
+    N_s (c N_u) = s(c) N_{s u} + ns_correction N_u."""
     info = desc.simple_info[i]
-    wg = desc.wext.weyl
     out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
     for key, c in elem.terms.items():
-        cs = c.act_matrix(info.matrix)
+        cs = desc.act_coeff(info.matrix, c)
         su = WeylElement(mat_mul(info.matrix, key.weyl.matrix))
-        skey = ExtendedWeylElement(su, key.diagram)
-        _add_term(out, skey, cs)
-        if wg.length(su) < wg.length(key.weyl):
-            br = desc.zbracket(info.zvar, info.lam)
-            if br:
-                _add_term(out, key, cs.scale(br))
-        corr = _g_correction(desc, info, c)
-        _add_term(out, key, corr)
-    return HeckeElement(out)
+        _add_term(out, ExtendedWeylElement(su, key.diagram), cs)
+        _add_term(out, key, desc.ns_correction(info, c, cs, key.weyl, su))
+    return desc.element(out)
 
 
-def _ngamma_mul(desc: AffineDescriptor, label: str, elem: HeckeElement
+def _ngamma_mul(desc: HeckeDescriptor, label: str, elem: HeckeElement
                 ) -> HeckeElement:
     """Left multiplication by N_gamma."""
     if label == desc.wext.rgroup.identity:
@@ -372,15 +416,15 @@ def _ngamma_mul(desc: AffineDescriptor, label: str, elem: HeckeElement
     amat = desc.wext.rgroup.matrix(label)
     out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
     for key, c in elem.terms.items():
-        cg = c.act_matrix(amat)
+        cg = desc.act_coeff(amat, c)
         sign = desc.cocycle(label, key.diagram)
         u = desc.wext.conj_weyl(label, key.weyl)
         nkey = ExtendedWeylElement(u, desc.wext.rgroup.mult(label, key.diagram))
         _add_term(out, nkey, cg if sign == 1 else -cg)
-    return HeckeElement(out)
+    return desc.element(out)
 
 
-def _check_element(desc: AffineDescriptor, elem: HeckeElement) -> None:
+def _check_element(desc: HeckeDescriptor, elem: HeckeElement) -> None:
     labels = set(desc.wext.rgroup.labels)
     cache = desc._matrix_cache
     for key, c in elem.terms.items():
@@ -404,9 +448,9 @@ def _check_element(desc: AffineDescriptor, elem: HeckeElement) -> None:
             break
 
 
-def multiply(desc: AffineDescriptor, a: HeckeElement, b: HeckeElement
+def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
              ) -> HeckeElement:
-    """Exact product in Bernstein normal form."""
+    """Exact product in normal form, affine or graded."""
     _check_element(desc, a)
     _check_element(desc, b)
     wg = desc.wext.weyl
@@ -417,7 +461,10 @@ def multiply(desc: AffineDescriptor, a: HeckeElement, b: HeckeElement
             t = _ns_mul(desc, i, t)
         for k2, c2 in t.terms.items():
             _add_term(out, k2, c * c2)
-    return HeckeElement(out)
+    return desc.element(out)
+
+
+graded_multiply = multiply
 
 
 def act(desc: AffineDescriptor, g: ExtendedWeylElement,
@@ -633,7 +680,7 @@ class GradedSimpleInfo:
     k: int
 
 
-class GradedDescriptor:
+class GradedDescriptor(HeckeDescriptor):
     """Twisted graded Hecke algebra on a root (sub)system.
 
     Group elements are pairs (u, label): u in the Weyl group of the
@@ -641,168 +688,62 @@ class GradedDescriptor:
     carry full ambient action matrices.
     """
 
+    element_type = GradedElement
+
     def __init__(self, sub_rd: RootDatum, k: Dict[Vector, int],
                  diagram_matrices: Dict[str, Matrix],
                  diagram_table: Dict[Tuple[str, str], str],
                  cocycle: Cocycle, identity_label: str = "e"):
-        self.rd = sub_rd
-        self.weyl = WeylGroup(sub_rd)
         self.k = {tuple(v): val for v, val in k.items()}
-        self.d = sub_rd.num_z_vars
-        self.diagram_matrices = dict(diagram_matrices)
-        self.diagram_table = dict(diagram_table)
-        self.cocycle = cocycle
-        self.identity_label = identity_label
         if set(self.k) != {r.vector for r in sub_rd.nondivisible_roots}:
             raise HeckeError("k must be defined exactly on the nondivisible roots")
-        cocycle.check(diagram_table, identity_label)
+        super().__init__(sub_rd, ExtendedGroup(sub_rd, RGroup(
+            cocycle.labels, diagram_matrices, diagram_table, identity_label)),
+            cocycle)
+        self.weyl = self.wext.weyl
+        self.diagram_matrices = self.wext.rgroup.matrices
         self.simple_info = tuple(
             GradedSimpleInfo(i, s, sub_rd.simple_reflections()[i],
                              s.component_index, self.k[s.vector])
             for i, s in enumerate(sub_rd.simple_roots))
 
-    # -- scalars --------------------------------------------------------
-
-    def scalar_one(self):
-        return LaurentZ.one(self.d)
-
     def rvar(self, j: int):
         return LaurentZ.var_power(self.d, j, 1)
 
-    # -- group ----------------------------------------------------------
-
-    @property
-    def identity_key(self) -> ExtendedWeylElement:
-        return ExtendedWeylElement(self.weyl.identity, self.identity_label)
-
-    def conj_by_label(self, label: str, u: WeylElement) -> WeylElement:
-        a = self.diagram_matrices[label]
-        return WeylElement(mat_mul(mat_mul(a, u.matrix), mat_inv(a)))
-
-    def label_mult(self, a: str, b: str) -> str:
-        return self.diagram_table[(a, b)]
-
-    # -- elements ---------------------------------------------------------
-
-    def zero(self) -> "GradedElement":
-        return GradedElement({})
-
-    def unit(self) -> "GradedElement":
-        return GradedElement({self.identity_key: TorusAlgebraElement.theta(
-            (0,) * self.rd.rank, self.scalar_one())})
-
-    def xi(self, coeffs: Sequence[int]) -> "GradedElement":
+    def xi(self, coeffs: Sequence[int]) -> GradedElement:
         """Degree-one polynomial sum coeffs[i] x_i."""
         terms = {tuple(1 if k == i else 0 for k in range(self.rd.rank)):
                  LaurentZ.const(self.d, c) for i, c in enumerate(coeffs) if c}
-        return GradedElement({self.identity_key:
-                              TorusAlgebraElement(self.rd.rank, terms)})
+        return self.element({self.wext.identity:
+                             TorusAlgebraElement(self.rd.rank, terms)})
 
-    def n_simple(self, i: int) -> "GradedElement":
-        key = ExtendedWeylElement(WeylElement(self.simple_info[i].matrix),
-                                  self.identity_label)
-        return GradedElement({key: TorusAlgebraElement.theta(
-            (0,) * self.rd.rank, self.scalar_one())})
+    # -- the commutation rule ------------------------------------------
 
-    def n_label(self, label: str) -> "GradedElement":
-        key = ExtendedWeylElement(self.weyl.identity, label)
-        return GradedElement({key: TorusAlgebraElement.theta(
-            (0,) * self.rd.rank, self.scalar_one())})
+    def act_coeff(self, matrix: Matrix, c: TorusAlgebraElement
+                  ) -> TorusAlgebraElement:
+        return act_poly(matrix, c, self.scalar_one())
 
-
-class GradedElement:
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[ExtendedWeylElement, TorusAlgebraElement]):
-        self.terms = {w: c for w, c in terms.items() if c}
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, GradedElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            if w in out:
-                s = out[w] + c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-            else:
-                out[w] = c
-        return GradedElement(out)
-
-    def __sub__(self, other):
-        return self + GradedElement({w: -c for w, c in other.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        # scalar parts live in ZZ[r_1..r_d]; rename the display variable
-        return " + ".join("(%s)*N[%r]" % (repr(c).replace("z", "r"), w)
-                          for w, c in self.terms.items())
-
-
-def _graded_ns_mul(desc: GradedDescriptor, i: int, elem: GradedElement
-                   ) -> GradedElement:
-    info = desc.simple_info[i]
-    one = desc.scalar_one()
-    rj = desc.rvar(info.rvar)
-    out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
-    for key, c in elem.terms.items():
-        sc = act_poly(info.matrix, c, one)
-        su = WeylElement(mat_mul(info.matrix, key.weyl.matrix))
-        _add_term(out, ExtendedWeylElement(su, key.diagram), sc)
-        diff = c - sc
-        if diff and info.k:
-            quot = poly_divide_linear(diff, info.root.vector)
-            _add_term(out, key, quot.scale(rj * info.k))
-    return GradedElement(out)
-
-
-def _graded_nlabel_mul(desc: GradedDescriptor, label: str, elem: GradedElement
-                       ) -> GradedElement:
-    if label == desc.identity_label:
-        return elem
-    amat = desc.diagram_matrices[label]
-    one = desc.scalar_one()
-    out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
-    for key, c in elem.terms.items():
-        cg = act_poly(amat, c, one)
-        sign = desc.cocycle(label, key.diagram)
-        u = desc.conj_by_label(label, key.weyl)
-        nkey = ExtendedWeylElement(u, desc.label_mult(label, key.diagram))
-        _add_term(out, nkey, cg if sign == 1 else -cg)
-    return GradedElement(out)
-
-
-def graded_multiply(desc: GradedDescriptor, a: GradedElement, b: GradedElement
-                    ) -> GradedElement:
-    out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
-    for key, c in a.terms.items():
-        t = _graded_nlabel_mul(desc, key.diagram, b)
-        for i in reversed(desc.weyl.reduced_word(key.weyl)):
-            t = _graded_ns_mul(desc, i, t)
-        for k2, c2 in t.terms.items():
-            _add_term(out, k2, c * c2)
-    return GradedElement(out)
+    def ns_correction(self, info: GradedSimpleInfo, c: TorusAlgebraElement,
+                      cs: TorusAlgebraElement, u: WeylElement,
+                      su: WeylElement) -> TorusAlgebraElement:
+        """k(alpha) r_j (c - s c) / alpha."""
+        diff = c - cs
+        if not (diff and info.k):
+            return TorusAlgebraElement.zero(self.rd.rank)
+        return poly_divide_linear(diff, info.root.vector).scale(
+            self.rvar(info.rvar) * info.k)
 
 
 def im_involution(desc: GradedDescriptor, a: GradedElement) -> GradedElement:
     """N_w -> sign(w) N_w on the reflection part (trivial on the diagram
-    part), r_j -> r_j, xi -> -xi in degree one."""
+    part), r_j -> r_j, xi -> -xi in degree one; sign(w) = (-1)^l(w)."""
     out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
     for key, c in a.terms.items():
-        sign = mat_det(key.weyl.matrix)
-        terms = {}
-        for mono, v in c.terms.items():
-            s = sign * ((-1) ** (sum(mono) % 2))
-            terms[mono] = v * s
+        sign = (-1) ** desc.weyl.length(key.weyl)
+        terms = {mono: v * (sign * (-1) ** (sum(mono) % 2))
+                 for mono, v in c.terms.items()}
         _add_term(out, key, TorusAlgebraElement(c.rank, terms))
-    return GradedElement(out)
+    return desc.element(out)
 
 
 # ---------------------------------------------------------------------------
@@ -857,11 +798,6 @@ def affine_to_graded(desc: AffineDescriptor, exponents: Vector, order: int
         matrices[label] = m
         underlying[label] = g
         by_matrix[(m, g.diagram)] = label
-    if "e" not in matrices:
-        g = desc.wext.identity
-        matrices["e"] = identity_matrix(desc.rd.rank)
-        underlying["e"] = g
-        by_matrix[(matrices["e"], g.diagram)] = "e"
     table: Dict[Tuple[str, str], str] = {}
     cocycle_table: Dict[Tuple[str, str], int] = {}
     for a in labels:

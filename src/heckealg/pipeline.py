@@ -23,12 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import jsonschema
 
-from .hecke import AffineDescriptor
-from .params import (a_from_ell, gl_parameters, is_admissible_ell,
-                     lambda_from_jordan)
+from .hecke import AffineDescriptor, HeckeError
+from .params import a_from_ell, is_admissible_ell, lambda_from_jordan
 from .root_data import (Root, RootDatum, build_classical, empty_datum,
                         weyl_order_classical)
-from .weyl import Cocycle, ExtendedGroup, RGroup
+from .weyl import Cocycle, ExtendedGroup, RGroup, WeylError
 
 Torsion = Union[int, str]
 
@@ -197,6 +196,8 @@ def validate(datum: InertialDatum) -> InertialDatum:
         if b.side not in ("O", "S", "GL"):
             errors.append("%s: unknown side" % tag)
             continue
+        if b.dim < 1:
+            errors.append("%s: dim must be >= 1" % tag)
         if isinstance(b.torsion, int) and b.torsion < 1:
             errors.append("%s: torsion must be >= 1" % tag)
         if b.side == "GL":
@@ -243,15 +244,10 @@ def validate(datum: InertialDatum) -> InertialDatum:
                 errors.append("rank accounting: sum e_i m_i = %d but the "
                               "group is GL_%d" % (total, datum.n))
         for i, b in enumerate(datum.blocks):
-            if b.dim and datum.division_degree % b.dim:
+            if datum.division_degree % b.dim:
                 errors.append("block %d: d_i = %d must divide the division "
                               "algebra degree %d"
                               % (i + 1, b.dim, datum.division_degree))
-        if datum.family == "SL" and datum.sl_rgroup is None and \
-                len(datum.blocks) > 0:
-            # an explicit trivial R-group is acceptable; a missing one is
-            # only an error when the quotient actually supports twisting
-            pass
     if errors:
         raise ValidationError(errors)
     ordered = tuple(sorted(datum.blocks, key=lambda b: b.sort_key()))
@@ -315,8 +311,6 @@ def _block_params(datum_family: str, b: BlockDatum, rd: RootDatum,
         return lam, lam_star
     fam, _ = fam_rank
     if datum_family in ("GL", "SL"):
-        lam_val, _f = gl_parameters(b.dim, 1 if not isinstance(b.torsion, int)
-                                    else b.torsion)
         for r in rd.nondivisible_roots:
             lam[r.vector] = b.dim
         return lam, lam_star
@@ -538,13 +532,19 @@ def assemble(datum: InertialDatum) -> HeckeReport:
         for v, val in bs.items():
             lam_star[_embed(v, offsets[i], rank)] = val
 
-    if datum.family == "SL" and datum.sl_rgroup is not None:
-        rg, cocycle = _sl_rgroup(datum.sl_rgroup)
-        structure = "supplied R-group of order %d" % rg.order()
-    else:
-        rg, cocycle, structure = build_rgroup(datum, block_data, offsets)
-    wext = ExtendedGroup(combined, rg)
-    descriptor = AffineDescriptor(combined, wext, lam, lam_star, cocycle)
+    supplied = datum.family == "SL" and datum.sl_rgroup is not None
+    try:
+        if supplied:
+            rg, cocycle = _sl_rgroup(datum.sl_rgroup)
+            structure = "supplied R-group of order %d" % rg.order()
+        else:
+            rg, cocycle, structure = build_rgroup(datum, block_data, offsets)
+        wext = ExtendedGroup(combined, rg)
+        descriptor = AffineDescriptor(combined, wext, lam, lam_star, cocycle)
+    except (WeylError, HeckeError) as exc:
+        if not supplied:
+            raise
+        raise ValidationError(["sl_rgroup: %s" % exc]) from exc
 
     group_order = 1
     reduced: List[Optional[Tuple[str, int]]] = []

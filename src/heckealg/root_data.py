@@ -107,7 +107,6 @@ class RootDatum:
         return tuple(x // 2 for x in v) in self._by_vector
 
     def _validate(self):
-        seen_components = {}
         for r in self.roots:
             if vneg(r.vector) not in self._by_vector:
                 raise RootDatumError("root set not closed under negation")
@@ -131,7 +130,6 @@ class RootDatum:
                     if r.component_index != s.component_index:
                         raise RootDatumError(
                             "component index not constant on a component")
-        del seen_components
 
     def _find_simples(self) -> Tuple[Root, ...]:
         pos = [r for r in self.reduced_positive]

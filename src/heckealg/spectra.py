@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .root_data import RootDatum
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
-                   cone_classify)
+                   cone_classify, rref)
 
 
 class SpectraError(ValueError):
@@ -108,17 +108,17 @@ def count_twisted_irreps(group: FiniteGroup) -> int:
     return count
 
 
-def _commutation_rows(group: FiniteGroup) -> List[List[Fraction]]:
+def _commutation_rows(group: FiniteGroup) -> List[List[int]]:
     els = group.elements
     n = len(els)
     index = {g: i for i, g in enumerate(els)}
-    rows: List[List[Fraction]] = []
+    rows: List[List[int]] = []
     for h in els:
         # e_h x = x e_h: coefficient equation per basis element k:
         #   x_{h^{-1}k} c(h, h^{-1}k) - x_{k h^{-1}} c(k h^{-1}, h) = 0
         hinv = group.inv(h)
         for k in els:
-            row = [Fraction(0)] * n
+            row = [0] * n
             g1 = group.mult(hinv, k)
             g2 = group.mult(k, hinv)
             row[index[g1]] += group.cocycle_fn(h, g1)
@@ -132,68 +132,23 @@ def twisted_algebra_center_dim(group: FiniteGroup) -> int:
     """Dimension over QQ of the centre of the twisted group algebra,
     solved from the exact linear commutation system.  Independent oracle
     for count_twisted_irreps."""
-    rows = _commutation_rows(group)
-    rank = _row_rank(rows, len(group.elements))
-    return len(group.elements) - rank
+    n = len(group.elements)
+    return n - len(rref(_commutation_rows(group), n)[1])
 
 
 def twisted_algebra_center_basis(group: FiniteGroup) -> List[List[Fraction]]:
     """Exact basis (coefficient vectors over the group basis) of the
     centre of the twisted group algebra."""
     n = len(group.elements)
-    rows = _commutation_rows(group)
-    mat = [row[:] for row in rows]
-    pivots: List[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots = rref(_commutation_rows(group), n)
     basis = []
-    for fcol in free:
+    for fcol in (c for c in range(n) if c not in pivots):
         vec = [Fraction(0)] * n
         vec[fcol] = Fraction(1)
-        for i, pcol in enumerate(pivots):
-            vec[pcol] = -mat[i][fcol]
+        for row, pcol in zip(rows, pivots):
+            vec[pcol] = -row[fcol]
         basis.append(vec)
     return basis
-
-
-def _row_rank(rows: List[List[Fraction]], width: int) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    col = 0
-    for col in range(width):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------

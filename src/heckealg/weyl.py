@@ -2,7 +2,8 @@
 
 Group elements are integer lattice automorphisms stored as tuples of
 rows; equality is matrix equality.  Reduced words are cached lazily per
-group.  All cone computations are exact over QQ (Fractions).
+group.  All linear algebra is exact over QQ (Fractions) and goes through
+one row reduction, ``rref``.
 """
 
 from __future__ import annotations
@@ -38,42 +39,42 @@ def mat_apply(m: Matrix, v: Sequence[int]) -> Vector:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
 
 
-def mat_det(m: Matrix) -> int:
-    n = len(m)
-    rows = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
+def rref(rows: Sequence[Sequence], width: int
+         ) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over QQ, pivoting on the first ``width``
+    columns (further columns, e.g. an augmented block, ride along).
+
+    Returns the nonzero reduced rows and their pivot columns.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: List[int] = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return int(det)
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+        if len(pivots) == len(mat):
+            break
+    return mat[:len(pivots)], pivots
 
 
 def mat_inv(m: Matrix) -> Matrix:
     """Exact inverse of an integer matrix with det +-1."""
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)
-           for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = tuple(tuple(int(x) for x in row[n:]) for row in aug)
-    return out
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(m)], n)
+    if len(pivots) < n or any(x.denominator != 1
+                              for row in rows for x in row[n:]):
+        raise WeylError("matrix %r is not invertible over ZZ" % (m,))
+    return tuple(tuple(int(x) for x in row[n:]) for row in rows)
 
 
 def mat_transpose(m: Matrix) -> Matrix:
@@ -270,10 +271,28 @@ class RGroup:
             l: tuple(translations[l]) if translations and l in translations
             else tuple(Fraction(0) for _ in range(rank))
             for l in self.labels}
+        if set(self.matrices) != set(self.labels) or \
+                identity not in self.matrices:
+            raise WeylError("R-group labels, identity and matrices do not "
+                            "match")
+        for l, m in self.matrices.items():
+            if len(m) != rank or any(len(row) != rank for row in m):
+                raise WeylError("matrix of label %r is not %dx%d"
+                                % (l, rank, rank))
+        self._inverse_matrices = {l: mat_inv(m)
+                                  for l, m in self.matrices.items()}
         self._inverse = {}
         for a in self.labels:
             for b in self.labels:
-                if self.table[(a, b)] == identity:
+                c = self.table.get((a, b))
+                if c not in self.matrices:
+                    raise WeylError("R-group table has no label at %r"
+                                    % ((a, b),))
+                if mat_mul(self.matrices[a], self.matrices[b]) != \
+                        self.matrices[c]:
+                    raise WeylError("R-group matrices do not multiply as the "
+                                    "table at %r" % ((a, b),))
+                if c == identity:
                     self._inverse[a] = b
         for a in self.labels:
             if a not in self._inverse:
@@ -291,6 +310,9 @@ class RGroup:
 
     def matrix(self, a: str) -> Matrix:
         return self.matrices[a]
+
+    def inverse_matrix(self, a: str) -> Matrix:
+        return self._inverse_matrices[a]
 
     def order(self) -> int:
         return len(self.labels)
@@ -341,8 +363,10 @@ class ExtendedGroup:
         return mat_mul(g.weyl.matrix, self.rgroup.matrix(g.diagram))
 
     def conj_weyl(self, label: str, w: WeylElement) -> WeylElement:
-        a = self.rgroup.matrix(label)
-        return WeylElement(mat_mul(mat_mul(a, w.matrix), mat_inv(a)))
+        if label == self.rgroup.identity:
+            return w
+        return WeylElement(mat_mul(mat_mul(self.rgroup.matrix(label), w.matrix),
+                                   self.rgroup.inverse_matrix(label)))
 
     def mult(self, g: ExtendedWeylElement, h: ExtendedWeylElement
              ) -> ExtendedWeylElement:
@@ -396,8 +420,6 @@ class PointStabilizer:
     subsystem: RootDatum
     reflection_part: List[WeylElement]
     diagram_part: List[ExtendedWeylElement]
-    factorization: Dict[ExtendedWeylElement,
-                        Tuple[WeylElement, ExtendedWeylElement]]
 
 
 def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
@@ -406,9 +428,9 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
 
     The reflection part is generated by s_alpha with alpha(t) = 1, or
     alpha(t) = -1 when the coroot is halvable (this includes the case of
-    a doubled root 2*alpha with 2*alpha(t) = 1).  The remainder maps to
-    the relative diagram part, singled out by stabilization of the
-    subsystem's positive roots.
+    a doubled root 2*alpha with 2*alpha(t) = 1).  The relative diagram
+    part is the complement of W(subsystem) in the stabilizer: the
+    elements sending the subsystem's simple roots to positive roots.
     """
     rd = group.rd
     exponents = tuple(e % order for e in exponents)
@@ -423,53 +445,12 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
                 root_value_is(r.vector, exponents, order, -1):
             sub_vectors.append(r.vector)
     subsystem = subdatum(rd, sub_vectors)
-    sub_group = WeylGroup(subsystem)
-    reflection_part = sub_group.enumerate()
-    refl_set = {w.matrix for w in reflection_part}
-
-    del refl_set
-    sub_pos = [r.vector for r in subsystem.positive_roots]
-    sub_simples = subsystem.simple_roots
-    sub_refl = {s.vector: subsystem.reflection(s) for s in subsystem.roots}
-
-    def split(mg: Matrix) -> Tuple[Matrix, Matrix]:
-        """mg = u * rest with u in W(subsystem) and rest preserving the
-        subsystem positives; found by peeling descents on the left."""
-        rest = mg
-        u = identity_matrix(rd.rank)
-        for _ in range(len(subsystem.roots) + 1):
-            bad = None
-            for s in sub_simples:
-                img = mat_apply(rest, s.vector)
-                if not subsystem.is_positive(img):
-                    bad = subsystem.root(tuple(-c for c in img))
-                    break
-            if bad is None:
-                return u, rest
-            sb = sub_refl[bad.vector]
-            rest = mat_mul(sb, rest)
-            u = mat_mul(u, sb)
-        # descent loop failed to settle; fall back to an exhaustive scan
-        for w in reflection_part:
-            cand = mat_mul(mat_inv(w.matrix), mg)
-            if all(subsystem.is_positive(mat_apply(cand, v)) for v in sub_pos):
-                return w.matrix, cand
-        raise WeylError("stabilizer element admits no W-deg/R-deg split")
-
-    diagram_part: List[ExtendedWeylElement] = []
-    factorization: Dict[ExtendedWeylElement,
-                        Tuple[WeylElement, ExtendedWeylElement]] = {}
-    for g in stab:
-        mg = group.action_matrix(g)
-        u_mat, rest = split(mg)
-        gamma = ExtendedWeylElement(
-            WeylElement(mat_mul(rest, mat_inv(group.rgroup.matrix(g.diagram)))),
-            g.diagram)
-        factorization[g] = (WeylElement(u_mat), gamma)
-        if u_mat == identity_matrix(rd.rank):
-            diagram_part.append(g)
-    return PointStabilizer(stab, subsystem, reflection_part, diagram_part,
-                           factorization)
+    reflection_part = WeylGroup(subsystem).enumerate()
+    diagram_part = [
+        g for g in stab
+        if all(subsystem.is_positive(mat_apply(group.action_matrix(g), s.vector))
+               for s in subsystem.simple_roots)]
+    return PointStabilizer(stab, subsystem, reflection_part, diagram_part)
 
 
 # ---------------------------------------------------------------------------
@@ -503,26 +484,11 @@ def _solve_coroot_combination(rd: RootDatum, x: Sequence[Fraction]):
     """
     simples = rd.simple_roots
     k = len(simples)
-    if k == 0:
-        return [], list(map(Fraction, x))
-    a = [[Fraction(pairing(simples[i].vector, simples[j].coroot))
-          for j in range(k)] for i in range(k)]
-    b = [Fraction(sum(Fraction(si) * xi for si, xi in zip(simples[i].vector, x)))
-         for i in range(k)]
-    # Gaussian elimination
-    for col in range(k):
-        piv = next(r for r in range(col, k) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] *= inv
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                b[r] -= f * b[col]
-    coeffs = b
+    rows, _ = rref([[pairing(simples[i].vector, simples[j].coroot)
+                     for j in range(k)] +
+                    [sum(si * Fraction(xi) for si, xi in zip(simples[i].vector, x))]
+                    for i in range(k)], k)
+    coeffs = [row[k] for row in rows]
     v = list(map(Fraction, x))
     for c, s in zip(coeffs, simples):
         for i in range(rd.rank):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from heckealg.cli import main
 
 
@@ -168,6 +170,47 @@ def test_count_sl_quotient_classes(tmp_path, capsys):
                            capsys)
     assert code == 0
     assert "total irreducibles: 4" in out
+
+
+def _sl_doc(matrices, table):
+    labels = sorted(matrices)
+    return {
+        "group": {"family": "SL", "n": 4, "division_degree": 1},
+        "blocks": [
+            {"side": "GL", "dim": 1, "e": 2, "levi": 2, "torsion": 2},
+        ],
+        "sl_rgroup": {
+            "labels": labels, "matrices": matrices, "table": table,
+            "cocycle": {"%s,%s" % (a, b): 1 for a in labels for b in labels},
+        },
+    }
+
+
+Z2_TABLE = {"e,e": "e", "e,g": "g", "g,e": "g", "g,g": "e"}
+IDENTITY = [[1, 0], [0, 1]]
+BAD_SL_RGROUPS = {
+    "not-unimodular": _sl_doc({"e": IDENTITY, "g": [[2, 1], [1, 2]]},
+                              Z2_TABLE),
+    "incomplete-table": _sl_doc({"e": IDENTITY, "g": IDENTITY},
+                                {"e,e": "e", "e,g": "g", "g,e": "g"}),
+    "not-a-homomorphism": _sl_doc({"e": IDENTITY, "g": [[1, 1], [0, 1]]},
+                                  Z2_TABLE),
+    "wrong-shape": _sl_doc({"e": IDENTITY, "g": [[1, 0]]}, Z2_TABLE),
+    "moves-positive-roots": _sl_doc({"e": IDENTITY, "g": [[0, 1], [1, 0]]},
+                                    Z2_TABLE),
+}
+
+
+@pytest.mark.parametrize("command", ["describe", "count"])
+@pytest.mark.parametrize("case", sorted(BAD_SL_RGROUPS))
+def test_bad_sl_rgroup_exit_2(case, command, tmp_path, capsys):
+    p = tmp_path / "sl.json"
+    p.write_text(json.dumps(BAD_SL_RGROUPS[case]))
+    code, out, err = run_cli([command, "--input", str(p)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: sl_rgroup:")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_console_script_entry():

@@ -359,7 +359,7 @@ def test_graded_braid_example():
     rcoeff = LaurentZ.var_power(gd.d, info.rvar, 1) * (2 * info.k)
     from heckealg.hecke import GradedElement
     expect = expect + GradedElement(
-        {gd.identity_key: TorusAlgebraElement(
+        {gd.wext.identity: TorusAlgebraElement(
             gd.rd.rank, {(0,) * gd.rd.rank: rcoeff})})
     assert prod == expect
 
@@ -373,7 +373,7 @@ def test_im_involution_examples():
     assert im_involution(gd, xi) == GradedScale(xi, -1)
     # r_j is fixed
     from heckealg.hecke import GradedElement
-    r = GradedElement({gd.identity_key: TorusAlgebraElement(
+    r = GradedElement({gd.wext.identity: TorusAlgebraElement(
         2, {(0, 0): LaurentZ.var_power(1, 1, 1)})})
     assert im_involution(gd, r) == r
 
@@ -390,7 +390,7 @@ def test_im_trivial_on_diagram_part():
     gd = affine_to_graded(desc, (0, 0, 0, 0), 1)
     labels = [l for l in gd.diagram_matrices if l != "e"]
     assert labels, "expected a nontrivial diagram part"
-    ng = gd.n_label(labels[0])
+    ng = gd.n_gamma(labels[0])
     assert im_involution(gd, ng) == ng
 
 
@@ -414,16 +414,16 @@ def test_graded_descriptor_with_diagram_stabilizer():
     gd = affine_to_graded(desc, (0, 0, 0, 0), 1)
     labels = [l for l in gd.diagram_matrices if l != "e"]
     assert len(labels) == 1
-    ng = gd.n_label(labels[0])
+    ng = gd.n_gamma(labels[0])
     sq = graded_multiply(gd, ng, ng)
     from heckealg.hecke import GradedElement
-    minus_unit = GradedElement({gd.identity_key: TorusAlgebraElement(
+    minus_unit = GradedElement({gd.wext.identity: TorusAlgebraElement(
         gd.rd.rank, {(0,) * gd.rd.rank: LaurentZ.const(gd.d, -1)})})
     assert sq == minus_unit
     # the label conjugates the two A1 factors into each other
     from heckealg.weyl import WeylElement
     i0 = gd.simple_info[0]
-    conj = gd.conj_by_label(labels[0], WeylElement(i0.matrix))
+    conj = gd.wext.conj_weyl(labels[0], WeylElement(i0.matrix))
     assert conj.matrix != i0.matrix
     assert any(conj.matrix == info.matrix for info in gd.simple_info)
 

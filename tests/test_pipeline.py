@@ -56,6 +56,15 @@ def test_rank_mismatch_gl():
     assert "e_i m_i" in str(exc.value)
 
 
+def test_nonpositive_block_dim_rejected():
+    # the JSON schema already demands dim >= 1; data built in Python meet
+    # the same rule in validate
+    datum = InertialDatum("GL", 2, (BlockDatum("GL", 0, 2, levi=1),))
+    with pytest.raises(ValidationError) as exc:
+        validate(datum)
+    assert "dim must be >= 1" in str(exc.value)
+
+
 def test_sl_rgroup_rejected_outside_sl():
     doc = dict(BUILTIN_EXAMPLES["sp58"])
     doc = json.loads(json.dumps(doc))

@@ -6,8 +6,8 @@ import pytest
 from heckealg.root_data import build_classical, empty_datum
 from heckealg.weyl import (Cocycle, ExtendedGroup, RGroup, WeylError,
                            WeylGroup, cone_classify, enumerate_group,
-                           identity_matrix, min_coset_reps,
-                           stabilizer_of_point)
+                           identity_matrix, mat_inv, mat_mul, min_coset_reps,
+                           rref, stabilizer_of_point)
 
 
 def test_enumeration_orders():
@@ -197,3 +197,33 @@ def test_rgroup_must_stabilize_positives():
                  ("g", "g"): "e"})
     with pytest.raises(WeylError):
         ExtendedGroup(a1a1, rg)
+
+
+def test_rref_rank_and_pivots():
+    rows, pivots = rref([[2, 4, 1], [1, 2, 0], [3, 6, 1]], 3)
+    assert pivots == [0, 2]
+    assert rows == [[1, 2, 0], [0, 0, 1]]
+    assert rref([], 0) == ([], [])
+
+
+def test_mat_inv_exact_and_rejects_non_unimodular():
+    m = ((2, 1), (1, 1))
+    assert mat_mul(m, mat_inv(m)) == identity_matrix(2)
+    for bad in (((2, 1), (1, 2)), ((1, 1), (1, 1))):
+        with pytest.raises(WeylError):
+            mat_inv(bad)
+
+
+def test_rgroup_validation():
+    ident = identity_matrix(2)
+    z2 = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"}
+    with pytest.raises(WeylError, match="no label"):
+        RGroup(("e", "g"), {"e": ident, "g": ident},
+               {k: v for k, v in z2.items() if k != ("g", "g")})
+    with pytest.raises(WeylError, match="not invertible"):
+        RGroup(("e", "g"), {"e": ident, "g": ((2, 1), (1, 2))}, z2)
+    with pytest.raises(WeylError, match="multiply"):
+        RGroup(("e", "g"), {"e": ident, "g": ((1, 1), (0, 1))}, z2)
+    swap = ((0, 1), (1, 0))
+    rg = RGroup(("e", "g"), {"e": ident, "g": swap}, z2)
+    assert rg.inverse_matrix("g") == swap
