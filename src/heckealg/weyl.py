@@ -429,8 +429,8 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
     The reflection part is generated by s_alpha with alpha(t) = 1, or
     alpha(t) = -1 when the coroot is halvable (this includes the case of
     a doubled root 2*alpha with 2*alpha(t) = 1).  The relative diagram
-    part is the complement of W(subsystem) in the stabilizer: the
-    elements sending the subsystem's simple roots to positive roots.
+    part is the complement to W(subsystem) in the stabilizer made of the
+    elements that send the subsystem's simple roots to positive roots.
     """
     rd = group.rd
     exponents = tuple(e % order for e in exponents)
