@@ -14,6 +14,7 @@ from . import checks
 from .pipeline import (BUILTIN_EXAMPLES, ValidationError, assemble,
                        datum_from_json, specialize_report)
 from .spectra import FiniteTorusPoint, extended_quotient_count
+from .weyl import ENUMERATION_CAP
 
 POINT_ENUM_CAP = 200_000
 
@@ -82,6 +83,10 @@ def cmd_count(args) -> int:
     if n ** max(rank, 1) > POINT_ENUM_CAP:
         raise ValidationError(["%d^%d points exceed the enumeration cap %d"
                                % (n, rank, POINT_ENUM_CAP)])
+    group_order = report.group_order * desc.wext.rgroup.order()
+    if group_order > ENUMERATION_CAP:
+        raise ValidationError(["|W_ext| = %d exceeds the enumeration cap %d"
+                               % (group_order, ENUMERATION_CAP)])
     canonicalize = None
     if report.character_lattice is not None:
         w = report.character_lattice["constraint"]

@@ -15,6 +15,7 @@ giving quadratic relations (T - q^{lambda*torsion})(T + 1) = 0.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,8 +26,8 @@ import jsonschema
 
 from .hecke import AffineDescriptor, HeckeError
 from .params import a_from_ell, is_admissible_ell, lambda_from_jordan
-from .root_data import (Root, RootDatum, build_classical, empty_datum,
-                        weyl_order_classical)
+from .root_data import (Root, RootDatum, RootDatumError, build_classical,
+                        empty_datum, weyl_order_classical)
 from .weyl import Cocycle, ExtendedGroup, RGroup, WeylError
 
 Torsion = Union[int, str]
@@ -136,7 +137,8 @@ INPUT_SCHEMA = {
             "properties": {
                 "labels": {"type": "array", "items": {"type": "string"}},
                 "matrices": {"type": "object"},
-                "table": {"type": "object"},
+                "table": {"type": "object",
+                          "additionalProperties": {"type": "string"}},
                 "cocycle": {"type": "object"},
                 "translations": {"type": "object"},
             },
@@ -145,12 +147,23 @@ INPUT_SCHEMA = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _input_validator():
+    """The schema validator, built and self-checked once, on first use."""
+    cls = jsonschema.validators.validator_for(INPUT_SCHEMA)
+    cls.check_schema(INPUT_SCHEMA)
+    return cls(INPUT_SCHEMA)
+
+
 def datum_from_json(doc: Union[str, dict]) -> InertialDatum:
     """Parse and schema-check a JSON inertial datum (unknown fields
     rejected); semantic validation happens in ``validate``."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    jsonschema.validate(doc, INPUT_SCHEMA)
+    error = jsonschema.exceptions.best_match(
+        _input_validator().iter_errors(doc))
+    if error is not None:
+        raise error
     grp = doc["group"]
     blocks = []
     for b in doc["blocks"]:
@@ -162,16 +175,19 @@ def datum_from_json(doc: Union[str, dict]) -> InertialDatum:
     if "sl_rgroup" in doc:
         raw = doc["sl_rgroup"]
         table = {tuple(k.split(",")): v for k, v in raw["table"].items()}
-        cocycle = {tuple(k.split(",")): int(v)
-                   for k, v in raw["cocycle"].items()}
-        translations = {
-            l: tuple(Fraction(s) for s in vec)
-            for l, vec in raw.get("translations", {}).items()}
-        sl = SLRGroupSpec(
-            labels=tuple(raw["labels"]),
-            matrices={l: tuple(tuple(int(x) for x in row) for row in m)
-                      for l, m in raw["matrices"].items()},
-            table=table, cocycle=cocycle, translations=translations)
+        try:
+            cocycle = {tuple(k.split(",")): int(v)
+                       for k, v in raw["cocycle"].items()}
+            translations = {
+                l: tuple(Fraction(s) for s in vec)
+                for l, vec in raw.get("translations", {}).items()}
+            matrices = {l: tuple(tuple(int(x) for x in row) for row in m)
+                        for l, m in raw["matrices"].items()}
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(["sl_rgroup: %s" % exc]) from exc
+        sl = SLRGroupSpec(labels=tuple(raw["labels"]), matrices=matrices,
+                          table=table, cocycle=cocycle,
+                          translations=translations)
     return InertialDatum(family=grp["family"], n=grp["n"],
                          division_degree=grp.get("division_degree", 1),
                          blocks=tuple(blocks), sl_rgroup=sl)
@@ -504,12 +520,15 @@ def assemble(datum: InertialDatum) -> HeckeReport:
     block_data: List[RootDatum] = []
     systems: List[Optional[Tuple[str, int]]] = []
     offsets = [0]
-    for b in datum.blocks:
+    for i, b in enumerate(datum.blocks):
         fr = root_component(b.side, b.e, b.ell_total()) \
             if datum.family not in ("GL", "SL") else \
             root_component("GL", b.e, 0)
         systems.append(fr)
-        rd = _block_datum(fr, b.e)
+        try:
+            rd = _block_datum(fr, b.e)
+        except RootDatumError as exc:
+            raise ValidationError(["block %d: %s" % (i + 1, exc)]) from exc
         block_data.append(rd)
         offsets.append(offsets[-1] + rd.rank)
 

@@ -12,7 +12,9 @@ conventions).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -168,6 +170,19 @@ class RootDatum:
 
     def simple_reflections(self):
         return tuple(self.reflection(s) for s in self.simple_roots)
+
+    @cached_property
+    def inverse_cartan(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+        """Inverse of the matrix <alpha_i, alpha_j^vee> over the simple
+        roots as (N, d), N integral and d > 0, the inverse being N / d.
+        It exists since the simple coroots are linearly independent."""
+        from .weyl import rref   # weyl builds on this module
+        k = len(self.simple_roots)
+        rows, _ = rref([[pairing(a.vector, b.coroot) for b in self.simple_roots]
+                        + [int(i == j) for j in range(k)]
+                        for i, a in enumerate(self.simple_roots)], k)
+        d = math.lcm(*(x.denominator for row in rows for x in row[k:]))
+        return tuple(tuple(int(x * d) for x in row[k:]) for row in rows), d
 
     def components(self) -> Dict[int, List[Root]]:
         out: Dict[int, List[Root]] = {}

@@ -73,6 +73,7 @@ class FiniteGroup:
         return cls(els, group.mult, group.inv, group.identity, fn)
 
     def conjugacy_classes(self) -> List[List]:
+        position = {g: i for i, g in enumerate(self.elements)}
         seen = set()
         classes = []
         for g in self.elements:
@@ -82,7 +83,7 @@ class FiniteGroup:
             for h in self.elements:
                 c = self.mult(self.mult(h, g), self.inv(h))
                 cls_.add(c)
-            classes.append(sorted(cls_, key=self.elements.index))
+            classes.append(sorted(cls_, key=position.__getitem__))
             seen |= cls_
         return classes
 
@@ -180,47 +181,50 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
                             canonicalize=None
                             ) -> Tuple[int, List[OrbitReport]]:
     """Total count and per-orbit breakdown of the twisted extended
-    quotient over the W_ext-closure of the given points.
+    quotient over the W_ext-closure of the given points, one report per
+    orbit sorted by representative (the orbit's least point).
 
     ``canonicalize`` optionally maps an exponent vector to a canonical
     representative of its class on a quotient torus (the group action
     must descend to classes); counting then happens on classes.
+
+    Group elements are the ids of ``group.table``; each orbit costs one
+    pass over the group, or two when the starting point is not the
+    orbit's least point.
     """
     if not points:
         return 0, []
     order = _common_order(group, points)
     canon = canonicalize or (lambda e, n: e)
-    pts = {canon(p.rescaled(order).exponents, order) for p in points}
-    # close under the action
-    els = group.elements()
-    frontier = list(pts)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in els:
-                f = canon(group.act_point(g, e, order), order)
-                if f not in pts:
-                    pts.add(f)
-                    nxt.append(f)
-        frontier = nxt
+    table = group.table
+    ids = range(len(table.elements))
+    labels = table.labels
+
+    def images(e):
+        return [canon(table.act_point(g, e, order), order) for g in ids]
+
+    def cocycle_fn(a, b):
+        return cocycle(labels[a], labels[b])
+
+    remaining = {canon(p.rescaled(order).exponents, order) for p in points}
     reports: List[OrbitReport] = []
-    remaining = set(pts)
     total = 0
     while remaining:
         e = min(remaining)
-        orbit = {e}
-        stab = []
-        for g in els:
-            f = canon(group.act_point(g, e, order), order)
-            orbit.add(f)
-            if f == e:
-                stab.append(g)
+        moved = images(e)
+        orbit = set(moved)
+        rep = min(orbit)
+        if rep != e:
+            moved = images(rep)
+        stab = [g for g in ids if moved[g] == rep]
         remaining -= orbit
-        sub = FiniteGroup.from_extended(group, stab, cocycle)
+        sub = FiniteGroup(stab, table.mult, table.inv, table.identity,
+                          cocycle_fn)
         cnt = count_twisted_irreps(sub)
-        reports.append(OrbitReport(FiniteTorusPoint(order, e), len(orbit),
+        reports.append(OrbitReport(FiniteTorusPoint(order, rep), len(orbit),
                                    len(stab), cnt))
         total += cnt
+    reports.sort(key=lambda r: r.representative.exponents)
     return total, reports
 
 

@@ -1,13 +1,17 @@
 """Weyl groups, extended groups W. x| R, reduced words, cosets and cones.
 
-Group elements are integer lattice automorphisms stored as tuples of
-rows; equality is matrix equality.  Reduced words are cached lazily per
-group.  All linear algebra is exact over QQ (Fractions) and goes through
-one row reduction, ``rref``.
+Weyl group elements are integer lattice automorphisms stored as tuples
+of rows; equality is matrix equality.  An extended group W_ext = W x| R
+builds, on first use, one ``GroupTable`` that numbers its elements and
+answers products, inverses and the action on finite-order torus points
+by lookup, with integer arithmetic only.  Reduced words are cached
+lazily per group.  Rational linear algebra (R-group inverses, the
+inverse Cartan matrix) goes through one exact row reduction, ``rref``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -172,9 +176,6 @@ class WeylGroup:
     def mult(self, a: WeylElement, b: WeylElement) -> WeylElement:
         return WeylElement(mat_mul(a.matrix, b.matrix))
 
-    def inv(self, a: WeylElement) -> WeylElement:
-        return WeylElement(mat_inv(a.matrix))
-
 
 def enumerate_group(rd: RootDatum) -> List[WeylElement]:
     return WeylGroup(rd).enumerate()
@@ -279,6 +280,14 @@ class RGroup:
             if len(m) != rank or any(len(row) != rank for row in m):
                 raise WeylError("matrix of label %r is not %dx%d"
                                 % (l, rank, rank))
+        unknown = set(translations or ()) - set(self.labels)
+        if unknown:
+            raise WeylError("translations given for unknown labels %s"
+                            % sorted(unknown))
+        for l, t in self.translations.items():
+            if len(t) != rank:
+                raise WeylError("translation of label %r has %d entries, "
+                                "not %d" % (l, len(t), rank))
         self._inverse_matrices = {l: mat_inv(m)
                                   for l, m in self.matrices.items()}
         self._inverse = {}
@@ -320,6 +329,9 @@ class RGroup:
     def validate_action(self, rd: RootDatum) -> None:
         for l in self.labels:
             m = self.matrices[l]
+            if len(m) != rd.rank:
+                raise WeylError("matrix of label %r is not %dx%d"
+                                % (l, rd.rank, rd.rank))
             for r in rd.roots:
                 img = mat_apply(m, r.vector)
                 if not rd.has_root(img):
@@ -342,7 +354,11 @@ class ExtendedWeylElement:
 
 
 class ExtendedGroup:
-    """W_ext = W(reduced system) x| R, with the R-action by matrices."""
+    """W_ext = W(reduced system) x| R, with the R-action by matrices.
+
+    Products, inverses and the point action are looked up in ``table``,
+    built on first use.
+    """
 
     def __init__(self, rd: RootDatum, rgroup: RGroup | None = None):
         self.rd = rd
@@ -351,6 +367,13 @@ class ExtendedGroup:
         self.rgroup.validate_action(rd)
         self.identity = ExtendedWeylElement(self.weyl.identity,
                                             self.rgroup.identity)
+        self._table: Optional[GroupTable] = None
+
+    @property
+    def table(self) -> "GroupTable":
+        if self._table is None:
+            self._table = GroupTable(self)
+        return self._table
 
     def elements(self) -> List[ExtendedWeylElement]:
         return [ExtendedWeylElement(w, l) for l in self.rgroup.labels
@@ -359,8 +382,15 @@ class ExtendedGroup:
     def order(self) -> int:
         return self.weyl.order() * self.rgroup.order()
 
+    def _id(self, g: ExtendedWeylElement) -> int:
+        try:
+            return self.table.index[g]
+        except KeyError:
+            raise WeylError("%r is not an element of this group" % (g,)) \
+                from None
+
     def action_matrix(self, g: ExtendedWeylElement) -> Matrix:
-        return mat_mul(g.weyl.matrix, self.rgroup.matrix(g.diagram))
+        return self.table.actions[self._id(g)]
 
     def conj_weyl(self, label: str, w: WeylElement) -> WeylElement:
         if label == self.rgroup.identity:
@@ -370,34 +400,116 @@ class ExtendedGroup:
 
     def mult(self, g: ExtendedWeylElement, h: ExtendedWeylElement
              ) -> ExtendedWeylElement:
-        u = self.weyl.mult(g.weyl, self.conj_weyl(g.diagram, h.weyl))
-        return ExtendedWeylElement(u, self.rgroup.mult(g.diagram, h.diagram))
+        t = self.table
+        return t.elements[t.mult(self._id(g), self._id(h))]
 
     def inv(self, g: ExtendedWeylElement) -> ExtendedWeylElement:
-        linv = self.rgroup.inv(g.diagram)
-        u = self.conj_weyl(linv, self.weyl.inv(g.weyl))
-        return ExtendedWeylElement(u, linv)
+        t = self.table
+        return t.elements[t.inverse[self._id(g)]]
 
     # -- action on finite-order torus points ----------------------------
 
     def point_action_matrix(self, g: ExtendedWeylElement) -> Matrix:
         """Matrix acting on point exponent vectors: inverse transpose."""
-        return mat_transpose(mat_inv(self.action_matrix(g)))
+        return self.table.point_matrices[self._id(g)]
 
     def act_point(self, g: ExtendedWeylElement, exponents: Vector, order: int
                   ) -> Vector:
-        m = self.point_action_matrix(g)
-        moved = mat_apply(m, exponents)
-        tr = self.rgroup.translations[g.diagram]
-        out = []
-        for x, t in zip(moved, tr):
-            shift = t * order
-            if shift.denominator != 1:
-                raise WeylError(
-                    "translation part with denominator %d does not preserve "
-                    "points of order %d" % (t.denominator, order))
-            out.append((x + int(shift)) % order)
-        return tuple(out)
+        return self.table.act_point(self._id(g), exponents, order)
+
+
+class GroupTable:
+    """W_ext numbered 0 .. |W_ext|-1 in ``ExtendedGroup.elements()`` order.
+
+    The generators are the simple reflections and the non-identity
+    R-labels; left multiplication by each is a permutation of the ids,
+    one integer matrix product per entry.  Per id the table keeps the
+    element, its label, its action matrix, a generator word found by
+    breadth-first search over those permutations, the inverse id (the
+    word walked backwards by inverse generators) and the matrix acting
+    on point exponents (the transpose of the inverse's action matrix).
+    Memory is linear in |W_ext|; a product walks a word, one list lookup
+    per letter, with no matrix arithmetic.
+
+    An element is determined by its action matrix together with its
+    label (w = action * R(label)^-1); the matrix alone does not suffice
+    when two labels act by the same matrix.
+    """
+
+    def __init__(self, group: ExtendedGroup):
+        rg = group.rgroup
+        self.elements: List[ExtendedWeylElement] = group.elements()
+        self.index: Dict[ExtendedWeylElement, int] = {
+            g: i for i, g in enumerate(self.elements)}
+        self.labels: List[str] = [g.diagram for g in self.elements]
+        self.actions: List[Matrix] = [
+            mat_mul(g.weyl.matrix, rg.matrix(g.diagram)) for g in self.elements]
+        self.identity = self.index[group.identity]
+        self._translations = rg.translations
+        self._shifts: Dict[Tuple[str, int], Vector] = {}
+        by_key = {key: i for i, key in enumerate(zip(self.actions,
+                                                     self.labels))}
+        gens = [(m, rg.identity) for m in group.weyl.simple_matrices]
+        gens += [(rg.matrix(l), l) for l in rg.labels if l != rg.identity]
+        gen_index = {l: k for k, (_m, l) in enumerate(gens)
+                     if l != rg.identity}
+        # a simple reflection is its own inverse
+        gen_inverse = [gen_index.get(rg.inv(l), k)
+                       for k, (_m, l) in enumerate(gens)]
+        perms = [[by_key[(mat_mul(m, a), rg.mult(l, b))]
+                  for a, b in zip(self.actions, self.labels)]
+                 for m, l in gens]
+        # words[g] lists generator indices in the order their permutations
+        # are applied: g = gen[k_m] ... gen[k_1] for words[g] = (k_1..k_m)
+        words: List[Optional[Tuple[int, ...]]] = [None] * len(self.elements)
+        words[self.identity] = ()
+        frontier = [self.identity]
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for k, perm in enumerate(perms):
+                    c = perm[h]
+                    if words[c] is None:
+                        words[c] = words[h] + (k,)
+                        nxt.append(c)
+            frontier = nxt
+        self.inverse: List[int] = []
+        for word in words:
+            h = self.identity
+            for k in reversed(word):
+                h = perms[gen_inverse[k]][h]
+            self.inverse.append(h)
+        self._walks = [tuple(perms[k] for k in word) for word in words]
+        self.point_matrices: List[Matrix] = [
+            mat_transpose(self.actions[i]) for i in self.inverse]
+
+    def mult(self, g: int, h: int) -> int:
+        for perm in self._walks[g]:
+            h = perm[h]
+        return h
+
+    def inv(self, g: int) -> int:
+        return self.inverse[g]
+
+    def shift(self, label: str, order: int) -> Vector:
+        """Translation part of a label on points of the given order."""
+        key = (label, order)
+        if key not in self._shifts:
+            out = []
+            for t in self._translations[label]:
+                s = t * order
+                if s.denominator != 1:
+                    raise WeylError(
+                        "translation part with denominator %d does not "
+                        "preserve points of order %d" % (t.denominator, order))
+                out.append(int(s))
+            self._shifts[key] = tuple(out)
+        return self._shifts[key]
+
+    def act_point(self, g: int, exponents: Vector, order: int) -> Vector:
+        return tuple((sum(a * x for a, x in zip(row, exponents)) + s) % order
+                     for row, s in zip(self.point_matrices[g],
+                                       self.shift(self.labels[g], order)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +546,9 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
     """
     rd = group.rd
     exponents = tuple(e % order for e in exponents)
-    stab = [g for g in group.elements()
-            if group.act_point(g, exponents, order) == exponents]
+    table = group.table
+    stab = [table.elements[g] for g in range(len(table.elements))
+            if table.act_point(g, exponents, order) == exponents]
 
     sub_vectors = []
     for r in rd.roots:
@@ -475,21 +588,19 @@ class ConeMembership:
         return frozenset(out) if out else frozenset({"none"})
 
 
-def _solve_coroot_combination(rd: RootDatum, x: Sequence[Fraction]):
-    """Solve x = sum c_i alpha_i^vee + v with alpha_j(v) = 0 for simple alpha_j.
+def _solve_coroot_combination(rd: RootDatum, x: Sequence[int]):
+    """Solve x = sum c_i alpha_i^vee + v with alpha_j(v) = 0 for simple
+    alpha_j, for an integral x.
 
-    Returns (coefficients c, residual v).  The Cartan-type matrix
-    <alpha_i, alpha_j^vee> is invertible since the simple coroots are
-    linearly independent.
+    c is the inverse Cartan matrix applied to the pairings <alpha_i, x>.
+    Returns (d c, d v), integral, where the inverse Cartan matrix is N / d;
+    the cones need only the signs and zeros of c and v.
     """
+    inverse, d = rd.inverse_cartan
     simples = rd.simple_roots
-    k = len(simples)
-    rows, _ = rref([[pairing(simples[i].vector, simples[j].coroot)
-                     for j in range(k)] +
-                    [sum(si * Fraction(xi) for si, xi in zip(simples[i].vector, x))]
-                    for i in range(k)], k)
-    coeffs = [row[k] for row in rows]
-    v = list(map(Fraction, x))
+    b = [pairing(s.vector, x) for s in simples]
+    coeffs = [sum(a * bj for a, bj in zip(row, b)) for row in inverse]
+    v = [d * xi for xi in x]
     for c, s in zip(coeffs, simples):
         for i in range(rd.rank):
             v[i] -= c * s.coroot[i]
@@ -501,8 +612,10 @@ def cone_classify(rd: RootDatum, x: Sequence[Fraction]) -> ConeMembership:
     if len(x) != rd.rank:
         raise WeylError("vector length does not match rank")
     x = [Fraction(v) for v in x]
-    dominant = all(sum(Fraction(a) * b for a, b in zip(r.vector, x)) >= 0
-                   for r in rd.positive_roots)
+    # the cones are invariant under positive scaling: clear denominators
+    den = math.lcm(*(v.denominator for v in x))
+    x = [v.numerator * (den // v.denominator) for v in x]
+    dominant = all(pairing(r.vector, x) >= 0 for r in rd.positive_roots)
     coeffs, resid = _solve_coroot_combination(rd, x)
     in_span = all(v == 0 for v in resid)
     closed = in_span and all(c <= 0 for c in coeffs)

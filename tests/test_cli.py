@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -97,6 +98,61 @@ def test_count_cap_exit_2(capsys):
     assert "cap" in err
 
 
+def _gl_doc(e):
+    return {"group": {"family": "GL", "n": e},
+            "blocks": [{"side": "GL", "dim": 1, "e": e, "levi": 1}]}
+
+
+def test_count_group_cap_exit_2_before_enumeration(tmp_path, capsys):
+    # |W| = 12! exceeds the enumeration cap; the closed-form order refuses
+    # the input before any group element is enumerated
+    p = tmp_path / "gl12.json"
+    p.write_text(json.dumps(_gl_doc(12)))
+    t0 = time.monotonic()
+    code, out, err = run_cli(["count", "--input", str(p)], capsys)
+    assert time.monotonic() - t0 < 10
+    assert code == 2 and out == ""
+    assert "exceeds the enumeration cap" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["describe", "count"])
+def test_oversized_root_datum_exit_2(command, tmp_path, capsys):
+    p = tmp_path / "gl40.json"
+    p.write_text(json.dumps(_gl_doc(40)))
+    code, out, err = run_cli([command, "--input", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: block 1: rank 40 exceeds")
+    assert err.count("\n") == 1
+
+
+# (representative, orbit size, stabilizer order, count) per orbit.  The
+# order-2 counts were checked once against a separate computation of each
+# stabilizer and its cocycle-regular classes with the matrix group layer.
+SP58_ORBITS = {
+    1: [([0, 0, 0, 0, 0], 1, 384, 50)],
+    2: [([0, 0, 0, 0, 0], 1, 384, 50), ([0, 0, 0, 0, 1], 3, 128, 50),
+        ([0, 0, 0, 1, 1], 3, 128, 50), ([0, 0, 1, 1, 1], 1, 384, 50),
+        ([0, 1, 0, 0, 0], 2, 192, 40), ([0, 1, 0, 0, 1], 6, 64, 40),
+        ([0, 1, 0, 1, 1], 6, 64, 40), ([0, 1, 1, 1, 1], 2, 192, 40),
+        ([1, 1, 0, 0, 0], 1, 384, 50), ([1, 1, 0, 0, 1], 3, 128, 50),
+        ([1, 1, 0, 1, 1], 3, 128, 50), ([1, 1, 1, 1, 1], 1, 384, 50)],
+}
+
+
+@pytest.mark.parametrize("order, total", [(1, 50), (2, 560)])
+def test_count_sp58(order, total, capsys):
+    t0 = time.monotonic()
+    code, out, _ = run_cli(["count", "--example", "sp58", "--order",
+                            str(order), "--format", "json"], capsys)
+    assert time.monotonic() - t0 < 10
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["total"] == total
+    assert [(o["representative"], o["orbit_size"], o["stabilizer_order"],
+             o["count"]) for o in doc["orbits"]] == SP58_ORBITS[order]
+
+
 def test_check_small(capsys):
     code, out, _ = run_cli(["check", "--seed", "7", "--triples", "3",
                             "--im-pairs", "2", "--cone-samples", "20"],
@@ -172,9 +228,9 @@ def test_count_sl_quotient_classes(tmp_path, capsys):
     assert "total irreducibles: 4" in out
 
 
-def _sl_doc(matrices, table):
+def _sl_doc(matrices, table, translations=None):
     labels = sorted(matrices)
-    return {
+    doc = {
         "group": {"family": "SL", "n": 4, "division_degree": 1},
         "blocks": [
             {"side": "GL", "dim": 1, "e": 2, "levi": 2, "torsion": 2},
@@ -184,6 +240,9 @@ def _sl_doc(matrices, table):
             "cocycle": {"%s,%s" % (a, b): 1 for a in labels for b in labels},
         },
     }
+    if translations is not None:
+        doc["sl_rgroup"]["translations"] = translations
+    return doc
 
 
 Z2_TABLE = {"e,e": "e", "e,g": "g", "g,e": "g", "g,g": "e"}
@@ -198,6 +257,13 @@ BAD_SL_RGROUPS = {
     "wrong-shape": _sl_doc({"e": IDENTITY, "g": [[1, 0]]}, Z2_TABLE),
     "moves-positive-roots": _sl_doc({"e": IDENTITY, "g": [[0, 1], [1, 0]]},
                                     Z2_TABLE),
+    "wrong-rank": _sl_doc({"e": [[1]], "g": [[1]]}, Z2_TABLE),
+    "bad-translation-literal": _sl_doc({"e": IDENTITY, "g": IDENTITY},
+                                       Z2_TABLE, {"g": ["x", "x"]}),
+    "short-translation": _sl_doc({"e": IDENTITY, "g": IDENTITY}, Z2_TABLE,
+                                 {"g": ["1/2"]}),
+    "translation-of-unknown-label": _sl_doc({"e": IDENTITY, "g": IDENTITY},
+                                            Z2_TABLE, {"h": ["1/2", "0"]}),
 }
 
 
@@ -211,6 +277,17 @@ def test_bad_sl_rgroup_exit_2(case, command, tmp_path, capsys):
     assert out == ""
     assert err.startswith("input error: sl_rgroup:")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_non_label_in_sl_table_exit_2(tmp_path, capsys):
+    table = dict(Z2_TABLE)
+    table["e,g"] = [1]
+    doc = _sl_doc({"e": IDENTITY, "g": IDENTITY}, table)
+    p = tmp_path / "sl.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli(["count", "--input", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert err == "input error: [1] is not of type 'string'\n"
 
 
 def test_console_script_entry():

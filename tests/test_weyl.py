@@ -1,13 +1,17 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from heckealg.root_data import build_classical, empty_datum
-from heckealg.weyl import (Cocycle, ExtendedGroup, RGroup, WeylError,
-                           WeylGroup, cone_classify, enumerate_group,
-                           identity_matrix, mat_inv, mat_mul, min_coset_reps,
-                           rref, stabilizer_of_point)
+from heckealg.checks import graded_test_descriptors, standard_descriptors
+from heckealg.pipeline import BUILTIN_EXAMPLES, assemble, datum_from_json
+from heckealg.root_data import build_classical, empty_datum, product
+from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
+                           RGroup, WeylElement, WeylError, WeylGroup,
+                           cone_classify, enumerate_group, identity_matrix,
+                           mat_apply, mat_inv, mat_mul, mat_transpose,
+                           min_coset_reps, rref, stabilizer_of_point)
 
 
 def test_enumeration_orders():
@@ -227,3 +231,86 @@ def test_rgroup_validation():
     swap = ((0, 1), (1, 0))
     rg = RGroup(("e", "g"), {"e": ident, "g": swap}, z2)
     assert rg.inverse_matrix("g") == swap
+
+
+# ---------------------------------------------------------------------------
+# The group table against the matrix definition of W_ext
+# ---------------------------------------------------------------------------
+
+def _table_test_groups():
+    descs = standard_descriptors()
+    groups = {name: d.wext for name, d in descs.items()}
+    groups.update((name, gd.wext) for name, gd
+                  in graded_test_descriptors(descs).items())
+    for name, doc in BUILTIN_EXAMPLES.items():
+        groups[name] = assemble(datum_from_json(doc)).descriptor.wext
+    # two labels acting by the same matrix, with a translation part
+    groups["sl-shared-matrix"] = assemble(datum_from_json({
+        "group": {"family": "SL", "n": 4, "division_degree": 1},
+        "blocks": [{"side": "GL", "dim": 1, "e": 2, "levi": 2,
+                    "torsion": 2}],
+        "sl_rgroup": {
+            "labels": ["e", "g"],
+            "matrices": {"e": [[1, 0], [0, 1]], "g": [[1, 0], [0, 1]]},
+            "table": {"e,e": "e", "e,g": "g", "g,e": "g", "g,g": "e"},
+            "cocycle": {"e,e": 1, "e,g": 1, "g,e": 1, "g,g": -1},
+            "translations": {"g": ["1/2", "1/2"]},
+        }})).descriptor.wext
+    # an R-group of order 3 (its labels are not involutions) cycling the
+    # three blocks of A1 x A1 x A1
+    a1 = build_classical("A", 1)
+    cycles = {"e": 0, "c": 1, "c2": 2}
+    rg = RGroup(tuple(cycles),
+                {l: tuple(tuple(int(i == (j + 2 * k) % 6) for j in range(6))
+                          for i in range(6)) for l, k in cycles.items()},
+                {(a, b): next(l for l, k in cycles.items()
+                              if k == (cycles[a] + cycles[b]) % 3)
+                 for a in cycles for b in cycles})
+    groups["A1^3-cyclic"] = ExtendedGroup(product(product(a1, a1), a1), rg)
+    return groups
+
+
+TABLE_GROUPS = _table_test_groups()
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GROUPS))
+def test_group_table_matches_matrix_definition(name):
+    """Products, inverses, action and point matrices and the point action
+    of the table agree with (w1 r1 w2 r1^-1, l1 l2) computed on matrices."""
+    group = TABLE_GROUPS[name]
+    rg = group.rgroup
+    els = group.elements()
+    assert group.table.elements == els
+    assert els[group.table.identity] == group.identity
+    r_inv = {l: mat_inv(rg.matrix(l)) for l in rg.labels}
+
+    def conj(label, m):
+        if label == rg.identity:     # its matrix is the identity
+            return m
+        return mat_mul(mat_mul(rg.matrix(label), m), r_inv[label])
+
+    for g in els:
+        action = mat_mul(g.weyl.matrix, rg.matrix(g.diagram))
+        assert group.action_matrix(g) == action
+        point = mat_transpose(mat_inv(action))
+        assert group.point_action_matrix(g) == point
+        li = rg.inv(g.diagram)
+        assert group.inv(g) == ExtendedWeylElement(
+            WeylElement(conj(li, mat_inv(g.weyl.matrix))), li)
+        for order in (2, 4):
+            for x in ((0,) * group.rd.rank, tuple(range(group.rd.rank))):
+                moved = mat_apply(point, x)
+                shift = [int(t * order) for t in rg.translations[g.diagram]]
+                assert group.act_point(g, x, order) == tuple(
+                    (a + s) % order for a, s in zip(moved, shift))
+    # columns of r w r^-1 for every label r and Weyl part w
+    columns = {l: {h: tuple(zip(*conj(l, h.weyl.matrix))) for h in els}
+               for l in rg.labels}
+    for g in els:
+        cols = columns[g.diagram]
+        for h in els:
+            gh = group.mult(g, h)
+            assert gh.diagram == rg.mult(g.diagram, h.diagram)
+            assert gh.weyl.matrix == tuple(
+                tuple(sum(map(operator.mul, row, col)) for col in cols[h])
+                for row in g.weyl.matrix)
