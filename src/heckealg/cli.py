@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import checks
 from .pipeline import (BUILTIN_EXAMPLES, ValidationError, assemble,
                        datum_from_json, specialize_report)
-from .spectra import FiniteTorusPoint, extended_quotient_count
+from .spectra import FiniteTorusPoint, common_order, extended_quotient_count
 from .weyl import ENUMERATION_CAP
 
 POINT_ENUM_CAP = 200_000
@@ -80,9 +81,12 @@ def cmd_count(args) -> int:
     n = args.order
     if n < 1:
         raise ValidationError(["point order must be >= 1"])
-    if n ** max(rank, 1) > POINT_ENUM_CAP:
+    # points are counted at the common order with the translation parts,
+    # so that order bounds the work
+    common = common_order(desc.wext, [n])
+    if common ** max(rank, 1) > POINT_ENUM_CAP:
         raise ValidationError(["%d^%d points exceed the enumeration cap %d"
-                               % (n, rank, POINT_ENUM_CAP)])
+                               % (common, rank, POINT_ENUM_CAP)])
     group_order = report.group_order * desc.wext.rgroup.order()
     if group_order > ENUMERATION_CAP:
         raise ValidationError(["|W_ext| = %d exceeds the enumeration cap %d"
@@ -90,7 +94,6 @@ def cmd_count(args) -> int:
     canonicalize = None
     if report.character_lattice is not None:
         w = report.character_lattice["constraint"]
-        import math
         g = math.gcd(*w) if w else 1
         wr = tuple(x // g for x in w) if g else tuple(w)
 

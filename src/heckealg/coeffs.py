@@ -1,32 +1,116 @@
 """Exact coefficient arithmetic.
 
-Two sparse rings, both with arbitrary-precision integer coefficients:
+One sparse ring carries every coefficient of the Hecke algebras:
 
-* ``LaurentZ`` -- multivariate Laurent polynomials in z_1 .. z_d over ZZ.
-* ``TorusAlgebraElement`` -- finite ZZ-combinations of lattice characters
-  theta_x with LaurentZ coefficients, i.e. the group algebra
-  ZZ[X^*(T)] (x) ZZ[z_1^{\\pm 1}, .., z_d^{\\pm 1}].
+* ``TorusAlgebraElement`` -- finite sums of monomials theta_x z^e with
+  x in X^*(T) and e in ZZ^d, i.e. the ring
+  ZZ[X^*(T)] (x) ZZ[z_1^{\\pm 1}, .., z_d^{\\pm 1}] of the affine algebra.
+  ``terms`` maps one packed int per monomial to its scalar (Kronecker
+  packing of monomials, as in Monagan-Pearce, ISSAC 2009):
 
-The same two-level container doubles as the coefficient ring
-S(t^*) (x) ZZ[r_1..r_d] of the graded algebra: there the outer keys are
-interpreted as monomial multidegrees in the lattice coordinates (never
-negative) and the z-variables are renamed r_j.
+      key(x, e) = sum_i x_i B^i + sum_j e_j B^(rank + j),   B = 2^WIDTH,
 
-Values stored in a ``TorusAlgebraElement`` may also be ``Fraction``
-scalars; this is how specialized algebras (z fixed to rationals) reuse
-the same machinery.
+  every exponent one balanced digit in [-MAX_EXP, MAX_EXP].  Then
+  key(a) + key(b) = key(ab), and a monomial without z-part has the same
+  key whatever d is.  The scalar is an ``int`` in the symbolic and the
+  graded algebras and a ``Fraction`` in specialized ones (z fixed to
+  rationals).
+* The graded coefficient ring S(t^*) (x) ZZ[r_1..r_d] is the same ring
+  with nonnegative exponents; the r-exponents take the z-digits.
+* ``LaurentZ`` -- Laurent polynomials in z_1 .. z_d alone: the public
+  z-only scalar (brackets z^m - z^{-m}, z-monomials).  A
+  ``TorusAlgebraElement`` absorbs it on construction and in ``scale``; no
+  coefficient stores one.
+
+Every ``TorusAlgebraElement`` carries ``bound``, an upper bound on the
+absolute value of its exponents, updated in O(1) per operation.  An
+operation whose result could hold an exponent beyond ``MAX_EXP`` raises
+``PackedRangeError`` instead of letting a digit wrap into its neighbour.
+``monomials(nvars)`` decodes the keys back to (x, e, scalar).  The key
+format is private to this module: the Hecke layer reaches packed keys only
+through ring operations, ``telescope`` and ``divide_linear``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from functools import lru_cache
+from operator import add
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 Exps = Tuple[int, ...]
 
+WIDTH = 32
+_HALF = 1 << (WIDTH - 1)
+_MASK = (1 << WIDTH) - 1
+MAX_EXP = _HALF - 1
 
-def _vadd(a: Exps, b: Exps) -> Exps:
-    return tuple(x + y for x, y in zip(a, b))
+
+class PackedRangeError(OverflowError):
+    """An exponent would leave the packed range [-MAX_EXP, MAX_EXP]."""
+
+
+def _check_bound(bound: int) -> int:
+    """``bound``, or PackedRangeError when it exceeds MAX_EXP."""
+    if bound > MAX_EXP:
+        raise PackedRangeError("exponents up to %d do not fit the packed "
+                               "range +-%d" % (bound, MAX_EXP))
+    return bound
+
+
+def _pack(exps: Iterable[int]) -> int:
+    """Packed key of an exponent vector: lattice digits, then z-digits.
+
+    Does not check the range; an element checks its bound instead."""
+    key = 0
+    for e in reversed(tuple(exps)):
+        key = (key << WIDTH) + e
+    return key
+
+
+def _unpack(key: int, n: int) -> Tuple[Exps, int]:
+    """The n lowest digits of ``key`` and the key of the digits above."""
+    out = []
+    for _ in range(n):
+        d = ((key + _HALF) & _MASK) - _HALF
+        out.append(d)
+        key = (key - d) >> WIDTH
+    return tuple(out), key
+
+
+@lru_cache(maxsize=4096)
+def _packed(exps: Exps, start: int) -> Tuple[int, int]:
+    """(key, largest absolute exponent) of ``exps`` placed from digit
+    ``start`` on."""
+    return _pack(exps) << (WIDTH * start), max(map(abs, exps), default=0)
+
+
+@lru_cache(maxsize=None)
+def _low_split(n: int) -> Tuple[int, int]:
+    """(offset, mask) with ((key + offset) & mask) - offset the key of the
+    n lowest digits of key, so that key minus it holds the digits above."""
+    return (sum(_HALF << (WIDTH * i) for i in range(n)),
+            (1 << (WIDTH * n)) - 1)
+
+
+def _digit(key: int, i: int) -> int:
+    """Digit i of ``key``."""
+    return (((key + _low_split(i + 1)[0]) >> (WIDTH * i)) & _MASK) - _HALF
+
+
+@lru_cache(maxsize=None)
+def _signed_permutation(matrix) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """(column, sign) of the one nonzero entry of each row of a signed
+    permutation matrix; None for any other matrix."""
+    out = []
+    for row in matrix:
+        nonzero = [(j, v) for j, v in enumerate(row) if v]
+        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
+            return None
+        out.append(nonzero[0])
+    if sorted(j for j, _ in out) != list(range(len(out))):
+        return None
+    return tuple(out)
 
 
 class LaurentZ:
@@ -110,14 +194,10 @@ class LaurentZ:
         out: Dict[Exps, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = _vadd(e1, e2)
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         r = LaurentZ(self.nvars)
-        r.terms = out
+        r.terms = {e: c for e, c in out.items() if c}
         return r
 
     def __rmul__(self, other):
@@ -137,18 +217,6 @@ class LaurentZ:
 
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.nvars: 1}
-
-    def evaluate(self, zvals: Tuple[Fraction, ...]) -> Fraction:
-        """Exact value at positive rational z's."""
-        if len(zvals) != self.nvars:
-            raise ValueError("expected %d values" % self.nvars)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = Fraction(c)
-            for zj, ej in zip(zvals, e):
-                v *= Fraction(zj) ** ej
-            total += v
-        return total
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -178,27 +246,41 @@ def z_bracket(nvars: int, j: int, m: int) -> LaurentZ:
 
 
 class TorusAlgebraElement:
-    """Element of ZZ[X^*(T)] (x) scalar ring, keyed by lattice vectors.
+    """Element of ZZ[X^*(T)] (x) scalar ring on packed monomial keys.
 
-    ``terms`` maps a lattice vector x (tuple of ints) to a scalar, which
-    is a LaurentZ for symbolic z-variables or a Fraction for specialized
-    algebras.  theta_x * theta_y = theta_{x+y}, extended bilinearly.
+    ``terms`` maps key(x, e) (see the module docstring) to a nonzero
+    ``int`` or ``Fraction``; ``bound`` bounds the absolute value of every
+    exponent.  The constructor takes a lattice vector -> scalar map whose
+    scalars are ``LaurentZ`` (absorbed into the z-digits), ``int`` or
+    ``Fraction``.  theta_x * theta_y = theta_{x+y}, extended bilinearly.
     """
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "terms", "bound")
 
     def __init__(self, rank: int, terms: Dict[Exps, object] | None = None):
         self.rank = rank
-        self.terms: Dict[Exps, object] = {}
-        if terms:
-            for x, v in terms.items():
-                if v:
-                    x = tuple(x)
-                    if x in self.terms:
-                        self.terms[x] = self.terms[x] + v
-                    else:
-                        self.terms[x] = v
-            self.terms = {x: v for x, v in self.terms.items() if v}
+        out: Dict[int, object] = {}
+        get = out.get
+        bound = 0
+        for x, v in (terms or {}).items():
+            x = tuple(x)
+            if len(x) != rank:
+                raise ValueError("lattice vector %r has rank %d, expected %d"
+                                 % (x, len(x), rank))
+            xk, size = _packed(x, 0)
+            if size > bound:
+                bound = size
+            if not isinstance(v, LaurentZ):
+                out[xk] = get(xk, 0) + v
+                continue
+            for e, c in v.terms.items():
+                zk, size = _packed(e, rank)
+                if size > bound:
+                    bound = size
+                k = xk + zk
+                out[k] = get(k, 0) + c
+        self.terms = {k: c for k, c in out.items() if c}
+        self.bound = _check_bound(bound)
 
     @classmethod
     def zero(cls, rank: int) -> "TorusAlgebraElement":
@@ -217,26 +299,21 @@ class TorusAlgebraElement:
             and self.terms == other.terms
 
     def __neg__(self) -> "TorusAlgebraElement":
-        r = TorusAlgebraElement(self.rank)
-        r.terms = {x: -v for x, v in self.terms.items()}
-        return r
+        return _new(self.rank, {k: -c for k, c in self.terms.items()},
+                    self.bound)
 
     def __add__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         out = dict(self.terms)
-        for x, v in other.terms.items():
-            if x in out:
-                s = out[x] + v
-                if s:
-                    out[x] = s
-                else:
-                    del out[x]
+        get = out.get
+        for k, c in other.terms.items():
+            s = get(k, 0) + c
+            if s:
+                out[k] = s
             else:
-                out[x] = v
-        r = TorusAlgebraElement(self.rank)
-        r.terms = out
-        return r
+                del out[k]
+        return _new(self.rank, out, max(self.bound, other.bound))
 
     def __sub__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
         return self + (-other)
@@ -246,62 +323,234 @@ class TorusAlgebraElement:
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out: Dict[Exps, object] = {}
-        for x, v in self.terms.items():
-            for y, w in other.terms.items():
-                k = _vadd(x, y)
-                p = v * w
-                if k in out:
-                    s = out[k] + p
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-                elif p:
-                    out[k] = p
-        r = TorusAlgebraElement(self.rank)
-        r.terms = out
-        return r
+        bound = _check_bound(self.bound + other.bound)
+        out: Dict[int, object] = {}
+        get = out.get
+        items = other.terms.items()
+        for k1, c1 in self.terms.items():
+            for k2, c2 in items:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return _new(self.rank, {k: c for k, c in out.items() if c}, bound)
 
     def scale(self, scalar) -> "TorusAlgebraElement":
-        """Multiply every coefficient by a scalar-ring element."""
+        """Multiply by a LaurentZ, int or Fraction."""
+        if isinstance(scalar, LaurentZ):
+            return self * TorusAlgebraElement(self.rank,
+                                              {(0,) * self.rank: scalar})
         if not scalar:
             return TorusAlgebraElement(self.rank)
-        r = TorusAlgebraElement(self.rank)
-        r.terms = {x: v * scalar for x, v in self.terms.items()}
-        r.terms = {x: v for x, v in r.terms.items() if v}
-        return r
+        return _new(self.rank, {k: c * scalar for k, c in self.terms.items()},
+                    self.bound)
 
     def shift(self, x: Exps) -> "TorusAlgebraElement":
         """Multiply by theta_x."""
-        r = TorusAlgebraElement(self.rank)
-        r.terms = {_vadd(y, x): v for y, v in self.terms.items()}
-        return r
+        x = tuple(x)
+        d = _pack(x)
+        return _new(self.rank, {k + d: c for k, c in self.terms.items()},
+                    _check_bound(self.bound + max(map(abs, x), default=0)))
 
     def act_matrix(self, matrix) -> "TorusAlgebraElement":
-        """theta_x -> theta_{Mx}, z-coefficients untouched."""
-        out: Dict[Exps, object] = {}
-        for x, v in self.terms.items():
-            y = tuple(sum(row[k] * x[k] for k in range(self.rank)) for row in matrix)
-            if y in out:
-                s = out[y] + v
-                if s:
-                    out[y] = s
-                else:
-                    del out[y]
-            else:
-                out[y] = v
-        r = TorusAlgebraElement(self.rank)
-        r.terms = out
-        return r
+        """theta_x -> theta_{Mx}, z-part untouched."""
+        rank = self.rank
+        offset, mask = _low_split(rank)
+        moves: Dict[int, int] = {}
+        bound = self.bound
+        out: Dict[int, object] = {}
+        get = out.get
+        for k, c in self.terms.items():
+            xk = ((k + offset) & mask) - offset
+            move = moves.get(xk)
+            if move is None:
+                x, _ = _unpack(xk, rank)
+                y = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+                bound = _check_bound(max([bound] + [abs(v) for v in y]))
+                move = moves[xk] = _pack(y) - xk
+            k += move
+            out[k] = get(k, 0) + c
+        if len(out) < len(self.terms):
+            out = {k: c for k, c in out.items() if c}
+        return _new(rank, out, bound)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+    def substitute(self, matrix) -> "TorusAlgebraElement":
+        """x_i -> sum_j matrix[j][i] x_j on polynomials in the lattice
+        coordinates, z- (r-) part untouched.  A signed permutation is an
+        exponent shuffle with signs; any other matrix expands each
+        monomial as a product of linear forms."""
+        perm = _signed_permutation(matrix)
+        if perm is not None:
+            return self._permuted(perm)
+        rank = self.rank
+        lin = [TorusAlgebraElement(rank, {
+            tuple(int(k == j) for k in range(rank)): matrix[j][i]
+            for j in range(rank) if matrix[j][i]}) for i in range(rank)]
+        offset, mask = _low_split(rank)
+        out = TorusAlgebraElement(rank)
+        for k, c in self.terms.items():
+            xk = ((k + offset) & mask) - offset
+            x, _ = _unpack(xk, rank)
+            if min(x, default=0) < 0:
+                raise ValueError("substitution needs nonnegative exponents")
+            prod = _new(rank, {k - xk: c}, self.bound)
+            for i, a in enumerate(x):
+                for _ in range(a):
+                    prod = prod * lin[i]
+            out = out + prod
+        return out
+
+    def _permuted(self, perm) -> "TorusAlgebraElement":
+        """x_i -> sign x_j on monomials for the signed permutation ``perm``
+        of ``_signed_permutation``: digit j of the lattice part becomes
+        digit perm[j] of it and the scalar takes the sign
+        prod_j sign_j^(new digit j)."""
+        rank = self.rank
+        offset, mask = _low_split(rank)
+        moves: Dict[int, Tuple[int, int]] = {}
+        out: Dict[int, object] = {}
+        for k, c in self.terms.items():
+            xk = ((k + offset) & mask) - offset
+            move = moves.get(xk)
+            if move is None:
+                x, _ = _unpack(xk, rank)
+                y = [x[j] for j, _ in perm]
+                odd = sum(v for v, (_, s) in zip(y, perm) if s < 0) % 2
+                move = moves[xk] = (_pack(y) - xk, -1 if odd else 1)
+            out[k + move[0]] = c if move[1] == 1 else -c
+        return _new(rank, out, self.bound)
+
+    def telescope(self, coroot: Exps, step: Exps,
+                  mult: "TorusAlgebraElement") -> "TorusAlgebraElement":
+        """sum_x c_x D_x mult, c_x the coefficient of theta_x here.
+
+        D_x is the telescoping sum along ``step`` for m = <x, coroot>:
+        theta_x + theta_{x - step} + .. + theta_{x - (m-1) step} for m > 0,
+        zero for m = 0 and -(theta_{x + step} + .. + theta_{x - m step})
+        for m < 0, so that D_x (1 - theta_{-step}) = theta_x -
+        theta_{x - m step} (Bernstein-Lusztig)."""
+        if self.rank != mult.rank:
+            raise ValueError("rank mismatch")
+        rank = self.rank
+        factor = tuple(mult.terms.items())
+        skey = _pack(step)
+        offset, mask = _low_split(rank)
+        pairings: Dict[int, int] = {}
+        reach = 0
+        out: Dict[int, object] = {}
+        get = out.get
+        for k, v in self.terms.items() if factor else ():
+            xk = ((k + offset) & mask) - offset
+            m = pairings.get(xk)
+            if m is None:
+                x, _ = _unpack(xk, rank)
+                m = pairings[xk] = sum(a * b for a, b in zip(x, coroot))
+                reach = max(reach, abs(m))
+            if m > 0:
+                ys = range(k, k - m * skey, -skey)
+            elif m < 0:
+                ys, v = range(k + skey, k + (1 - m) * skey, skey), -v
+            else:
+                continue
+            for y in ys:
+                for fk, b in factor:
+                    key = y + fk
+                    out[key] = get(key, 0) + v * b
+        bound = self.bound + reach * max(map(abs, step), default=0) \
+            + mult.bound
+        return _new(rank, {k: c for k, c in out.items() if c},
+                    _check_bound(bound))
+
+    def divide_linear(self, alpha: Exps) -> "TorusAlgebraElement":
+        """Exact quotient of a polynomial by the linear form
+        sum_i alpha_i x_i.
+
+        Works down the layers of the pivot variable's digit, carrying the
+        other digits (the r-exponents among them) along.  A nonzero
+        remainder or a fractional quotient of int scalars raises
+        ArithmeticError."""
+        rank = self.rank
+        if not self:
+            return TorusAlgebraElement(rank)
+        pivots = [i for i, c in enumerate(alpha) if c]
+        pivot = min(pivots, key=lambda i: (abs(alpha[i]) != 1, i))
+        c_piv = alpha[pivot]
+        # each step moves one unit from the pivot digit to another digit, so
+        # no digit passes twice the input's bound
+        _check_bound(2 * self.bound)
+        unit = 1 << (WIDTH * pivot)
+        others = [(1 << (WIDTH * j), cj) for j, cj in enumerate(alpha)
+                  if j != pivot and cj]
+        layers: Dict[int, Dict[int, object]] = {}
+        for k, v in self.terms.items():
+            layers.setdefault(_digit(k, pivot), {})[k] = v
+        quot: Dict[int, object] = {}
+        for deg in range(max(layers), 0, -1):
+            layer = layers.pop(deg, {})
+            below = layers.setdefault(deg - 1, {})
+            for k, v in layer.items():
+                if not v:
+                    continue
+                if isinstance(v, Fraction):
+                    q = v / c_piv
+                elif v % c_piv:
+                    raise ArithmeticError("inexact division by %r" % (alpha,))
+                else:
+                    q = v // c_piv
+                qk = k - unit
+                quot[qk] = q
+                # subtract q * (alpha - c_piv x_pivot): the other variables
+                for unit_j, cj in others:
+                    mk = qk + unit_j
+                    below[mk] = below.get(mk, 0) - q * cj
+        if any(any(layer.values()) for layer in layers.values()):
+            raise ArithmeticError("nonzero remainder in division by %r"
+                                  % (alpha,))
+        return _new(rank, quot, self.bound)
+
+    def monomials(self, nvars: int) -> Iterator[Tuple[Exps, Exps, object]]:
+        """(x, e, scalar) for every term: the lattice exponents, the
+        ``nvars`` z- (or r-) exponents and the scalar.  Raises ValueError
+        when a monomial has a nonzero z-exponent past ``nvars``."""
+        rank = self.rank
+        for k, c in self.terms.items():
+            x, rest = _unpack(k, rank)
+            e, rest = _unpack(rest, nvars)
+            if rest:
+                raise ValueError("monomial with more than %d z-exponents"
+                                 % nvars)
+            yield x, e, c
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join("(%r)*theta%s" % (v, list(x)) for x, v in self.sorted_terms())
+        groups: Dict[Exps, Dict[Exps, object]] = {}
+        for k, c in self.terms.items():
+            x, rest = _unpack(k, self.rank)
+            e = []
+            while rest:
+                (d,), rest = _unpack(rest, 1)
+                e.append(d)
+            groups.setdefault(x, {})[tuple(e)] = c
+        nvars = max(len(e) for g in groups.values() for e in g)
+        parts = []
+        for x in sorted(groups):
+            g = groups[x]
+            if len(g) == 1 and isinstance(g.get(()), Fraction):
+                scalar = g[()]
+            else:
+                scalar = LaurentZ(nvars, {e + (0,) * (nvars - len(e)): c
+                                          for e, c in g.items()})
+            parts.append("(%r)*theta%s" % (scalar, list(x)))
+        return " + ".join(parts)
+
+
+def _new(rank: int, terms: Dict[int, object], bound: int
+         ) -> TorusAlgebraElement:
+    """An element on already packed, already nonzero terms."""
+    r = object.__new__(TorusAlgebraElement)
+    r.rank = rank
+    r.terms = terms
+    r.bound = bound
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +683,10 @@ def evaluate_at_point(elem: TorusAlgebraElement, exponents: Tuple[int, ...],
     exact rationals.
     """
     acc: Dict[int, Fraction] = {}
-    for x, v in elem.terms.items():
+    for x, e, c in elem.monomials(len(zvals)):
         k = sum(a * b for a, b in zip(x, exponents)) % order
-        if isinstance(v, LaurentZ):
-            c = v.evaluate(zvals)
-        else:
-            c = Fraction(v)
-        acc[k] = acc.get(k, Fraction(0)) + c
+        v = Fraction(c)
+        for zj, ej in zip(zvals, e):
+            v *= Fraction(zj) ** ej
+        acc[k] = acc.get(k, Fraction(0)) + v
     return CyclotomicValue(order, acc)

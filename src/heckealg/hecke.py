@@ -34,8 +34,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeffs import LaurentZ, TorusAlgebraElement, z_bracket
-from .root_data import (Root, RootDatum, pairing, vadd, vneg, vscale,
-                        vsub)
+from .root_data import Root, RootDatum, pairing, vadd, vscale, vsub
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, Matrix,
                    RGroup, Vector, WeylElement, identity_matrix, mat_apply,
                    mat_mul, stabilizer_of_point)
@@ -135,10 +134,6 @@ class HeckeElement:
         return self + other.scale(-1)
 
     def scale(self, scalar) -> "HeckeElement":
-        if isinstance(scalar, int):
-            return type(self)({w: TorusAlgebraElement(
-                c.rank, {x: v * scalar for x, v in c.terms.items()})
-                for w, c in self.terms.items()})
         return type(self)({w: c.scale(scalar) for w, c in self.terms.items()})
 
     def __repr__(self):
@@ -264,6 +259,8 @@ class AffineDescriptor(HeckeDescriptor):
         self._validate_params()
         self.simple_info = tuple(self._simple_info(i)
                                  for i in range(len(rd.simple_roots)))
+        self._corrections = tuple(self._correction_data(info)
+                                  for info in self.simple_info)
 
     # -- validation ----------------------------------------------------
 
@@ -315,6 +312,27 @@ class AffineDescriptor(HeckeDescriptor):
         z = self.z_values[j - 1]
         return z ** m - z ** (-m)
 
+    def _correction_data(self, info: SimpleRootInfo) -> tuple:
+        """((coroot, step, factor), bracket) for the N_s correction:
+        sum_x c_x G_alpha(x) = c.telescope(coroot, step, factor), with
+        G_alpha(x) = D (z^lambda - z^-lambda) + theta_{-alpha} D
+        (z^lambda* - z^-lambda*), the second summand only for a halvable
+        coroot, which halves the pairing and steps by 2 alpha (D the
+        telescoping quotient of ``bernstein_divide``); bracket is the
+        constant z^lambda - z^-lambda of the quadratic relation."""
+        rank = self.rd.rank
+        root = info.root
+        zero = (0,) * rank
+        bracket = self.zbracket(info.zvar, info.lam)
+        quadratic = TorusAlgebraElement(rank, {zero: bracket})
+        if not info.halvable:
+            return (root.coroot, root.vector, quadratic), quadratic
+        factor = TorusAlgebraElement(rank, {
+            zero: bracket,
+            vscale(root.vector, -1): self.zbracket(info.zvar, info.lam_star)})
+        return ((tuple(c // 2 for c in root.coroot), vscale(root.vector, 2),
+                 factor), quadratic)
+
     def zmonomial(self, exps: Sequence[int]):
         if self.z_values is None:
             return LaurentZ.monomial(self.d, tuple(exps))
@@ -332,12 +350,14 @@ class AffineDescriptor(HeckeDescriptor):
     def ns_correction(self, info: SimpleRootInfo, c: TorusAlgebraElement,
                       cs: TorusAlgebraElement, u: WeylElement,
                       su: WeylElement) -> TorusAlgebraElement:
-        """Bernstein-Lusztig correction, plus (z^lambda - z^-lambda) s(c)
-        when s u is shorter than u (the quadratic relation)."""
-        corr = _g_correction(self, info, c)
+        """Bernstein-Lusztig correction sum_x c_x G_alpha(x), plus
+        (z^lambda - z^-lambda) s(c) when s u is shorter than u (the
+        quadratic relation)."""
+        telescope, bracket = self._corrections[info.index]
+        corr = c.telescope(*telescope)
         wg = self.wext.weyl
         if wg.length(su) < wg.length(u):
-            corr = corr + cs.scale(self.zbracket(info.zvar, info.lam))
+            corr = corr + cs * bracket
         return corr
 
     # -- element constructors -------------------------------------------
@@ -371,28 +391,6 @@ def spread_invariant(rd: RootDatum, wext: ExtendedGroup,
 # ---------------------------------------------------------------------------
 # Multiplication: one skeleton for the affine and the graded algebra
 # ---------------------------------------------------------------------------
-
-def _g_correction(desc: AffineDescriptor, info: SimpleRootInfo,
-                  c: TorusAlgebraElement) -> TorusAlgebraElement:
-    """sum_x c_x G_alpha(x): the theta-only part of N_s * c."""
-    one = desc.scalar_one()
-    out = TorusAlgebraElement.zero(desc.rd.rank)
-    br = desc.zbracket(info.zvar, info.lam)
-    br_star = desc.zbracket(info.zvar, info.lam_star) if info.halvable else None
-    neg_alpha = vneg(info.root.vector)
-    for x, coef in c.terms.items():
-        d = bernstein_divide(x, info.root, info.halvable, one)
-        if not d:
-            continue
-        piece = TorusAlgebraElement.zero(desc.rd.rank)
-        if br:
-            piece = piece + d.scale(br)
-        if info.halvable and br_star:
-            piece = piece + d.shift(neg_alpha).scale(br_star)
-        if piece:
-            out = out + piece.scale(coef)
-    return out
-
 
 def _ns_mul(desc: HeckeDescriptor, i: int, elem: HeckeElement
             ) -> HeckeElement:
@@ -441,7 +439,7 @@ def _check_element(desc: HeckeDescriptor, elem: HeckeElement) -> None:
                                      "roots of this descriptor")
             cache.add(m)
         for v in c.terms.values():
-            symbolic = isinstance(v, LaurentZ)
+            symbolic = not isinstance(v, Fraction)
             if symbolic != (desc.z_values is None):
                 raise HeckeError("element scalar mode does not match the "
                                  "descriptor (symbolic vs specialized)")
@@ -483,13 +481,11 @@ def specialize_element(spec_desc: AffineDescriptor, elem: HeckeElement
     if spec_desc.z_values is None:
         raise HeckeError("target descriptor is not specialized")
     out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
+    zvals = spec_desc.z_values
     for w, c in elem.terms.items():
-        terms = {}
-        for x, v in c.terms.items():
-            val = v.evaluate(spec_desc.z_values) if isinstance(v, LaurentZ) \
-                else Fraction(v)
-            if val:
-                terms[x] = val
+        terms: Dict[Vector, Fraction] = {}
+        for x, e, v in c.monomials(len(zvals)):
+            terms[x] = terms.get(x, 0) + v * spec_desc.zmonomial(e)
         _add_term(out, w, TorusAlgebraElement(c.rank, terms))
     return HeckeElement(out)
 
@@ -568,21 +564,15 @@ def serialize_element(desc: AffineDescriptor, elem: HeckeElement) -> str:
         gkey = _group_sort_key(desc, w)
         word = " ".join(str(i + 1) for i in desc.wext.weyl.reduced_word(w.weyl))
         nstr = "N[%s|%s]" % (word, w.diagram)
-        coeff = elem.terms[w]
-        for x, v in coeff.sorted_terms():
-            if isinstance(v, LaurentZ):
-                zterms = v.sorted_terms()
-            else:
-                zterms = [((0,) * desc.d, v)]
-            for ze, cval in zterms:
-                factors = []
-                if any(x):
-                    factors.append("theta[%s]" % ",".join(map(str, x)))
-                for j, e in enumerate(ze):
-                    if e:
-                        factors.append("z%d^%d" % (j + 1, e))
-                factors.append(nstr)
-                pieces.append((x, ze, gkey, "*".join(factors), cval))
+        for x, ze, cval in elem.terms[w].monomials(desc.d):
+            factors = []
+            if any(x):
+                factors.append("theta[%s]" % ",".join(map(str, x)))
+            for j, e in enumerate(ze):
+                if e:
+                    factors.append("z%d^%d" % (j + 1, e))
+            factors.append(nstr)
+            pieces.append((x, ze, gkey, "*".join(factors), cval))
     pieces.sort(key=lambda p: (p[0], p[1], p[2]))
     chunks = []
     for _, _, _, body, cval in pieces:
@@ -599,77 +589,6 @@ def serialize_element(desc: AffineDescriptor, elem: HeckeElement) -> str:
 # ---------------------------------------------------------------------------
 # Graded side
 # ---------------------------------------------------------------------------
-
-def act_poly(matrix: Matrix, p: TorusAlgebraElement, one) -> TorusAlgebraElement:
-    """Substitution action on S(t^*): degree-one generators map by the
-    matrix, monomials expand multiplicatively."""
-    rank = p.rank
-    lin = []
-    for i in range(rank):
-        col = {tuple(1 if k == j else 0 for k in range(rank)):
-               matrix[j][i] * one
-               for j in range(rank) if matrix[j][i]}
-        lin.append(TorusAlgebraElement(rank, col))
-    out = TorusAlgebraElement.zero(rank)
-    unit = TorusAlgebraElement.theta((0,) * rank, one)
-    for mono, val in p.terms.items():
-        prod = unit
-        for i, a in enumerate(mono):
-            for _ in range(a):
-                prod = prod * lin[i]
-        out = out + prod.scale(val)
-    return out
-
-
-def poly_divide_linear(p: TorusAlgebraElement, alpha: Vector
-                       ) -> TorusAlgebraElement:
-    """Exact division of a polynomial by the linear form alpha.
-
-    A nonzero remainder or a fractional quotient indicates an internal
-    inconsistency (divisibility of xi - s xi by alpha is a theorem) and
-    raises ArithmeticError.
-    """
-    rank = p.rank
-    if not p:
-        return TorusAlgebraElement.zero(rank)
-    pivots = [i for i, c in enumerate(alpha) if c]
-    pivot = min(pivots, key=lambda i: (abs(alpha[i]) != 1, i))
-    c_piv = alpha[pivot]
-    rem = dict(p.terms)
-    quot: Dict[Vector, object] = {}
-    while rem:
-        deg = max(k[pivot] for k in rem)
-        if deg == 0:
-            raise ArithmeticError("nonzero remainder in division by %r" % (alpha,))
-        layer = [k for k in rem if k[pivot] == deg]
-        for k in layer:
-            v = rem.pop(k)
-            if isinstance(v, LaurentZ):
-                if any(c % c_piv for c in v.terms.values()):
-                    raise ArithmeticError("inexact division by %r" % (alpha,))
-                q = LaurentZ(v.nvars, {e: c // c_piv for e, c in v.terms.items()})
-            else:
-                q = Fraction(v, c_piv)
-            qk = tuple(e - 1 if i == pivot else e for i, e in enumerate(k))
-            quot[qk] = quot.get(qk, 0 * q) + q
-            # subtract q * (alpha - c_piv x_pivot), i.e. the other variables
-            for j, cj in enumerate(alpha):
-                if j == pivot or not cj:
-                    continue
-                mk = tuple(e + 1 if i == j else e for i, e in enumerate(qk))
-                nv = rem.get(mk, None)
-                delta = q * cj
-                if nv is None:
-                    rem[mk] = -delta
-                else:
-                    s = nv - delta
-                    if s:
-                        rem[mk] = s
-                    else:
-                        del rem[mk]
-        rem = {k: v for k, v in rem.items() if v}
-    return TorusAlgebraElement(rank, quot)
-
 
 @dataclass(frozen=True)
 class GradedSimpleInfo:
@@ -721,28 +640,30 @@ class GradedDescriptor(HeckeDescriptor):
 
     def act_coeff(self, matrix: Matrix, c: TorusAlgebraElement
                   ) -> TorusAlgebraElement:
-        return act_poly(matrix, c, self.scalar_one())
+        return c.substitute(matrix)
 
     def ns_correction(self, info: GradedSimpleInfo, c: TorusAlgebraElement,
                       cs: TorusAlgebraElement, u: WeylElement,
                       su: WeylElement) -> TorusAlgebraElement:
-        """k(alpha) r_j (c - s c) / alpha."""
+        """k(alpha) r_j (c - s c) / alpha; alpha divides c - s c exactly,
+        so ``divide_linear`` raising ArithmeticError means an internal
+        inconsistency."""
         diff = c - cs
         if not (diff and info.k):
             return TorusAlgebraElement.zero(self.rd.rank)
-        return poly_divide_linear(diff, info.root.vector).scale(
+        return diff.divide_linear(info.root.vector).scale(
             self.rvar(info.rvar) * info.k)
 
 
 def im_involution(desc: GradedDescriptor, a: GradedElement) -> GradedElement:
     """N_w -> sign(w) N_w on the reflection part (trivial on the diagram
     part), r_j -> r_j, xi -> -xi in degree one; sign(w) = (-1)^l(w)."""
+    rank = desc.rd.rank
+    neg = tuple(tuple(-int(i == j) for j in range(rank)) for i in range(rank))
     out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
     for key, c in a.terms.items():
-        sign = (-1) ** desc.weyl.length(key.weyl)
-        terms = {mono: v * (sign * (-1) ** (sum(mono) % 2))
-                 for mono, v in c.terms.items()}
-        _add_term(out, key, TorusAlgebraElement(c.rank, terms))
+        c = c.substitute(neg)
+        _add_term(out, key, -c if desc.weyl.length(key.weyl) % 2 else c)
     return desc.element(out)
 
 

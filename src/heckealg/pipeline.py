@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -155,6 +156,18 @@ def _input_validator():
     return cls(INPUT_SCHEMA)
 
 
+def _translation_entry(s) -> Fraction:
+    """An SL translation entry: an integer or a "p/q" string.  Floats and
+    decimal strings are refused: 0.1 would be read as a fraction with
+    denominator 2^55 and make the common point order huge."""
+    if isinstance(s, bool) or not (
+            isinstance(s, int) or
+            isinstance(s, str) and re.fullmatch(r"[+-]?\d+(/\d+)?", s)):
+        raise ValueError("translation entry %r is not an integer or a "
+                         "'p/q' string" % (s,))
+    return Fraction(s)
+
+
 def datum_from_json(doc: Union[str, dict]) -> InertialDatum:
     """Parse and schema-check a JSON inertial datum (unknown fields
     rejected); semantic validation happens in ``validate``."""
@@ -179,7 +192,7 @@ def datum_from_json(doc: Union[str, dict]) -> InertialDatum:
             cocycle = {tuple(k.split(",")): int(v)
                        for k, v in raw["cocycle"].items()}
             translations = {
-                l: tuple(Fraction(s) for s in vec)
+                l: tuple(_translation_entry(s) for s in vec)
                 for l, vec in raw.get("translations", {}).items()}
             matrices = {l: tuple(tuple(int(x) for x in row) for row in m)
                         for l, m in raw["matrices"].items()}

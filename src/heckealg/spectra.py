@@ -9,9 +9,10 @@ the explicitly constructed twisted group algebra over QQ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .root_data import RootDatum
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
@@ -72,6 +73,18 @@ class FiniteGroup:
         fn = (lambda a, b: coc(a.diagram, b.diagram)) if coc else None
         return cls(els, group.mult, group.inv, group.identity, fn)
 
+    def class_of(self, g) -> Tuple[Dict, List]:
+        """One pass over the group: each member x of the class of g ->
+        some h with h g h^-1 = x, and the centralizer of g."""
+        conjugators: Dict = {}
+        centralizer = []
+        for h in self.elements:
+            x = self.mult(self.mult(h, g), self.inv(h))
+            conjugators.setdefault(x, h)
+            if x == g:
+                centralizer.append(h)
+        return conjugators, centralizer
+
     def conjugacy_classes(self) -> List[List]:
         position = {g: i for i, g in enumerate(self.elements)}
         seen = set()
@@ -79,29 +92,36 @@ class FiniteGroup:
         for g in self.elements:
             if g in seen:
                 continue
-            cls_ = set()
-            for h in self.elements:
-                c = self.mult(self.mult(h, g), self.inv(h))
-                cls_.add(c)
+            cls_, _ = self.class_of(g)
             classes.append(sorted(cls_, key=position.__getitem__))
-            seen |= cls_
+            seen.update(cls_)
         return classes
-
-    def centralizer(self, g) -> List:
-        return [h for h in self.elements
-                if self.mult(h, g) == self.mult(g, h)]
 
 
 def count_twisted_irreps(group: FiniteGroup) -> int:
     """Number of cocycle-regular conjugacy classes: g is regular iff
-    cocycle(g, h) = cocycle(h, g) for all h centralizing g."""
+    cocycle(g, h) = cocycle(h, g) for all h centralizing g.
+
+    Only the centralizer of each class representative g is computed; a
+    member x = h g h^-1 has centralizer h C(g) h^-1.  Regularity is still
+    evaluated on every member, as a check that it is a class function."""
+    mult, coc = group.mult, group.cocycle_fn
     count = 0
     for cls_ in group.conjugacy_classes():
+        g = cls_[0]
+        if len(cls_) == 1:
+            # g is central: its centralizer is the whole group
+            conjugators, cent = {}, group.elements
+        else:
+            conjugators, cent = group.class_of(g)
         regular_flags = []
-        for g in cls_:
-            reg = all(group.cocycle_fn(g, h) == group.cocycle_fn(h, g)
-                      for h in group.centralizer(g))
-            regular_flags.append(reg)
+        for x in cls_:
+            cx = cent
+            if x != g:
+                h = conjugators[x]
+                hinv = group.inv(h)
+                cx = [mult(mult(h, c), hinv) for c in cent]
+            regular_flags.append(all(coc(x, y) == coc(y, x) for y in cx))
         if any(regular_flags) != all(regular_flags):
             raise SpectraError("cocycle-regularity is not a class function")
         if regular_flags[0]:
@@ -164,16 +184,12 @@ class OrbitReport:
     count: int
 
 
-def _common_order(group: ExtendedGroup, points: Sequence[FiniteTorusPoint]
-                  ) -> int:
-    import math
-    order = 1
-    for p in points:
-        order = order * p.order // math.gcd(order, p.order)
-    for l in group.rgroup.labels:
-        for t in group.rgroup.translations[l]:
-            order = order * t.denominator // math.gcd(order, t.denominator)
-    return order
+def common_order(group: ExtendedGroup, orders: Iterable[int]) -> int:
+    """The order at which points of the given orders are counted: the lcm
+    of those orders and the denominators of the translation parts."""
+    return math.lcm(*orders, *(t.denominator
+                               for ts in group.rgroup.translations.values()
+                               for t in ts))
 
 
 def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
@@ -194,7 +210,7 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
     """
     if not points:
         return 0, []
-    order = _common_order(group, points)
+    order = common_order(group, (p.order for p in points))
     canon = canonicalize or (lambda e, n: e)
     table = group.table
     ids = range(len(table.elements))

@@ -81,6 +81,10 @@ def mat_inv(m: Matrix) -> Matrix:
     return tuple(tuple(int(x) for x in row[n:]) for row in rows)
 
 
+def _integral(values: Iterable[Fraction]) -> bool:
+    return all(Fraction(v).denominator == 1 for v in values)
+
+
 def mat_transpose(m: Matrix) -> Matrix:
     n = len(m)
     return tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
@@ -306,6 +310,22 @@ class RGroup:
         for a in self.labels:
             if a not in self._inverse:
                 raise WeylError("label %r has no inverse" % (a,))
+        if any(map(any, self.translations.values())):
+            self._check_translation_law()
+
+    def _check_translation_law(self) -> None:
+        """The point action e -> P_a e + t(a) is an action only if
+        t(ab) = t(a) + P_a t(b) mod ZZ^rank."""
+        for a in self.labels:
+            point = mat_transpose(self._inverse_matrices[a])
+            for b in self.labels:
+                moved = mat_apply(point, self.translations[b])
+                want = self.translations[self.table[(a, b)]]
+                if not _integral(ta + m - w for ta, m, w in
+                                 zip(self.translations[a], moved, want)):
+                    raise WeylError("translations break t(ab) = t(a) + P_a "
+                                    "t(b) mod ZZ^%d at %r"
+                                    % (len(moved), (a, b)))
 
     @classmethod
     def trivial(cls, rank: int) -> "RGroup":
@@ -327,6 +347,11 @@ class RGroup:
         return len(self.labels)
 
     def validate_action(self, rd: RootDatum) -> None:
+        """Labels permute the roots and fix the positive system; each
+        translation is W-invariant mod ZZ^rank, so that W_ext acts on
+        points."""
+        # a simple reflection is its own inverse, so its point matrix is s^T
+        points = [mat_transpose(s) for s in rd.simple_reflections()]
         for l in self.labels:
             m = self.matrices[l]
             if len(m) != rd.rank:
@@ -341,6 +366,11 @@ class RGroup:
                     raise WeylError(
                         "diagram label %r does not stabilize the positive system"
                         % (l,))
+            t = self.translations[l]
+            for p in points if any(t) else ():
+                if not _integral(a - b for a, b in zip(mat_apply(p, t), t)):
+                    raise WeylError("translation of label %r is not "
+                                    "W-invariant mod ZZ^%d" % (l, rd.rank))
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,12 @@ BAD_SL_RGROUPS = {
                                  {"g": ["1/2"]}),
     "translation-of-unknown-label": _sl_doc({"e": IDENTITY, "g": IDENTITY},
                                             Z2_TABLE, {"h": ["1/2", "0"]}),
+    # t(g g) = t(e) = 0, but t(g) + P_g t(g) = (2/3, 0) mod 1
+    "translation-breaks-group-law": _sl_doc({"e": IDENTITY, "g": IDENTITY},
+                                            Z2_TABLE, {"g": ["1/3", "0"]}),
+    # the simple reflection swaps the coordinates: (0, 1/2) != (1/2, 0)
+    "translation-not-w-invariant": _sl_doc({"e": IDENTITY, "g": IDENTITY},
+                                           Z2_TABLE, {"g": ["1/2", "0"]}),
 }
 
 
@@ -277,6 +283,31 @@ def test_bad_sl_rgroup_exit_2(case, command, tmp_path, capsys):
     assert out == ""
     assert err.startswith("input error: sl_rgroup:")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+UNBOUNDED_SL_COUNTS = {
+    # a float literal would be read as a fraction with denominator 2^55
+    "float-translation": _sl_doc({"e": IDENTITY, "g": IDENTITY}, Z2_TABLE,
+                                 {"g": [0.1, 0.1]}),
+    # consistent with the group law (P_g t = -t), so only the common
+    # order 1000003 of the points can refuse it
+    "large-denominator": _sl_doc({"e": IDENTITY, "g": [[0, -1], [-1, 0]]},
+                                 Z2_TABLE, {"g": ["1/1000003", "1/1000003"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBOUNDED_SL_COUNTS))
+def test_sl_translation_count_bounded_exit_2(case, tmp_path):
+    # run in a subprocess with a timeout: without the up-front bound the
+    # count does not finish
+    p = tmp_path / "sl.json"
+    p.write_text(json.dumps(UNBOUNDED_SL_COUNTS[case]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckealg.cli", "count", "--input", str(p),
+         "--order", "1"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("input error:")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_non_label_in_sl_table_exit_2(tmp_path, capsys):

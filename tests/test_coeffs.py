@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
-from heckealg.coeffs import (CyclotomicValue, LaurentZ, TorusAlgebraElement,
+import pytest
+
+from heckealg.coeffs import (MAX_EXP, CyclotomicValue, LaurentZ,
+                             PackedRangeError, TorusAlgebraElement,
                              cyclotomic_polynomial, evaluate_at_point,
                              z_bracket)
 
@@ -110,3 +113,101 @@ def test_evaluate_is_ring_homomorphism():
         eab = evaluate_at_point(a * b, (1, 2), 6, z)
         assert eab == ea * eb
         assert evaluate_at_point(a + b, (1, 2), 6, z) == ea + eb
+
+
+# ---------------------------------------------------------------------------
+# The packed ring against sympy, and its range guard
+# ---------------------------------------------------------------------------
+
+def _sympy_form(sympy, elem, nvars):
+    """elem as a sympy Laurent polynomial in x1.. (lattice) and z1.."""
+    xs = sympy.symbols("x1:%d" % (elem.rank + 1))
+    zs = sympy.symbols("z1:%d" % (nvars + 1))
+    return sum((sympy.Rational(c.numerator, c.denominator) *
+                sympy.Mul(*(v ** k for v, k in zip(xs, x))) *
+                sympy.Mul(*(v ** k for v, k in zip(zs, e)))
+                for x, e, c in elem.monomials(nvars)), sympy.Integer(0))
+
+
+def test_packed_ring_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rank, nvars = 3, 2
+    xs = sympy.symbols("x1:%d" % (rank + 1))
+
+    def same(elem, expr):
+        return sympy.expand(_sympy_form(sympy, elem, nvars) - expr) == 0
+
+    matrices = (((0, 1, 0), (1, 0, 0), (0, 0, 1)),     # permutation
+                ((0, 0, -1), (1, 0, 0), (0, -1, 0)),   # signed permutation
+                ((1, 1, 0), (0, 1, 0), (0, 0, 1)),     # unimodular shear
+                ((2, 1, 0), (1, 1, 0), (0, 0, -1)))
+    rng = random.Random(2009)
+    for trial in range(20):
+        a = rand_tae(rng, rank, nvars, nterms=4)
+        b = rand_tae(rng, rank, nvars, nterms=3)
+        if trial % 2:
+            b = b.scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        sa, sb = (_sympy_form(sympy, e, nvars) for e in (a, b))
+        assert same(a * b, sa * sb)
+        assert same(a + b, sa + sb)
+        lz = rand_laurent(rng, nvars)
+        assert same(a.scale(lz), sa * _sympy_form(
+            sympy, TorusAlgebraElement(rank, {(0,) * rank: lz}), nvars))
+        x = tuple(rng.randint(-3, 3) for _ in range(rank))
+        assert same(a.shift(x), sa * sympy.Mul(*(v ** k for v, k in
+                                                   zip(xs, x))))
+        m = matrices[trial % len(matrices)]
+        # theta_x -> theta_{Mx}: x_j -> prod_i x_i^{M[i][j]}
+        monomial_images = {xs[j]: sympy.Mul(*(xs[i] ** m[i][j]
+                                              for i in range(rank)))
+                           for j in range(rank)}
+        assert same(a.act_matrix(m), sa.subs(monomial_images,
+                                             simultaneous=True))
+        # polynomial substitution x_i -> sum_j M[j][i] x_j
+        p = TorusAlgebraElement(rank, {
+            tuple(rng.randint(0, 2) for _ in range(rank)): rand_laurent(
+                rng, nvars, 2) for _ in range(3)})
+        linear_images = {xs[i]: sum(m[j][i] * xs[j] for j in range(rank))
+                         for i in range(rank)}
+        assert same(p.substitute(m), _sympy_form(sympy, p, nvars).subs(
+            linear_images, simultaneous=True))
+
+
+def test_exponent_past_packed_range_raises():
+    top = TorusAlgebraElement(2, {(MAX_EXP, -MAX_EXP): 1})
+    assert list(top.monomials(0)) == [((MAX_EXP, -MAX_EXP), (), 1)]
+    with pytest.raises(PackedRangeError):
+        TorusAlgebraElement(1, {(MAX_EXP + 1,): 1})
+    with pytest.raises(PackedRangeError):
+        top * top
+    with pytest.raises(PackedRangeError):
+        top.shift((1, 0))
+    with pytest.raises(PackedRangeError):
+        top.scale(LaurentZ.var_power(1, 1, 1))
+    zpow = TorusAlgebraElement(1, {(0,): LaurentZ.var_power(1, 1, MAX_EXP)})
+    with pytest.raises(PackedRangeError):
+        zpow * zpow
+    half = TorusAlgebraElement(2, {(MAX_EXP // 2 + 1, 0): 1})
+    with pytest.raises(PackedRangeError):
+        half.act_matrix(((2, 1), (1, 1)))
+
+
+def test_telescope_solves_bernstein_lusztig():
+    # D_x (1 - theta_{-step}) = theta_x - theta_{x - m step}, m = <x, coroot>,
+    # determines D_x in the Laurent ring; the factor multiplies through
+    rng = random.Random(1989)
+    rank, nvars = 2, 1
+    one = TorusAlgebraElement.theta((0,) * rank, 1)
+    for _ in range(30):
+        c = rand_tae(rng, rank, nvars, nterms=4)
+        coroot = tuple(rng.randint(-2, 2) for _ in range(rank))
+        step = (rng.choice((-2, -1, 1, 2)), rng.randint(-2, 2))
+        factor = rand_tae(rng, rank, nvars, nterms=2)
+        d = c.telescope(coroot, step, one)
+        expect = TorusAlgebraElement(rank)
+        for x, e, v in c.monomials(nvars):
+            m = sum(a * b for a, b in zip(x, coroot))
+            mono = TorusAlgebraElement(rank, {x: LaurentZ.monomial(nvars, e, v)})
+            expect = expect + mono - mono.shift(tuple(-m * s for s in step))
+        assert d * (one - one.shift(tuple(-s for s in step))) == expect
+        assert c.telescope(coroot, step, factor) == d * factor

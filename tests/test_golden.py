@@ -113,9 +113,8 @@ def graded_form(gd, elem):
     rows = []
     for key, coeff in elem.terms.items():
         word = list(gd.weyl.reduced_word(key.weyl))
-        for mono, scalar in coeff.terms.items():
-            for rexp, c in scalar.terms.items():
-                rows.append([word, key.diagram, list(mono), list(rexp), c])
+        for mono, rexp, c in coeff.monomials(gd.d):
+            rows.append([word, key.diagram, list(mono), list(rexp), c])
     return sorted(rows)
 
 

@@ -11,9 +11,9 @@ from heckealg.coeffs import LaurentZ, TorusAlgebraElement
 from heckealg.hecke import (AffineDescriptor, HeckeError, act,
                             affine_to_graded, bernstein_divide,
                             graded_from_datum, graded_multiply, im_involution,
-                            is_central, multiply, poly_divide_linear,
-                            quotient_z1, serialize_element,
-                            specialize_element, spread_invariant, symmetrize)
+                            is_central, multiply, quotient_z1,
+                            serialize_element, specialize_element,
+                            spread_invariant, symmetrize)
 from heckealg.root_data import build_classical
 from heckealg.weyl import Cocycle, ExtendedGroup
 
@@ -167,10 +167,15 @@ def test_descriptor_mismatch_rejected():
                           TorusAlgebraElement.theta((0, 0), one(desc))})
     with pytest.raises(HeckeError):
         multiply(desc, bogus, desc.unit())
-    # symbolic element fed to a specialized descriptor
+    # symbolic element fed to a specialized descriptor, although the
+    # symbolic scalar 1 equals Fraction(1), and the other way round
     spec = DESCS["A1"].specialized((Fraction(2),))
     with pytest.raises(HeckeError):
         multiply(spec, DESCS["A1"].unit(), DESCS["A1"].unit())
+    with pytest.raises(HeckeError):
+        multiply(spec, spec.unit(), DESCS["A1"].unit())
+    with pytest.raises(HeckeError):
+        multiply(DESCS["A1"], spec.unit(), spec.unit())
 
 
 def test_act_examples():
@@ -308,14 +313,14 @@ def test_poly_divide_linear_cases():
     lone = LaurentZ.one(1)
     # (x1 - x2 sym poly) / (x1 - x2)
     p = TorusAlgebraElement(2, {(2, 0): lone, (0, 2): -1 * lone})
-    q = poly_divide_linear(p, (1, -1))
+    q = p.divide_linear((1, -1))
     assert q == TorusAlgebraElement(2, {(1, 0): lone, (0, 1): lone})
     # division by 2 e_1 with integral quotient
     p2 = TorusAlgebraElement(1, {(3,): LaurentZ.const(1, 4)})
-    q2 = poly_divide_linear(p2, (2,))
+    q2 = p2.divide_linear((2,))
     assert q2 == TorusAlgebraElement(1, {(2,): LaurentZ.const(1, 2)})
     with pytest.raises(ArithmeticError):
-        poly_divide_linear(TorusAlgebraElement(2, {(0, 1): lone}), (1, 0))
+        TorusAlgebraElement(2, {(0, 1): lone}).divide_linear((1, 0))
 
 
 def test_graded_linear_case():
@@ -324,17 +329,16 @@ def test_graded_linear_case():
     gd = graded_from_datum(b2, {r.vector: 1 for r in b2.nondivisible_roots})
     alpha = b2.simple_roots[1]           # short root e2, coroot 2 e2
     xi = TorusAlgebraElement(2, {(1, 0): LaurentZ.one(1)})  # x1
-    from heckealg.hecke import act_poly
-    sxi = act_poly(gd.simple_info[1].matrix, xi, gd.scalar_one())
+    sxi = xi.substitute(gd.simple_info[1].matrix)
     diff = xi - sxi
     if diff:
-        q = poly_divide_linear(diff, alpha.vector)
-        const = q.terms.get((0, 0))
+        q = diff.divide_linear(alpha.vector)
+        const = [c for mono, _, c in q.monomials(1) if mono == (0, 0)]
         pairing = 0  # <x1, (2 e2)> = 0
-        assert const is None and pairing == 0
+        assert not const and pairing == 0
     xi2 = TorusAlgebraElement(2, {(0, 1): LaurentZ.one(1)})  # x2
-    sxi2 = act_poly(gd.simple_info[1].matrix, xi2, gd.scalar_one())
-    q = poly_divide_linear(xi2 - sxi2, alpha.vector)
+    sxi2 = xi2.substitute(gd.simple_info[1].matrix)
+    q = (xi2 - sxi2).divide_linear(alpha.vector)
     assert q == TorusAlgebraElement(2, {(0, 0): LaurentZ.const(1, 2)})
 
 
@@ -378,11 +382,17 @@ def test_im_involution_examples():
     assert im_involution(gd, r) == r
 
 
-def GradedScale(elem, c):
+def GradedScale(elem, c, nvars=1):
+    """elem with every scalar times c, rebuilt monomial by monomial."""
     from heckealg.hecke import GradedElement
-    return GradedElement({k: TorusAlgebraElement(
-        v.rank, {m: val * c for m, val in v.terms.items()})
-        for k, v in elem.terms.items()})
+    out = {}
+    for k, v in elem.terms.items():
+        acc = TorusAlgebraElement.zero(v.rank)
+        for mono, rexp, val in v.monomials(nvars):
+            acc = acc + TorusAlgebraElement(
+                v.rank, {mono: LaurentZ.monomial(nvars, rexp, val * c)})
+        out[k] = acc
+    return GradedElement(out)
 
 
 def test_im_trivial_on_diagram_part():
