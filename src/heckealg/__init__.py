@@ -25,7 +25,6 @@ from .spectra import (CentralCharacterPoint, FiniteGroup, FiniteTorusPoint,
                       twisted_algebra_center_dim)
 from .weyl import (Cocycle, ConeMembership, ExtendedGroup,
                    ExtendedWeylElement, RGroup, WeylElement, WeylGroup,
-                   cone_classify, enumerate_group, min_coset_reps,
-                   reduced_word, stabilizer_of_point)
+                   cone_classify, min_coset_reps, stabilizer_of_point)
 
 __version__ = "0.1.0"

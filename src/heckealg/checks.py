@@ -344,16 +344,15 @@ def check_coset_cones(name: str, rd: RootDatum, point: Tuple[int, ...],
             x = _random_vector(rng, rd.rank)
             w = rng.choice(wg.enumerate())
             x = mat_apply(w.matrix, x)
-        in_sub_dom = cone_classify(sub, x).dominant
+        in_sub = cone_classify(sub, x)
         in_union = any(cone_classify(rd, mat_apply(w.matrix, x)).dominant
                        for w in reps)
-        if in_sub_dom != in_union:
+        if in_sub.dominant != in_union:
             ok_b = False
             break
-        in_sub_minus = cone_classify(sub, x).antidominant_obtuse
         all_minus = all(cone_classify(rd, mat_apply(w.matrix, x)
                                       ).antidominant_obtuse for w in reps)
-        if in_sub_minus != all_minus:
+        if in_sub.antidominant_obtuse != all_minus:
             ok_c = False
             break
     return [

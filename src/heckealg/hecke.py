@@ -24,7 +24,10 @@ with the group algebra embedded (no quadratic correction).
 
 Both algebras share one multiplication skeleton (``multiply``, with the
 left actions ``_ns_mul`` and ``_ngamma_mul``); a descriptor supplies
-only its action on coefficients and its N_s correction term.
+only its action on coefficients and its N_s correction term.  Basis keys
+are ``ExtendedWeylElement``s; the skeleton checks, moves and closes them
+through the W_ext ``GroupTable`` (its index and its left-multiplication
+permutations) and never multiplies group elements itself.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .coeffs import LaurentZ, TorusAlgebraElement, z_bracket
 from .root_data import Root, RootDatum, pairing, vadd, vscale, vsub
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, Matrix,
                    RGroup, Vector, WeylElement, identity_matrix, mat_apply,
-                   mat_mul, stabilizer_of_point)
+                   stabilizer_of_point)
 
 
 class HeckeError(ValueError):
@@ -189,7 +192,6 @@ class HeckeDescriptor:
         self.wext = wext
         self.d = rd.num_z_vars
         self.cocycle = cocycle
-        self._matrix_cache: set = set()
         cocycle.check(wext.rgroup.table, wext.rgroup.identity)
 
     def scalar_one(self):
@@ -397,12 +399,15 @@ def _ns_mul(desc: HeckeDescriptor, i: int, elem: HeckeElement
     """Left multiplication by N_{s_i}:
     N_s (c N_u) = s(c) N_{s u} + ns_correction N_u."""
     info = desc.simple_info[i]
+    table = desc.wext.table
+    perm, index, elements = table.perms[i], table.index, table.elements
     out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
     for key, c in elem.terms.items():
         cs = desc.act_coeff(info.matrix, c)
-        su = WeylElement(mat_mul(info.matrix, key.weyl.matrix))
-        _add_term(out, ExtendedWeylElement(su, key.diagram), cs)
-        _add_term(out, key, desc.ns_correction(info, c, cs, key.weyl, su))
+        skey = elements[perm[index[key]]]
+        _add_term(out, skey, cs)
+        _add_term(out, key, desc.ns_correction(info, c, cs, key.weyl,
+                                               skey.weyl))
     return desc.element(out)
 
 
@@ -412,32 +417,22 @@ def _ngamma_mul(desc: HeckeDescriptor, label: str, elem: HeckeElement
     if label == desc.wext.rgroup.identity:
         return elem
     amat = desc.wext.rgroup.matrix(label)
+    table = desc.wext.table
+    perm, index, elements = (table.perms[table.gen_index[label]],
+                             table.index, table.elements)
     out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
     for key, c in elem.terms.items():
         cg = desc.act_coeff(amat, c)
         sign = desc.cocycle(label, key.diagram)
-        u = desc.wext.conj_weyl(label, key.weyl)
-        nkey = ExtendedWeylElement(u, desc.wext.rgroup.mult(label, key.diagram))
-        _add_term(out, nkey, cg if sign == 1 else -cg)
+        _add_term(out, elements[perm[index[key]]], cg if sign == 1 else -cg)
     return desc.element(out)
 
 
 def _check_element(desc: HeckeDescriptor, elem: HeckeElement) -> None:
-    labels = set(desc.wext.rgroup.labels)
-    cache = desc._matrix_cache
+    index = desc.wext.table.index
     for key, c in elem.terms.items():
-        if len(key.weyl.matrix) != desc.rd.rank or c.rank != desc.rd.rank \
-                or key.diagram not in labels:
+        if key not in index or c.rank != desc.rd.rank:
             raise HeckeError("element does not belong to this descriptor")
-        m = key.weyl.matrix
-        if m not in cache:
-            # necessary membership condition, enough to keep reduced
-            # words and lengths well-defined
-            for r in desc.rd.roots:
-                if not desc.rd.has_root(mat_apply(m, r.vector)):
-                    raise HeckeError("basis element does not permute the "
-                                     "roots of this descriptor")
-            cache.add(m)
         for v in c.terms.values():
             symbolic = not isinstance(v, Fraction)
             if symbolic != (desc.z_values is None):
@@ -448,7 +443,12 @@ def _check_element(desc: HeckeDescriptor, elem: HeckeElement) -> None:
 
 def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
              ) -> HeckeElement:
-    """Exact product in normal form, affine or graded."""
+    """Exact product in normal form, affine or graded.
+
+    Both factors must have their keys in W_ext (``HeckeError``
+    otherwise).  The first product on a descriptor builds the W_ext
+    table, O(|W_ext|) time and memory, under the same
+    ``ENUMERATION_CAP`` as ``affine_to_graded`` and ``count``."""
     _check_element(desc, a)
     _check_element(desc, b)
     wg = desc.wext.weyl
@@ -514,19 +514,7 @@ def multiply_crossed(desc: AffineDescriptor, a: HeckeElement, b: HeckeElement
 
 def symmetrize(desc: AffineDescriptor, x: Sequence[int]) -> HeckeElement:
     """Orbit sum sum_{y in W_ext x} theta_y (central by the Bernstein centre)."""
-    orbit = {tuple(x)}
-    frontier = [tuple(x)]
-    mats = [m for m in desc.rd.simple_reflections()]
-    mats += [desc.wext.rgroup.matrix(l) for l in desc.wext.rgroup.labels]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for m in mats:
-                z = mat_apply(m, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    nxt.append(z)
-        frontier = nxt
+    orbit = {mat_apply(m, x) for m in desc.wext.table.actions}
     one = desc.scalar_one()
     coeff = TorusAlgebraElement(desc.rd.rank, {y: one for y in orbit})
     return HeckeElement({desc.wext.identity: coeff})
@@ -700,36 +688,28 @@ def affine_to_graded(desc: AffineDescriptor, exponents: Vector, order: int
             else:
                 raise HeckeError("alpha(t) must be +-1 for halvable roots")
             k[v] = desc.lam[v] + sign * desc.lam_star[v]
+    # the relative diagram group, closed on W_ext table ids
+    wt = desc.wext.table
     labels = ["e"]
-    matrices: Dict[str, Matrix] = {}
-    underlying: Dict[str, ExtendedWeylElement] = {}
-    by_matrix: Dict[Tuple[Matrix, str], str] = {}
-    idx = 0
-    ordered = sorted(stab.diagram_part,
-                     key=lambda g: (g.weyl.matrix, g.diagram))
-    for g in ordered:
-        m = desc.wext.action_matrix(g)
-        if m == identity_matrix(desc.rd.rank) and \
-                g.diagram == desc.wext.rgroup.identity:
-            label = "e"
+    label_of: Dict[int, str] = {}
+    for g in sorted(stab.diagram_part,
+                    key=lambda g: (g.weyl.matrix, g.diagram)):
+        gid = wt.index[g]
+        if gid == wt.identity:
+            label_of[gid] = "e"
         else:
-            idx += 1
-            label = "g%d" % idx
-            labels.append(label)
-        matrices[label] = m
-        underlying[label] = g
-        by_matrix[(m, g.diagram)] = label
+            label_of[gid] = "g%d" % len(labels)
+            labels.append(label_of[gid])
+    matrices = {l: wt.actions[gid] for gid, l in label_of.items()}
     table: Dict[Tuple[str, str], str] = {}
     cocycle_table: Dict[Tuple[str, str], int] = {}
-    for a in labels:
-        for b in labels:
-            ga, gb = underlying[a], underlying[b]
-            prod = desc.wext.mult(ga, gb)
-            keym = (desc.wext.action_matrix(prod), prod.diagram)
-            if keym not in by_matrix:
+    for ga, a in label_of.items():
+        for gb, b in label_of.items():
+            prod = label_of.get(wt.mult(ga, gb))
+            if prod is None:
                 raise HeckeError("relative diagram part is not closed")
-            table[(a, b)] = by_matrix[keym]
-            cocycle_table[(a, b)] = desc.cocycle(ga.diagram, gb.diagram)
+            table[(a, b)] = prod
+            cocycle_table[(a, b)] = desc.cocycle(wt.labels[ga], wt.labels[gb])
     cocycle = Cocycle(labels, cocycle_table)
     return GradedDescriptor(sub, k, matrices, table, cocycle, "e")
 

@@ -3,10 +3,12 @@
 Weyl group elements are integer lattice automorphisms stored as tuples
 of rows; equality is matrix equality.  An extended group W_ext = W x| R
 builds, on first use, one ``GroupTable`` that numbers its elements and
-answers products, inverses and the action on finite-order torus points
-by lookup, with integer arithmetic only.  Reduced words are cached
-lazily per group.  Rational linear algebra (R-group inverses, the
-inverse Cartan matrix) goes through one exact row reduction, ``rref``.
+answers products, inverses, left multiplication by a generator and the
+action on finite-order torus points by lookup, with integer arithmetic
+only; it is the only code that applies the group law of W_ext (the
+Hecke layer moves and checks its basis keys through it).  Reduced words
+are cached lazily per group.  Rational linear algebra (R-group inverses,
+the inverse Cartan matrix) goes through one exact row reduction, ``rref``.
 """
 
 from __future__ import annotations
@@ -179,14 +181,6 @@ class WeylGroup:
 
     def mult(self, a: WeylElement, b: WeylElement) -> WeylElement:
         return WeylElement(mat_mul(a.matrix, b.matrix))
-
-
-def enumerate_group(rd: RootDatum) -> List[WeylElement]:
-    return WeylGroup(rd).enumerate()
-
-
-def reduced_word(group: WeylGroup, w: WeylElement) -> Tuple[int, ...]:
-    return group.reduced_word(w)
 
 
 def min_coset_reps(group: WeylGroup, subgroup: Sequence[WeylElement]
@@ -422,12 +416,6 @@ class ExtendedGroup:
     def action_matrix(self, g: ExtendedWeylElement) -> Matrix:
         return self.table.actions[self._id(g)]
 
-    def conj_weyl(self, label: str, w: WeylElement) -> WeylElement:
-        if label == self.rgroup.identity:
-            return w
-        return WeylElement(mat_mul(mat_mul(self.rgroup.matrix(label), w.matrix),
-                                   self.rgroup.inverse_matrix(label)))
-
     def mult(self, g: ExtendedWeylElement, h: ExtendedWeylElement
              ) -> ExtendedWeylElement:
         t = self.table
@@ -451,10 +439,14 @@ class ExtendedGroup:
 class GroupTable:
     """W_ext numbered 0 .. |W_ext|-1 in ``ExtendedGroup.elements()`` order.
 
-    The generators are the simple reflections and the non-identity
-    R-labels; left multiplication by each is a permutation of the ids,
-    one integer matrix product per entry.  Per id the table keeps the
-    element, its label, its action matrix, a generator word found by
+    This is the one place that knows the group law of W_ext; everything
+    else moves and checks elements through ``index``, ``elements`` and
+    ``perms``.  The generators are the simple reflections (generator i
+    is s_i) and the non-identity R-labels (generator ``gen_index[l]``);
+    ``perms[k][h]`` is the id of gen_k * h, so s_i (w, l) = (s_i w, l)
+    and gamma (w, l) = (gamma w gamma^-1, gamma l), one integer matrix
+    product per entry when the table is built.  Per id the table keeps
+    the element, its label, its action matrix, a generator word found by
     breadth-first search over those permutations, the inverse id (the
     word walked backwards by inverse generators) and the matrix acting
     on point exponents (the transpose of the inverse's action matrix).
@@ -481,14 +473,15 @@ class GroupTable:
                                                      self.labels))}
         gens = [(m, rg.identity) for m in group.weyl.simple_matrices]
         gens += [(rg.matrix(l), l) for l in rg.labels if l != rg.identity]
-        gen_index = {l: k for k, (_m, l) in enumerate(gens)
-                     if l != rg.identity}
+        self.gen_index: Dict[str, int] = {
+            l: k for k, (_m, l) in enumerate(gens) if l != rg.identity}
         # a simple reflection is its own inverse
-        gen_inverse = [gen_index.get(rg.inv(l), k)
+        gen_inverse = [self.gen_index.get(rg.inv(l), k)
                        for k, (_m, l) in enumerate(gens)]
-        perms = [[by_key[(mat_mul(m, a), rg.mult(l, b))]
-                  for a, b in zip(self.actions, self.labels)]
-                 for m, l in gens]
+        self.perms: List[List[int]] = [
+            [by_key[(mat_mul(m, a), rg.mult(l, b))]
+             for a, b in zip(self.actions, self.labels)]
+            for m, l in gens]
         # words[g] lists generator indices in the order their permutations
         # are applied: g = gen[k_m] ... gen[k_1] for words[g] = (k_1..k_m)
         words: List[Optional[Tuple[int, ...]]] = [None] * len(self.elements)
@@ -497,7 +490,7 @@ class GroupTable:
         while frontier:
             nxt = []
             for h in frontier:
-                for k, perm in enumerate(perms):
+                for k, perm in enumerate(self.perms):
                     c = perm[h]
                     if words[c] is None:
                         words[c] = words[h] + (k,)
@@ -507,9 +500,9 @@ class GroupTable:
         for word in words:
             h = self.identity
             for k in reversed(word):
-                h = perms[gen_inverse[k]][h]
+                h = self.perms[gen_inverse[k]][h]
             self.inverse.append(h)
-        self._walks = [tuple(perms[k] for k in word) for word in words]
+        self._walks = [tuple(self.perms[k] for k in word) for word in words]
         self.point_matrices: List[Matrix] = [
             mat_transpose(self.actions[i]) for i in self.inverse]
 

@@ -167,6 +167,23 @@ def test_descriptor_mismatch_rejected():
                           TorusAlgebraElement.theta((0, 0), one(desc))})
     with pytest.raises(HeckeError):
         multiply(desc, bogus, desc.unit())
+    # keys that permute the roots but lie outside W_ext: -I in A2, and the
+    # block swap of A1 x A1 paired with the identity label (the swap is
+    # the R-group's, not a Weyl group element)
+    a2, a1a1 = DESCS["A2"], DESCS["A1xA1-twisted"]
+    for d, m in ((a2, tuple(tuple(-int(i == j) for j in range(3))
+                            for i in range(3))),
+                 (a1a1, a1a1.wext.rgroup.matrix("g"))):
+        bogus = d.element({ExtendedWeylElement(WeylElement(m), "e"):
+                           TorusAlgebraElement.theta((0,) * d.rd.rank,
+                                                     one(d))})
+        with pytest.raises(HeckeError):
+            multiply(d, bogus, d.unit())
+        with pytest.raises(HeckeError):
+            multiply(d, d.n_simple(0), bogus)
+        for label in d.wext.rgroup.labels:
+            with pytest.raises(HeckeError):
+                multiply(d, d.n_gamma(label), bogus)
     # symbolic element fed to a specialized descriptor, although the
     # symbolic scalar 1 equals Fraction(1), and the other way round
     spec = DESCS["A1"].specialized((Fraction(2),))
@@ -431,11 +448,14 @@ def test_graded_descriptor_with_diagram_stabilizer():
         gd.rd.rank, {(0,) * gd.rd.rank: LaurentZ.const(gd.d, -1)})})
     assert sq == minus_unit
     # the label conjugates the two A1 factors into each other
-    from heckealg.weyl import WeylElement
+    from heckealg.weyl import ExtendedWeylElement, WeylElement
     i0 = gd.simple_info[0]
-    conj = gd.wext.conj_weyl(labels[0], WeylElement(i0.matrix))
-    assert conj.matrix != i0.matrix
-    assert any(conj.matrix == info.matrix for info in gd.simple_info)
+    g = ExtendedWeylElement(gd.weyl.identity, labels[0])
+    conj = gd.wext.mult(gd.wext.mult(g, ExtendedWeylElement(
+        WeylElement(i0.matrix), "e")), gd.wext.inv(g))
+    assert conj.diagram == "e"
+    assert conj.weyl.matrix != i0.matrix
+    assert any(conj.weyl.matrix == info.matrix for info in gd.simple_info)
 
 
 def test_affine_to_graded_parameters():

@@ -9,17 +9,17 @@ from heckealg.pipeline import BUILTIN_EXAMPLES, assemble, datum_from_json
 from heckealg.root_data import build_classical, empty_datum, product
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
                            RGroup, WeylElement, WeylError, WeylGroup,
-                           cone_classify, enumerate_group, identity_matrix,
+                           cone_classify, identity_matrix,
                            mat_apply, mat_inv, mat_mul, mat_transpose,
                            min_coset_reps, rref, stabilizer_of_point)
 
 
 def test_enumeration_orders():
-    assert len(enumerate_group(build_classical("B", 2))) == 8
-    assert len(enumerate_group(build_classical("A", 2))) == 6
-    assert len(enumerate_group(empty_datum(0))) == 1
-    assert len(enumerate_group(build_classical("BC", 2))) == 8
-    assert len(enumerate_group(build_classical("D", 3))) == 24
+    assert len(WeylGroup(build_classical("B", 2)).enumerate()) == 8
+    assert len(WeylGroup(build_classical("A", 2)).enumerate()) == 6
+    assert len(WeylGroup(empty_datum(0)).enumerate()) == 1
+    assert len(WeylGroup(build_classical("BC", 2)).enumerate()) == 8
+    assert len(WeylGroup(build_classical("D", 3)).enumerate()) == 24
 
 
 def test_reduced_words():
@@ -314,3 +314,22 @@ def test_group_table_matches_matrix_definition(name):
             assert gh.weyl.matrix == tuple(
                 tuple(sum(map(operator.mul, row, col)) for col in cols[h])
                 for row in g.weyl.matrix)
+    # the public generator permutations: s_i (w, l) = (s_i w, l) and
+    # gamma (w, l) = (gamma w gamma^-1, gamma l)
+    table = group.table
+    gens = [(k, s, rg.identity)
+            for k, s in enumerate(group.weyl.simple_matrices)]
+    gens += [(table.gen_index[l], rg.matrix(l), l) for l in rg.labels
+             if l != rg.identity]
+    assert sorted(k for k, _s, _l in gens) == list(range(len(table.perms)))
+    for k, m, label in gens:
+        perm = table.perms[k]
+        for h in els:
+            if label == rg.identity:
+                want = ExtendedWeylElement(
+                    WeylElement(mat_mul(m, h.weyl.matrix)), h.diagram)
+            else:
+                want = ExtendedWeylElement(
+                    WeylElement(conj(label, h.weyl.matrix)),
+                    rg.mult(label, h.diagram))
+            assert table.elements[perm[table.index[h]]] == want
