@@ -58,6 +58,10 @@ def cmd_describe(args) -> int:
 
 
 def cmd_check(args) -> int:
+    for flag in ("triples", "im_pairs", "cone_samples", "rank_bound"):
+        if getattr(args, flag) < 1:
+            raise ValidationError(["--%s must be >= 1"
+                                   % flag.replace("_", "-")])
     results = checks.run_all(seed=args.seed, triples=args.triples,
                              im_pairs=args.im_pairs,
                              cone_samples=args.cone_samples,

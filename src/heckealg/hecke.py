@@ -25,9 +25,10 @@ with the group algebra embedded (no quadratic correction).
 Both algebras share one multiplication skeleton (``multiply``, with the
 left actions ``_ns_mul`` and ``_ngamma_mul``); a descriptor supplies
 only its action on coefficients and its N_s correction term.  Basis keys
-are ``ExtendedWeylElement``s; the skeleton checks, moves and closes them
-through the W_ext ``GroupTable`` (its index and its left-multiplication
-permutations) and never multiplies group elements itself.
+are ``ExtendedWeylElement``s; ``multiply`` turns them into W_ext
+``GroupTable`` ids on entry and back on exit, and in between moves them
+by the table's left-multiplication permutations and compares lengths
+from its ``lengths``; it never multiplies group elements itself.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class GradedElement(HeckeElement):
                           for w, c in self.terms.items())
 
 
-def _add_term(out: Dict, key: ExtendedWeylElement, c: TorusAlgebraElement):
+def _add_term(out: Dict, key, c: TorusAlgebraElement):
     if not c:
         return
     if key in out:
@@ -180,8 +181,8 @@ class HeckeDescriptor:
 
     Subclasses provide ``simple_info``, ``act_coeff(matrix, c)`` (the
     action of a lattice automorphism on coefficients) and
-    ``ns_correction(info, c, cs, u, su)`` (the coefficient of N_u in
-    N_s * c N_u, where cs = s(c) and su = s u).
+    ``ns_correction(info, c, cs, shorter)`` (the coefficient of N_u in
+    N_s * c N_u, where cs = s(c) and shorter says whether l(s u) < l(u)).
     """
 
     element_type = HeckeElement
@@ -350,15 +351,14 @@ class AffineDescriptor(HeckeDescriptor):
         return c.act_matrix(matrix)
 
     def ns_correction(self, info: SimpleRootInfo, c: TorusAlgebraElement,
-                      cs: TorusAlgebraElement, u: WeylElement,
-                      su: WeylElement) -> TorusAlgebraElement:
+                      cs: TorusAlgebraElement, shorter: bool
+                      ) -> TorusAlgebraElement:
         """Bernstein-Lusztig correction sum_x c_x G_alpha(x), plus
         (z^lambda - z^-lambda) s(c) when s u is shorter than u (the
         quadratic relation)."""
         telescope, bracket = self._corrections[info.index]
         corr = c.telescope(*telescope)
-        wg = self.wext.weyl
-        if wg.length(su) < wg.length(u):
+        if shorter:
             corr = corr + cs * bracket
         return corr
 
@@ -394,38 +394,39 @@ def spread_invariant(rd: RootDatum, wext: ExtendedGroup,
 # Multiplication: one skeleton for the affine and the graded algebra
 # ---------------------------------------------------------------------------
 
-def _ns_mul(desc: HeckeDescriptor, i: int, elem: HeckeElement
-            ) -> HeckeElement:
-    """Left multiplication by N_{s_i}:
+def _ns_mul(desc: HeckeDescriptor, i: int,
+            terms: Dict[int, TorusAlgebraElement]
+            ) -> Dict[int, TorusAlgebraElement]:
+    """Left multiplication by N_{s_i} on terms keyed by table ids:
     N_s (c N_u) = s(c) N_{s u} + ns_correction N_u."""
     info = desc.simple_info[i]
     table = desc.wext.table
-    perm, index, elements = table.perms[i], table.index, table.elements
-    out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
-    for key, c in elem.terms.items():
+    perm, lengths = table.perms[i], table.lengths
+    out: Dict[int, TorusAlgebraElement] = {}
+    for u, c in terms.items():
         cs = desc.act_coeff(info.matrix, c)
-        skey = elements[perm[index[key]]]
-        _add_term(out, skey, cs)
-        _add_term(out, key, desc.ns_correction(info, c, cs, key.weyl,
-                                               skey.weyl))
-    return desc.element(out)
+        su = perm[u]
+        _add_term(out, su, cs)
+        _add_term(out, u, desc.ns_correction(info, c, cs,
+                                             lengths[su] < lengths[u]))
+    return out
 
 
-def _ngamma_mul(desc: HeckeDescriptor, label: str, elem: HeckeElement
-                ) -> HeckeElement:
-    """Left multiplication by N_gamma."""
+def _ngamma_mul(desc: HeckeDescriptor, label: str,
+                terms: Dict[int, TorusAlgebraElement]
+                ) -> Dict[int, TorusAlgebraElement]:
+    """Left multiplication by N_gamma on terms keyed by table ids."""
     if label == desc.wext.rgroup.identity:
-        return elem
+        return terms
     amat = desc.wext.rgroup.matrix(label)
     table = desc.wext.table
-    perm, index, elements = (table.perms[table.gen_index[label]],
-                             table.index, table.elements)
-    out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
-    for key, c in elem.terms.items():
+    perm, labels = table.perms[table.gen_index[label]], table.labels
+    out: Dict[int, TorusAlgebraElement] = {}
+    for u, c in terms.items():
         cg = desc.act_coeff(amat, c)
-        sign = desc.cocycle(label, key.diagram)
-        _add_term(out, elements[perm[index[key]]], cg if sign == 1 else -cg)
-    return desc.element(out)
+        sign = desc.cocycle(label, labels[u])
+        _add_term(out, perm[u], cg if sign == 1 else -cg)
+    return out
 
 
 def _check_element(desc: HeckeDescriptor, elem: HeckeElement) -> None:
@@ -451,15 +452,16 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
     ``ENUMERATION_CAP`` as ``affine_to_graded`` and ``count``."""
     _check_element(desc, a)
     _check_element(desc, b)
-    wg = desc.wext.weyl
-    out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
+    wg, table = desc.wext.weyl, desc.wext.table
+    b_ids = {table.index[key]: c for key, c in b.terms.items()}
+    out: Dict[int, TorusAlgebraElement] = {}
     for key, c in a.terms.items():
-        t = _ngamma_mul(desc, key.diagram, b)
+        t = _ngamma_mul(desc, key.diagram, b_ids)
         for i in reversed(wg.reduced_word(key.weyl)):
             t = _ns_mul(desc, i, t)
-        for k2, c2 in t.terms.items():
-            _add_term(out, k2, c * c2)
-    return desc.element(out)
+        for u, c2 in t.items():
+            _add_term(out, u, c * c2)
+    return desc.element({table.elements[u]: c for u, c in out.items()})
 
 
 graded_multiply = multiply
@@ -631,8 +633,8 @@ class GradedDescriptor(HeckeDescriptor):
         return c.substitute(matrix)
 
     def ns_correction(self, info: GradedSimpleInfo, c: TorusAlgebraElement,
-                      cs: TorusAlgebraElement, u: WeylElement,
-                      su: WeylElement) -> TorusAlgebraElement:
+                      cs: TorusAlgebraElement, shorter: bool
+                      ) -> TorusAlgebraElement:
         """k(alpha) r_j (c - s c) / alpha; alpha divides c - s c exactly,
         so ``divide_linear`` raising ArithmeticError means an internal
         inconsistency."""

@@ -204,9 +204,10 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
     representative of its class on a quotient torus (the group action
     must descend to classes); counting then happens on classes.
 
-    Group elements are the ids of ``group.table``; each orbit costs one
-    pass over the group, or two when the starting point is not the
-    orbit's least point.
+    Group elements are the ids of ``group.table``.  The starting points
+    are swept once in sorted order, skipping those already seen; each
+    orbit costs one pass over the group, or two when the starting point
+    is not the orbit's least point.
     """
     if not points:
         return 0, []
@@ -222,18 +223,20 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
     def cocycle_fn(a, b):
         return cocycle(labels[a], labels[b])
 
-    remaining = {canon(p.rescaled(order).exponents, order) for p in points}
+    starts = {canon(p.rescaled(order).exponents, order) for p in points}
+    seen = set()
     reports: List[OrbitReport] = []
     total = 0
-    while remaining:
-        e = min(remaining)
+    for e in sorted(starts):
+        if e in seen:
+            continue
         moved = images(e)
         orbit = set(moved)
         rep = min(orbit)
         if rep != e:
             moved = images(rep)
         stab = [g for g in ids if moved[g] == rep]
-        remaining -= orbit
+        seen |= orbit
         sub = FiniteGroup(stab, table.mult, table.inv, table.identity,
                           cocycle_fn)
         cnt = count_twisted_irreps(sub)
@@ -272,10 +275,10 @@ def central_character(finite_part: FiniteTorusPoint,
 def _canonicalize_orbit(group: ExtendedGroup, point: CentralCharacterPoint
                         ) -> CentralCharacterPoint:
     order = point.finite_part.order
+    table = group.table
     best = None
-    for g in group.elements():
-        fin = group.act_point(g, point.finite_part.exponents, order)
-        m = group.point_action_matrix(g)
+    for g, m in enumerate(table.point_matrices):
+        fin = table.act_point(g, point.finite_part.exponents, order)
         zs = tuple(sum(Fraction(row[k]) * point.z_exponents[k]
                        for k in range(len(point.z_exponents))) for row in m)
         key = (fin, zs)

@@ -6,9 +6,11 @@ builds, on first use, one ``GroupTable`` that numbers its elements and
 answers products, inverses, left multiplication by a generator and the
 action on finite-order torus points by lookup, with integer arithmetic
 only; it is the only code that applies the group law of W_ext (the
-Hecke layer moves and checks its basis keys through it).  Reduced words
-are cached lazily per group.  Rational linear algebra (R-group inverses,
-the inverse Cartan matrix) goes through one exact row reduction, ``rref``.
+Hecke layer moves and checks its basis keys through it).  Enumerating
+a Weyl group records a reduced word of every element, so words and
+lengths are dict lookups and the table's walks are built from them.
+Rational linear algebra (R-group inverses, the inverse Cartan matrix)
+goes through one exact row reduction, ``rref``.
 """
 
 from __future__ import annotations
@@ -110,77 +112,50 @@ class WeylGroup:
         self.simple_matrices: Tuple[Matrix, ...] = rd.simple_reflections()
         self.identity = WeylElement(identity_matrix(rd.rank))
         self._elements: Optional[List[WeylElement]] = None
-        self._word_cache: Dict[Matrix, Tuple[int, ...]] = {}
-        self._len_cache: Dict[Matrix, int] = {}
-
-    # -- enumeration ---------------------------------------------------
+        self._words: Dict[Matrix, Tuple[int, ...]] = {}
 
     def enumerate(self) -> List[WeylElement]:
-        """All elements, by closure from the simple reflections."""
+        """All elements, sorted by matrix, by closure from the simple
+        reflections; records a reduced word of each element on the way.
+
+        Each length level is reached from the last by right multiplication
+        with the simple reflections in the outer loop, so a new element
+        w s_i is first met through its least right descent i, and its word
+        is word(w) + (i,).
+        """
         if self._elements is None:
-            seen = {self.identity.matrix}
+            words = {self.identity.matrix: ()}
             frontier = [self.identity.matrix]
             while frontier:
                 nxt = []
-                for m in frontier:
-                    for s in self.simple_matrices:
-                        p = mat_mul(s, m)
-                        if p not in seen:
-                            if len(seen) >= ENUMERATION_CAP:
+                for i, s in enumerate(self.simple_matrices):
+                    for m in frontier:
+                        p = mat_mul(m, s)
+                        if p not in words:
+                            if len(words) >= ENUMERATION_CAP:
                                 raise WeylError("group enumeration cap exceeded")
-                            seen.add(p)
+                            words[p] = words[m] + (i,)
                             nxt.append(p)
                 frontier = nxt
-            self._elements = [WeylElement(m) for m in sorted(seen)]
+            self._words = words
+            self._elements = [WeylElement(m) for m in sorted(words)]
         return self._elements
 
     def order(self) -> int:
         return len(self.enumerate())
 
-    # -- length and words ------------------------------------------------
+    def reduced_word(self, w: WeylElement) -> Tuple[int, ...]:
+        """Reduced word in simple-reflection indices (0-based), recorded by
+        ``enumerate``."""
+        self.enumerate()
+        try:
+            return self._words[w.matrix]
+        except KeyError:
+            raise WeylError("%r is not an element of this group" % (w,)) \
+                from None
 
     def length(self, w: WeylElement) -> int:
-        """Number of reduced positive roots sent to negative roots."""
-        cached = self._len_cache.get(w.matrix)
-        if cached is not None:
-            return cached
-        n = 0
-        for r in self.rd.reduced_positive:
-            if not self.rd.is_positive(mat_apply(w.matrix, r.vector)):
-                n += 1
-        self._len_cache[w.matrix] = n
-        return n
-
-    def reduced_word(self, w: WeylElement) -> Tuple[int, ...]:
-        """Reduced word in simple-reflection indices (0-based), by descents."""
-        if w.matrix in self._word_cache:
-            return self._word_cache[w.matrix]
-        word_rev: List[int] = []
-        m = w.matrix
-        guard = len(self.rd.reduced_positive) + 1
-        while m != self.identity.matrix:
-            for i, s in enumerate(self.rd.simple_roots):
-                if not self.rd.is_positive(mat_apply(m, s.vector)):
-                    m = mat_mul(m, self.simple_matrices[i])
-                    word_rev.append(i)
-                    break
-            else:
-                raise WeylError("element has no descent but is not the identity")
-            guard -= 1
-            if guard < 0:
-                raise WeylError("descent loop did not terminate")
-        word = tuple(reversed(word_rev))
-        self._word_cache[w.matrix] = word
-        return word
-
-    def from_word(self, word: Iterable[int]) -> WeylElement:
-        m = self.identity.matrix
-        for i in word:
-            m = mat_mul(m, self.simple_matrices[i])
-        return WeylElement(m)
-
-    def mult(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return WeylElement(mat_mul(a.matrix, b.matrix))
+        return len(self.reduced_word(w))
 
 
 def min_coset_reps(group: WeylGroup, subgroup: Sequence[WeylElement]
@@ -334,9 +309,6 @@ class RGroup:
     def matrix(self, a: str) -> Matrix:
         return self.matrices[a]
 
-    def inverse_matrix(self, a: str) -> Matrix:
-        return self._inverse_matrices[a]
-
     def order(self) -> int:
         return len(self.labels)
 
@@ -425,12 +397,6 @@ class ExtendedGroup:
         t = self.table
         return t.elements[t.inverse[self._id(g)]]
 
-    # -- action on finite-order torus points ----------------------------
-
-    def point_action_matrix(self, g: ExtendedWeylElement) -> Matrix:
-        """Matrix acting on point exponent vectors: inverse transpose."""
-        return self.table.point_matrices[self._id(g)]
-
     def act_point(self, g: ExtendedWeylElement, exponents: Vector, order: int
                   ) -> Vector:
         return self.table.act_point(self._id(g), exponents, order)
@@ -446,12 +412,15 @@ class GroupTable:
     ``perms[k][h]`` is the id of gen_k * h, so s_i (w, l) = (s_i w, l)
     and gamma (w, l) = (gamma w gamma^-1, gamma l), one integer matrix
     product per entry when the table is built.  Per id the table keeps
-    the element, its label, its action matrix, a generator word found by
-    breadth-first search over those permutations, the inverse id (the
-    word walked backwards by inverse generators) and the matrix acting
-    on point exponents (the transpose of the inverse's action matrix).
-    Memory is linear in |W_ext|; a product walks a word, one list lookup
-    per letter, with no matrix arithmetic.
+    the element, its label, its action matrix, its length ``lengths``
+    (that of its Weyl part), a walk over those permutations, the inverse
+    id and the matrix acting on point exponents (the transpose of the
+    inverse's action matrix).  The walks come from the reduced words
+    that ``WeylGroup.enumerate`` records: (w, l) = (w, e)(1, l) is the
+    generator of l followed by the word of w read right to left, and
+    (w, l)^-1 is the word of w read left to right followed by the
+    generator of l^-1.  Memory is linear in |W_ext|; a product walks a
+    word, one list lookup per letter, with no matrix arithmetic.
 
     An element is determined by its action matrix together with its
     label (w = action * R(label)^-1); the matrix alone does not suffice
@@ -475,34 +444,22 @@ class GroupTable:
         gens += [(rg.matrix(l), l) for l in rg.labels if l != rg.identity]
         self.gen_index: Dict[str, int] = {
             l: k for k, (_m, l) in enumerate(gens) if l != rg.identity}
-        # a simple reflection is its own inverse
-        gen_inverse = [self.gen_index.get(rg.inv(l), k)
-                       for k, (_m, l) in enumerate(gens)]
         self.perms: List[List[int]] = [
             [by_key[(mat_mul(m, a), rg.mult(l, b))]
              for a, b in zip(self.actions, self.labels)]
             for m, l in gens]
-        # words[g] lists generator indices in the order their permutations
-        # are applied: g = gen[k_m] ... gen[k_1] for words[g] = (k_1..k_m)
-        words: List[Optional[Tuple[int, ...]]] = [None] * len(self.elements)
-        words[self.identity] = ()
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for k, perm in enumerate(self.perms):
-                    c = perm[h]
-                    if words[c] is None:
-                        words[c] = words[h] + (k,)
-                        nxt.append(c)
-            frontier = nxt
+        words = [group.weyl.reduced_word(g.weyl) for g in self.elements]
+        self.lengths: List[int] = [len(word) for word in words]
+        gamma = {l: (k,) for l, k in self.gen_index.items()}
+        self._walks = [tuple(self.perms[k]
+                             for k in gamma.get(l, ()) + word[::-1])
+                       for l, word in zip(self.labels, words)]
         self.inverse: List[int] = []
-        for word in words:
+        for l, word in zip(self.labels, words):
             h = self.identity
-            for k in reversed(word):
-                h = self.perms[gen_inverse[k]][h]
+            for k in word + gamma.get(rg.inv(l), ()):
+                h = self.perms[k][h]
             self.inverse.append(h)
-        self._walks = [tuple(self.perms[k] for k in word) for word in words]
         self.point_matrices: List[Matrix] = [
             mat_transpose(self.actions[i]) for i in self.inverse]
 

@@ -4,7 +4,39 @@ import itertools
 from collections import Counter
 
 from heckealg.spectra import FiniteGroup
-from heckealg.weyl import ExtendedGroup, RGroup, identity_matrix
+from heckealg.weyl import (ExtendedGroup, RGroup, identity_matrix, mat_apply,
+                           mat_mul)
+
+
+def word_matrix(rd, word):
+    """The product s_{i_1} ... s_{i_m} of simple reflection matrices."""
+    simple = rd.simple_reflections()
+    m = identity_matrix(rd.rank)
+    for i in word:
+        m = mat_mul(m, simple[i])
+    return m
+
+
+def root_count_length(rd, matrix):
+    """Number of reduced positive roots the matrix sends to negative roots."""
+    return sum(not rd.is_positive(mat_apply(matrix, r.vector))
+               for r in rd.reduced_positive)
+
+
+def descent_word(rd, matrix):
+    """Reduced word (0-based) by peeling off the least right descent:
+    w = w' s_i with i least such that w(alpha_i) < 0."""
+    simple = rd.simple_reflections()
+    word_rev = []
+    m = matrix
+    for _ in range(len(rd.reduced_positive) + 1):
+        if m == identity_matrix(rd.rank):
+            return tuple(reversed(word_rev))
+        i = next(i for i, s in enumerate(rd.simple_roots)
+                 if not rd.is_positive(mat_apply(m, s.vector)))
+        m = mat_mul(m, simple[i])
+        word_rev.append(i)
+    raise AssertionError("descent loop did not terminate")
 
 
 def weyl_finite_group(rd, extra_z2=False):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -140,6 +141,31 @@ SP58_ORBITS = {
 }
 
 
+def _orbits_digest(orbits):
+    return hashlib.sha256(json.dumps(orbits, sort_keys=True).encode()
+                          ).hexdigest()
+
+
+# (total, number of orbits, sha256 of the sorted-key JSON of the orbit
+# list) for orders too large to list; order 10 reads 8448 in 1176 orbits
+# but takes several seconds, so it is not pinned here.
+SP58_DIGESTS = {
+    8: (4900, 525,
+        "dfb21284fdf52ca02f6c4671f15fe6461f4c1818dd34f3ba544eb7864af21a56"),
+}
+
+
+def test_count_sp58_order_8(capsys):
+    t0 = time.monotonic()
+    code, out, _ = run_cli(["count", "--example", "sp58", "--order", "8",
+                            "--format", "json"], capsys)
+    assert time.monotonic() - t0 < 10
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["total"], len(doc["orbits"]), _orbits_digest(doc["orbits"])
+            ) == SP58_DIGESTS[8]
+
+
 @pytest.mark.parametrize("order, total", [(1, 50), (2, 560)])
 def test_count_sp58(order, total, capsys):
     t0 = time.monotonic()
@@ -162,11 +188,21 @@ def test_check_small(capsys):
 
 
 def test_check_rank_bound_zero(capsys):
-    code, out, _ = run_cli(["check", "--rank-bound", "0", "--triples", "1",
-                            "--im-pairs", "1", "--cone-samples", "1"],
-                           capsys)
-    assert code == 0
-    assert "0 checks, 0 failure(s)" in out
+    # a bound below 1 selects no suite; it is refused, not a vacuous pass
+    code, out, err = run_cli(["check", "--rank-bound", "0", "--triples",
+                              "1", "--im-pairs", "1", "--cone-samples", "1"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err == "input error: --rank-bound must be >= 1\n"
+
+
+@pytest.mark.parametrize("flag", ["--triples", "--im-pairs",
+                                  "--cone-samples"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_check_sizes_below_one_exit_2(flag, value, capsys):
+    code, out, err = run_cli(["check", flag, value], capsys)
+    assert code == 2 and out == ""
+    assert err == "input error: %s must be >= 1\n" % flag
 
 
 def test_check_deterministic(capsys):

@@ -1,8 +1,11 @@
+import json
 import operator
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from oracle_helpers import descent_word, root_count_length, word_matrix
 
 from heckealg.checks import graded_test_descriptors, standard_descriptors
 from heckealg.pipeline import BUILTIN_EXAMPLES, assemble, datum_from_json
@@ -29,40 +32,42 @@ def test_reduced_words():
     longest = max(wg.enumerate(), key=wg.length)
     word = wg.reduced_word(longest)
     assert len(word) == 4 == wg.length(longest)
-    assert wg.from_word(word) == longest
+    assert word_matrix(b2, word) == longest.matrix
 
     a2 = build_classical("A", 2)
     wa = WeylGroup(a2)
-    braid_l = wa.from_word([0, 1, 0])
-    braid_r = wa.from_word([1, 0, 1])
-    assert braid_l == braid_r
+    braid_l = WeylElement(word_matrix(a2, [0, 1, 0]))
+    assert braid_l.matrix == word_matrix(a2, [1, 0, 1])
     assert wa.length(braid_l) == 3
     assert len(wa.reduced_word(braid_l)) == 3
+    with pytest.raises(WeylError, match="not an element"):
+        wa.length(WeylElement(((2, 0, 0), (0, 1, 0), (0, 0, 1))))
 
 
 def test_words_multiply_back_and_subadditivity():
     rng = random.Random(2)
-    wg = WeylGroup(build_classical("B", 3))
+    b3 = build_classical("B", 3)
+    wg = WeylGroup(b3)
     els = wg.enumerate()
     for _ in range(60):
         w = rng.choice(els)
         v = rng.choice(els)
         word = wg.reduced_word(w)
-        assert wg.from_word(word) == w
+        assert word_matrix(b3, word) == w.matrix
         assert len(word) == wg.length(w)
-        lw, lv = wg.length(w), wg.length(v)
-        lwv = wg.length(wg.mult(w, v))
+        wv = WeylElement(mat_mul(w.matrix, v.matrix))
+        lw, lv, lwv = wg.length(w), wg.length(v), wg.length(wv)
         assert lwv <= lw + lv
         if lwv == lw + lv:
             concat = wg.reduced_word(w) + wg.reduced_word(v)
-            assert wg.from_word(concat) == wg.mult(w, v)
+            assert word_matrix(b3, concat) == wv.matrix
             assert len(concat) == lwv
 
 
 def test_min_coset_reps():
     a2 = build_classical("A", 2)
     wa = WeylGroup(a2)
-    s1 = wa.from_word([0])
+    s1 = WeylElement(word_matrix(a2, [0]))
     reps = min_coset_reps(wa, [wa.identity, s1])
     assert sorted(wa.length(r) for r in reps) == [0, 1, 2]
 
@@ -70,12 +75,13 @@ def test_min_coset_reps():
 
     b2 = build_classical("B", 2)
     wb = WeylGroup(b2)
-    s_short = wb.from_word([1])       # short simple root e_2
+    s_short = WeylElement(word_matrix(b2, [1]))   # short simple root e_2
     reps = min_coset_reps(wb, [wb.identity, s_short])
     assert len(reps) == 4
 
     with pytest.raises(WeylError):
-        min_coset_reps(wa, [wa.identity, s1, wa.from_word([1])])
+        min_coset_reps(wa, [wa.identity, s1,
+                            WeylElement(word_matrix(a2, [1]))])
 
 
 def test_stabilizer_of_point():
@@ -230,7 +236,10 @@ def test_rgroup_validation():
         RGroup(("e", "g"), {"e": ident, "g": ((1, 1), (0, 1))}, z2)
     swap = ((0, 1), (1, 0))
     rg = RGroup(("e", "g"), {"e": ident, "g": swap}, z2)
-    assert rg.inverse_matrix("g") == swap
+    b1b1 = product(build_classical("B", 1), build_classical("B", 1))
+    table = ExtendedGroup(b1b1, rg).table
+    g = table.index[ExtendedWeylElement(WeylElement(ident), "g")]
+    assert table.actions[table.inverse[g]] == swap
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +280,29 @@ def _table_test_groups():
 
 
 TABLE_GROUPS = _table_test_groups()
+BENCH_DATA = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data"
+WORD_GROUPS = dict(TABLE_GROUPS, **{
+    "bench-" + path.stem: assemble(datum_from_json(
+        json.loads(path.read_text()))).descriptor.wext
+    for path in sorted(BENCH_DATA.glob("*.json"))})
+
+
+@pytest.mark.parametrize("name", sorted(WORD_GROUPS))
+def test_recorded_words_and_lengths_match_oracles(name):
+    """The words recorded by enumeration are the descent-loop words, and
+    lengths, the table's lengths and its inverses agree with the root
+    count and the matrices."""
+    group = WORD_GROUPS[name]
+    wg, rd, rg, table = group.weyl, group.rd, group.rgroup, group.table
+    for w in wg.enumerate():
+        assert wg.reduced_word(w) == descent_word(rd, w.matrix)
+        assert wg.length(w) == root_count_length(rd, w.matrix)
+    for g, elem in enumerate(table.elements):
+        assert table.lengths[g] == root_count_length(rd, elem.weyl.matrix)
+        h = table.inverse[g]
+        assert table.labels[h] == rg.inv(elem.diagram)
+        assert mat_mul(table.actions[g], table.actions[h]) == \
+            identity_matrix(rd.rank)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_GROUPS))
@@ -293,7 +325,7 @@ def test_group_table_matches_matrix_definition(name):
         action = mat_mul(g.weyl.matrix, rg.matrix(g.diagram))
         assert group.action_matrix(g) == action
         point = mat_transpose(mat_inv(action))
-        assert group.point_action_matrix(g) == point
+        assert group.table.point_matrices[group.table.index[g]] == point
         li = rg.inv(g.diagram)
         assert group.inv(g) == ExtendedWeylElement(
             WeylElement(conj(li, mat_inv(g.weyl.matrix))), li)
