@@ -37,7 +37,7 @@ print()
 # is the intersection of the pulled-back ambient cones
 group = ExtendedGroup(b2)
 stab = stabilizer_of_point(group, (1, 0), 2)
-reps = min_coset_reps(group.weyl, stab.reflection_part)
+reps = min_coset_reps(group, stab.reflection_part)
 print("stabilizer of the order-2 point (1,0): subsystem on",
       sorted(r.vector for r in stab.subsystem.positive_roots))
 print("coset representatives:", len(reps))
@@ -45,8 +45,8 @@ x = [Fraction(-1), Fraction(-1, 2)]
 print("x in subsystem obtuse cone :",
       cone_classify(stab.subsystem, x).antidominant_obtuse)
 print("w x in ambient obtuse cone for every representative:",
-      all(cone_classify(b2, mat_apply(w.matrix, x)).antidominant_obtuse
-          for w in reps))
+      all(cone_classify(b2, mat_apply(group.table.actions[w], x))
+          .antidominant_obtuse for w in reps))
 print()
 
 print("distinguished partitions:")

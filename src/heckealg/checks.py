@@ -19,7 +19,7 @@ from .hecke import (AffineDescriptor, GradedElement, HeckeElement,
 from .root_data import (RootDatum, build_classical, merge_components, product,
                         vneg)
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, RGroup,
-                   cone_classify, mat_apply, mat_mul, min_coset_reps,
+                   cone_classify, mat_apply, min_coset_reps,
                    stabilizer_of_point)
 
 Result = Tuple[str, bool, str]
@@ -163,11 +163,12 @@ def check_bernstein(desc: AffineDescriptor, rng: random.Random,
 
 
 def _braid_order(desc: AffineDescriptor, i: int, j: int) -> int:
-    m = mat_mul(desc.simple_info[i].matrix, desc.simple_info[j].matrix)
-    k, p = 1, m
-    ident = desc.wext.weyl.identity.matrix
-    while p != ident:
-        p = mat_mul(p, m)
+    """Order of s_i s_j, walked on the table's generator permutations."""
+    t = desc.wext.table
+    si, sj = t.perms[i], t.perms[j]
+    k, p = 1, si[sj[t.identity]]
+    while p != t.identity:
+        p = si[sj[p]]
         k += 1
         if k > 8:
             raise RuntimeError("braid order out of range")
@@ -319,14 +320,16 @@ def check_coset_cones(name: str, rd: RootDatum, point: Tuple[int, ...],
     group = ExtendedGroup(rd)
     stab = stabilizer_of_point(group, point, 2)
     sub = stab.subsystem
-    wg = group.weyl
-    reps = min_coset_reps(wg, stab.reflection_part)
+    # the R-group is trivial: the action matrices are W in matrix order
+    weyl = group.table.actions
+    rep_ids = min_coset_reps(group, stab.reflection_part)
+    reps = [weyl[w] for w in rep_ids]
 
     # representatives are exactly {w : w(R_t+) subset R+}
     pos_sub = [r.vector for r in sub.positive_roots]
-    charac = {w.matrix for w in wg.enumerate()
-              if all(rd.is_positive(mat_apply(w.matrix, v)) for v in pos_sub)}
-    ok_reps = charac == {w.matrix for w in reps}
+    charac = {w for w, m in enumerate(weyl)
+              if all(rd.is_positive(mat_apply(m, v)) for v in pos_sub)}
+    ok_reps = charac == set(rep_ids)
 
     ok_b = True
     ok_c = True
@@ -338,20 +341,18 @@ def check_coset_cones(name: str, rd: RootDatum, point: Tuple[int, ...],
             # biased sample inside the subsystem antidominant cone
             x = tuple(sum(-Fraction(rng.randint(0, 4), rng.randint(1, 3)) * c[i]
                           for c in sub_simple_coroots) for i in range(rd.rank))
-            w = rng.choice(reps)
-            x = mat_apply(w.matrix, x)
+            x = mat_apply(rng.choice(reps), x)
         else:
             x = _random_vector(rng, rd.rank)
-            w = rng.choice(wg.enumerate())
-            x = mat_apply(w.matrix, x)
+            x = mat_apply(rng.choice(weyl), x)
         in_sub = cone_classify(sub, x)
-        in_union = any(cone_classify(rd, mat_apply(w.matrix, x)).dominant
-                       for w in reps)
+        in_union = any(cone_classify(rd, mat_apply(m, x)).dominant
+                       for m in reps)
         if in_sub.dominant != in_union:
             ok_b = False
             break
-        all_minus = all(cone_classify(rd, mat_apply(w.matrix, x)
-                                      ).antidominant_obtuse for w in reps)
+        all_minus = all(cone_classify(rd, mat_apply(m, x)
+                                      ).antidominant_obtuse for m in reps)
         if in_sub.antidominant_obtuse != all_minus:
             ok_c = False
             break

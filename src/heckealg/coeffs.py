@@ -205,14 +205,6 @@ class LaurentZ:
             return self * other
         return NotImplemented
 
-    def __pow__(self, n: int) -> "LaurentZ":
-        if n < 0:
-            raise ValueError("negative power of a general Laurent polynomial")
-        out = LaurentZ.one(self.nvars)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- queries -----------------------------------------------------
 
     def is_one(self) -> bool:

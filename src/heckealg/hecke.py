@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeffs import LaurentZ, TorusAlgebraElement, z_bracket
-from .root_data import Root, RootDatum, pairing, vadd, vscale, vsub
+from .root_data import Root, RootDatum, pairing, vscale, vsub
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, Matrix,
                    RGroup, Vector, WeylElement, identity_matrix, mat_apply,
                    stabilizer_of_point)
@@ -64,43 +64,15 @@ def bernstein_divide(x: Vector, alpha: Root, doubled: bool, one
     """
     x = tuple(x)
     n = pairing(x, alpha.coroot)
-    rank = len(x)
-    out = TorusAlgebraElement.zero(rank)
+    step = alpha.vector
     if doubled:
         if n % 2:
             raise HeckeError("doubled division needs an even pairing, got %d" % n)
-        step = vscale(alpha.vector, 2)
-        m = n // 2
-        if m > 0:
-            terms = {}
-            y = x
-            for _ in range(m):
-                terms[y] = terms.get(y, 0 * one) + one
-                y = vsub(y, step)
-            out = TorusAlgebraElement(rank, terms)
-        elif m < 0:
-            terms = {}
-            y = x
-            for _ in range(-m):
-                y = vadd(y, step)
-                terms[y] = terms.get(y, 0 * one) - one
-            out = TorusAlgebraElement(rank, terms)
-    else:
-        if n > 0:
-            terms = {}
-            y = x
-            for _ in range(n):
-                terms[y] = terms.get(y, 0 * one) + one
-                y = vsub(y, alpha.vector)
-            out = TorusAlgebraElement(rank, terms)
-        elif n < 0:
-            terms = {}
-            y = x
-            for _ in range(-n):
-                y = vadd(y, alpha.vector)
-                terms[y] = terms.get(y, 0 * one) - one
-            out = TorusAlgebraElement(rank, terms)
-    return out
+        step, n = vscale(step, 2), n // 2
+    # n > 0: x, x - step, ..; n < 0: x + |n| step, .., x + step, negated
+    top, c = (x, one) if n > 0 else (vsub(x, vscale(step, n)), -one)
+    return TorusAlgebraElement(len(x), {vsub(top, vscale(step, k)): c
+                                        for k in range(abs(n))})
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +96,7 @@ class HeckeElement:
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            if w in out:
-                s = out[w] + c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-            else:
-                out[w] = c
+            _add_term(out, w, c)
         return type(self)(out)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
@@ -377,16 +342,13 @@ def spread_invariant(rd: RootDatum, wext: ExtendedGroup,
                      seeds: Dict[Vector, int]) -> Dict[Vector, int]:
     """Complete a root->value map to a W_ext-invariant function on the
     W_ext-orbits of the seed roots."""
-    mats = [w.matrix for w in wext.weyl.enumerate()]
-    rmats = [wext.rgroup.matrix(l) for l in wext.rgroup.labels]
     out: Dict[Vector, int] = {}
     for v, val in seeds.items():
-        for m in mats:
-            for rm in rmats:
-                w = mat_apply(m, mat_apply(rm, v))
-                if out.get(w, val) != val:
-                    raise HeckeError("seed values collide on an orbit")
-                out[w] = val
+        for m in wext.table.actions:
+            w = mat_apply(m, v)
+            if out.get(w, val) != val:
+                raise HeckeError("seed values collide on an orbit")
+            out[w] = val
     return out
 
 
@@ -694,9 +656,8 @@ def affine_to_graded(desc: AffineDescriptor, exponents: Vector, order: int
     wt = desc.wext.table
     labels = ["e"]
     label_of: Dict[int, str] = {}
-    for g in sorted(stab.diagram_part,
-                    key=lambda g: (g.weyl.matrix, g.diagram)):
-        gid = wt.index[g]
+    for gid in sorted(stab.diagram_part,
+                      key=lambda g: (wt.elements[g].weyl.matrix, wt.labels[g])):
         if gid == wt.identity:
             label_of[gid] = "e"
         else:

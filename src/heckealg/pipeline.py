@@ -137,11 +137,15 @@ INPUT_SCHEMA = {
             "required": ["labels", "matrices", "table", "cocycle"],
             "properties": {
                 "labels": {"type": "array", "items": {"type": "string"}},
-                "matrices": {"type": "object"},
+                "matrices": {"type": "object", "additionalProperties": {
+                    "type": "array", "items": {
+                        "type": "array", "items": {"type": "integer"}}}},
                 "table": {"type": "object",
                           "additionalProperties": {"type": "string"}},
-                "cocycle": {"type": "object"},
-                "translations": {"type": "object"},
+                "cocycle": {"type": "object",
+                            "additionalProperties": {"type": "integer"}},
+                "translations": {"type": "object",
+                                 "additionalProperties": {"type": "array"}},
             },
         },
     },

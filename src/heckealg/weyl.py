@@ -3,12 +3,13 @@
 Weyl group elements are integer lattice automorphisms stored as tuples
 of rows; equality is matrix equality.  An extended group W_ext = W x| R
 builds, on first use, one ``GroupTable`` that numbers its elements and
-answers products, inverses, left multiplication by a generator and the
-action on finite-order torus points by lookup, with integer arithmetic
-only; it is the only code that applies the group law of W_ext (the
-Hecke layer moves and checks its basis keys through it).  Enumerating
-a Weyl group records a reduced word of every element, so words and
-lengths are dict lookups and the table's walks are built from them.
+answers products, inverses, left multiplication by a generator, subgroup
+closure and the action on finite-order torus points by lookup, with
+integer arithmetic only.  After the build it is the only group law: the
+Hecke layer moves its basis keys, and point stabilizers and minimal coset
+representatives are computed, as table ids.  Enumerating a Weyl group
+records a reduced word of every element, so words and lengths are dict
+lookups and the table's walks are built from them.
 Rational linear algebra (R-group inverses, the inverse Cartan matrix)
 goes through one exact row reduction, ``rref``.
 """
@@ -158,30 +159,30 @@ class WeylGroup:
         return len(self.reduced_word(w))
 
 
-def min_coset_reps(group: WeylGroup, subgroup: Sequence[WeylElement]
-                   ) -> List[WeylElement]:
-    """Unique shortest representatives of the left cosets W / W_t."""
-    sub = {s.matrix for s in subgroup}
-    if group.identity.matrix not in sub:
-        raise WeylError("subgroup must contain the identity")
-    for a in sub:
-        for b in sub:
-            if mat_mul(a, b) not in sub:
-                raise WeylError("given set is not closed under multiplication")
-    reps: List[WeylElement] = []
-    assigned = set()
-    elements = group.enumerate()
-    for w in sorted(elements, key=lambda w: (group.length(w), w.matrix)):
-        if w.matrix in assigned:
+def min_coset_reps(group: ExtendedGroup, subgroup: Sequence[int]
+                   ) -> List[int]:
+    """Unique shortest representatives of the left cosets W / W_t, as
+    table ids in (length, matrix) order; ``subgroup`` holds the ids of
+    W_t, a subgroup of W."""
+    table = group.table
+    lengths, mult = table.lengths, table.mult
+    weyl = [g for g, l in enumerate(table.labels) if l == group.rgroup.identity]
+    sub = set(subgroup)
+    if table.identity not in sub or not sub <= set(weyl):
+        raise WeylError("subgroup must contain the identity and lie in W")
+    if any(mult(a, b) not in sub for a in sub for b in sub):
+        raise WeylError("given set is not closed under multiplication")
+    reps, assigned = [], set()
+    # ids of one label are in matrix order, and the sort is stable
+    for w in sorted(weyl, key=lengths.__getitem__):
+        if w in assigned:
             continue
-        coset = {mat_mul(w.matrix, s) for s in sub}
-        lw = group.length(w)
-        ties = [m for m in coset if group.length(WeylElement(m)) == lw]
-        if len(ties) != 1:
+        coset = {mult(w, s) for s in sub}
+        if sum(lengths[g] == lengths[w] for g in coset) != 1:
             raise WeylError("minimal length representative is not unique")
         assigned |= coset
         reps.append(w)
-    if len(assigned) != len(elements):
+    if len(assigned) != len(weyl):
         raise WeylError("cosets do not partition the group")
     return reps
 
@@ -471,6 +472,17 @@ class GroupTable:
     def inv(self, g: int) -> int:
         return self.inverse[g]
 
+    def subgroup(self, gens: Iterable[int]) -> List[int]:
+        """Sorted ids of the subgroup generated by the given ids, closed
+        by left multiplication with the generators."""
+        gens = list(gens)
+        found, frontier = {self.identity}, [self.identity]
+        while frontier:
+            frontier = [h for h in {self.mult(s, g) for s in gens
+                                    for g in frontier} if h not in found]
+            found.update(frontier)
+        return sorted(found)
+
     def shift(self, label: str, order: int) -> Vector:
         """Translation part of a label on points of the given order."""
         key = (label, order)
@@ -507,27 +519,28 @@ def root_value_is(rd_root: Vector, exponents: Vector, order: int, target: int
 
 @dataclass
 class PointStabilizer:
-    """Stabilizer of a point split as reflection part x| relative diagram part."""
-    elements: List[ExtendedWeylElement]
+    """Sorted table ids fixing a point: reflection x| relative diagram part."""
+    elements: List[int]
     subsystem: RootDatum
-    reflection_part: List[WeylElement]
-    diagram_part: List[ExtendedWeylElement]
+    reflection_part: List[int]
+    diagram_part: List[int]
 
 
 def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
                         ) -> PointStabilizer:
     """All extended elements fixing the point, with the W-deg/R-deg split.
 
-    The reflection part is generated by s_alpha with alpha(t) = 1, or
-    alpha(t) = -1 when the coroot is halvable (this includes the case of
-    a doubled root 2*alpha with 2*alpha(t) = 1).  The relative diagram
-    part is the complement to W(subsystem) in the stabilizer made of the
-    elements that send the subsystem's simple roots to positive roots.
+    The reflection part W(subsystem) is closed on the table from the simple
+    reflections of the subsystem of the alpha with alpha(t) = 1, or -1 when
+    the coroot is halvable (this includes a doubled root 2*alpha with
+    2*alpha(t) = 1).  The relative diagram part is the complement to it in
+    the stabilizer made of the elements that send the subsystem's simple
+    roots to positive roots.
     """
     rd = group.rd
     exponents = tuple(e % order for e in exponents)
     table = group.table
-    stab = [table.elements[g] for g in range(len(table.elements))
+    stab = [g for g in range(len(table.elements))
             if table.act_point(g, exponents, order) == exponents]
 
     sub_vectors = []
@@ -538,10 +551,12 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
                 root_value_is(r.vector, exponents, order, -1):
             sub_vectors.append(r.vector)
     subsystem = subdatum(rd, sub_vectors)
-    reflection_part = WeylGroup(subsystem).enumerate()
+    reflection_part = table.subgroup(
+        table.index[ExtendedWeylElement(WeylElement(m), group.rgroup.identity)]
+        for m in subsystem.simple_reflections())
     diagram_part = [
         g for g in stab
-        if all(subsystem.is_positive(mat_apply(group.action_matrix(g), s.vector))
+        if all(subsystem.is_positive(mat_apply(table.actions[g], s.vector))
                for s in subsystem.simple_roots)]
     return PointStabilizer(stab, subsystem, reflection_part, diagram_part)
 

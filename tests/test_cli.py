@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -355,6 +356,42 @@ def test_non_label_in_sl_table_exit_2(tmp_path, capsys):
     code, out, err = run_cli(["count", "--input", str(p)], capsys)
     assert code == 2 and out == ""
     assert err == "input error: [1] is not of type 'string'\n"
+
+
+def _bench_sl_doc(edit):
+    """A copy of bench/data/sl.json, changed in memory by ``edit``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data"
+    doc = json.loads((path / "sl.json").read_text())
+    edit(doc["sl_rgroup"])
+    return doc
+
+
+MISTYPED_SL_RGROUPS = {
+    # int() would truncate 0.7 to 0 and read "1" and -1.9 as 1 and -1
+    "float-matrix-entry": (
+        lambda r: r["matrices"].update(g=[[1.0, 0.7], [0, 1]]),
+        "0.7 is not of type 'integer'"),
+    "string-matrix-entry": (
+        lambda r: r["matrices"].update(g=[[1, 0], [0, "1"]]),
+        "'1' is not of type 'integer'"),
+    "float-cocycle": (lambda r: r["cocycle"].update({"g,g": -1.9}),
+                      "-1.9 is not of type 'integer'"),
+    "bare-integer-matrix": (lambda r: r["matrices"].update(g=1),
+                            "1 is not of type 'array'"),
+    "bare-integer-translation": (lambda r: r["translations"].update(g=1),
+                                 "1 is not of type 'array'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_SL_RGROUPS))
+def test_mistyped_sl_rgroup_exit_2(case, tmp_path, capsys):
+    edit, message = MISTYPED_SL_RGROUPS[case]
+    p = tmp_path / "sl.json"
+    p.write_text(json.dumps(_bench_sl_doc(edit)))
+    code, out, err = run_cli(["count", "--input", str(p), "--order", "2"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err == "input error: %s\n" % message
 
 
 def test_console_script_entry():

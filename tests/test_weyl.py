@@ -1,13 +1,18 @@
 import json
+import math
 import operator
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from oracle_helpers import descent_word, root_count_length, word_matrix
 
-from heckealg.checks import graded_test_descriptors, standard_descriptors
+from heckealg import weyl
+from heckealg.checks import (check_braid, graded_test_descriptors,
+                             standard_descriptors)
+from heckealg.hecke import multiply, spread_invariant
 from heckealg.pipeline import BUILTIN_EXAMPLES, assemble, datum_from_json
 from heckealg.root_data import build_classical, empty_datum, product
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
@@ -65,23 +70,24 @@ def test_words_multiply_back_and_subadditivity():
 
 
 def test_min_coset_reps():
-    a2 = build_classical("A", 2)
-    wa = WeylGroup(a2)
-    s1 = WeylElement(word_matrix(a2, [0]))
-    reps = min_coset_reps(wa, [wa.identity, s1])
-    assert sorted(wa.length(r) for r in reps) == [0, 1, 2]
+    ga = ExtendedGroup(build_classical("A", 2))
+    ta = ga.table
+    s1, s2 = (ta.perms[i][ta.identity] for i in (0, 1))
+    reps = min_coset_reps(ga, [ta.identity, s1])
+    assert sorted(ta.lengths[r] for r in reps) == [0, 1, 2]
+    assert reps == sorted(reps, key=lambda g: (ta.lengths[g],
+                                               ta.elements[g].weyl.matrix))
 
-    assert min_coset_reps(wa, wa.enumerate()) == [wa.identity]
+    assert min_coset_reps(ga, range(len(ta.elements))) == [ta.identity]
 
-    b2 = build_classical("B", 2)
-    wb = WeylGroup(b2)
-    s_short = WeylElement(word_matrix(b2, [1]))   # short simple root e_2
-    reps = min_coset_reps(wb, [wb.identity, s_short])
+    gb = ExtendedGroup(build_classical("B", 2))
+    tb = gb.table
+    s_short = tb.perms[1][tb.identity]   # short simple root e_2
+    reps = min_coset_reps(gb, [tb.identity, s_short])
     assert len(reps) == 4
 
     with pytest.raises(WeylError):
-        min_coset_reps(wa, [wa.identity, s1,
-                            WeylElement(word_matrix(a2, [1]))])
+        min_coset_reps(ga, [ta.identity, s1, s2])
 
 
 def test_stabilizer_of_point():
@@ -122,18 +128,6 @@ def test_stabilizer_rank1_realizations():
     assert len(stab.elements) == 2
     assert len(stab.reflection_part) == 2
     assert {r.vector for r in stab.subsystem.roots} == {(1,), (-1,)}
-
-
-def test_stabilizer_diagram_part_nontrivial():
-    # A2 at an order-3 point fixed by a rotation: stabilizer has a
-    # diagram part beyond the reflection subgroup
-    a2 = build_classical("A", 2)
-    g = ExtendedGroup(a2)
-    stab = stabilizer_of_point(g, (0, 1, 2), 3)
-    # reflections move (0,1,2); the 3-cycles fix it up to translation? --
-    # compute honestly: the split covers the whole stabilizer
-    assert len(stab.elements) == \
-        len(stab.reflection_part) * len(stab.diagram_part)
 
 
 def test_cone_classify_examples():
@@ -365,3 +359,67 @@ def test_group_table_matches_matrix_definition(name):
                     WeylElement(conj(label, h.weyl.matrix)),
                     rg.mult(label, h.diagram))
             assert table.elements[perm[table.index[h]]] == want
+
+
+def _stabilizer_points(group):
+    """The stabilizer test points (the origin, order-2 points, an order-3
+    point and a generic point of order 101) in the group's rank, written
+    over an order that its R-group translations preserve."""
+    rank = group.rd.rank
+    den = math.lcm(*(t.denominator for v in group.rgroup.translations.values()
+                     for t in v))
+    first = tuple(int(i == 0) for i in range(rank))
+    points = [((0,) * rank, 1), (first, 2), ((1,) * rank, 2),
+              (tuple(range(rank)), 3), (tuple(range(1, rank + 1)), 101)]
+    return [(tuple(den * e for e in x), den * n) for x, n in points]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GROUPS))
+def test_stabilizer_decomposition(name):
+    """The stabilizer is W(R_t) x| Gamma_t on table ids: the reflection
+    part closed on the table is W(subsystem) enumerated by matrices, and
+    (r, d) -> r d is a bijection onto the stabilizer."""
+    group = TABLE_GROUPS[name]
+    table = group.table
+    for x, order in _stabilizer_points(group):
+        stab = stabilizer_of_point(group, x, order)
+        oracle = sorted(table.index[ExtendedWeylElement(w, group.identity
+                                                        .diagram)]
+                        for w in WeylGroup(stab.subsystem).enumerate())
+        assert stab.reflection_part == oracle
+        elements = set(stab.elements)
+        assert set(stab.reflection_part) <= elements
+        assert set(stab.diagram_part) <= elements
+        assert set(stab.reflection_part) & set(stab.diagram_part) == \
+            {table.identity}
+        products = [table.mult(r, d) for r in stab.reflection_part
+                    for d in stab.diagram_part]
+        assert len(set(products)) == len(products) == len(elements)
+        assert set(products) == elements
+
+
+@pytest.mark.parametrize("name", ["B2", "A1xA1-twisted"])
+def test_no_matrix_products_after_table_build(name, monkeypatch):
+    """Once the table is built, stabilizers, coset representatives, root
+    orbits, braid orders and products run on ids: no ``mat_mul`` call."""
+    desc = standard_descriptors()[name]
+    group = desc.wext
+    group.table
+    calls, real = [], weyl.mat_mul
+
+    def counting_mat_mul(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("heckealg") and \
+                getattr(module, "mat_mul", None) is real:
+            monkeypatch.setattr(module, "mat_mul", counting_mat_mul)
+    x = tuple(int(i == 0) for i in range(desc.rd.rank))
+    stab = stabilizer_of_point(group, x, 2)
+    assert len(stab.reflection_part) > 1
+    assert min_coset_reps(group, stab.reflection_part)
+    assert spread_invariant(desc.rd, group, desc.lam) == desc.lam
+    assert check_braid(desc)
+    assert multiply(desc, desc.n_simple(0), desc.n_simple(1))
+    assert calls == []
