@@ -42,15 +42,16 @@ def cmd_describe(args) -> int:
         raise ValidationError(["cannot parse q = %r: %s" % (args.q, exc)])
     if q <= 0:
         raise ValidationError(["q must be a positive rational"])
+    specs = specialize_report(report, q)   # may refuse q: nothing printed yet
     if args.format == "json":
         doc = report.to_json()
-        doc["specializations"] = specialize_report(report, q)
+        doc["specializations"] = specs
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(report.to_text())
         if q != 1:
             print("at q = %s:" % q)
-            for rel in specialize_report(report, q):
+            for rel in specs:
                 val = rel.get("q_power_value")
                 extra = "  [q^m = %s]" % val if val else ""
                 print("  " + rel["relation"] + extra)

@@ -28,14 +28,15 @@ operation whose result could hold an exponent beyond ``MAX_EXP`` raises
 ``PackedRangeError`` instead of letting a digit wrap into its neighbour.
 ``monomials(nvars)`` decodes the keys back to (x, e, scalar).  The key
 format is private to this module: the Hecke layer reaches packed keys only
-through ring operations, ``telescope`` and ``divide_linear``.
+through ring operations, ``reflect_telescope`` (the N_s step of the affine
+algebra) and ``divide_linear``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 Exps = Tuple[int, ...]
@@ -93,11 +94,6 @@ def _low_split(n: int) -> Tuple[int, int]:
             (1 << (WIDTH * n)) - 1)
 
 
-def _digit(key: int, i: int) -> int:
-    """Digit i of ``key``."""
-    return (((key + _low_split(i + 1)[0]) >> (WIDTH * i)) & _MASK) - _HALF
-
-
 @lru_cache(maxsize=None)
 def _signed_permutation(matrix) -> Optional[Tuple[Tuple[int, int], ...]]:
     """(column, sign) of the one nonzero entry of each row of a signed
@@ -120,12 +116,10 @@ class LaurentZ:
 
     def __init__(self, nvars: int, terms: Dict[Exps, int] | None = None):
         self.nvars = nvars
-        self.terms: Dict[Exps, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[tuple(e)] = self.terms.get(tuple(e), 0) + c
-            self.terms = {e: c for e, c in self.terms.items() if c}
+        out: Dict[Exps, int] = {}
+        for e, c in (terms or {}).items():
+            out[tuple(e)] = out.get(tuple(e), 0) + c
+        self.terms = {e: c for e, c in out.items() if c}
 
     # -- constructors ------------------------------------------------
 
@@ -210,14 +204,11 @@ class LaurentZ:
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.nvars: 1}
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items()):
             factors = []
             if abs(c) != 1 or all(k == 0 for k in e):
                 factors.append(str(abs(c)))
@@ -410,46 +401,64 @@ class TorusAlgebraElement:
             out[k + move[0]] = c if move[1] == 1 else -c
         return _new(rank, out, self.bound)
 
-    def telescope(self, coroot: Exps, step: Exps,
-                  mult: "TorusAlgebraElement") -> "TorusAlgebraElement":
-        """sum_x c_x D_x mult, c_x the coefficient of theta_x here.
+    def reflect_telescope(self, root: Exps, coroot: Exps, halvable: bool,
+                          factor: "TorusAlgebraElement",
+                          bracket: Optional["TorusAlgebraElement"]) -> tuple:
+        """(s(c), sum_x c_x D_x factor + s(c) bracket) in one pass, c this
+        element, c_x its coefficient of theta_x, s x = x - n root with
+        n = <x, coroot>; no bracket term when ``bracket`` is None.
 
-        D_x is the telescoping sum along ``step`` for m = <x, coroot>:
-        theta_x + theta_{x - step} + .. + theta_{x - (m-1) step} for m > 0,
-        zero for m = 0 and -(theta_{x + step} + .. + theta_{x - m step})
-        for m < 0, so that D_x (1 - theta_{-step}) = theta_x -
-        theta_{x - m step} (Bernstein-Lusztig)."""
-        if self.rank != mult.rank:
-            raise ValueError("rank mismatch")
+        D_x telescopes along step = root for m = n, or step = 2 root for
+        m = n/2 when ``halvable``: theta_x + .. + theta_{x - (m-1) step}
+        for m > 0, zero for m = 0, -(theta_{x + step} + .. +
+        theta_{x - m step}) for m < 0; so D_x (1 - theta_{-step}) =
+        theta_x - theta_{x - m step} (Bernstein-Lusztig).  Keys add, so
+        key(s x) = key(x) - n key(root): each lattice part is decoded once.
+        Bounds: that of ``act_matrix`` for s(c); the larger of bound(c) +
+        max|n| max|root| + bound(factor) and bound(s(c)) + bound(bracket)
+        for the correction."""
         rank = self.rank
-        factor = tuple(mult.terms.items())
-        skey = _pack(step)
+        akey = _pack(root)
+        skey = 2 * akey if halvable else akey
         offset, mask = _low_split(rank)
-        pairings: Dict[int, int] = {}
-        reach = 0
+        moves: Dict[int, tuple] = {}
+        bound, reach = self.bound, 0
+        image, tele = {}, {}   # s(c), sum_x c_x D_x
+        get = tele.get
+        for k, v in self.terms.items():
+            xk = ((k + offset) & mask) - offset
+            move = moves.get(xk)
+            if move is None:
+                x, _ = _unpack(xk, rank)
+                n = sum(map(mul, x, coroot))
+                if n:
+                    reach = max(reach, abs(n))
+                    bound = _check_bound(max(bound, max(
+                        abs(a - n * r) for a, r in zip(x, root))))
+                m = n // 2 if halvable else n
+                ds = range(0, -m * skey, -skey) if m > 0 else \
+                    range(skey, (1 - m) * skey, skey)   # D_x's keys - key(x)
+                move = moves[xk] = (-n * akey, ds, m < 0)
+            sk, ds, neg = move
+            image[k + sk] = v   # s permutes the keys: no two terms meet
+            if neg:
+                v = -v
+            for y in ds:
+                y += k
+                tele[y] = get(y, 0) + v
         out: Dict[int, object] = {}
         get = out.get
-        for k, v in self.terms.items() if factor else ():
-            xk = ((k + offset) & mask) - offset
-            m = pairings.get(xk)
-            if m is None:
-                x, _ = _unpack(xk, rank)
-                m = pairings[xk] = sum(a * b for a, b in zip(x, coroot))
-                reach = max(reach, abs(m))
-            if m > 0:
-                ys = range(k, k - m * skey, -skey)
-            elif m < 0:
-                ys, v = range(k + skey, k + (1 - m) * skey, skey), -v
-            else:
-                continue
-            for y in ys:
-                for fk, b in factor:
-                    key = y + fk
+        for part, mult in ((tele, factor), (image, bracket)):
+            for fk, b in mult.terms.items() if mult is not None else ():
+                for k, v in part.items():
+                    key = k + fk
                     out[key] = get(key, 0) + v * b
-        bound = self.bound + reach * max(map(abs, step), default=0) \
-            + mult.bound
-        return _new(rank, {k: c for k, c in out.items() if c},
-                    _check_bound(bound))
+        cbound = self.bound + factor.bound + (
+            reach * max(map(abs, root)) if factor else 0)
+        if bracket is not None:
+            cbound = max(cbound, bound + bracket.bound)
+        return _new(rank, image, bound), _new(
+            rank, {k: c for k, c in out.items() if c}, _check_bound(cbound))
 
     def divide_linear(self, alpha: Exps) -> "TorusAlgebraElement":
         """Exact quotient of a polynomial by the linear form
@@ -472,8 +481,10 @@ class TorusAlgebraElement:
         others = [(1 << (WIDTH * j), cj) for j, cj in enumerate(alpha)
                   if j != pivot and cj]
         layers: Dict[int, Dict[int, object]] = {}
+        low = _low_split(pivot + 1)[0]   # layers by the pivot digit
         for k, v in self.terms.items():
-            layers.setdefault(_digit(k, pivot), {})[k] = v
+            layers.setdefault((((k + low) >> (WIDTH * pivot)) & _MASK) - _HALF,
+                              {})[k] = v
         quot: Dict[int, object] = {}
         for deg in range(max(layers), 0, -1):
             layer = layers.pop(deg, {})

@@ -24,7 +24,8 @@ with the group algebra embedded (no quadratic correction).
 
 Both algebras share one multiplication skeleton (``multiply``, with the
 left actions ``_ns_mul`` and ``_ngamma_mul``); a descriptor supplies
-only its action on coefficients and its N_s correction term.  Basis keys
+only its action on coefficients (``act_coeff``) and its N_s step
+(``ns_step``: s(c) and the correction term together).  Basis keys
 are ``ExtendedWeylElement``s; ``multiply`` turns them into W_ext
 ``GroupTable`` ids on entry and back on exit, and in between moves them
 by the table's left-multiplication permutations and compares lengths
@@ -145,9 +146,9 @@ class HeckeDescriptor:
     """What the multiplication skeleton needs from an algebra.
 
     Subclasses provide ``simple_info``, ``act_coeff(matrix, c)`` (the
-    action of a lattice automorphism on coefficients) and
-    ``ns_correction(info, c, cs, shorter)`` (the coefficient of N_u in
-    N_s * c N_u, where cs = s(c) and shorter says whether l(s u) < l(u)).
+    action of a lattice automorphism on coefficients, for N_gamma) and
+    ``ns_step(info, c, shorter)`` -> the coefficients (s(c), correction)
+    of N_{s u} and N_u in N_s * c N_u; shorter says if l(s u) < l(u).
     """
 
     element_type = HeckeElement
@@ -281,25 +282,21 @@ class AffineDescriptor(HeckeDescriptor):
         return z ** m - z ** (-m)
 
     def _correction_data(self, info: SimpleRootInfo) -> tuple:
-        """((coroot, step, factor), bracket) for the N_s correction:
-        sum_x c_x G_alpha(x) = c.telescope(coroot, step, factor), with
-        G_alpha(x) = D (z^lambda - z^-lambda) + theta_{-alpha} D
-        (z^lambda* - z^-lambda*), the second summand only for a halvable
-        coroot, which halves the pairing and steps by 2 alpha (D the
-        telescoping quotient of ``bernstein_divide``); bracket is the
-        constant z^lambda - z^-lambda of the quadratic relation."""
+        """(factor, bracket) for the N_s step: G_alpha(x) = D factor =
+        D (z^lambda - z^-lambda) + theta_{-alpha} D (z^lambda* -
+        z^-lambda*), the second summand only for a halvable coroot, which
+        halves the pairing and steps by 2 alpha (D the telescoping quotient
+        of ``bernstein_divide``); bracket is the constant z^lambda -
+        z^-lambda of the quadratic relation."""
         rank = self.rd.rank
-        root = info.root
         zero = (0,) * rank
         bracket = self.zbracket(info.zvar, info.lam)
         quadratic = TorusAlgebraElement(rank, {zero: bracket})
         if not info.halvable:
-            return (root.coroot, root.vector, quadratic), quadratic
-        factor = TorusAlgebraElement(rank, {
-            zero: bracket,
-            vscale(root.vector, -1): self.zbracket(info.zvar, info.lam_star)})
-        return ((tuple(c // 2 for c in root.coroot), vscale(root.vector, 2),
-                 factor), quadratic)
+            return quadratic, quadratic
+        return TorusAlgebraElement(rank, {
+            zero: bracket, vscale(info.root.vector, -1):
+            self.zbracket(info.zvar, info.lam_star)}), quadratic
 
     def zmonomial(self, exps: Sequence[int]):
         if self.z_values is None:
@@ -315,17 +312,15 @@ class AffineDescriptor(HeckeDescriptor):
                   ) -> TorusAlgebraElement:
         return c.act_matrix(matrix)
 
-    def ns_correction(self, info: SimpleRootInfo, c: TorusAlgebraElement,
-                      cs: TorusAlgebraElement, shorter: bool
-                      ) -> TorusAlgebraElement:
-        """Bernstein-Lusztig correction sum_x c_x G_alpha(x), plus
-        (z^lambda - z^-lambda) s(c) when s u is shorter than u (the
-        quadratic relation)."""
-        telescope, bracket = self._corrections[info.index]
-        corr = c.telescope(*telescope)
-        if shorter:
-            corr = corr + cs * bracket
-        return corr
+    def ns_step(self, info: SimpleRootInfo, c: TorusAlgebraElement,
+                shorter: bool) -> tuple:
+        """s(c) and the Bernstein-Lusztig correction sum_x c_x G_alpha(x),
+        plus (z^lambda - z^-lambda) s(c) when s u is shorter than u (the
+        quadratic relation), in one pass over c."""
+        factor, bracket = self._corrections[info.index]
+        root = info.root
+        return c.reflect_telescope(root.vector, root.coroot, info.halvable,
+                                   factor, bracket if shorter else None)
 
     # -- element constructors -------------------------------------------
 
@@ -360,17 +355,16 @@ def _ns_mul(desc: HeckeDescriptor, i: int,
             terms: Dict[int, TorusAlgebraElement]
             ) -> Dict[int, TorusAlgebraElement]:
     """Left multiplication by N_{s_i} on terms keyed by table ids:
-    N_s (c N_u) = s(c) N_{s u} + ns_correction N_u."""
+    N_s (c N_u) = s(c) N_{s u} + correction N_u, both from ``ns_step``."""
     info = desc.simple_info[i]
     table = desc.wext.table
     perm, lengths = table.perms[i], table.lengths
     out: Dict[int, TorusAlgebraElement] = {}
     for u, c in terms.items():
-        cs = desc.act_coeff(info.matrix, c)
         su = perm[u]
+        cs, corr = desc.ns_step(info, c, lengths[su] < lengths[u])
         _add_term(out, su, cs)
-        _add_term(out, u, desc.ns_correction(info, c, cs,
-                                             lengths[su] < lengths[u]))
+        _add_term(out, u, corr)
     return out
 
 
@@ -393,15 +387,14 @@ def _ngamma_mul(desc: HeckeDescriptor, label: str,
 
 def _check_element(desc: HeckeDescriptor, elem: HeckeElement) -> None:
     index = desc.wext.table.index
+    specialized = desc.z_values is not None
     for key, c in elem.terms.items():
         if key not in index or c.rank != desc.rd.rank:
             raise HeckeError("element does not belong to this descriptor")
-        for v in c.terms.values():
-            symbolic = not isinstance(v, Fraction)
-            if symbolic != (desc.z_values is None):
-                raise HeckeError("element scalar mode does not match the "
-                                 "descriptor (symbolic vs specialized)")
-            break
+        types = set(map(type, c.terms.values()))
+        if types - {Fraction} if specialized else Fraction in types:
+            raise HeckeError("element scalar mode does not match the "
+                             "descriptor (symbolic vs specialized)")
 
 
 def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
@@ -501,10 +494,6 @@ def is_central(desc: AffineDescriptor, a: HeckeElement) -> bool:
 # Serialization (canonical text form)
 # ---------------------------------------------------------------------------
 
-def _group_sort_key(desc: AffineDescriptor, w: ExtendedWeylElement):
-    return (desc.wext.weyl.length(w.weyl), w.weyl.matrix, w.diagram)
-
-
 def serialize_element(desc: AffineDescriptor, elem: HeckeElement) -> str:
     """Deterministic text form: one `theta[..]*z..*N[word|label]` per term,
     ordered lattice-lexicographically, then by z-exponents, then by the
@@ -513,7 +502,7 @@ def serialize_element(desc: AffineDescriptor, elem: HeckeElement) -> str:
         return "0"
     pieces: List[Tuple[tuple, tuple, tuple, str, object]] = []
     for w in elem.terms:
-        gkey = _group_sort_key(desc, w)
+        gkey = (desc.wext.weyl.length(w.weyl), w.weyl.matrix, w.diagram)
         word = " ".join(str(i + 1) for i in desc.wext.weyl.reduced_word(w.weyl))
         nstr = "N[%s|%s]" % (word, w.diagram)
         for x, ze, cval in elem.terms[w].monomials(desc.d):
@@ -578,9 +567,6 @@ class GradedDescriptor(HeckeDescriptor):
                              s.component_index, self.k[s.vector])
             for i, s in enumerate(sub_rd.simple_roots))
 
-    def rvar(self, j: int):
-        return LaurentZ.var_power(self.d, j, 1)
-
     def xi(self, coeffs: Sequence[int]) -> GradedElement:
         """Degree-one polynomial sum coeffs[i] x_i."""
         terms = {tuple(1 if k == i else 0 for k in range(self.rd.rank)):
@@ -594,17 +580,17 @@ class GradedDescriptor(HeckeDescriptor):
                   ) -> TorusAlgebraElement:
         return c.substitute(matrix)
 
-    def ns_correction(self, info: GradedSimpleInfo, c: TorusAlgebraElement,
-                      cs: TorusAlgebraElement, shorter: bool
-                      ) -> TorusAlgebraElement:
-        """k(alpha) r_j (c - s c) / alpha; alpha divides c - s c exactly,
-        so ``divide_linear`` raising ArithmeticError means an internal
-        inconsistency."""
+    def ns_step(self, info: GradedSimpleInfo, c: TorusAlgebraElement,
+                shorter: bool) -> tuple:
+        """s(c) and k(alpha) r_j (c - s c) / alpha; alpha divides c - s c
+        exactly, so ``divide_linear`` raising ArithmeticError means an
+        internal inconsistency."""
+        cs = c.substitute(info.matrix)
         diff = c - cs
         if not (diff and info.k):
-            return TorusAlgebraElement.zero(self.rd.rank)
-        return diff.divide_linear(info.root.vector).scale(
-            self.rvar(info.rvar) * info.k)
+            return cs, TorusAlgebraElement.zero(self.rd.rank)
+        return cs, diff.divide_linear(info.root.vector).scale(
+            LaurentZ.var_power(self.d, info.rvar, 1, info.k))
 
 
 def im_involution(desc: GradedDescriptor, a: GradedElement) -> GradedElement:

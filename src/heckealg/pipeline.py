@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -182,12 +183,10 @@ def datum_from_json(doc: Union[str, dict]) -> InertialDatum:
     if error is not None:
         raise error
     grp = doc["group"]
-    blocks = []
-    for b in doc["blocks"]:
-        blocks.append(BlockDatum(
-            side=b["side"], dim=b["dim"], e=b["e"], ell=b.get("ell", 0),
-            partner_ell=b.get("partner_ell"), torsion=b.get("torsion", 1),
-            levi=b.get("levi")))
+    blocks = [BlockDatum(
+        side=b["side"], dim=b["dim"], e=b["e"], ell=b.get("ell", 0),
+        partner_ell=b.get("partner_ell"), torsion=b.get("torsion", 1),
+        levi=b.get("levi")) for b in doc["blocks"]]
     sl = None
     if "sl_rgroup" in doc:
         raw = doc["sl_rgroup"]
@@ -241,15 +240,11 @@ def validate(datum: InertialDatum) -> InertialDatum:
             if not classical:
                 errors.append("%s: classical side in a %s datum"
                               % (tag, datum.family))
-            if not is_admissible_ell(b.side, b.ell):
-                rule = "d(d+1)" if b.side == "S" else "d^2"
-                errors.append("%s: ell = %d must be of the form %s"
-                              % (tag, b.ell, rule))
-            if b.partner_ell is not None and \
-                    not is_admissible_ell(b.side, b.partner_ell):
-                rule = "d(d+1)" if b.side == "S" else "d^2"
-                errors.append("%s: partner ell = %d must be of the form %s"
-                              % (tag, b.partner_ell, rule))
+            rule = "d(d+1)" if b.side == "S" else "d^2"
+            for what, ell in (("ell", b.ell), ("partner ell", b.partner_ell)):
+                if ell is not None and not is_admissible_ell(b.side, ell):
+                    errors.append("%s: %s = %d must be of the form %s"
+                                  % (tag, what, ell, rule))
         if b.e == 0 and b.ell_total() == 0:
             errors.append("%s: empty block (e = 0 and no discrete part)" % tag)
     if errors:
@@ -645,12 +640,23 @@ def is_in_character_lattice(report: HeckeReport, x: Sequence[int]) -> bool:
 def specialize_report(report: HeckeReport, q: Fraction) -> List[dict]:
     """Quadratic relations specialized at z_block = q^{torsion/2}: each
     simple root contributes (T - q^{lambda*torsion})(T + 1) = 0, with the
-    exponent kept symbolic when the torsion is."""
+    exponent kept symbolic when the torsion is.  ValidationError, before
+    any power is taken, when q^m (q itself among them) could pass the
+    interpreter's limit on printed integer digits."""
+    rels, q = report.specializations(), Fraction(q)
+    m = max([1] + [abs(r["exponent"]) for r in rels
+                   if isinstance(r["exponent"], int)])
+    # q^m has at most m * bits bits, and log10(2) < 0.30103
+    bits = m * max(q.numerator.bit_length(), q.denominator.bit_length())
+    limit = getattr(sys, "get_int_max_str_digits", int)()   # from 3.10.7
+    if limit and bits * 30103 // 100000 + 1 > limit:
+        raise ValidationError(["q^%d could have more than %d digits, the "
+                               "limit for printed integers" % (m, limit)])
     out = []
-    for rel in report.specializations():
+    for rel in rels:
         item = dict(rel)
         if isinstance(rel["exponent"], int):
-            item["q_power_value"] = str(Fraction(q) ** rel["exponent"])
+            item["q_power_value"] = str(q ** rel["exponent"])
         out.append(item)
     return out
 

@@ -52,12 +52,9 @@ def reflect(x: Vector, alpha: Vector, coroot: Vector) -> Vector:
 
 
 def reflection_matrix(rank: int, alpha: Vector, coroot: Vector) -> Tuple[Vector, ...]:
-    cols = []
-    for i in range(rank):
-        e = tuple(1 if k == i else 0 for k in range(rank))
-        cols.append(reflect(e, alpha, coroot))
-    # rows of the matrix acting on column vectors
-    return tuple(tuple(cols[j][i] for j in range(rank)) for i in range(rank))
+    """Rows of x -> x - <x, coroot> alpha acting on column vectors."""
+    return tuple(tuple(int(i == j) - alpha[i] * coroot[j] for j in range(rank))
+                 for i in range(rank))
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,7 @@ def _integral(values: Iterable[Fraction]) -> bool:
 
 
 def mat_transpose(m: Matrix) -> Matrix:
-    n = len(m)
-    return tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
+    return tuple(zip(*m))
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,25 @@ def test_nonpositive_q_exit_2(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("q", ["1e1000", "1e-999999"])
+def test_huge_q_exit_2_before_output(q, fmt, capsys):
+    # sp58 has q^5 in its relations: 5000 and ~5 million digits, above the
+    # interpreter's 4300-digit limit for printed integers
+    code, out, err = run_cli(["describe", "--example", "sp58", "--q", q,
+                              "--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "q^5" in err
+
+
+def test_large_q_below_digit_limit(capsys):
+    code, out, _ = run_cli(["describe", "--example", "sp58", "--q", "1e800"],
+                           capsys)
+    assert code == 0
+    assert "[q^m = 1%s]" % ("0" * 4000) in out
+
+
 def test_count_cap_exit_2(capsys):
     code, _, err = run_cli(["count", "--example", "gl-a2", "--order", "100"],
                            capsys)

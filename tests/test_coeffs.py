@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -192,22 +193,72 @@ def test_exponent_past_packed_range_raises():
         half.act_matrix(((2, 1), (1, 1)))
 
 
-def test_telescope_solves_bernstein_lusztig():
-    # D_x (1 - theta_{-step}) = theta_x - theta_{x - m step}, m = <x, coroot>,
-    # determines D_x in the Laurent ring; the factor multiplies through
+def _reflection(rng, rank, halvable):
+    """(root, coroot) with <root, coroot> = 2, the coroot all even when
+    ``halvable``: x -> x - <x, coroot> root is then a lattice reflection."""
+    scale = 2 if halvable else 1
+    while True:
+        root = tuple(rng.randint(-2, 2) for _ in range(rank))
+        half = tuple(rng.randint(-3, 3) for _ in range(rank))
+        if scale * sum(map(mul, root, half)) == 2:
+            return root, tuple(scale * a for a in half)
+
+
+def test_reflect_telescope_solves_bernstein_lusztig():
+    # s(c) is act_matrix of the reflection; D_x (1 - theta_{-step}) =
+    # theta_x - theta_{x - m step}, m = <x, coroot> (halved, with a doubled
+    # step, for an even coroot), determines D_x in the Laurent ring; the
+    # factor and the bracket multiply through
     rng = random.Random(1989)
     rank, nvars = 2, 1
     one = TorusAlgebraElement.theta((0,) * rank, 1)
-    for _ in range(30):
+    for trial in range(40):
+        halvable = bool(trial % 2)
+        root, coroot = _reflection(rng, rank, halvable)
+        step = tuple(2 * a for a in root) if halvable else root
         c = rand_tae(rng, rank, nvars, nterms=4)
-        coroot = tuple(rng.randint(-2, 2) for _ in range(rank))
-        step = (rng.choice((-2, -1, 1, 2)), rng.randint(-2, 2))
-        factor = rand_tae(rng, rank, nvars, nterms=2)
-        d = c.telescope(coroot, step, one)
+        cs, d = c.reflect_telescope(root, coroot, halvable, one, None)
+        matrix = tuple(tuple(int(i == j) - root[i] * coroot[j]
+                             for j in range(rank)) for i in range(rank))
+        image = c.act_matrix(matrix)
+        assert cs == image and cs.bound == image.bound
+        # bound(c) + max|m| max|step| = bound(c) + max|n| max|root|
+        reach = max(abs(sum(map(mul, x, coroot)))
+                    for x, _, _ in c.monomials(nvars))
+        assert d.bound == c.bound + reach * max(map(abs, root))
         expect = TorusAlgebraElement(rank)
         for x, e, v in c.monomials(nvars):
-            m = sum(a * b for a, b in zip(x, coroot))
+            n = sum(map(mul, x, coroot))
+            m = n // 2 if halvable else n
             mono = TorusAlgebraElement(rank, {x: LaurentZ.monomial(nvars, e, v)})
             expect = expect + mono - mono.shift(tuple(-m * s for s in step))
         assert d * (one - one.shift(tuple(-s for s in step))) == expect
-        assert c.telescope(coroot, step, factor) == d * factor
+        factor = rand_tae(rng, rank, nvars, nterms=2)
+        bracket = TorusAlgebraElement(rank, {(0,) * rank:
+                                             rand_laurent(rng, nvars, 2)})
+        assert c.reflect_telescope(root, coroot, halvable, factor, None) \
+            == (cs, d * factor)
+        assert c.reflect_telescope(root, coroot, halvable, factor, bracket) \
+            == (cs, d * factor + cs * bracket)
+
+
+def test_reflect_telescope_past_packed_range_raises():
+    one = TorusAlgebraElement.theta((0, 0), 1)
+    # s x = x - <x, (2, 1)> (1, 0) sends (h, h) to (-2h, h), past MAX_EXP
+    h = MAX_EXP // 2 + 1
+    c = TorusAlgebraElement(2, {(h, h): 1})
+    with pytest.raises(PackedRangeError):
+        c.act_matrix(((-1, -1), (0, 1)))
+    with pytest.raises(PackedRangeError):
+        c.reflect_telescope((1, 0), (2, 1), False, one, None)
+    # the image fits, D_x times the factor holds z^(MAX_EXP + 1)
+    zbracket = TorusAlgebraElement(2, {(0, 0): z_bracket(1, 1, 1)})
+    ztop = LaurentZ.var_power(1, 1, MAX_EXP)
+    c = TorusAlgebraElement(2, {(1, 0): ztop})
+    with pytest.raises(PackedRangeError):
+        c.reflect_telescope((1, -1), (1, -1), False, zbracket, None)
+    # <x, coroot> = 0: only the bracket term passes the range
+    c = TorusAlgebraElement(2, {(1, 1): ztop})
+    c.reflect_telescope((1, -1), (1, -1), False, one, None)
+    with pytest.raises(PackedRangeError):
+        c.reflect_telescope((1, -1), (1, -1), False, one, zbracket)

@@ -195,6 +195,87 @@ def test_descriptor_mismatch_rejected():
         multiply(DESCS["A1"], spec.unit(), spec.unit())
 
 
+def test_mixed_scalar_modes_rejected_in_any_order():
+    # one Fraction among int scalars, or one int among Fractions, is
+    # refused wherever it sits in the coefficient's dict
+    b2 = DESCS["B2"]
+    spec = b2.specialized((Fraction(3, 2),))
+    for desc, terms in ((b2, [((0, 0), LaurentZ.one(1)),
+                              ((1, 0), Fraction(1, 2))]),
+                        (spec, [((0, 0), Fraction(1)), ((1, 0), 2)])):
+        for order in (terms, terms[::-1]):
+            mixed = desc.element({desc.wext.identity:
+                                  TorusAlgebraElement(2, dict(order))})
+            with pytest.raises(HeckeError):
+                multiply(desc, desc.n_simple(0), mixed)
+            with pytest.raises(HeckeError):
+                multiply(desc, mixed, desc.unit())
+
+
+def _ns_step_oracle(desc, info, c, shorter):
+    """s(c) by act_matrix and the correction as a sum of bernstein_divide
+    terms, the right-hand side of check_bernstein."""
+    rank = desc.rd.rank
+    cs = c.act_matrix(info.matrix)
+    corr = TorusAlgebraElement(rank)
+    for x, e, v in c.monomials(desc.d):
+        div = bernstein_divide(x, info.root, info.halvable,
+                               desc.zmonomial(e) * v)
+        corr = corr + div.scale(desc.zbracket(info.zvar, info.lam))
+        if info.halvable:
+            corr = corr + div.shift(tuple(-a for a in info.root.vector)) \
+                .scale(desc.zbracket(info.zvar, info.lam_star))
+    if shorter:
+        corr = corr + cs.scale(desc.zbracket(info.zvar, info.lam))
+    return cs, corr
+
+
+def _largest_exponent(elem, nvars):
+    return max((max(map(abs, x + e), default=0)
+                for x, e, _ in elem.monomials(nvars)), default=0)
+
+
+@pytest.mark.parametrize("name", sorted(DESCS))
+def test_ns_step_matches_bernstein_oracle(name):
+    base = DESCS[name]
+    rng = random.Random(1989)
+    rank, zero = base.rd.rank, (0,) * base.rd.rank
+    forms = (base, base.specialized(tuple(Fraction(3 + j, 2)
+                                          for j in range(base.d))),
+             quotient_z1(base))
+    for desc in forms:
+        for info in desc.simple_info:
+            root = info.root.vector
+            quad = TorusAlgebraElement(rank, {zero: desc.zbracket(
+                info.zvar, info.lam)})
+            factor = TorusAlgebraElement(rank, {
+                zero: desc.zbracket(info.zvar, info.lam),
+                tuple(-a for a in root):
+                desc.zbracket(info.zvar, info.lam_star)}) \
+                if info.halvable else quad
+            for _ in range(6):
+                c = TorusAlgebraElement(rank, {
+                    tuple(rng.randint(-4, 4) for _ in range(rank)):
+                    desc.zmonomial([rng.randint(-2, 2) for _ in
+                                    range(desc.d)]) * rng.choice((-3, 1, 2))
+                    for _ in range(rng.randint(1, 5))})
+                reach = max(abs(sum(a * b for a, b in zip(x, info.root.coroot)))
+                            for x, _, _ in c.monomials(desc.d))
+                for shorter in (False, True):
+                    cs, corr = desc.ns_step(info, c, shorter)
+                    ocs, ocorr = _ns_step_oracle(desc, info, c, shorter)
+                    assert cs == ocs and cs.bound == ocs.bound
+                    assert corr == ocorr
+                    # the bounds of a separate telescope and bracket product
+                    bound = c.bound + factor.bound
+                    if factor:
+                        bound += reach * max(map(abs, root))
+                    if shorter:
+                        bound = max(bound, cs.bound + quad.bound)
+                    assert corr.bound == bound
+                    assert corr.bound >= _largest_exponent(ocorr, desc.d)
+
+
 def test_act_examples():
     desc = DESCS["A1"]
     e = TorusAlgebraElement.theta((1, 0), one(desc))
