@@ -9,11 +9,10 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import checks
 from .pipeline import (BUILTIN_EXAMPLES, ValidationError, assemble,
-                       datum_from_json, specialize_report)
+                       datum_from_json, parse_q, specialize_report)
 from .spectra import FiniteTorusPoint, common_order, extended_quotient_count
 from .weyl import ENUMERATION_CAP
 
@@ -36,12 +35,7 @@ def _load_datum(args):
 def cmd_describe(args) -> int:
     datum = _load_datum(args)
     report = assemble(datum)
-    try:
-        q = Fraction(args.q)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(["cannot parse q = %r: %s" % (args.q, exc)])
-    if q <= 0:
-        raise ValidationError(["q must be a positive rational"])
+    q = parse_q(report, args.q)
     specs = specialize_report(report, q)   # may refuse q: nothing printed yet
     if args.format == "json":
         doc = report.to_json()

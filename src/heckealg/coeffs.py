@@ -17,10 +17,10 @@ One sparse ring carries every coefficient of the Hecke algebras:
   rationals).
 * The graded coefficient ring S(t^*) (x) ZZ[r_1..r_d] is the same ring
   with nonnegative exponents; the r-exponents take the z-digits.
-* ``LaurentZ`` -- Laurent polynomials in z_1 .. z_d alone: the public
-  z-only scalar (brackets z^m - z^{-m}, z-monomials).  A
-  ``TorusAlgebraElement`` absorbs it on construction and in ``scale``; no
-  coefficient stores one.
+* ``LaurentZ`` -- ZZ[z_1^{\\pm 1}, .., z_d^{\\pm 1}] = ZZ[ZZ^d], the same
+  ring at rank d with the z-exponents as lattice digits.  A
+  ``TorusAlgebraElement`` absorbs it on construction and in ``scale`` by
+  shifting its keys up by ``rank`` digits; no coefficient stores one.
 
 Every ``TorusAlgebraElement`` carries ``bound``, an upper bound on the
 absolute value of its exponents, updated in O(1) per operation.  An
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import mul
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 Exps = Tuple[int, ...]
@@ -80,10 +80,9 @@ def _unpack(key: int, n: int) -> Tuple[Exps, int]:
 
 
 @lru_cache(maxsize=4096)
-def _packed(exps: Exps, start: int) -> Tuple[int, int]:
-    """(key, largest absolute exponent) of ``exps`` placed from digit
-    ``start`` on."""
-    return _pack(exps) << (WIDTH * start), max(map(abs, exps), default=0)
+def _packed(exps: Exps) -> Tuple[int, int]:
+    """(key, largest absolute exponent) of ``exps``."""
+    return _pack(exps), max(map(abs, exps), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -109,125 +108,6 @@ def _signed_permutation(matrix) -> Optional[Tuple[Tuple[int, int], ...]]:
     return tuple(out)
 
 
-class LaurentZ:
-    """Sparse Laurent polynomial over ZZ in a fixed number of variables."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Dict[Exps, int] | None = None):
-        self.nvars = nvars
-        out: Dict[Exps, int] = {}
-        for e, c in (terms or {}).items():
-            out[tuple(e)] = out.get(tuple(e), 0) + c
-        self.terms = {e: c for e, c in out.items() if c}
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "LaurentZ":
-        return cls(nvars)
-
-    @classmethod
-    def one(cls, nvars: int) -> "LaurentZ":
-        return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def const(cls, nvars: int, c: int) -> "LaurentZ":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def monomial(cls, nvars: int, exps: Iterable[int], coeff: int = 1) -> "LaurentZ":
-        return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
-    def var_power(cls, nvars: int, j: int, power: int, coeff: int = 1) -> "LaurentZ":
-        """coeff * z_j^power, with j 1-based."""
-        e = [0] * nvars
-        e[j - 1] = power
-        return cls(nvars, {tuple(e): coeff})
-
-    # -- ring structure ----------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentZ) and self.nvars == other.nvars \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __neg__(self) -> "LaurentZ":
-        return LaurentZ(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other: "LaurentZ") -> "LaurentZ":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        r = LaurentZ(self.nvars)
-        r.terms = out
-        return r
-
-    def __sub__(self, other: "LaurentZ") -> "LaurentZ":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentZ(self.nvars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, LaurentZ):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out: Dict[Exps, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        r = LaurentZ(self.nvars)
-        r.terms = {e: c for e, c in out.items() if c}
-        return r
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    # -- queries -----------------------------------------------------
-
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items()):
-            factors = []
-            if abs(c) != 1 or all(k == 0 for k in e):
-                factors.append(str(abs(c)))
-            for j, k in enumerate(e):
-                if k:
-                    factors.append("z%d^%d" % (j + 1, k))
-            term = "*".join(factors) if factors else "1"
-            parts.append(("- " if c < 0 else "+ ") + term)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
-
-
-def z_bracket(nvars: int, j: int, m: int) -> LaurentZ:
-    """z_j^m - z_j^{-m}; zero when m = 0."""
-    if m == 0:
-        return LaurentZ.zero(nvars)
-    return LaurentZ.var_power(nvars, j, m) - LaurentZ.var_power(nvars, j, -m)
-
-
 class TorusAlgebraElement:
     """Element of ZZ[X^*(T)] (x) scalar ring on packed monomial keys.
 
@@ -236,6 +116,7 @@ class TorusAlgebraElement:
     exponent.  The constructor takes a lattice vector -> scalar map whose
     scalars are ``LaurentZ`` (absorbed into the z-digits), ``int`` or
     ``Fraction``.  theta_x * theta_y = theta_{x+y}, extended bilinearly.
+    Ring operations return an element of the type of ``self``.
     """
 
     __slots__ = ("rank", "terms", "bound")
@@ -250,18 +131,15 @@ class TorusAlgebraElement:
             if len(x) != rank:
                 raise ValueError("lattice vector %r has rank %d, expected %d"
                                  % (x, len(x), rank))
-            xk, size = _packed(x, 0)
-            if size > bound:
-                bound = size
-            if not isinstance(v, LaurentZ):
+            xk, size = _packed(x)
+            if isinstance(v, LaurentZ):   # its keys move up to the z-digits
+                size = max(size, v.bound)
+                for zk, c in v.terms.items():
+                    k = xk + (zk << (WIDTH * rank))
+                    out[k] = get(k, 0) + c
+            else:
                 out[xk] = get(xk, 0) + v
-                continue
-            for e, c in v.terms.items():
-                zk, size = _packed(e, rank)
-                if size > bound:
-                    bound = size
-                k = xk + zk
-                out[k] = get(k, 0) + c
+            bound = max(bound, size)
         self.terms = {k: c for k, c in out.items() if c}
         self.bound = _check_bound(bound)
 
@@ -278,11 +156,11 @@ class TorusAlgebraElement:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TorusAlgebraElement) and self.rank == other.rank \
+        return type(other) is type(self) and self.rank == other.rank \
             and self.terms == other.terms
 
     def __neg__(self) -> "TorusAlgebraElement":
-        return _new(self.rank, {k: -c for k, c in self.terms.items()},
+        return _new(self, {k: -c for k, c in self.terms.items()},
                     self.bound)
 
     def __add__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
@@ -296,7 +174,7 @@ class TorusAlgebraElement:
                 out[k] = s
             else:
                 del out[k]
-        return _new(self.rank, out, max(self.bound, other.bound))
+        return _new(self, out, max(self.bound, other.bound))
 
     def __sub__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
         return self + (-other)
@@ -314,7 +192,7 @@ class TorusAlgebraElement:
             for k2, c2 in items:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        return _new(self.rank, {k: c for k, c in out.items() if c}, bound)
+        return _new(self, {k: c for k, c in out.items() if c}, bound)
 
     def scale(self, scalar) -> "TorusAlgebraElement":
         """Multiply by a LaurentZ, int or Fraction."""
@@ -322,16 +200,15 @@ class TorusAlgebraElement:
             return self * TorusAlgebraElement(self.rank,
                                               {(0,) * self.rank: scalar})
         if not scalar:
-            return TorusAlgebraElement(self.rank)
-        return _new(self.rank, {k: c * scalar for k, c in self.terms.items()},
+            return _new(self, {}, 0)
+        return _new(self, {k: c * scalar for k, c in self.terms.items()},
                     self.bound)
 
     def shift(self, x: Exps) -> "TorusAlgebraElement":
         """Multiply by theta_x."""
-        x = tuple(x)
-        d = _pack(x)
-        return _new(self.rank, {k + d: c for k, c in self.terms.items()},
-                    _check_bound(self.bound + max(map(abs, x), default=0)))
+        d, size = _packed(tuple(x))
+        return _new(self, {k + d: c for k, c in self.terms.items()},
+                    _check_bound(self.bound + size))
 
     def act_matrix(self, matrix) -> "TorusAlgebraElement":
         """theta_x -> theta_{Mx}, z-part untouched."""
@@ -353,7 +230,7 @@ class TorusAlgebraElement:
             out[k] = get(k, 0) + c
         if len(out) < len(self.terms):
             out = {k: c for k, c in out.items() if c}
-        return _new(rank, out, bound)
+        return _new(self, out, bound)
 
     def substitute(self, matrix) -> "TorusAlgebraElement":
         """x_i -> sum_j matrix[j][i] x_j on polynomials in the lattice
@@ -374,7 +251,7 @@ class TorusAlgebraElement:
             x, _ = _unpack(xk, rank)
             if min(x, default=0) < 0:
                 raise ValueError("substitution needs nonnegative exponents")
-            prod = _new(rank, {k - xk: c}, self.bound)
+            prod = _new(self, {k - xk: c}, self.bound)
             for i, a in enumerate(x):
                 for _ in range(a):
                     prod = prod * lin[i]
@@ -399,7 +276,7 @@ class TorusAlgebraElement:
                 odd = sum(v for v, (_, s) in zip(y, perm) if s < 0) % 2
                 move = moves[xk] = (_pack(y) - xk, -1 if odd else 1)
             out[k + move[0]] = c if move[1] == 1 else -c
-        return _new(rank, out, self.bound)
+        return _new(self, out, self.bound)
 
     def reflect_telescope(self, root: Exps, coroot: Exps, halvable: bool,
                           factor: "TorusAlgebraElement",
@@ -457,8 +334,8 @@ class TorusAlgebraElement:
             reach * max(map(abs, root)) if factor else 0)
         if bracket is not None:
             cbound = max(cbound, bound + bracket.bound)
-        return _new(rank, image, bound), _new(
-            rank, {k: c for k, c in out.items() if c}, _check_bound(cbound))
+        return _new(self, image, bound), _new(
+            self, {k: c for k, c in out.items() if c}, _check_bound(cbound))
 
     def divide_linear(self, alpha: Exps) -> "TorusAlgebraElement":
         """Exact quotient of a polynomial by the linear form
@@ -507,7 +384,7 @@ class TorusAlgebraElement:
         if any(any(layer.values()) for layer in layers.values()):
             raise ArithmeticError("nonzero remainder in division by %r"
                                   % (alpha,))
-        return _new(rank, quot, self.bound)
+        return _new(self, quot, self.bound)
 
     def monomials(self, nvars: int) -> Iterator[Tuple[Exps, Exps, object]]:
         """(x, e, scalar) for every term: the lattice exponents, the
@@ -525,35 +402,100 @@ class TorusAlgebraElement:
     def __repr__(self):
         if not self.terms:
             return "0"
-        groups: Dict[Exps, Dict[Exps, object]] = {}
+        groups: Dict[Exps, Dict[int, object]] = {}   # z-keys by lattice part
         for k, c in self.terms.items():
-            x, rest = _unpack(k, self.rank)
-            e = []
-            while rest:
-                (d,), rest = _unpack(rest, 1)
-                e.append(d)
-            groups.setdefault(x, {})[tuple(e)] = c
-        nvars = max(len(e) for g in groups.values() for e in g)
+            x, zk = _unpack(k, self.rank)
+            groups.setdefault(x, {})[zk] = c
+        # enough z-digits for every z-key; the text shows no zero exponent
+        nvars = max(abs(zk) for g in groups.values() for zk in g
+                    ).bit_length() // WIDTH + 1
         parts = []
         for x in sorted(groups):
             g = groups[x]
-            if len(g) == 1 and isinstance(g.get(()), Fraction):
-                scalar = g[()]
-            else:
-                scalar = LaurentZ(nvars, {e + (0,) * (nvars - len(e)): c
-                                          for e, c in g.items()})
-            parts.append("(%r)*theta%s" % (scalar, list(x)))
+            text = repr(g[0]) if len(g) == 1 and isinstance(
+                g.get(0), Fraction) else _z_text(g, nvars)
+            parts.append("(%s)*theta%s" % (text, list(x)))
         return " + ".join(parts)
 
 
-def _new(rank: int, terms: Dict[int, object], bound: int
+# The ring product, reached by LaurentZ directly so that a wrapper on
+# TorusAlgebraElement.__mul__ (bench/tracing.py) counts torus products only.
+_product = TorusAlgebraElement.__mul__
+
+
+def _new(like: TorusAlgebraElement, terms: Dict[int, object], bound: int
          ) -> TorusAlgebraElement:
-    """An element on already packed, already nonzero terms."""
-    r = object.__new__(TorusAlgebraElement)
-    r.rank = rank
+    """An element of the type and rank of ``like`` on already packed,
+    already nonzero terms."""
+    r = object.__new__(type(like))
+    r.rank = like.rank
     r.terms = terms
     r.bound = bound
     return r
+
+
+def _z_text(terms: Dict[int, object], nvars: int) -> str:
+    """``terms`` (keys of ``nvars`` z-digits) as a sum of z1^k monomials."""
+    if not terms:
+        return "0"
+    parts = []
+    for e, c in sorted((_unpack(k, nvars)[0], c) for k, c in terms.items()):
+        factors = [str(abs(c))] if abs(c) != 1 or not any(e) else []
+        factors += ["z%d^%d" % (j + 1, k) for j, k in enumerate(e) if k]
+        parts.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
+class LaurentZ(TorusAlgebraElement):
+    """Laurent polynomial over ZZ in z_1 .. z_nvars: the element of rank
+    ``nvars`` whose lattice digits are the z-exponents.  A LaurentZ equals
+    only a LaurentZ and also multiplies by an ``int``."""
+
+    __slots__ = ()
+
+    @property
+    def nvars(self) -> int:
+        return self.rank
+
+    @classmethod
+    def one(cls, nvars: int) -> "LaurentZ":
+        return cls(nvars, {(0,) * nvars: 1})
+
+    @classmethod
+    def const(cls, nvars: int, c: int) -> "LaurentZ":
+        return cls(nvars, {(0,) * nvars: c})
+
+    @classmethod
+    def monomial(cls, nvars: int, exps: Iterable[int], coeff: int = 1) -> "LaurentZ":
+        return cls(nvars, {tuple(exps): coeff})
+
+    @classmethod
+    def var_power(cls, nvars: int, j: int, power: int, coeff: int = 1) -> "LaurentZ":
+        """coeff * z_j^power, with j 1-based."""
+        return cls.monomial(nvars, (0,) * (j - 1) + (power,)
+                            + (0,) * (nvars - j), coeff)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        return _product(self, other)
+
+    def __rmul__(self, other):
+        return self.scale(other) if isinstance(other, int) else NotImplemented
+
+    def is_one(self) -> bool:
+        return self.terms == {0: 1}
+
+    def __repr__(self):
+        return _z_text(self.terms, self.rank)
+
+
+def z_bracket(nvars: int, j: int, m: int) -> LaurentZ:
+    """z_j^m - z_j^{-m}; zero when m = 0."""
+    if m == 0:
+        return LaurentZ.zero(nvars)
+    return LaurentZ.var_power(nvars, j, m) - LaurentZ.var_power(nvars, j, -m)
 
 
 # ---------------------------------------------------------------------------

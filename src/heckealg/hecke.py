@@ -236,8 +236,7 @@ class AffineDescriptor(HeckeDescriptor):
     def _validate_params(self):
         rd = self.rd
         nondiv = {r.vector: r for r in rd.nondivisible_roots}
-        halvable = {v for v, r in nondiv.items()
-                    if all(c % 2 == 0 for c in r.coroot)}
+        halvable = {v for v, r in nondiv.items() if r.halvable}
         if set(self.lam) != set(nondiv):
             raise HeckeError("lambda must be defined exactly on the "
                              "nondivisible roots")
@@ -266,11 +265,10 @@ class AffineDescriptor(HeckeDescriptor):
 
     def _simple_info(self, i: int) -> SimpleRootInfo:
         root = self.rd.simple_roots[i]
-        halv = all(c % 2 == 0 for c in root.coroot)
         return SimpleRootInfo(
             index=i, root=root, matrix=self.rd.simple_reflections()[i],
             zvar=root.component_index, lam=self.lam[root.vector],
-            lam_star=self.lam_star.get(root.vector), halvable=halv)
+            lam_star=self.lam_star.get(root.vector), halvable=root.halvable)
 
     # -- scalar ring ---------------------------------------------------
 
@@ -623,10 +621,8 @@ def affine_to_graded(desc: AffineDescriptor, exponents: Vector, order: int
     k: Dict[Vector, int] = {}
     for r in sub.nondivisible_roots:
         v = r.vector
-        amb = desc.rd.root(v)
-        halv = all(c % 2 == 0 for c in amb.coroot)
         pair_mod = sum(a * b for a, b in zip(v, exponents)) % order
-        if not halv:
+        if not desc.rd.root(v).halvable:
             if pair_mod != 0:
                 raise HeckeError("non-halvable subsystem root with alpha(t) != 1")
             k[v] = 2 * desc.lam[v]

@@ -346,7 +346,7 @@ def _block_params(datum_family: str, b: BlockDatum, rd: RootDatum,
         short = sum(c * c for c in r.vector) == 1
         if fam in ("A", "C", "D") or not short:
             lam[r.vector] = 1
-            if all(c % 2 == 0 for c in r.coroot):
+            if r.halvable:
                 lam_star[r.vector] = 1
         else:
             a = a_from_ell(b.side, b.ell)
@@ -637,6 +637,38 @@ def is_in_character_lattice(report: HeckeReport, x: Sequence[int]) -> bool:
     return sum(a * b for a, b in zip(w, x)) == 0
 
 
+def _check_q_bits(report: HeckeReport, bits: int) -> None:
+    """ValidationError when q^m, m the largest integer exponent of q in the
+    relations (q itself among them), could pass the interpreter's limit on
+    printed integer digits, q having ``bits`` bits above or below the bar."""
+    m = max([1] + [abs(r["exponent"]) for r in report.specializations()
+                   if isinstance(r["exponent"], int)])
+    limit = getattr(sys, "get_int_max_str_digits", int)()   # from 3.10.7
+    # q^m has at most m * bits bits, and log10(2) < 0.30103
+    if limit and m * bits * 30103 // 100000 + 1 > limit:
+        raise ValidationError(["q^%d could have more than %d digits, the "
+                               "limit for printed integers" % (m, limit)])
+
+
+def parse_q(report: HeckeReport, text: str) -> Fraction:
+    """``text`` as the positive rational q of ``specialize_report``.
+    Fraction builds 10^e for a decimal exponent e, so the digit limit is
+    applied to 10^e before Fraction sees the string."""
+    exp = re.search(r"e([-+]?[\d_]+)\s*$", text, re.IGNORECASE)
+    try:
+        size = abs(int(exp.group(1))) if exp else 0
+    except ValueError:   # malformed or over-long: Fraction refuses it
+        size = 0
+    _check_q_bits(report, size * 3321 // 1000)   # 10^size has more bits
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(["cannot parse q = %r: %s" % (text, exc)])
+    if q <= 0:
+        raise ValidationError(["q must be a positive rational"])
+    return q
+
+
 def specialize_report(report: HeckeReport, q: Fraction) -> List[dict]:
     """Quadratic relations specialized at z_block = q^{torsion/2}: each
     simple root contributes (T - q^{lambda*torsion})(T + 1) = 0, with the
@@ -644,14 +676,8 @@ def specialize_report(report: HeckeReport, q: Fraction) -> List[dict]:
     any power is taken, when q^m (q itself among them) could pass the
     interpreter's limit on printed integer digits."""
     rels, q = report.specializations(), Fraction(q)
-    m = max([1] + [abs(r["exponent"]) for r in rels
-                   if isinstance(r["exponent"], int)])
-    # q^m has at most m * bits bits, and log10(2) < 0.30103
-    bits = m * max(q.numerator.bit_length(), q.denominator.bit_length())
-    limit = getattr(sys, "get_int_max_str_digits", int)()   # from 3.10.7
-    if limit and bits * 30103 // 100000 + 1 > limit:
-        raise ValidationError(["q^%d could have more than %d digits, the "
-                               "limit for printed integers" % (m, limit)])
+    _check_q_bits(report, max(q.numerator.bit_length(),
+                              q.denominator.bit_length()))
     out = []
     for rel in rels:
         item = dict(rel)

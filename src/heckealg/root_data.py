@@ -67,6 +67,11 @@ class Root:
         if pairing(self.vector, self.coroot) != 2:
             raise RootDatumError("pairing <alpha, alpha^vee> must be 2: %r" % (self,))
 
+    @property
+    def halvable(self) -> bool:
+        """True iff alpha^vee lies in 2*X_*, i.e. every coordinate is even."""
+        return all(c % 2 == 0 for c in self.coroot)
+
 
 def _lex_positive(v: Vector) -> bool:
     for x in v:
@@ -207,10 +212,10 @@ def is_doubled(rd: RootDatum, alpha: Root) -> bool:
 
 
 def coroot_halvable(rd: RootDatum, alpha: Root) -> bool:
-    """True iff alpha^vee lies in 2*X_*, i.e. every coordinate is even."""
+    """``alpha.halvable`` for a root of ``rd``."""
     if alpha.vector not in rd._by_vector:
         raise RootDatumError("root not in datum")
-    return all(c % 2 == 0 for c in alpha.coroot)
+    return alpha.halvable
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +226,13 @@ def _unit(n: int, i: int, c: int = 1) -> Vector:
     return tuple(c if k == i else 0 for k in range(n))
 
 
-def build_classical(family: str, n: int, convention: str = "standard") -> RootDatum:
+def build_classical(family: str, n: int) -> RootDatum:
     """Standard root datum of the given classical family.
 
     family: one of A, B, C, D, BC.  A_n is realized GL-style in ZZ^{n+1};
     the other families live in ZZ^n.  For BC_n the full non-reduced set
     {+-e_i, +-2e_i, +-e_i +- e_j} is produced.
     """
-    if convention not in ("standard", "gl"):
-        raise RootDatumError("unknown lattice convention %r" % (convention,))
     family = family.upper()
     if n < 1:
         raise RootDatumError("rank parameter must be >= 1")

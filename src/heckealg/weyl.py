@@ -546,8 +546,7 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
     for r in rd.roots:
         if root_value_is(r.vector, exponents, order, 1):
             sub_vectors.append(r.vector)
-        elif all(c % 2 == 0 for c in r.coroot) and \
-                root_value_is(r.vector, exponents, order, -1):
+        elif r.halvable and root_value_is(r.vector, exponents, order, -1):
             sub_vectors.append(r.vector)
     subsystem = subdatum(rd, sub_vectors)
     reflection_part = table.subgroup(

@@ -105,6 +105,25 @@ def test_huge_q_exit_2_before_output(q, fmt, capsys):
     assert len(err.splitlines()) == 1 and "q^5" in err
 
 
+@pytest.mark.parametrize("q", ["1e10000000", "1e-10000000"])
+def test_huge_q_exponent_refused_before_parse(q, capsys):
+    # Fraction would build 10^(10^7) first, which took seconds
+    start = time.perf_counter()
+    code, out, err = run_cli(["describe", "--example", "gl-a2", "--q", q],
+                             capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "q^2" in err
+
+
+def test_q_exponent_within_digit_limit(capsys):
+    code, out, _ = run_cli(["describe", "--example", "gl-a2", "--q", "1e1000"],
+                           capsys)
+    assert code == 0
+    assert "at q = 1%s:" % ("0" * 1000) in out
+
+
 def test_large_q_below_digit_limit(capsys):
     code, out, _ = run_cli(["describe", "--example", "sp58", "--q", "1e800"],
                            capsys)

@@ -193,6 +193,24 @@ def test_exponent_past_packed_range_raises():
         half.act_matrix(((2, 1), (1, 1)))
 
 
+def test_laurent_past_packed_range_raises_on_construction():
+    LaurentZ.var_power(1, 1, MAX_EXP)
+    with pytest.raises(PackedRangeError):
+        LaurentZ.var_power(1, 1, MAX_EXP + 1)
+    with pytest.raises(PackedRangeError):
+        LaurentZ.monomial(2, (0, -MAX_EXP - 1))
+
+
+def test_laurent_equals_only_laurent():
+    z = LaurentZ.var_power(1, 1, 1)
+    torus = TorusAlgebraElement(1, {(1,): 1})
+    assert z.terms == torus.terms and z.rank == torus.rank
+    assert z != torus and torus != z
+    assert z == LaurentZ.monomial(1, (1,))
+    # ring operations keep the type
+    assert all(type(v) is LaurentZ for v in (z + z, z - z, -z, z * z, 2 * z))
+
+
 def _reflection(rng, rank, halvable):
     """(root, coroot) with <root, coroot> = 2, the coroot all even when
     ``halvable``: x -> x - <x, coroot> root is then a lattice reflection."""

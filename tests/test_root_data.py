@@ -103,8 +103,6 @@ def test_guards():
         build_classical("D", 1)
     with pytest.raises(RootDatumError):
         build_classical("A", 0)
-    with pytest.raises(RootDatumError):
-        build_classical("B", 2, convention="weird")
 
 
 def test_invalid_construction_rejected():

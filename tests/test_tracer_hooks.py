@@ -11,6 +11,7 @@ import random
 
 from heckealg import hecke
 from heckealg.checks import random_element, standard_descriptors
+from heckealg.coeffs import LaurentZ, TorusAlgebraElement
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -50,3 +51,23 @@ def test_tracer_hooks_resolve_and_round_trip():
     assert metrics["hecke.multiply_calls"] == 1
     assert metrics["hecke.ns_steps"] > 0
     assert metrics["weyl.reduced_word_s"] > 0
+
+
+def test_tracer_counts_laurent_and_torus_products_apart():
+    tracing = _load_tracing()
+    z = LaurentZ.var_power(2, 1, 1) - LaurentZ.var_power(2, 2, -1)
+    t = TorusAlgebraElement(1, {(1,): z, (-2,): 3})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        z * z
+        laurent = tracer.metrics()
+        tracer.reset()
+        t * t
+        torus = tracer.metrics()
+    finally:
+        tracer.remove()
+    assert (laurent["coeffs.laurent_mul_calls"],
+            laurent["coeffs.torus_mul_calls"]) == (1, 0)
+    assert (torus["coeffs.laurent_mul_calls"],
+            torus["coeffs.torus_mul_calls"]) == (0, 1)
