@@ -6,8 +6,8 @@ Exit codes: 0 success, 1 invariant-suite failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import math
 import sys
 
 from . import checks
@@ -91,28 +91,17 @@ def cmd_count(args) -> int:
         raise ValidationError(["|W_ext| = %d exceeds the enumeration cap %d"
                                % (group_order, ENUMERATION_CAP)])
     canonicalize = None
-    if report.character_lattice is not None:
-        w = report.character_lattice["constraint"]
-        g = math.gcd(*w) if w else 1
-        wr = tuple(x // g for x in w) if g else tuple(w)
+    lattice = report.character_lattice
+    if lattice is not None:
+        wr = tuple(x // lattice["quotient_order"]
+                   for x in lattice["constraint"])
 
         def canonicalize(e, order):
-            best = e
-            cur = e
-            for _ in range(order - 1):
-                cur = tuple((a + b) % order for a, b in zip(cur, wr))
-                if cur < best:
-                    best = cur
-            return best
+            return min(tuple((a + k * b) % order for a, b in zip(e, wr))
+                       for k in range(order))
 
-    pts = []
-    if rank == 0:
-        pts = [FiniteTorusPoint(n, ())]
-    else:
-        stack = [()]
-        for _ in range(rank):
-            stack = [t + (k,) for t in stack for k in range(n)]
-        pts = [FiniteTorusPoint(n, t) for t in stack]
+    pts = [FiniteTorusPoint(n, t)
+           for t in itertools.product(range(n), repeat=rank)]
     total, orbits = extended_quotient_count(desc.wext, desc.cocycle, pts,
                                             canonicalize)
     doc = {
@@ -170,6 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as "-1/2" after --q for an option
+    while "--q" in argv[:-1]:
+        i = argv.index("--q")
+        argv[i:i + 2] = ["--q=" + argv[i + 1]]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

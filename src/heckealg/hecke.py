@@ -551,12 +551,12 @@ class GradedDescriptor(HeckeDescriptor):
     def __init__(self, sub_rd: RootDatum, k: Dict[Vector, int],
                  diagram_matrices: Dict[str, Matrix],
                  diagram_table: Dict[Tuple[str, str], str],
-                 cocycle: Cocycle, identity_label: str = "e"):
+                 cocycle: Cocycle):
         self.k = {tuple(v): val for v, val in k.items()}
         if set(self.k) != {r.vector for r in sub_rd.nondivisible_roots}:
             raise HeckeError("k must be defined exactly on the nondivisible roots")
         super().__init__(sub_rd, ExtendedGroup(sub_rd, RGroup(
-            cocycle.labels, diagram_matrices, diagram_table, identity_label)),
+            cocycle.labels, diagram_matrices, diagram_table)),
             cocycle)
         self.weyl = self.wext.weyl
         self.diagram_matrices = self.wext.rgroup.matrices
@@ -656,11 +656,11 @@ def affine_to_graded(desc: AffineDescriptor, exponents: Vector, order: int
             table[(a, b)] = prod
             cocycle_table[(a, b)] = desc.cocycle(wt.labels[ga], wt.labels[gb])
     cocycle = Cocycle(labels, cocycle_table)
-    return GradedDescriptor(sub, k, matrices, table, cocycle, "e")
+    return GradedDescriptor(sub, k, matrices, table, cocycle)
 
 
 def graded_from_datum(rd: RootDatum, k: Dict[Vector, int]) -> GradedDescriptor:
     """Plain graded algebra of a root datum (trivial diagram part)."""
     return GradedDescriptor(
         rd, k, {"e": identity_matrix(rd.rank)}, {("e", "e"): "e"},
-        Cocycle.trivial(("e",)), "e")
+        Cocycle.trivial(("e",)))

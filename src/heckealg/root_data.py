@@ -186,12 +186,6 @@ class RootDatum:
         d = math.lcm(*(x.denominator for row in rows for x in row[k:]))
         return tuple(tuple(int(x * d) for x in row[k:]) for row in rows), d
 
-    def components(self) -> Dict[int, List[Root]]:
-        out: Dict[int, List[Root]] = {}
-        for r in self.roots:
-            out.setdefault(r.component_index, []).append(r)
-        return out
-
     def __repr__(self):
         return "RootDatum(rank=%d, %d roots, d=%d)" % (
             self.rank, len(self.roots), self.num_z_vars)
@@ -299,8 +293,7 @@ def merge_components(rd: RootDatum, new_index: Dict[int, int],
     return RootDatum(rd.rank, roots, num_z_vars)
 
 
-def subdatum(rd: RootDatum, vectors: Iterable[Vector],
-             num_z_vars: int | None = None) -> RootDatum:
+def subdatum(rd: RootDatum, vectors: Iterable[Vector]) -> RootDatum:
     """Root datum on the same lattice spanned by a reflection-closed subset."""
     vecs = set(map(tuple, vectors))
     roots = [r for r in rd.roots if r.vector in vecs]
@@ -308,12 +301,11 @@ def subdatum(rd: RootDatum, vectors: Iterable[Vector],
         missing = vecs - {r.vector for r in roots}
         raise RootDatumError("vectors %r are not roots of the ambient datum"
                              % (sorted(missing),))
-    return RootDatum(rd.rank, roots, num_z_vars or rd.num_z_vars)
+    return RootDatum(rd.rank, roots, rd.num_z_vars)
 
 
 def weyl_order_classical(family: str, n: int) -> int:
     """|W| for the classical families (A_n means the system A_n, order (n+1)!)."""
-    import math
     family = family.upper()
     if n == 0:
         return 1

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .root_data import RootDatum
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
@@ -52,6 +53,13 @@ class CentralCharacterPoint:
 # Finite groups with multiplication tables
 # ---------------------------------------------------------------------------
 
+class ConjugacyClass(NamedTuple):
+    """One class, as ``FiniteGroup.conjugacy_classes`` returns it."""
+    members: List
+    conjugators: Dict
+    centralizer: List
+
+
 class FiniteGroup:
     """Concrete finite group: elements are hashable, multiplication is a
     callable; a cocycle value is attached to each ordered pair."""
@@ -73,28 +81,27 @@ class FiniteGroup:
         fn = (lambda a, b: coc(a.diagram, b.diagram)) if coc else None
         return cls(els, group.mult, group.inv, group.identity, fn)
 
-    def class_of(self, g) -> Tuple[Dict, List]:
-        """One pass over the group: each member x of the class of g ->
+    def conjugacy_classes(self) -> List[ConjugacyClass]:
+        """One pass over the group per class, from its first member g in
+        element order: the members in element order, each member x ->
         some h with h g h^-1 = x, and the centralizer of g."""
-        conjugators: Dict = {}
-        centralizer = []
-        for h in self.elements:
-            x = self.mult(self.mult(h, g), self.inv(h))
-            conjugators.setdefault(x, h)
-            if x == g:
-                centralizer.append(h)
-        return conjugators, centralizer
-
-    def conjugacy_classes(self) -> List[List]:
         position = {g: i for i, g in enumerate(self.elements)}
         seen = set()
         classes = []
         for g in self.elements:
             if g in seen:
                 continue
-            cls_, _ = self.class_of(g)
-            classes.append(sorted(cls_, key=position.__getitem__))
-            seen.update(cls_)
+            conjugators: Dict = {}
+            centralizer = []
+            for h in self.elements:
+                x = self.mult(self.mult(h, g), self.inv(h))
+                conjugators.setdefault(x, h)
+                if x == g:
+                    centralizer.append(h)
+            classes.append(ConjugacyClass(
+                sorted(conjugators, key=position.__getitem__), conjugators,
+                centralizer))
+            seen.update(conjugators)
         return classes
 
 
@@ -102,20 +109,16 @@ def count_twisted_irreps(group: FiniteGroup) -> int:
     """Number of cocycle-regular conjugacy classes: g is regular iff
     cocycle(g, h) = cocycle(h, g) for all h centralizing g.
 
-    Only the centralizer of each class representative g is computed; a
-    member x = h g h^-1 has centralizer h C(g) h^-1.  Regularity is still
-    evaluated on every member, as a check that it is a class function."""
+    The classes come with the centralizer of their first member g only;
+    a member x = h g h^-1 has centralizer h C(g) h^-1.  Regularity is
+    still evaluated on every member, as a check that it is a class
+    function."""
     mult, coc = group.mult, group.cocycle_fn
     count = 0
-    for cls_ in group.conjugacy_classes():
-        g = cls_[0]
-        if len(cls_) == 1:
-            # g is central: its centralizer is the whole group
-            conjugators, cent = {}, group.elements
-        else:
-            conjugators, cent = group.class_of(g)
+    for members, conjugators, cent in group.conjugacy_classes():
+        g = members[0]
         regular_flags = []
-        for x in cls_:
+        for x in members:
             cx = cent
             if x != g:
                 h = conjugators[x]
@@ -206,19 +209,15 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
 
     Group elements are the ids of ``group.table``.  The starting points
     are swept once in sorted order, skipping those already seen; each
-    orbit costs one pass over the group, or two when the starting point
-    is not the orbit's least point.
+    orbit costs one pass over the group, whose images give the orbit and
+    the stabilizer of the swept point.  Stabilizers of points in one
+    orbit are conjugate, so their order and count are the orbit's.
     """
-    if not points:
-        return 0, []
     order = common_order(group, (p.order for p in points))
     canon = canonicalize or (lambda e, n: e)
     table = group.table
     ids = range(len(table.elements))
     labels = table.labels
-
-    def images(e):
-        return [canon(table.act_point(g, e, order), order) for g in ids]
 
     def cocycle_fn(a, b):
         return cocycle(labels[a], labels[b])
@@ -230,18 +229,15 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
     for e in sorted(starts):
         if e in seen:
             continue
-        moved = images(e)
+        moved = [canon(table.act_point(g, e, order), order) for g in ids]
         orbit = set(moved)
-        rep = min(orbit)
-        if rep != e:
-            moved = images(rep)
-        stab = [g for g in ids if moved[g] == rep]
+        stab = [g for g in ids if moved[g] == e]
         seen |= orbit
         sub = FiniteGroup(stab, table.mult, table.inv, table.identity,
                           cocycle_fn)
         cnt = count_twisted_irreps(sub)
-        reports.append(OrbitReport(FiniteTorusPoint(order, rep), len(orbit),
-                                   len(stab), cnt))
+        reports.append(OrbitReport(FiniteTorusPoint(order, min(orbit)),
+                                   len(orbit), len(stab), cnt))
         total += cnt
     reports.sort(key=lambda r: r.representative.exponents)
     return total, reports
@@ -276,15 +272,12 @@ def _canonicalize_orbit(group: ExtendedGroup, point: CentralCharacterPoint
                         ) -> CentralCharacterPoint:
     order = point.finite_part.order
     table = group.table
-    best = None
-    for g, m in enumerate(table.point_matrices):
-        fin = table.act_point(g, point.finite_part.exponents, order)
-        zs = tuple(sum(Fraction(row[k]) * point.z_exponents[k]
-                       for k in range(len(point.z_exponents))) for row in m)
-        key = (fin, zs)
-        if best is None or key < best:
-            best = key
-    return CentralCharacterPoint(FiniteTorusPoint(order, best[0]), best[1])
+    fin, zs = min(
+        (table.act_point(g, point.finite_part.exponents, order),
+         tuple(sum(a * z for a, z in zip(row, point.z_exponents))
+               for row in m))
+        for g, m in enumerate(table.point_matrices))
+    return CentralCharacterPoint(FiniteTorusPoint(order, fin), zs)
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,15 @@ def test_nonpositive_q_exit_2(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("q", ["-1e5", "-1/2"])
+def test_negative_q_not_read_as_option(q, capsys):
+    # argparse alone reads these as options and prints its usage
+    code, out, err = run_cli(["describe", "--example", "gl-a2", "--q", q],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err == "input error: q must be a positive rational\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("q", ["1e1000", "1e-999999"])
 def test_huge_q_exit_2_before_output(q, fmt, capsys):

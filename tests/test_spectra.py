@@ -8,7 +8,8 @@ from heckealg.spectra import (FiniteGroup, FiniteTorusPoint, SpectraError,
                               central_character, classify,
                               count_twisted_irreps, extended_quotient_count,
                               is_distinguished, twisted_algebra_center_dim)
-from heckealg.weyl import Cocycle, ExtendedGroup, RGroup, identity_matrix
+from heckealg.weyl import (Cocycle, ExtendedGroup, GroupTable, RGroup,
+                           identity_matrix)
 from oracle_helpers import (all_subgroups, bilinear_cocycles,
                             distinguished_bruteforce, weyl_finite_group,
                             _partitions, _valid_partition)
@@ -44,6 +45,66 @@ def test_count_examples():
     fg2 = FiniteGroup.from_extended(gg, cocycle=coc)
     assert count_twisted_irreps(fg2) == 1
     assert twisted_algebra_center_dim(fg2) == 1
+
+
+def _table_group(family, rank):
+    """W(family rank) on its table ids, with a mult that counts its calls."""
+    table = ExtendedGroup(build_classical(family, rank)).table
+    calls = [0]
+
+    def mult(a, b):
+        calls[0] += 1
+        return table.mult(a, b)
+    ids = list(range(len(table.elements)))
+    return FiniteGroup(ids, mult, table.inv, table.identity), calls
+
+
+@pytest.mark.parametrize("family, rank", [("B", 2), ("A", 3)])
+def test_conjugacy_class_records(family, rank):
+    fg, _ = _table_group(family, rank)
+    n, mult, inv = len(fg.elements), fg.mult, fg.inv
+    classes = fg.conjugacy_classes()
+    assert sorted(x for c in classes for x in c.members) == fg.elements
+    for members, conjugators, centralizer in classes:
+        g = members[0]
+        assert members == sorted(members) and set(conjugators) == set(members)
+        assert len(members) * len(centralizer) == n
+        assert all(mult(mult(h, g), inv(h)) == x
+                   for x, h in conjugators.items())
+        assert all(mult(c, g) == mult(g, c) for c in centralizer)
+
+
+@pytest.mark.parametrize("family, rank, expected",
+                         [("B", 2, 104), ("A", 3, 394)])
+def test_count_twisted_irreps_one_pass_per_class(family, rank, expected):
+    """2|G| products per class for its one pass, and 2|C(g)| to conjugate
+    the centralizer to each of the other |G|/|C(g)| - 1 members."""
+    fg, calls = _table_group(family, rank)
+    count_twisted_irreps(fg)
+    assert calls[0] == expected
+    n, classes = len(fg.elements), fg.conjugacy_classes()
+    assert expected == 2 * n * len(classes) + \
+        2 * sum(n - len(c.centralizer) for c in classes)
+
+
+def test_extended_quotient_one_pass_per_orbit(monkeypatch):
+    """A starting point that is not its orbit's least point costs one
+    pass over W(B2) too."""
+    g = ExtendedGroup(build_classical("B", 2))
+    g.table   # built before counting starts
+    calls = [0]
+    act_point = GroupTable.act_point
+
+    def counting(self, *args):
+        calls[0] += 1
+        return act_point(self, *args)
+    monkeypatch.setattr(GroupTable, "act_point", counting)
+    total, orbits = extended_quotient_count(
+        g, Cocycle.trivial(("e",)), [FiniteTorusPoint(2, (1, 0))])
+    assert calls[0] == 8
+    assert [(o.representative.exponents, o.orbit_size, o.stabilizer_order)
+            for o in orbits] == [((0, 1), 2, 4)]
+    assert total == orbits[0].count
 
 
 def test_counting_oracle_all_subgroups():

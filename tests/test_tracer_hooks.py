@@ -9,9 +9,11 @@ import importlib.util
 import pathlib
 import random
 
-from heckealg import hecke
+from heckealg import hecke, spectra
 from heckealg.checks import random_element, standard_descriptors
 from heckealg.coeffs import LaurentZ, TorusAlgebraElement
+from heckealg.root_data import build_classical
+from heckealg.weyl import ExtendedGroup
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -71,3 +73,22 @@ def test_tracer_counts_laurent_and_torus_products_apart():
             laurent["coeffs.torus_mul_calls"]) == (1, 0)
     assert (torus["coeffs.laurent_mul_calls"],
             torus["coeffs.torus_mul_calls"]) == (0, 1)
+
+
+def test_tracer_sees_the_class_pass_of_a_count():
+    tracing = _load_tracing()
+    group = spectra.FiniteGroup.from_extended(
+        ExtendedGroup(build_classical("B", 2)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # through the module attribute, which the tracer replaces
+        count = spectra.count_twisted_irreps(group)
+        metrics = tracer.metrics()
+        calls = dict(tracer.calls)
+    finally:
+        tracer.remove()
+    assert count == 5
+    assert metrics["spectra.conjugacy_classes_s"] > 0
+    assert metrics["spectra.twisted_irreps_s"] > 0
+    assert calls["twisted_irreps"] == calls["conjugacy_classes"] == 1
