@@ -279,15 +279,6 @@ def check_im(gd, rng: random.Random, pairs: int) -> bool:
     return True
 
 
-def check_graded_associativity(gd, rng: random.Random, triples: int) -> bool:
-    for _ in range(triples):
-        a, b, c = (random_graded(gd, rng) for _ in range(3))
-        if graded_multiply(gd, graded_multiply(gd, a, b), c) != \
-                graded_multiply(gd, a, graded_multiply(gd, b, c)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Minimal-coset and cone-identity sampling suite
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ One sparse ring carries every coefficient of the Hecke algebras:
 
   every exponent one balanced digit in [-MAX_EXP, MAX_EXP].  Then
   key(a) + key(b) = key(ab), and a monomial without z-part has the same
-  key whatever d is.  The scalar is an ``int`` in the symbolic and the
-  graded algebras and a ``Fraction`` in specialized ones (z fixed to
-  rationals).
+  key whatever d is.  Scalars are ``int``s (ZZ-mode: the symbolic and
+  graded algebras) or ``int`` numerators over one content-reduced
+  denominator (QQ-mode: specialized algebras, z fixed to rationals;
+  Geddes-Czapor-Labahn, Algorithms for Computer Algebra, ch. 2), so
+  ring operations stay in integer arithmetic.
 * The graded coefficient ring S(t^*) (x) ZZ[r_1..r_d] is the same ring
   with nonnegative exponents; the r-exponents take the z-digits.
 * ``LaurentZ`` -- ZZ[z_1^{\\pm 1}, .., z_d^{\\pm 1}] = ZZ[ZZ^d], the same
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
@@ -112,36 +115,59 @@ class TorusAlgebraElement:
     """Element of ZZ[X^*(T)] (x) scalar ring on packed monomial keys.
 
     ``terms`` maps key(x, e) (see the module docstring) to a nonzero
-    ``int`` or ``Fraction``; ``bound`` bounds the absolute value of every
-    exponent.  The constructor takes a lattice vector -> scalar map whose
-    scalars are ``LaurentZ`` (absorbed into the z-digits), ``int`` or
-    ``Fraction``.  theta_x * theta_y = theta_{x+y}, extended bilinearly.
-    Ring operations return an element of the type of ``self``.
+    ``int``: the scalar in ZZ-mode (``den`` None), its numerator in
+    QQ-mode (``den`` > 0, gcd(den, numerators) = 1, den 1 for zero);
+    ``bound`` bounds the absolute value of every exponent.  Constructor
+    scalars: ``LaurentZ`` (absorbed into the z-digits) or ``int`` give
+    ZZ-mode, ``Fraction`` QQ-mode (a ZZ and a QQ element combine in QQ),
+    others raise TypeError; both kinds at once give ``den`` 0, kept as
+    given, which ``hecke.multiply`` refuses and ``+`` and ``*`` raise
+    TypeError on.  theta_x * theta_y = theta_{x+y}, extended bilinearly;
+    ring operations return an element of the type of ``self``.
     """
 
-    __slots__ = ("rank", "terms", "bound")
+    __slots__ = ("rank", "terms", "bound", "den")
 
     def __init__(self, rank: int, terms: Dict[Exps, object] | None = None):
         self.rank = rank
         out: Dict[int, object] = {}
         get = out.get
         bound = 0
+        ints = fracs = False   # the scalar kinds given
         for x, v in (terms or {}).items():
             x = tuple(x)
             if len(x) != rank:
                 raise ValueError("lattice vector %r has rank %d, expected %d"
                                  % (x, len(x), rank))
             xk, size = _packed(x)
-            if isinstance(v, LaurentZ):   # its keys move up to the z-digits
+            if isinstance(v, LaurentZ) and v.den is None:   # to the z-digits
+                ints = True
                 size = max(size, v.bound)
                 for zk, c in v.terms.items():
                     k = xk + (zk << (WIDTH * rank))
                     out[k] = get(k, 0) + c
-            else:
+            elif isinstance(v, int):
+                ints = True
                 out[xk] = get(xk, 0) + v
+            elif isinstance(v, Fraction):
+                fracs = True
+                out[xk] = get(xk, 0) + v
+            else:
+                raise TypeError("scalar %r is not an int, a Fraction or a "
+                                "LaurentZ over ZZ" % (v,))
             bound = max(bound, size)
-        self.terms = {k: c for k, c in out.items() if c}
+        out = {k: c for k, c in out.items() if c}
+        den = None
+        if fracs:
+            if ints:
+                den = 0
+            else:   # lowest terms in, so gcd(den, numerators) = 1 out
+                den = lcm(*(c.denominator for c in out.values()))
+                out = {k: c.numerator * (den // c.denominator)
+                       for k, c in out.items()}
+        self.terms = out
         self.bound = _check_bound(bound)
+        self.den = den
 
     @classmethod
     def zero(cls, rank: int) -> "TorusAlgebraElement":
@@ -156,25 +182,33 @@ class TorusAlgebraElement:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
+        """By value: ZZ-integers equal QQ-ones over den 1."""
         return type(other) is type(self) and self.rank == other.rank \
-            and self.terms == other.terms
+            and self.terms == other.terms \
+            and (self.den or 1) == (other.den or 1)
 
     def __neg__(self) -> "TorusAlgebraElement":
         return _new(self, {k: -c for k, c in self.terms.items()},
-                    self.bound)
+                    self.bound, self.den)
 
     def __add__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out = dict(self.terms)
+        da, db = self.den, other.den
+        den, fa, fb = (None, 1, 1) if da is db is None else _common(da, db)
+        out = dict(self.terms) if fa == 1 else \
+            {k: c * fa for k, c in self.terms.items()}
         get = out.get
-        for k, c in other.terms.items():
+        items = other.terms.items()
+        if fb != 1:
+            items = [(k, c * fb) for k, c in items]
+        for k, c in items:
             s = get(k, 0) + c
             if s:
                 out[k] = s
             else:
                 del out[k]
-        return _new(self, out, max(self.bound, other.bound))
+        return _new(self, out, max(self.bound, other.bound), den)
 
     def __sub__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
         return self + (-other)
@@ -185,30 +219,38 @@ class TorusAlgebraElement:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         bound = _check_bound(self.bound + other.bound)
+        da, db = self.den, other.den
+        den = None if da is db is None else _qden(da) * _qden(db)
+        terms, items = self.terms, other.terms.items()
+        if len(terms) == 1:   # one term: a key shift and a scalar product
+            terms, items = other.terms, terms.items()
+        if len(items) == 1:
+            (k2, c2), = items
+            return _new(self, {k + k2: c * c2 for k, c in terms.items()},
+                        bound, den)
         out: Dict[int, object] = {}
         get = out.get
-        items = other.terms.items()
-        for k1, c1 in self.terms.items():
+        for k1, c1 in terms.items():
             for k2, c2 in items:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        return _new(self, {k: c for k, c in out.items() if c}, bound)
+        return _new(self, {k: c for k, c in out.items() if c}, bound, den)
 
     def scale(self, scalar) -> "TorusAlgebraElement":
-        """Multiply by a LaurentZ, int or Fraction."""
-        if isinstance(scalar, LaurentZ):
-            return self * TorusAlgebraElement(self.rank,
-                                              {(0,) * self.rank: scalar})
-        if not scalar:
-            return _new(self, {}, 0)
-        return _new(self, {k: c * scalar for k, c in self.terms.items()},
-                    self.bound)
+        """Multiply by a scalar the constructor takes (a Fraction moves a
+        ZZ-element to QQ); any other raises TypeError."""
+        if isinstance(scalar, int):   # no scalar element to build
+            return _new(self, {k: c * scalar for k, c in self.terms.items()}
+                        if scalar else {}, self.bound if scalar else 0,
+                        self.den)
+        return self * TorusAlgebraElement(self.rank,
+                                          {(0,) * self.rank: scalar})
 
     def shift(self, x: Exps) -> "TorusAlgebraElement":
         """Multiply by theta_x."""
         d, size = _packed(tuple(x))
         return _new(self, {k + d: c for k, c in self.terms.items()},
-                    _check_bound(self.bound + size))
+                    _check_bound(self.bound + size), self.den)
 
     def act_matrix(self, matrix) -> "TorusAlgebraElement":
         """theta_x -> theta_{Mx}, z-part untouched."""
@@ -230,7 +272,7 @@ class TorusAlgebraElement:
             out[k] = get(k, 0) + c
         if len(out) < len(self.terms):
             out = {k: c for k, c in out.items() if c}
-        return _new(self, out, bound)
+        return _new(self, out, bound, self.den)
 
     def substitute(self, matrix) -> "TorusAlgebraElement":
         """x_i -> sum_j matrix[j][i] x_j on polynomials in the lattice
@@ -251,7 +293,7 @@ class TorusAlgebraElement:
             x, _ = _unpack(xk, rank)
             if min(x, default=0) < 0:
                 raise ValueError("substitution needs nonnegative exponents")
-            prod = _new(self, {k - xk: c}, self.bound)
+            prod = _new(self, {k - xk: c}, self.bound, self.den)
             for i, a in enumerate(x):
                 for _ in range(a):
                     prod = prod * lin[i]
@@ -276,7 +318,7 @@ class TorusAlgebraElement:
                 odd = sum(v for v, (_, s) in zip(y, perm) if s < 0) % 2
                 move = moves[xk] = (_pack(y) - xk, -1 if odd else 1)
             out[k + move[0]] = c if move[1] == 1 else -c
-        return _new(self, out, self.bound)
+        return _new(self, out, self.bound, self.den)
 
     def reflect_telescope(self, root: Exps, coroot: Exps, halvable: bool,
                           factor: "TorusAlgebraElement",
@@ -293,7 +335,7 @@ class TorusAlgebraElement:
         key(s x) = key(x) - n key(root): each lattice part is decoded once.
         Bounds: that of ``act_matrix`` for s(c); the larger of bound(c) +
         max|n| max|root| + bound(factor) and bound(s(c)) + bound(bracket)
-        for the correction."""
+        for the correction, over one denominator in QQ-mode."""
         rank = self.rank
         akey = _pack(root)
         skey = 2 * akey if halvable else akey
@@ -323,10 +365,15 @@ class TorusAlgebraElement:
             for y in ds:
                 y += k
                 tele[y] = get(y, 0) + v
+        mden, ff, fb = (factor.den, 1, 1) if bracket is None else \
+            _common(factor.den, bracket.den)
+        den = None if self.den is mden is None else \
+            _qden(self.den) * _qden(mden)
         out: Dict[int, object] = {}
         get = out.get
-        for part, mult in ((tele, factor), (image, bracket)):
+        for part, mult, f in ((tele, factor, ff), (image, bracket, fb)):
             for fk, b in mult.terms.items() if mult is not None else ():
+                b *= f
                 for k, v in part.items():
                     key = k + fk
                     out[key] = get(key, 0) + v * b
@@ -334,8 +381,9 @@ class TorusAlgebraElement:
             reach * max(map(abs, root)) if factor else 0)
         if bracket is not None:
             cbound = max(cbound, bound + bracket.bound)
-        return _new(self, image, bound), _new(
-            self, {k: c for k, c in out.items() if c}, _check_bound(cbound))
+        return _new(self, image, bound, self.den), _new(
+            self, {k: c for k, c in out.items() if c}, _check_bound(cbound),
+            den)
 
     def divide_linear(self, alpha: Exps) -> "TorusAlgebraElement":
         """Exact quotient of a polynomial by the linear form
@@ -343,11 +391,14 @@ class TorusAlgebraElement:
 
         Works down the layers of the pivot variable's digit, carrying the
         other digits (the r-exponents among them) along.  A nonzero
-        remainder or a fractional quotient of int scalars raises
-        ArithmeticError."""
+        remainder or a fractional quotient in ZZ-mode raises
+        ArithmeticError.  QQ-mode first multiplies numerators and ``den``
+        by |c_pivot|: by Gauss's lemma an exact quotient has a denominator
+        dividing den * content(alpha), so every step then divides."""
         rank = self.rank
+        den = self.den
         if not self:
-            return TorusAlgebraElement(rank)
+            return _new(self, {}, 0, den)
         pivots = [i for i, c in enumerate(alpha) if c]
         pivot = min(pivots, key=lambda i: (abs(alpha[i]) != 1, i))
         c_piv = alpha[pivot]
@@ -357,11 +408,15 @@ class TorusAlgebraElement:
         unit = 1 << (WIDTH * pivot)
         others = [(1 << (WIDTH * j), cj) for j, cj in enumerate(alpha)
                   if j != pivot and cj]
+        clear = 1
+        if den is not None:
+            clear = abs(c_piv)
+            den = _qden(den) * clear
         layers: Dict[int, Dict[int, object]] = {}
         low = _low_split(pivot + 1)[0]   # layers by the pivot digit
         for k, v in self.terms.items():
             layers.setdefault((((k + low) >> (WIDTH * pivot)) & _MASK) - _HALF,
-                              {})[k] = v
+                              {})[k] = v * clear
         quot: Dict[int, object] = {}
         for deg in range(max(layers), 0, -1):
             layer = layers.pop(deg, {})
@@ -369,12 +424,9 @@ class TorusAlgebraElement:
             for k, v in layer.items():
                 if not v:
                     continue
-                if isinstance(v, Fraction):
-                    q = v / c_piv
-                elif v % c_piv:
+                if v % c_piv:
                     raise ArithmeticError("inexact division by %r" % (alpha,))
-                else:
-                    q = v // c_piv
+                q = v // c_piv
                 qk = k - unit
                 quot[qk] = q
                 # subtract q * (alpha - c_piv x_pivot): the other variables
@@ -384,28 +436,30 @@ class TorusAlgebraElement:
         if any(any(layer.values()) for layer in layers.values()):
             raise ArithmeticError("nonzero remainder in division by %r"
                                   % (alpha,))
-        return _new(self, quot, self.bound)
+        return _new(self, quot, self.bound, den)
 
     def monomials(self, nvars: int) -> Iterator[Tuple[Exps, Exps, object]]:
         """(x, e, scalar) for every term: the lattice exponents, the
         ``nvars`` z- (or r-) exponents and the scalar.  Raises ValueError
-        when a monomial has a nonzero z-exponent past ``nvars``."""
-        rank = self.rank
+        when a monomial has a nonzero z-exponent past ``nvars``.  The
+        scalar is an ``int`` in ZZ-mode and a ``Fraction`` in QQ-mode."""
+        rank, den = self.rank, self.den
         for k, c in self.terms.items():
             x, rest = _unpack(k, rank)
             e, rest = _unpack(rest, nvars)
             if rest:
                 raise ValueError("monomial with more than %d z-exponents"
                                  % nvars)
-            yield x, e, c
+            yield x, e, Fraction(c, den) if den else c
 
     def __repr__(self):
         if not self.terms:
             return "0"
         groups: Dict[Exps, Dict[int, object]] = {}   # z-keys by lattice part
+        den = self.den
         for k, c in self.terms.items():
             x, zk = _unpack(k, self.rank)
-            groups.setdefault(x, {})[zk] = c
+            groups.setdefault(x, {})[zk] = Fraction(c, den) if den else c
         # enough z-digits for every z-key; the text shows no zero exponent
         nvars = max(abs(zk) for g in groups.values() for zk in g
                     ).bit_length() // WIDTH + 1
@@ -423,15 +477,37 @@ class TorusAlgebraElement:
 _product = TorusAlgebraElement.__mul__
 
 
-def _new(like: TorusAlgebraElement, terms: Dict[int, object], bound: int
-         ) -> TorusAlgebraElement:
+def _new(like: TorusAlgebraElement, terms: Dict[int, object], bound: int,
+         den: Optional[int]) -> TorusAlgebraElement:
     """An element of the type and rank of ``like`` on already packed,
-    already nonzero terms."""
+    already nonzero terms; a QQ-element is reduced by its content."""
+    if den:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            den //= g
     r = object.__new__(type(like))
     r.rank = like.rank
     r.terms = terms
     r.bound = bound
+    r.den = den
     return r
+
+
+def _qden(den: Optional[int]) -> int:
+    """``den`` in QQ-mode, 1 in ZZ-mode; TypeError for mixed scalars."""
+    if den == 0:
+        raise TypeError("int and Fraction scalars mixed in one element")
+    return den or 1
+
+
+def _common(da: Optional[int], db: Optional[int]) -> Tuple:
+    """(den, fa, fb): the denominator of a sum (None in ZZ) and the
+    factors that bring the numerators of the summands over it."""
+    if da == db != 0:
+        return da, 1, 1
+    den = lcm(_qden(da), _qden(db))
+    return den, den // (da or 1), den // (db or 1)
 
 
 def _z_text(terms: Dict[int, object], nvars: int) -> str:

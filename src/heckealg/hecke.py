@@ -207,7 +207,7 @@ class AffineDescriptor(HeckeDescriptor):
 
     ``z_values=None`` gives the symbolic algebra over ZZ[z^{+-1}]; a tuple
     of positive rationals gives the specialization at those values (the
-    coefficients become Fractions).
+    coefficients are in QQ-mode: integer numerators over one denominator).
     """
 
     def __init__(self, rd: RootDatum, wext: ExtendedGroup,
@@ -384,13 +384,14 @@ def _ngamma_mul(desc: HeckeDescriptor, label: str,
 
 
 def _check_element(desc: HeckeDescriptor, elem: HeckeElement) -> None:
+    """HeckeError unless every key is in W_ext and every coefficient has
+    the rank and scalar mode (QQ only if specialized) of ``desc``."""
     index = desc.wext.table.index
     specialized = desc.z_values is not None
     for key, c in elem.terms.items():
         if key not in index or c.rank != desc.rd.rank:
             raise HeckeError("element does not belong to this descriptor")
-        types = set(map(type, c.terms.values()))
-        if types - {Fraction} if specialized else Fraction in types:
+        if not (c.den if specialized else c.den is None):
             raise HeckeError("element scalar mode does not match the "
                              "descriptor (symbolic vs specialized)")
 

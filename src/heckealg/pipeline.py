@@ -629,14 +629,6 @@ def _sl_rgroup(spec: SLRGroupSpec) -> Tuple[RGroup, Cocycle]:
     return rg, cocycle
 
 
-def is_in_character_lattice(report: HeckeReport, x: Sequence[int]) -> bool:
-    """SL case: membership of a character in the quotient-torus lattice."""
-    if report.character_lattice is None:
-        return True
-    w = report.character_lattice["constraint"]
-    return sum(a * b for a, b in zip(w, x)) == 0
-
-
 def _check_q_bits(report: HeckeReport, bits: int) -> None:
     """ValidationError when q^m, m the largest integer exponent of q in the
     relations (q itself among them), could pass the interpreter's limit on

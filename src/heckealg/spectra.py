@@ -160,21 +160,6 @@ def twisted_algebra_center_dim(group: FiniteGroup) -> int:
     return n - len(rref(_commutation_rows(group), n)[1])
 
 
-def twisted_algebra_center_basis(group: FiniteGroup) -> List[List[Fraction]]:
-    """Exact basis (coefficient vectors over the group basis) of the
-    centre of the twisted group algebra."""
-    n = len(group.elements)
-    rows, pivots = rref(_commutation_rows(group), n)
-    basis = []
-    for fcol in (c for c in range(n) if c not in pivots):
-        vec = [Fraction(0)] * n
-        vec[fcol] = Fraction(1)
-        for row, pcol in zip(rows, pivots):
-            vec[pcol] = -row[fcol]
-        basis.append(vec)
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # Extended quotients
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Shared independent oracles for the spectra and acceptance tests."""
+"""Shared independent oracles and test-only helpers."""
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
-from heckealg.spectra import FiniteGroup
+from heckealg.checks import random_graded
+from heckealg.hecke import graded_multiply
+from heckealg.spectra import FiniteGroup, _commutation_rows
 from heckealg.weyl import (ExtendedGroup, RGroup, identity_matrix, mat_apply,
-                           mat_mul)
+                           mat_mul, rref)
 
 
 def word_matrix(rd, word):
@@ -272,3 +275,34 @@ def distinguished_bruteforce(side, parts):
     return True
 
 
+def twisted_algebra_center_basis(group):
+    """Exact basis (coefficient vectors over the group basis) of the
+    centre of the twisted group algebra."""
+    n = len(group.elements)
+    rows, pivots = rref(_commutation_rows(group), n)
+    basis = []
+    for fcol in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fcol] = Fraction(1)
+        for row, pcol in zip(rows, pivots):
+            vec[pcol] = -row[fcol]
+        basis.append(vec)
+    return basis
+
+
+def is_in_character_lattice(report, x):
+    """SL case: membership of a character in the quotient-torus lattice."""
+    if report.character_lattice is None:
+        return True
+    w = report.character_lattice["constraint"]
+    return sum(a * b for a, b in zip(w, x)) == 0
+
+
+def check_graded_associativity(gd, rng, triples):
+    """(ab)c == a(bc) for ``triples`` random triples of graded elements."""
+    for _ in range(triples):
+        a, b, c = (random_graded(gd, rng) for _ in range(3))
+        if graded_multiply(gd, graded_multiply(gd, a, b), c) != \
+                graded_multiply(gd, a, graded_multiply(gd, b, c)):
+            return False
+    return True

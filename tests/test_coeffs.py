@@ -1,5 +1,7 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 import pytest
@@ -19,6 +21,14 @@ def rand_tae(rng, rank, nvars, nterms=3):
     return TorusAlgebraElement(
         rank, {tuple(rng.randint(-2, 2) for _ in range(rank)):
                rand_laurent(rng, nvars, 2) for _ in range(nterms)})
+
+
+def rand_qtae(rng, rank, nvars, nterms=3):
+    """A QQ-mode element: two ZZ-elements over two random denominators."""
+    a, b = (rand_tae(rng, rank, nvars, nterms).scale(
+        Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(2, 9)))
+        for _ in range(2))
+    return a + b
 
 
 def test_laurent_basics():
@@ -172,6 +182,133 @@ def test_packed_ring_matches_sympy():
                          for i in range(rank)}
         assert same(p.substitute(m), _sympy_form(sympy, p, nvars).subs(
             linear_images, simultaneous=True))
+
+        # QQ-mode, integer numerators over one denominator, every other trial
+        if trial % 2:
+            continue
+        qa, qb = (rand_qtae(rng, rank, nvars, nterms=n) for n in (2, 1))
+        assert qa.den and qb.den
+        sqa, sqb = (_sympy_form(sympy, e, nvars) for e in (qa, qb))
+        assert same(qa + qb, sqa + sqb)
+        assert same(qa - qb, sqa - sqb)
+        assert same(qa * qb, sqa * sqb)
+        f = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+        assert same(qa.scale(f), sqa * sympy.Rational(f.numerator,
+                                                      f.denominator))
+        assert same(qa.act_matrix(m), sqa.subs(monomial_images,
+                                               simultaneous=True))
+        # the N_s step: corr (1 - theta_{-step}) = (c - s c) factor
+        # + s(c) bracket (1 - theta_{-step})
+        halvable = trial % 4 == 0
+        root, coroot = _reflection(rng, rank, halvable)
+        step = [(2 if halvable else 1) * a for a in root]
+        refl = tuple(tuple(int(i == j) - root[i] * coroot[j]
+                           for j in range(rank)) for i in range(rank))
+        c = TorusAlgebraElement(rank, {
+            tuple(rng.randint(-1, 1) for _ in range(rank)): rand_laurent(
+                rng, nvars, 1) for _ in range(2)}).scale(
+            Fraction(rng.randint(1, 4), rng.randint(2, 6)))
+        factor = rand_qtae(rng, rank, nvars, nterms=1)
+        bracket = TorusAlgebraElement(rank, {(0,) * rank: rand_laurent(
+            rng, nvars, 2)}).scale(Fraction(1, rng.randint(2, 5)))
+        cs, corr = c.reflect_telescope(root, coroot, halvable, factor,
+                                       bracket)
+        sc, sfactor, sbracket = (_sympy_form(sympy, e, nvars)
+                                 for e in (c, factor, bracket))
+        scs = sc.subs({xs[j]: sympy.Mul(*(xs[i] ** refl[i][j]
+                                           for i in range(rank)))
+                       for j in range(rank)}, simultaneous=True)
+        assert same(cs, scs)
+        denom = 1 - sympy.Mul(*(v ** -k for v, k in zip(xs, step)))
+        assert sympy.expand(_sympy_form(sympy, corr, nvars) * denom
+                            - (sc - scs) * sfactor
+                            - scs * sbracket * denom) == 0
+        # exact division by a linear form, pivots of size 1 and 2
+        alpha = ((1, -1, 0), (2, 3, 0), (0, -2, 2), (0, 0, 2))[trial // 2 % 4]
+        q = TorusAlgebraElement(rank, {
+            tuple(rng.randint(0, 2) for _ in range(rank)): rand_laurent(
+                rng, nvars, 2) for _ in range(3)}).scale(
+            Fraction(rng.randint(1, 5), rng.randint(2, 7)))
+        form = TorusAlgebraElement(rank, {
+            tuple(int(i == j) for j in range(rank)): a
+            for i, a in enumerate(alpha) if a})
+        quotient = (q * form).divide_linear(alpha)
+        assert same(quotient, _sympy_form(sympy, q, nvars))
+        assert quotient.den
+
+
+def test_inexact_scalars_refused():
+    # only int, Fraction and LaurentZ over ZZ get in: no floats
+    one = TorusAlgebraElement.theta((0,), 1)
+    half_laurent = LaurentZ.one(1).scale(Fraction(1, 2))
+    for bad in (0.5, 1.0, Decimal("0.25"), 1j, half_laurent):
+        with pytest.raises(TypeError):
+            TorusAlgebraElement(1, {(0,): bad})
+        with pytest.raises(TypeError):
+            TorusAlgebraElement(1, {(1,): 1, (0,): bad})
+        with pytest.raises(TypeError):
+            one.scale(bad)
+
+
+def test_rational_mode_canonical_form():
+    def canonical(e):
+        return e.den > 0 and gcd(e.den, *e.terms.values()) == 1 and \
+            all(type(c) is int and c for c in e.terms.values())
+
+    # int and LaurentZ scalars give ZZ-mode, Fraction scalars QQ-mode
+    assert TorusAlgebraElement(1, {(0,): 2}).den is None
+    assert TorusAlgebraElement(1, {(0,): LaurentZ.one(1)}).den is None
+    a = TorusAlgebraElement(2, {(0, 1): Fraction(-3, 4),
+                                (1, 0): Fraction(5, 6), (0, 0): Fraction(2)})
+    assert a.den == 12 and sorted(a.terms.values()) == [-9, 10, 24]
+    # negative numerators survive the content reduction
+    b = TorusAlgebraElement(1, {(0,): Fraction(-2, 4), (1,): Fraction(-1, 6)})
+    assert b.den == 6 and sorted(b.terms.values()) == [-3, -1]
+    for e, den, nums in ((b + b, 3, [-3, -1]), (b.scale(6), 1, [-3, -1]),
+                         (b.scale(Fraction(-3)), 2, [1, 3]),
+                         (-b, 6, [1, 3]), (b * b, 36, [1, 6, 9])):
+        assert canonical(e) and e.den == den
+        assert sorted(e.terms.values()) == nums
+    # zero: empty terms over den 1, however it is reached
+    for zero in (a - a, a.scale(0), a * TorusAlgebraElement.zero(2),
+                 TorusAlgebraElement(1, {(0,): Fraction(0)})):
+        assert zero.terms == {} and zero.den == 1 and not zero
+    # equality by value across the modes
+    assert TorusAlgebraElement(1, {(0,): 1}) == \
+        TorusAlgebraElement(1, {(0,): Fraction(1)})
+    assert TorusAlgebraElement(1, {(0,): 1}) != \
+        TorusAlgebraElement(1, {(0,): Fraction(1, 2)})
+    # QQ-quotients where ZZ would be inexact
+    assert TorusAlgebraElement(1, {(1,): Fraction(1)}).divide_linear((2,)) \
+        == TorusAlgebraElement(1, {(0,): Fraction(1, 2)})
+    # Fractions come back out, with the text of the Fraction scalars
+    assert sorted(c for _, _, c in a.monomials(0)) == \
+        [Fraction(-3, 4), Fraction(5, 6), Fraction(2)]
+    assert repr(a) == ("(Fraction(2, 1))*theta[0, 0] + (Fraction(-3, 4))"
+                       "*theta[0, 1] + (Fraction(5, 6))*theta[1, 0]")
+    z = TorusAlgebraElement(1, {(0,): LaurentZ.var_power(1, 1, 2, -3)
+                                + LaurentZ.one(1)}).scale(Fraction(2, 9))
+    assert canonical(z) and repr(z) == "(2/9 - 2/3*z1^2)*theta[0]"
+    # int and Fraction scalars mixed: in neither ring
+    mixed = TorusAlgebraElement(1, {(0,): 1, (1,): Fraction(1, 2)})
+    assert mixed.den == 0
+    with pytest.raises(TypeError):
+        mixed + mixed
+    with pytest.raises(TypeError):
+        mixed * b
+
+
+def test_one_term_products_match_the_general_product():
+    rng = random.Random(41)
+    for trial in range(30):
+        a = rand_tae(rng, 2, 1) if trial % 2 else rand_qtae(rng, 2, 1)
+        x = tuple(rng.randint(-3, 3) for _ in range(2))
+        lz = rand_laurent(rng, 1, 1) or LaurentZ.one(1)
+        scalar = lz if trial % 3 else Fraction(rng.randint(1, 4), 3)
+        mono = TorusAlgebraElement(2, {x: scalar})
+        expect = a.shift(x).scale(scalar)
+        assert a * mono == expect and mono * a == expect
+        assert (a * mono).bound == a.bound + mono.bound
 
 
 def test_exponent_past_packed_range_raises():

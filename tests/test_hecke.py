@@ -508,7 +508,7 @@ def test_im_suite():
 
 
 def test_graded_associativity():
-    from heckealg.checks import check_graded_associativity
+    from oracle_helpers import check_graded_associativity
     graded = graded_test_descriptors(DESCS)
     for name in ("B2@(1,1)/2", "BC2@(1,1)/2", "A1xA1-twisted@1", "BC1@(1)/2"):
         assert check_graded_associativity(graded[name], random.Random(3), 8), \

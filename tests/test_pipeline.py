@@ -321,7 +321,7 @@ def test_sl_assemble():
     assert rep.character_lattice is not None
     assert rep.character_lattice["constraint"] == [2, 2]
     # roots satisfy the constraint
-    from heckealg.pipeline import is_in_character_lattice
+    from oracle_helpers import is_in_character_lattice
     for r in rep.descriptor.rd.roots:
         assert is_in_character_lattice(rep, r.vector)
     # twisted cocycle reaches the algebra: N_g^2 = -1

@@ -158,7 +158,7 @@ def test_sum_of_squares_regular_trace():
         rng = numpy.random.default_rng(0)
         # a random element of the exact centre acts as a scalar on each
         # isotypic block (of size d_i^2) of the regular module
-        from heckealg.spectra import twisted_algebra_center_basis
+        from oracle_helpers import twisted_algebra_center_basis
         basis = twisted_algebra_center_basis(fg)
         assert len(basis) == k
         z = numpy.zeros((n, n))
