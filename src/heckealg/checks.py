@@ -362,10 +362,9 @@ def check_coset_cones(name: str, rd: RootDatum, point: Tuple[int, ...],
 # ---------------------------------------------------------------------------
 
 def run_all(seed: int = 0, triples: int = 200, im_pairs: int = 100,
-            cone_samples: int = 1000, rank_bound: int = 12) -> List[Result]:
+            cone_samples: int = 1000) -> List[Result]:
     results: List[Result] = []
-    descs = {name: d for name, d in standard_descriptors().items()
-             if d.rd.rank <= rank_bound}
+    descs = standard_descriptors()
     for name, desc in descs.items():
         rng = random.Random(seed)
         results.append(("quadratic/%s" % name, check_quadratic(desc), ""))
@@ -384,8 +383,6 @@ def run_all(seed: int = 0, triples: int = 200, im_pairs: int = 100,
         results.append(("im-involution/%s" % name, check_im(gd, rng, im_pairs),
                         "%d pairs" % im_pairs))
     for name, rd, pt in coset_cone_cases():
-        if rd.rank > rank_bound:
-            continue
         rng = random.Random(seed)
         results.extend(check_coset_cones(name, rd, pt, rng, cone_samples))
     return results

@@ -53,14 +53,13 @@ def cmd_describe(args) -> int:
 
 
 def cmd_check(args) -> int:
-    for flag in ("triples", "im_pairs", "cone_samples", "rank_bound"):
+    for flag in ("triples", "im_pairs", "cone_samples"):
         if getattr(args, flag) < 1:
             raise ValidationError(["--%s must be >= 1"
                                    % flag.replace("_", "-")])
     results = checks.run_all(seed=args.seed, triples=args.triples,
                              im_pairs=args.im_pairs,
-                             cone_samples=args.cone_samples,
-                             rank_bound=args.rank_bound)
+                             cone_samples=args.cone_samples)
     width = max((len(r[0]) for r in results), default=20)
     failures = 0
     for name, ok, detail in results:
@@ -145,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--triples", type=int, default=200)
     c.add_argument("--im-pairs", type=int, default=100)
     c.add_argument("--cone-samples", type=int, default=1000)
-    c.add_argument("--rank-bound", type=int, default=12)
     c.set_defaults(func=cmd_check)
 
     n = sub.add_parser("count", help="extended-quotient counts at torus points")

@@ -23,6 +23,12 @@ One sparse ring carries every coefficient of the Hecke algebras:
   ring at rank d with the z-exponents as lattice digits.  A
   ``TorusAlgebraElement`` absorbs it on construction and in ``scale`` by
   shifting its keys up by ``rank`` digits; no coefficient stores one.
+* ``CyclotomicValue`` -- the value f(zeta_N) of a coefficient at a torus
+  point of order N (``evaluate_at_point``): the same ring at rank 1 in
+  QQ-mode, as the element e_N f of QQ[ZZ/N] = QQ[x]/(x^N - 1) =
+  prod_{d | N} QQ(zeta_d) with exponents in [0, N), where the idempotent
+  e_N = prod_{p | N prime} (1 - (1/p) sum_{j<p} x^{jN/p}) cuts out the
+  factor QQ(zeta_N).
 
 Every ``TorusAlgebraElement`` carries ``bound``, an upper bound on the
 absolute value of its exponents, updated in O(1) per operation.  An
@@ -575,125 +581,76 @@ def z_bracket(nvars: int, j: int, m: int) -> LaurentZ:
 
 
 # ---------------------------------------------------------------------------
-# Exact evaluation at finite-order torus points: values in ZZ[mu_N] (x) QQ.
+# Exact evaluation at finite-order torus points: values in QQ(zeta_N).
 # ---------------------------------------------------------------------------
 
-def _moebius(n: int) -> int:
-    m, p, cnt = n, 2, 0
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            cnt += 1
-        p += 1
-    if m > 1:
-        cnt += 1
-    return -1 if cnt % 2 else 1
+def _prime_factors(n: int) -> Iterator[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    return (p for p in range(2, n + 1)
+            if n % p == 0 and all(p % q for q in range(2, p)))
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+def _fold(elem: TorusAlgebraElement, order: int) -> TorusAlgebraElement:
+    """``elem`` of rank 1 with its exponents reduced into [0, order)."""
+    out: Dict[int, int] = {}
+    for k, c in elem.terms.items():   # rank 1: the key is the exponent
+        k %= order
+        out[k] = out.get(k, 0) + c
+    return _new(elem, {k: c for k, c in out.items() if c}, order - 1,
+                elem.den)
 
 
-def _poly_divexact(a, b):
-    """Exact division of integer polynomials (lists, ascending degree)."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = a[i + len(b) - 1]
-        if c % b[-1]:
-            raise ArithmeticError("inexact polynomial division")
-        q = c // b[-1]
-        out[i] = q
-        if q:
-            for j, y in enumerate(b):
-                a[i + j] -= q * y
-    if any(a[: len(b) - 1]):
-        raise ArithmeticError("nonzero remainder")
-    return out
-
-
-def cyclotomic_polynomial(n: int):
-    """Coefficients of Phi_n, ascending degree."""
-    num = [1]
-    den = [1]
-    for d in range(1, n + 1):
-        if n % d == 0:
-            mu = _moebius(n // d)
-            f = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-            if mu == 1:
-                num = _poly_mul(num, f)
-            elif mu == -1:
-                den = _poly_mul(den, f)
-    return _poly_divexact(num, den)
+@lru_cache(maxsize=None)
+def _idempotent(order: int) -> TorusAlgebraElement:
+    """e_N: 1 at zeta_N and 0 at every zeta_d, d | N, d < N (Washington,
+    Introduction to Cyclotomic Fields, 1997)."""
+    e = TorusAlgebraElement(1, {(0,): Fraction(1)})
+    for p in _prime_factors(order):
+        mean = TorusAlgebraElement(1, {(j * order // p,): Fraction(1, p)
+                                       for j in range(p)})
+        e = _fold(e - e * mean, order)
+    return e
 
 
 class CyclotomicValue:
-    """Element of QQ[zeta_N] in the canonical basis 1, zeta, .., zeta^{phi(N)-1}."""
+    """f(zeta_N) for f = sum_k coeffs[k] x^k, held as ``elem`` = e_N f: two
+    values are equal exactly when their elements are, and ``*`` reduces
+    the exponents of the ring's product mod N (e_N is idempotent)."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "elem")
 
-    def __init__(self, order: int, coeffs: Dict[int, Fraction] | None = None):
+    def __init__(self, order: int, coeffs: Dict[int, object] | None = None):
+        f = TorusAlgebraElement(1, {(k,): Fraction(c)
+                                    for k, c in (coeffs or {}).items()})
         self.order = order
-        raw: Dict[int, Fraction] = {}
-        for k, c in (coeffs or {}).items():
-            if c:
-                raw[k % order] = raw.get(k % order, Fraction(0)) + c
-        self.coeffs = _reduce_mod_cyclotomic(order, raw)
+        self.elem = _fold(_idempotent(order) * f, order)
+
+    def _like(self, other: "CyclotomicValue",
+              elem: TorusAlgebraElement) -> "CyclotomicValue":
+        if self.order != other.order:
+            raise ValueError("cyclotomic order mismatch")
+        out = object.__new__(CyclotomicValue)
+        out.order, out.elem = self.order, elem
+        return out
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.elem
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicValue(self.order, {0: Fraction(other)})
-        return isinstance(other, CyclotomicValue) and self.order == other.order \
-            and self.coeffs == other.coeffs
+            other = CyclotomicValue(self.order, {0: other})
+        return isinstance(other, CyclotomicValue) and \
+            self.order == other.order and self.elem == other.elem
 
     def __add__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return CyclotomicValue(self.order, out)
+        return self._like(other, self.elem + other.elem)
 
     def __mul__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        if self.order != other.order:
-            raise ValueError("cyclotomic order mismatch")
-        out: Dict[int, Fraction] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = (k1 + k2) % self.order
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return CyclotomicValue(self.order, out)
+        return self._like(other, _fold(self.elem * other.elem, self.order))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join("%s*zeta%d^%d" % (c, self.order, k)
-                          for k, c in sorted(self.coeffs.items()))
-
-
-def _reduce_mod_cyclotomic(order: int, raw: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    dense = [Fraction(0)] * order
-    for k, c in raw.items():
-        dense[k] += c
-    # synthetic division by the monic Phi_order
-    for i in range(order - 1, deg - 1, -1):
-        c = dense[i]
-        if c:
-            dense[i] = Fraction(0)
-            for j in range(deg):
-                dense[i - deg + j] -= c * phi[j]
-    return {k: c for k, c in enumerate(dense[:deg]) if c}
+        return " + ".join("%s*zeta%d^%d" % (c, self.order, k) for (k,), _, c
+                          in sorted(self.elem.monomials(0))) or "0"
 
 
 def evaluate_at_point(elem: TorusAlgebraElement, exponents: Tuple[int, ...],
@@ -705,9 +662,9 @@ def evaluate_at_point(elem: TorusAlgebraElement, exponents: Tuple[int, ...],
     """
     acc: Dict[int, Fraction] = {}
     for x, e, c in elem.monomials(len(zvals)):
-        k = sum(a * b for a, b in zip(x, exponents)) % order
+        k = sum(map(mul, x, exponents)) % order
         v = Fraction(c)
         for zj, ej in zip(zvals, e):
             v *= Fraction(zj) ** ej
-        acc[k] = acc.get(k, Fraction(0)) + v
+        acc[k] = acc.get(k, 0) + v
     return CyclotomicValue(order, acc)

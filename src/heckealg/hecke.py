@@ -622,19 +622,8 @@ def affine_to_graded(desc: AffineDescriptor, exponents: Vector, order: int
     k: Dict[Vector, int] = {}
     for r in sub.nondivisible_roots:
         v = r.vector
-        pair_mod = sum(a * b for a, b in zip(v, exponents)) % order
-        if not desc.rd.root(v).halvable:
-            if pair_mod != 0:
-                raise HeckeError("non-halvable subsystem root with alpha(t) != 1")
-            k[v] = 2 * desc.lam[v]
-        else:
-            if pair_mod == 0:
-                sign = 1
-            elif 2 * pair_mod % order == 0:
-                sign = -1
-            else:
-                raise HeckeError("alpha(t) must be +-1 for halvable roots")
-            k[v] = desc.lam[v] + sign * desc.lam_star[v]
+        k[v] = desc.lam[v] + stab.root_values[v] * desc.lam_star[v] \
+            if r.halvable else 2 * desc.lam[v]
     # the relative diagram group, closed on W_ext table ids
     wt = desc.wext.table
     labels = ["e"]

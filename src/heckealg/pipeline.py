@@ -404,7 +404,7 @@ def build_rgroup(datum: InertialDatum, block_data: Sequence[RootDatum],
     for s1 in members:
         for s2 in members:
             table[(labels[s1], labels[s2])] = labels[s1 ^ s2]
-    rg = RGroup(tuple(labels[s] for s in members), matrices, table, "e")
+    rg = RGroup(tuple(labels[s] for s in members), matrices, table)
     cocycle = Cocycle.trivial(tuple(labels[s] for s in members))
     return rg, cocycle, structure
 
@@ -624,7 +624,7 @@ def _embed(v: tuple, offset: int, rank: int) -> tuple:
 
 def _sl_rgroup(spec: SLRGroupSpec) -> Tuple[RGroup, Cocycle]:
     rg = RGroup(spec.labels, dict(spec.matrices), dict(spec.table),
-                identity="e", translations=dict(spec.translations))
+                translations=dict(spec.translations))
     cocycle = Cocycle(spec.labels, dict(spec.cocycle))
     return rg, cocycle
 

@@ -13,6 +13,7 @@ conventions).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -101,7 +102,6 @@ class RootDatum:
         self.reduced_positive = tuple(r for r in self.positive_roots
                                       if not self._half_in(r.vector))
         self.simple_roots = self._find_simples()
-        self.simple_indices = tuple(self.roots.index(s) for s in self.simple_roots)
 
     # -- construction-time checks -------------------------------------
 
@@ -111,17 +111,17 @@ class RootDatum:
         return tuple(x // 2 for x in v) in self._by_vector
 
     def _validate(self):
+        lines = Counter(map(_direction, self._by_vector))
         for r in self.roots:
             if vneg(r.vector) not in self._by_vector:
                 raise RootDatumError("root set not closed under negation")
             if not (1 <= r.component_index <= self.num_z_vars):
                 raise RootDatumError("component index out of range")
             # R*alpha intersection is {a,-a} or {a,2a,-a,-2a}
-            multiples = [s.vector for s in self.roots
-                         if _is_rational_multiple(s.vector, r.vector)]
-            if len(multiples) not in (2, 4):
+            on_line = lines[_direction(r.vector)]
+            if on_line not in (2, 4):
                 raise RootDatumError("line through %r has %d roots"
-                                     % (r.vector, len(multiples)))
+                                     % (r.vector, on_line))
         for r in self.roots:
             for s in self.roots:
                 img = reflect(s.vector, r.vector, r.coroot)
@@ -191,11 +191,14 @@ class RootDatum:
             self.rank, len(self.roots), self.num_z_vars)
 
 
-def _is_rational_multiple(a: Vector, b: Vector) -> bool:
-    # a = q*b for some nonzero rational q
-    cross_ok = all(a[i] * b[j] == a[j] * b[i]
-                   for i in range(len(a)) for j in range(len(a)))
-    return cross_ok and any(a) and any(b)
+def _direction(v: Vector) -> Vector:
+    """The primitive vector on the line QQ v with a positive first nonzero
+    coordinate, for v != 0: two roots are rational multiples of each
+    other exactly when their directions agree."""
+    g = math.gcd(*v)
+    if not _lex_positive(v):
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def is_doubled(rd: RootDatum, alpha: Root) -> bool:

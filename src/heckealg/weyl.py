@@ -230,23 +230,24 @@ class RGroup:
     Each label carries an integer action matrix (stabilizing the set of
     positive roots of the ambient datum) and an optional translation
     part: a tuple of Fractions mod 1 describing how the element moves
-    finite-order torus points beyond its linear action.
+    finite-order torus points beyond its linear action.  The identity
+    is the label ``"e"``.
     """
 
     def __init__(self, labels: Sequence[str], matrices: Dict[str, Matrix],
-                 table: Dict[Tuple[str, str], str], identity: str = "e",
+                 table: Dict[Tuple[str, str], str],
                  translations: Dict[str, Tuple[Fraction, ...]] | None = None):
         self.labels = tuple(labels)
         self.matrices = dict(matrices)
         self.table = dict(table)
-        self.identity = identity
+        self.identity = "e"
         rank = len(next(iter(matrices.values()))) if matrices else 0
         self.translations = {
             l: tuple(translations[l]) if translations and l in translations
             else tuple(Fraction(0) for _ in range(rank))
             for l in self.labels}
         if set(self.matrices) != set(self.labels) or \
-                identity not in self.matrices:
+                self.identity not in self.matrices:
             raise WeylError("R-group labels, identity and matrices do not "
                             "match")
         for l, m in self.matrices.items():
@@ -274,7 +275,7 @@ class RGroup:
                         self.matrices[c]:
                     raise WeylError("R-group matrices do not multiply as the "
                                     "table at %r" % ((a, b),))
-                if c == identity:
+                if c == self.identity:
                     self._inverse[a] = b
         for a in self.labels:
             if a not in self._inverse:
@@ -507,22 +508,15 @@ class GroupTable:
 # Stabilizers of finite-order torus points
 # ---------------------------------------------------------------------------
 
-def root_value_is(rd_root: Vector, exponents: Vector, order: int, target: int
-                  ) -> bool:
-    """Whether alpha(t) equals the target (+1 or -1) at the given point."""
-    k = sum(a * b for a, b in zip(rd_root, exponents)) % order
-    if target == 1:
-        return k == 0
-    return 2 * k % order == 0 and k != 0
-
-
 @dataclass
 class PointStabilizer:
-    """Sorted table ids fixing a point: reflection x| relative diagram part."""
+    """Sorted table ids fixing a point: reflection x| relative diagram part;
+    ``root_values`` maps each subsystem root alpha to alpha(t) = +-1."""
     elements: List[int]
     subsystem: RootDatum
     reflection_part: List[int]
     diagram_part: List[int]
+    root_values: Dict[Vector, int]
 
 
 def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
@@ -542,13 +536,14 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
     stab = [g for g in range(len(table.elements))
             if table.act_point(g, exponents, order) == exponents]
 
-    sub_vectors = []
-    for r in rd.roots:
-        if root_value_is(r.vector, exponents, order, 1):
-            sub_vectors.append(r.vector)
-        elif r.halvable and root_value_is(r.vector, exponents, order, -1):
-            sub_vectors.append(r.vector)
-    subsystem = subdatum(rd, sub_vectors)
+    root_values: Dict[Vector, int] = {}
+    for r in rd.roots:   # alpha(t) = zeta_order^<alpha, exponents>
+        pair = pairing(r.vector, exponents) % order
+        if pair == 0:
+            root_values[r.vector] = 1
+        elif r.halvable and 2 * pair == order:
+            root_values[r.vector] = -1
+    subsystem = subdatum(rd, root_values)
     reflection_part = table.subgroup(
         table.index[ExtendedWeylElement(WeylElement(m), group.rgroup.identity)]
         for m in subsystem.simple_reflections())
@@ -556,7 +551,8 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
         g for g in stab
         if all(subsystem.is_positive(mat_apply(table.actions[g], s.vector))
                for s in subsystem.simple_roots)]
-    return PointStabilizer(stab, subsystem, reflection_part, diagram_part)
+    return PointStabilizer(stab, subsystem, reflection_part, diagram_part,
+                           root_values)
 
 
 # ---------------------------------------------------------------------------

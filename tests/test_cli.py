@@ -235,15 +235,6 @@ def test_check_small(capsys):
     assert "0 failure(s)" in out
 
 
-def test_check_rank_bound_zero(capsys):
-    # a bound below 1 selects no suite; it is refused, not a vacuous pass
-    code, out, err = run_cli(["check", "--rank-bound", "0", "--triples",
-                              "1", "--im-pairs", "1", "--cone-samples", "1"],
-                             capsys)
-    assert code == 2 and out == ""
-    assert err == "input error: --rank-bound must be >= 1\n"
-
-
 @pytest.mark.parametrize("flag", ["--triples", "--im-pairs",
                                   "--cone-samples"])
 @pytest.mark.parametrize("value", ["0", "-5"])

@@ -8,8 +8,7 @@ import pytest
 
 from heckealg.coeffs import (MAX_EXP, CyclotomicValue, LaurentZ,
                              PackedRangeError, TorusAlgebraElement,
-                             cyclotomic_polynomial, evaluate_at_point,
-                             z_bracket)
+                             evaluate_at_point, z_bracket)
 
 
 def rand_laurent(rng, nvars, nterms=3):
@@ -91,11 +90,44 @@ def test_act_is_ring_automorphism():
         assert (a + b).act_matrix(swap) == a.act_matrix(swap) + b.act_matrix(swap)
 
 
-def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == [-1, 1]
-    assert cyclotomic_polynomial(2) == [1, 1]
-    assert cyclotomic_polynomial(4) == [1, 0, 1]
-    assert cyclotomic_polynomial(6) == [1, -1, 1]
+def test_cyclotomic_values_match_sympy():
+    # f(zeta_N) == g(zeta_N) exactly when Phi_N divides f - g, for every
+    # N <= 30 (N = 1, prime powers, 30 = 2*3*5); every other g is f plus a
+    # multiple of Phi_N, so that both answers occur
+    sympy = pytest.importorskip("sympy")
+    ring = sympy.ring("x", sympy.QQ)[0]
+    rng = random.Random(1997)
+
+    def rand_poly(order):
+        return ring.from_dict({(rng.randint(0, 2 * order),): sympy.QQ(
+            rng.randint(-3, 3), rng.randint(1, 4))
+            for _ in range(rng.randint(0, 4))})
+
+    def value(order, poly):
+        return CyclotomicValue(order, {k: Fraction(int(c.numerator),
+                                                   int(c.denominator))
+                                       for (k,), c in poly.terms()})
+
+    equal = unequal = 0
+    for order in range(1, 31):
+        phi = ring.from_expr(sympy.cyclotomic_poly(order, sympy.Symbol("x")))
+        for trial in range(8):
+            f = rand_poly(order)
+            g = f + rand_poly(order) * phi if trial % 2 else rand_poly(order)
+            divides = (f - g).rem(phi).is_zero
+            equal += divides
+            unequal += not divides
+            vf, vg = value(order, f), value(order, g)
+            assert (vf == vg) == divides
+            assert value(order, f - g).is_zero() == divides
+            assert vf + vg == value(order, (f + g).rem(phi))
+            assert vf * vg == value(order, (f * g).rem(phi))
+    assert equal > 100 and unequal > 100
+    assert CyclotomicValue(3, {0: 1, 1: 1, 2: 1}).is_zero()
+    assert not CyclotomicValue(3, {0: 1, 1: 1}).is_zero()
+    assert CyclotomicValue(5, {-1: Fraction(1, 2)}) == \
+        CyclotomicValue(5, {4: Fraction(1, 2)})
+    assert CyclotomicValue(1, {7: 2, -3: Fraction(1, 2)}) == Fraction(5, 2)
 
 
 def test_evaluate_examples():
@@ -134,19 +166,36 @@ def _sympy_form(sympy, elem, nvars):
     """elem as a sympy Laurent polynomial in x1.. (lattice) and z1.."""
     xs = sympy.symbols("x1:%d" % (elem.rank + 1))
     zs = sympy.symbols("z1:%d" % (nvars + 1))
-    return sum((sympy.Rational(c.numerator, c.denominator) *
-                sympy.Mul(*(v ** k for v, k in zip(xs, x))) *
-                sympy.Mul(*(v ** k for v, k in zip(zs, e)))
-                for x, e, c in elem.monomials(nvars)), sympy.Integer(0))
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) *
+                       sympy.Mul(*(v ** k for v, k in zip(xs, x))) *
+                       sympy.Mul(*(v ** k for v, k in zip(zs, e)))
+                       for x, e, c in elem.monomials(nvars)))
 
 
 def test_packed_ring_matches_sympy():
+    # Laurent polynomials are compared in sympy's sparse polynomial ring
+    # after multiplying by clear = (x1 .. z1 ..)^16, which lifts every
+    # exponent here to >= 0; a product of n such forms carries clear^n
     sympy = pytest.importorskip("sympy")
     rank, nvars = 3, 2
-    xs = sympy.symbols("x1:%d" % (rank + 1))
+    gens = sympy.symbols("x1:%d z1:%d" % (rank + 1, nvars + 1))
+    xs = gens[:rank]
+    ring = sympy.ring(gens, sympy.QQ)[0]
+    clear = sympy.Mul(*(v ** 16 for v in gens))
 
-    def same(elem, expr):
-        return sympy.expand(_sympy_form(sympy, elem, nvars) - expr) == 0
+    def cleared(expr, n=1):
+        """expr * clear^n in the ring, clear multiplied into each term."""
+        return ring.from_expr(sympy.Add(*(t * clear ** n for t in
+                                          sympy.Add.make_args(expr))))
+
+    def poly(elem, n=1):
+        """elem * clear^n in the ring, read off its monomials."""
+        return ring.from_dict({tuple(k + 16 * n for k in x + e):
+                               sympy.QQ(c.numerator, c.denominator)
+                               for x, e, c in elem.monomials(nvars)})
+
+    def same(elem, expected, n=1):
+        return poly(elem, n) == expected
 
     matrices = (((0, 1, 0), (1, 0, 0), (0, 0, 1)),     # permutation
                 ((0, 0, -1), (1, 0, 0), (0, -1, 0)),   # signed permutation
@@ -158,45 +207,45 @@ def test_packed_ring_matches_sympy():
         b = rand_tae(rng, rank, nvars, nterms=3)
         if trial % 2:
             b = b.scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
-        sa, sb = (_sympy_form(sympy, e, nvars) for e in (a, b))
-        assert same(a * b, sa * sb)
+        sa, sb = (poly(e) for e in (a, b))
+        assert same(a * b, sa * sb, 2)
         assert same(a + b, sa + sb)
         lz = rand_laurent(rng, nvars)
-        assert same(a.scale(lz), sa * _sympy_form(
-            sympy, TorusAlgebraElement(rank, {(0,) * rank: lz}), nvars))
+        assert same(a.scale(lz), sa * poly(
+            TorusAlgebraElement(rank, {(0,) * rank: lz})), 2)
         x = tuple(rng.randint(-3, 3) for _ in range(rank))
-        assert same(a.shift(x), sa * sympy.Mul(*(v ** k for v, k in
-                                                   zip(xs, x))))
+        assert same(a.shift(x), sa * cleared(sympy.Mul(*(v ** k for v, k in
+                                                          zip(xs, x)))), 2)
         m = matrices[trial % len(matrices)]
         # theta_x -> theta_{Mx}: x_j -> prod_i x_i^{M[i][j]}
         monomial_images = {xs[j]: sympy.Mul(*(xs[i] ** m[i][j]
                                               for i in range(rank)))
                            for j in range(rank)}
-        assert same(a.act_matrix(m), sa.subs(monomial_images,
-                                             simultaneous=True))
+        assert same(a.act_matrix(m), cleared(_sympy_form(
+            sympy, a, nvars).subs(monomial_images, simultaneous=True)))
         # polynomial substitution x_i -> sum_j M[j][i] x_j
         p = TorusAlgebraElement(rank, {
             tuple(rng.randint(0, 2) for _ in range(rank)): rand_laurent(
                 rng, nvars, 2) for _ in range(3)})
         linear_images = {xs[i]: sum(m[j][i] * xs[j] for j in range(rank))
                          for i in range(rank)}
-        assert same(p.substitute(m), _sympy_form(sympy, p, nvars).subs(
-            linear_images, simultaneous=True))
+        assert same(p.substitute(m), cleared(_sympy_form(
+            sympy, p, nvars).subs(linear_images, simultaneous=True)))
 
         # QQ-mode, integer numerators over one denominator, every other trial
         if trial % 2:
             continue
         qa, qb = (rand_qtae(rng, rank, nvars, nterms=n) for n in (2, 1))
         assert qa.den and qb.den
-        sqa, sqb = (_sympy_form(sympy, e, nvars) for e in (qa, qb))
+        sqa, sqb = (poly(e) for e in (qa, qb))
         assert same(qa + qb, sqa + sqb)
         assert same(qa - qb, sqa - sqb)
-        assert same(qa * qb, sqa * sqb)
+        assert same(qa * qb, sqa * sqb, 2)
         f = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
         assert same(qa.scale(f), sqa * sympy.Rational(f.numerator,
                                                       f.denominator))
-        assert same(qa.act_matrix(m), sqa.subs(monomial_images,
-                                               simultaneous=True))
+        assert same(qa.act_matrix(m), cleared(_sympy_form(
+            sympy, qa, nvars).subs(monomial_images, simultaneous=True)))
         # the N_s step: corr (1 - theta_{-step}) = (c - s c) factor
         # + s(c) bracket (1 - theta_{-step})
         halvable = trial % 4 == 0
@@ -213,16 +262,14 @@ def test_packed_ring_matches_sympy():
             rng, nvars, 2)}).scale(Fraction(1, rng.randint(2, 5)))
         cs, corr = c.reflect_telescope(root, coroot, halvable, factor,
                                        bracket)
-        sc, sfactor, sbracket = (_sympy_form(sympy, e, nvars)
-                                 for e in (c, factor, bracket))
-        scs = sc.subs({xs[j]: sympy.Mul(*(xs[i] ** refl[i][j]
-                                           for i in range(rank)))
-                       for j in range(rank)}, simultaneous=True)
+        sc, sfactor, sbracket = (poly(e) for e in (c, factor, bracket))
+        scs = cleared(_sympy_form(sympy, c, nvars).subs(
+            {xs[j]: sympy.Mul(*(xs[i] ** refl[i][j] for i in range(rank)))
+             for j in range(rank)}, simultaneous=True))
         assert same(cs, scs)
-        denom = 1 - sympy.Mul(*(v ** -k for v, k in zip(xs, step)))
-        assert sympy.expand(_sympy_form(sympy, corr, nvars) * denom
-                            - (sc - scs) * sfactor
-                            - scs * sbracket * denom) == 0
+        denom = cleared(1 - sympy.Mul(*(v ** -k for v, k in zip(xs, step))))
+        assert poly(corr, 2) * denom == \
+            (sc - scs) * sfactor * cleared(1) + scs * sbracket * denom
         # exact division by a linear form, pivots of size 1 and 2
         alpha = ((1, -1, 0), (2, 3, 0), (0, -2, 2), (0, 0, 2))[trial // 2 % 4]
         q = TorusAlgebraElement(rank, {
@@ -233,7 +280,7 @@ def test_packed_ring_matches_sympy():
             tuple(int(i == j) for j in range(rank)): a
             for i, a in enumerate(alpha) if a})
         quotient = (q * form).divide_linear(alpha)
-        assert same(quotient, _sympy_form(sympy, q, nvars))
+        assert same(quotient, poly(q))
         assert quotient.den
 
 

@@ -117,6 +117,11 @@ def test_invalid_construction_rejected():
     with pytest.raises(RootDatumError):
         RootDatum(2, [Root((1, -1), (1, -1), 2),
                       Root((-1, 1), (-1, 1), 2)], 1)
+    # a line through a root holds 2 or 4 roots ({+-a} or {+-a, +-2a}); the
+    # check at a, whose negative is present, sees a, -a and 2a
+    with pytest.raises(RootDatumError, match=r"line through \(1,\) has 3 "):
+        RootDatum(1, [Root((1,), (2,), 1), Root((-1,), (-2,), 1),
+                      Root((2,), (1,), 1)], 1)
     # subdatum over non-roots
     b2 = build_classical("B", 2)
     with pytest.raises(RootDatumError):

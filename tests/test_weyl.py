@@ -104,6 +104,8 @@ def test_stabilizer_of_point():
     stab = stabilizer_of_point(g, (1, 0), 2)
     assert {r.vector for r in stab.subsystem.roots} == {(1, 0), (-1, 0),
                                                         (0, 1), (0, -1)}
+    assert stab.root_values == {(1, 0): -1, (-1, 0): -1, (0, 1): 1,
+                                (0, -1): 1}
     assert len(stab.reflection_part) == 4
     assert len(stab.elements) == len(stab.reflection_part) * len(stab.diagram_part)
 
