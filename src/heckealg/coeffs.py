@@ -328,7 +328,8 @@ class TorusAlgebraElement:
 
     def reflect_telescope(self, root: Exps, coroot: Exps, halvable: bool,
                           factor: "TorusAlgebraElement",
-                          bracket: Optional["TorusAlgebraElement"]) -> tuple:
+                          bracket: Optional["TorusAlgebraElement"],
+                          moves: Dict[int, tuple]) -> tuple:
         """(s(c), sum_x c_x D_x factor + s(c) bracket) in one pass, c this
         element, c_x its coefficient of theta_x, s x = x - n root with
         n = <x, coroot>; no bracket term when ``bracket`` is None.
@@ -338,7 +339,10 @@ class TorusAlgebraElement:
         for m > 0, zero for m = 0, -(theta_{x + step} + .. +
         theta_{x - m step}) for m < 0; so D_x (1 - theta_{-step}) =
         theta_x - theta_{x - m step} (Bernstein-Lusztig).  Keys add, so
-        key(s x) = key(x) - n key(root): each lattice part is decoded once.
+        key(s x) = key(x) - n key(root).  ``moves``, the caller's table for
+        this reflection, maps each lattice part decoded so far to (key(s x) - key(x), the keys of D_x less key(x), m < 0, |n|,
+        max |s x|); a part with s x out of the packed range raises
+        PackedRangeError before its D_x is summed and is not recorded.
         Bounds: that of ``act_matrix`` for s(c); the larger of bound(c) +
         max|n| max|root| + bound(factor) and bound(s(c)) + bound(bracket)
         for the correction, over one denominator in QQ-mode."""
@@ -346,7 +350,6 @@ class TorusAlgebraElement:
         akey = _pack(root)
         skey = 2 * akey if halvable else akey
         offset, mask = _low_split(rank)
-        moves: Dict[int, tuple] = {}
         bound, reach = self.bound, 0
         image, tele = {}, {}   # s(c), sum_x c_x D_x
         get = tele.get
@@ -356,15 +359,17 @@ class TorusAlgebraElement:
             if move is None:
                 x, _ = _unpack(xk, rank)
                 n = sum(map(mul, x, coroot))
-                if n:
-                    reach = max(reach, abs(n))
-                    bound = _check_bound(max(bound, max(
-                        abs(a - n * r) for a, r in zip(x, root))))
+                sx = _check_bound(max(abs(a - n * r) for a, r in zip(
+                    x, root))) if n else 0
                 m = n // 2 if halvable else n
                 ds = range(0, -m * skey, -skey) if m > 0 else \
                     range(skey, (1 - m) * skey, skey)   # D_x's keys - key(x)
-                move = moves[xk] = (-n * akey, ds, m < 0)
-            sk, ds, neg = move
+                move = moves[xk] = (-n * akey, ds, m < 0, abs(n), sx)
+            sk, ds, neg, n, sx = move
+            if n > reach:
+                reach = n
+            if sx > bound:
+                bound = sx
             image[k + sk] = v   # s permutes the keys: no two terms meet
             if neg:
                 v = -v

@@ -122,18 +122,19 @@ class RootDatum:
             if on_line not in (2, 4):
                 raise RootDatumError("line through %r has %d roots"
                                      % (r.vector, on_line))
+        # n = <s, r^vee> once per pair: s_r s = s - n r is a root, and for
+        # n != 0 r and s are on one component, with one component index
+        roots, mixed = self._by_vector, False
         for r in self.roots:
             for s in self.roots:
-                img = reflect(s.vector, r.vector, r.coroot)
-                if img not in self._by_vector:
+                n = pairing(s.vector, r.coroot)
+                if n and vsub(s.vector, vscale(r.vector, n)) not in roots:
                     raise RootDatumError("reflection does not preserve roots")
-        # component index is constant on irreducible components
-        for r in self.roots:
-            for s in self.roots:
-                if pairing(r.vector, s.coroot) != 0:
-                    if r.component_index != s.component_index:
-                        raise RootDatumError(
-                            "component index not constant on a component")
+                if n and r.component_index != s.component_index:
+                    mixed = True
+        if mixed:
+            raise RootDatumError(
+                "component index not constant on a component")
 
     def _find_simples(self) -> Tuple[Root, ...]:
         pos = [r for r in self.reduced_positive]

@@ -4,6 +4,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+from heckealg import hecke
 from heckealg.checks import random_graded
 from heckealg.hecke import graded_multiply
 from heckealg.spectra import FiniteGroup, _commutation_rows
@@ -18,6 +19,22 @@ def word_matrix(rd, word):
     for i in word:
         m = mat_mul(m, simple[i])
     return m
+
+
+def multiply_by_words(desc, a, b):
+    """The Hecke product term by term: for each term c N_w N_gamma of a,
+    N_gamma b and then one N_s step per letter of the recorded word of w,
+    read right to left, with nothing shared between terms."""
+    wg, table = desc.wext.weyl, desc.wext.table
+    b_ids = {table.index[key]: c for key, c in b.terms.items()}
+    out = {}
+    for key, c in a.terms.items():
+        t = hecke._ngamma_mul(desc, key.diagram, b_ids)
+        for i in reversed(wg.reduced_word(key.weyl)):
+            t = hecke._ns_mul(desc, i, t)
+        for u, c2 in t.items():
+            hecke._add_term(out, u, c * c2)
+    return desc.element({table.elements[u]: c for u, c in out.items()})
 
 
 def root_count_length(rd, matrix):

@@ -261,7 +261,7 @@ def test_packed_ring_matches_sympy():
         bracket = TorusAlgebraElement(rank, {(0,) * rank: rand_laurent(
             rng, nvars, 2)}).scale(Fraction(1, rng.randint(2, 5)))
         cs, corr = c.reflect_telescope(root, coroot, halvable, factor,
-                                       bracket)
+                                       bracket, {})
         sc, sfactor, sbracket = (poly(e) for e in (c, factor, bracket))
         scs = cleared(_sympy_form(sympy, c, nvars).subs(
             {xs[j]: sympy.Mul(*(xs[i] ** refl[i][j] for i in range(rank)))
@@ -419,7 +419,8 @@ def test_reflect_telescope_solves_bernstein_lusztig():
         root, coroot = _reflection(rng, rank, halvable)
         step = tuple(2 * a for a in root) if halvable else root
         c = rand_tae(rng, rank, nvars, nterms=4)
-        cs, d = c.reflect_telescope(root, coroot, halvable, one, None)
+        moves = {}   # filled here, read by the calls below
+        cs, d = c.reflect_telescope(root, coroot, halvable, one, None, moves)
         matrix = tuple(tuple(int(i == j) - root[i] * coroot[j]
                              for j in range(rank)) for i in range(rank))
         image = c.act_matrix(matrix)
@@ -438,10 +439,10 @@ def test_reflect_telescope_solves_bernstein_lusztig():
         factor = rand_tae(rng, rank, nvars, nterms=2)
         bracket = TorusAlgebraElement(rank, {(0,) * rank:
                                              rand_laurent(rng, nvars, 2)})
-        assert c.reflect_telescope(root, coroot, halvable, factor, None) \
-            == (cs, d * factor)
-        assert c.reflect_telescope(root, coroot, halvable, factor, bracket) \
-            == (cs, d * factor + cs * bracket)
+        assert c.reflect_telescope(root, coroot, halvable, factor, None,
+                                   moves) == (cs, d * factor)
+        assert c.reflect_telescope(root, coroot, halvable, factor, bracket,
+                                   moves) == (cs, d * factor + cs * bracket)
 
 
 def test_reflect_telescope_past_packed_range_raises():
@@ -452,15 +453,33 @@ def test_reflect_telescope_past_packed_range_raises():
     with pytest.raises(PackedRangeError):
         c.act_matrix(((-1, -1), (0, 1)))
     with pytest.raises(PackedRangeError):
-        c.reflect_telescope((1, 0), (2, 1), False, one, None)
+        c.reflect_telescope((1, 0), (2, 1), False, one, None, {})
     # the image fits, D_x times the factor holds z^(MAX_EXP + 1)
     zbracket = TorusAlgebraElement(2, {(0, 0): z_bracket(1, 1, 1)})
     ztop = LaurentZ.var_power(1, 1, MAX_EXP)
     c = TorusAlgebraElement(2, {(1, 0): ztop})
     with pytest.raises(PackedRangeError):
-        c.reflect_telescope((1, -1), (1, -1), False, zbracket, None)
+        c.reflect_telescope((1, -1), (1, -1), False, zbracket, None, {})
     # <x, coroot> = 0: only the bracket term passes the range
     c = TorusAlgebraElement(2, {(1, 1): ztop})
-    c.reflect_telescope((1, -1), (1, -1), False, one, None)
+    c.reflect_telescope((1, -1), (1, -1), False, one, None, {})
     with pytest.raises(PackedRangeError):
-        c.reflect_telescope((1, -1), (1, -1), False, one, zbracket)
+        c.reflect_telescope((1, -1), (1, -1), False, one, zbracket, {})
+
+
+def test_reflect_telescope_checks_range_before_telescoping():
+    # a warm move table: (1, 1) was met in range and is recorded
+    one = TorusAlgebraElement.theta((0, 0), 1)
+    root, coroot, moves = (1, 0), (2, 1), {}
+    small = TorusAlgebraElement(2, {(1, 1): 1})
+    first = small.reflect_telescope(root, coroot, False, one, None, moves)
+    assert len(moves) == 1
+    # (h, h) has n = 3h > MAX_EXP and s(h, h) = (-2h, h) is out of range;
+    # telescoping it before the check would sum 3h keys
+    h = MAX_EXP // 2 + 1
+    c = TorusAlgebraElement(2, {(1, 1): 1, (h, h): 1})
+    with pytest.raises(PackedRangeError):
+        c.reflect_telescope(root, coroot, False, one, None, moves)
+    assert len(moves) == 1
+    assert small.reflect_telescope(root, coroot, False, one, None, moves) \
+        == first

@@ -7,6 +7,8 @@ from heckealg.checks import (check_associativity, check_bernstein, check_braid,
                              check_center, check_degeneration, check_im,
                              check_quadratic, graded_test_descriptors,
                              random_element, standard_descriptors)
+from heckealg import hecke
+from heckealg.checks import random_graded
 from heckealg.coeffs import LaurentZ, TorusAlgebraElement
 from heckealg.hecke import (AffineDescriptor, HeckeError, act,
                             affine_to_graded, bernstein_divide,
@@ -568,3 +570,79 @@ def test_serialization_deterministic():
     s = serialize_element(desc, multiply(desc, desc.n_simple(1),
                                          desc.n_simple(1)))
     assert "N[|e]" in s and "N[2|e]" in s
+
+
+# ---------------------------------------------------------------------------
+# multiply against the term-by-term product
+# ---------------------------------------------------------------------------
+
+def _on_all_of_wext(desc, rng, one, low=-1):
+    """A left factor with one monomial term on every element of W_ext,
+    lattice exponents from ``low`` to 1."""
+    rank = desc.rd.rank
+    return desc.element({g: TorusAlgebraElement.theta(
+        tuple(rng.randint(low, 1) for _ in range(rank)), one).scale(
+            rng.choice([-2, -1, 1, 3])) for g in desc.wext.elements()})
+
+
+def _assert_matches_oracle(desc, pairs):
+    from oracle_helpers import multiply_by_words
+    for a, b in pairs:
+        assert serialize_element(desc, multiply(desc, a, b)) == \
+            serialize_element(desc, multiply_by_words(desc, a, b))
+
+
+@pytest.mark.parametrize("name", sorted(DESCS))
+def test_multiply_matches_term_by_term_oracle(name):
+    # symbolic, specialized and z = 1 forms; random factors and a left
+    # factor on all of W_ext, so every label's word trie is walked in full
+    desc = DESCS[name]
+    rng = random.Random(1989)
+    pairs = [(random_element(desc, rng, nterms=5),
+              random_element(desc, rng, nterms=3)) for _ in range(3)]
+    pairs.append((_on_all_of_wext(desc, rng, one(desc)),
+                  random_element(desc, rng, nterms=2)))
+    _assert_matches_oracle(desc, pairs)
+    for spec in (desc.specialized([Fraction(3, 2)] * desc.d),
+                 quotient_z1(desc)):
+        _assert_matches_oracle(spec, [
+            (specialize_element(spec, a), specialize_element(spec, b))
+            for a, b in pairs])
+
+
+def test_graded_multiply_matches_term_by_term_oracle():
+    rng = random.Random(1989)
+    for gd in graded_test_descriptors(DESCS).values():
+        pairs = [(random_graded(gd, rng, nterms=5),
+                  random_graded(gd, rng, nterms=3)) for _ in range(2)]
+        pairs.append((_on_all_of_wext(gd, rng, LaurentZ.one(gd.d), 0),
+                      random_graded(gd, rng, nterms=2)))
+        _assert_matches_oracle(gd, pairs)
+
+
+def test_multiply_makes_one_ns_step_per_word_trie_node(monkeypatch):
+    from oracle_helpers import multiply_by_words
+    steps = []
+    ns_mul = hecke._ns_mul
+
+    def counted(desc, i, terms):
+        steps.append(i)
+        return ns_mul(desc, i, terms)
+
+    monkeypatch.setattr(hecke, "_ns_mul", counted)
+    rng = random.Random(7)
+    # W(B2), one label: the 8 recorded words have 7 nonempty prefixes,
+    # where one walk per term takes 0 + 1 + 1 + 2 + 2 + 3 + 3 + 4 steps
+    b2 = DESCS["B2"]
+    a, b = _on_all_of_wext(b2, rng, one(b2)), b2.theta_elem((1, 0))
+    product = multiply(b2, a, b)
+    assert len(steps) == 7
+    del steps[:]
+    assert multiply_by_words(b2, a, b) == product
+    assert len(steps) == 16
+    # W(A1 x A1) with two labels: 3 steps per label
+    del steps[:]
+    twisted = DESCS["A1xA1-twisted"]
+    multiply(twisted, _on_all_of_wext(twisted, rng, one(twisted)),
+             twisted.theta_elem((1, 0, 0, 0)))
+    assert len(steps) == 6
