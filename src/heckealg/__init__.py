@@ -1,8 +1,7 @@
 """heckealg: exact twisted affine and graded Hecke algebras from
 combinatorial cuspidal data, with representation counting."""
 
-from .coeffs import (CyclotomicValue, LaurentZ, TorusAlgebraElement,
-                     evaluate_at_point, z_bracket)
+from .coeffs import LaurentZ, TorusAlgebraElement, z_bracket
 from .hecke import (AffineDescriptor, GradedDescriptor, GradedElement,
                     HeckeElement, act, affine_to_graded, bernstein_divide,
                     graded_from_datum, graded_multiply, im_involution,

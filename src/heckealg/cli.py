@@ -169,12 +169,6 @@ def main(argv=None) -> int:
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    except Exception as exc:  # jsonschema and arithmetic guards
-        import jsonschema
-        if isinstance(exc, jsonschema.ValidationError):
-            print("input error: %s" % exc.message, file=sys.stderr)
-            return 2
-        raise
 
 
 if __name__ == "__main__":

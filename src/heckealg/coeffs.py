@@ -23,12 +23,6 @@ One sparse ring carries every coefficient of the Hecke algebras:
   ring at rank d with the z-exponents as lattice digits.  A
   ``TorusAlgebraElement`` absorbs it on construction and in ``scale`` by
   shifting its keys up by ``rank`` digits; no coefficient stores one.
-* ``CyclotomicValue`` -- the value f(zeta_N) of a coefficient at a torus
-  point of order N (``evaluate_at_point``): the same ring at rank 1 in
-  QQ-mode, as the element e_N f of QQ[ZZ/N] = QQ[x]/(x^N - 1) =
-  prod_{d | N} QQ(zeta_d) with exponents in [0, N), where the idempotent
-  e_N = prod_{p | N prime} (1 - (1/p) sum_{j<p} x^{jN/p}) cuts out the
-  factor QQ(zeta_N).
 
 Every ``TorusAlgebraElement`` carries ``bound``, an upper bound on the
 absolute value of its exponents, updated in O(1) per operation.  An
@@ -583,93 +577,3 @@ def z_bracket(nvars: int, j: int, m: int) -> LaurentZ:
     if m == 0:
         return LaurentZ.zero(nvars)
     return LaurentZ.var_power(nvars, j, m) - LaurentZ.var_power(nvars, j, -m)
-
-
-# ---------------------------------------------------------------------------
-# Exact evaluation at finite-order torus points: values in QQ(zeta_N).
-# ---------------------------------------------------------------------------
-
-def _prime_factors(n: int) -> Iterator[int]:
-    """The distinct primes dividing n >= 1, by trial division."""
-    return (p for p in range(2, n + 1)
-            if n % p == 0 and all(p % q for q in range(2, p)))
-
-
-def _fold(elem: TorusAlgebraElement, order: int) -> TorusAlgebraElement:
-    """``elem`` of rank 1 with its exponents reduced into [0, order)."""
-    out: Dict[int, int] = {}
-    for k, c in elem.terms.items():   # rank 1: the key is the exponent
-        k %= order
-        out[k] = out.get(k, 0) + c
-    return _new(elem, {k: c for k, c in out.items() if c}, order - 1,
-                elem.den)
-
-
-@lru_cache(maxsize=None)
-def _idempotent(order: int) -> TorusAlgebraElement:
-    """e_N: 1 at zeta_N and 0 at every zeta_d, d | N, d < N (Washington,
-    Introduction to Cyclotomic Fields, 1997)."""
-    e = TorusAlgebraElement(1, {(0,): Fraction(1)})
-    for p in _prime_factors(order):
-        mean = TorusAlgebraElement(1, {(j * order // p,): Fraction(1, p)
-                                       for j in range(p)})
-        e = _fold(e - e * mean, order)
-    return e
-
-
-class CyclotomicValue:
-    """f(zeta_N) for f = sum_k coeffs[k] x^k, held as ``elem`` = e_N f: two
-    values are equal exactly when their elements are, and ``*`` reduces
-    the exponents of the ring's product mod N (e_N is idempotent)."""
-
-    __slots__ = ("order", "elem")
-
-    def __init__(self, order: int, coeffs: Dict[int, object] | None = None):
-        f = TorusAlgebraElement(1, {(k,): Fraction(c)
-                                    for k, c in (coeffs or {}).items()})
-        self.order = order
-        self.elem = _fold(_idempotent(order) * f, order)
-
-    def _like(self, other: "CyclotomicValue",
-              elem: TorusAlgebraElement) -> "CyclotomicValue":
-        if self.order != other.order:
-            raise ValueError("cyclotomic order mismatch")
-        out = object.__new__(CyclotomicValue)
-        out.order, out.elem = self.order, elem
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.elem
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicValue(self.order, {0: other})
-        return isinstance(other, CyclotomicValue) and \
-            self.order == other.order and self.elem == other.elem
-
-    def __add__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        return self._like(other, self.elem + other.elem)
-
-    def __mul__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        return self._like(other, _fold(self.elem * other.elem, self.order))
-
-    def __repr__(self):
-        return " + ".join("%s*zeta%d^%d" % (c, self.order, k) for (k,), _, c
-                          in sorted(self.elem.monomials(0))) or "0"
-
-
-def evaluate_at_point(elem: TorusAlgebraElement, exponents: Tuple[int, ...],
-                      order: int, zvals: Tuple[Fraction, ...]) -> CyclotomicValue:
-    """Evaluate at the point exp(2*pi*i*exponents/order), z_j = zvals[j].
-
-    theta_x contributes zeta_N^{<x, exponents>}; z-monomials evaluate to
-    exact rationals.
-    """
-    acc: Dict[int, Fraction] = {}
-    for x, e, c in elem.monomials(len(zvals)):
-        k = sum(map(mul, x, exponents)) % order
-        v = Fraction(c)
-        for zj, ej in zip(zvals, e):
-            v *= Fraction(zj) ** ej
-        acc[k] = acc.get(k, 0) + v
-    return CyclotomicValue(order, acc)

@@ -15,7 +15,6 @@ giving quadratic relations (T - q^{lambda*torsion})(T + 1) = 0.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -23,8 +22,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import jsonschema
 
 from .hecke import AffineDescriptor, HeckeError
 from .params import a_from_ell, is_admissible_ell, lambda_from_jordan
@@ -98,67 +95,75 @@ class InertialDatum:
 # JSON input
 # ---------------------------------------------------------------------------
 
-INPUT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["group", "blocks"],
-    "properties": {
-        "group": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family", "n"],
-            "properties": {
-                "family": {"enum": list(FAMILIES)},
-                "n": {"type": "integer", "minimum": 0},
-                "division_degree": {"type": "integer", "minimum": 1},
-            },
-        },
-        "blocks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["side", "dim", "e"],
-                "properties": {
-                    "side": {"enum": ["O", "S", "GL"]},
-                    "dim": {"type": "integer", "minimum": 1},
-                    "e": {"type": "integer", "minimum": 0},
-                    "ell": {"type": "integer", "minimum": 0},
-                    "partner_ell": {"type": "integer", "minimum": 0},
-                    "torsion": {"anyOf": [
-                        {"type": "integer", "minimum": 1},
-                        {"type": "string", "minLength": 1}]},
-                    "levi": {"type": "integer", "minimum": 1},
-                },
-            },
-        },
-        "sl_rgroup": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["labels", "matrices", "table", "cocycle"],
-            "properties": {
-                "labels": {"type": "array", "items": {"type": "string"}},
-                "matrices": {"type": "object", "additionalProperties": {
-                    "type": "array", "items": {
-                        "type": "array", "items": {"type": "integer"}}}},
-                "table": {"type": "object",
-                          "additionalProperties": {"type": "string"}},
-                "cocycle": {"type": "object",
-                            "additionalProperties": {"type": "integer"}},
-                "translations": {"type": "object",
-                                 "additionalProperties": {"type": "array"}},
-            },
-        },
-    },
-}
+# The JSON shape of a datum.  A spec is (kind, arg): ("integer", minimum or
+# None), ("string", minimum length), ("enum", allowed values), ("array",
+# item spec), ("map", value spec) for an object with free keys, or
+# ("object", table) with table = {field: (required, spec)}.  An integer is
+# an int: true and 2.0 are not.  A torsion is a non-empty string or an
+# integer at least 1.
+DATUM_SHAPE = ("object", {
+    "group": (True, ("object", {
+        "family": (True, ("enum", FAMILIES)),
+        "n": (True, ("integer", 0)),
+        "division_degree": (False, ("integer", 1)),
+    })),
+    "blocks": (True, ("array", ("object", {
+        "side": (True, ("enum", ("O", "S", "GL"))),
+        "dim": (True, ("integer", 1)),
+        "e": (True, ("integer", 0)),
+        "ell": (False, ("integer", 0)),
+        "partner_ell": (False, ("integer", 0)),
+        "torsion": (False, ("torsion", 1)),
+        "levi": (False, ("integer", 1)),
+    }))),
+    "sl_rgroup": (False, ("object", {
+        "labels": (True, ("array", ("string", 0))),
+        "matrices": (True, ("map", ("array", ("array", ("integer", None))))),
+        "table": (True, ("map", ("string", 0))),
+        "cocycle": (True, ("map", ("integer", None))),
+        "translations": (False, ("map", ("array", None))),
+    })),
+})
+_JSON_TYPES = {"integer": int, "string": str, "array": list, "map": dict,
+               "object": dict}
 
 
-@functools.lru_cache(maxsize=None)
-def _input_validator():
-    """The schema validator, built and self-checked once, on first use."""
-    cls = jsonschema.validators.validator_for(INPUT_SCHEMA)
-    cls.check_schema(INPUT_SCHEMA)
-    return cls(INPUT_SCHEMA)
+def _check_shape(value, spec=DATUM_SHAPE) -> None:
+    """ValidationError, worded as JSON Schema words it, for the first
+    place where ``value`` leaves ``spec``."""
+    kind, arg = spec
+    if kind == "enum":
+        if type(value) is not str or value not in arg:
+            raise ValidationError(["%r is not one of %r" % (value, list(arg))])
+        return
+    name = {"map": "object", "torsion": "integer', 'string"}.get(kind, kind)
+    if kind == "torsion":
+        kind = "string" if type(value) is str else "integer"
+    if type(value) is not _JSON_TYPES[kind]:
+        raise ValidationError(["%r is not of type '%s'" % (value, name)])
+    if kind == "integer" and arg is not None and value < arg:
+        raise ValidationError(["%r is less than the minimum of %d"
+                               % (value, arg)])
+    if kind == "string" and len(value) < arg:
+        raise ValidationError(["%r should be non-empty" % (value,)])
+    if kind == "array" and arg is not None:
+        for item in value:
+            _check_shape(item, arg)
+    if kind == "map":
+        for item in value.values():
+            _check_shape(item, arg)
+    if kind == "object":
+        extra = sorted(set(value) - set(arg))
+        if extra:
+            raise ValidationError([
+                "Additional properties are not allowed (%s %s unexpected)"
+                % (", ".join(map(repr, extra)),
+                   "was" if len(extra) == 1 else "were")])
+        for key, (required, item) in arg.items():
+            if key in value:
+                _check_shape(value[key], item)
+            elif required:
+                raise ValidationError(["%r is a required property" % key])
 
 
 def _translation_entry(s) -> Fraction:
@@ -174,39 +179,31 @@ def _translation_entry(s) -> Fraction:
 
 
 def datum_from_json(doc: Union[str, dict]) -> InertialDatum:
-    """Parse and schema-check a JSON inertial datum (unknown fields
+    """Parse a JSON inertial datum after ``_check_shape`` (unknown fields
     rejected); semantic validation happens in ``validate``."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    error = jsonschema.exceptions.best_match(
-        _input_validator().iter_errors(doc))
-    if error is not None:
-        raise error
-    grp = doc["group"]
-    blocks = [BlockDatum(
-        side=b["side"], dim=b["dim"], e=b["e"], ell=b.get("ell", 0),
-        partner_ell=b.get("partner_ell"), torsion=b.get("torsion", 1),
-        levi=b.get("levi")) for b in doc["blocks"]]
+    _check_shape(doc)
     sl = None
     if "sl_rgroup" in doc:
         raw = doc["sl_rgroup"]
-        table = {tuple(k.split(",")): v for k, v in raw["table"].items()}
         try:
-            cocycle = {tuple(k.split(",")): int(v)
-                       for k, v in raw["cocycle"].items()}
             translations = {
                 l: tuple(_translation_entry(s) for s in vec)
                 for l, vec in raw.get("translations", {}).items()}
-            matrices = {l: tuple(tuple(int(x) for x in row) for row in m)
-                        for l, m in raw["matrices"].items()}
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(["sl_rgroup: %s" % exc]) from exc
-        sl = SLRGroupSpec(labels=tuple(raw["labels"]), matrices=matrices,
-                          table=table, cocycle=cocycle,
-                          translations=translations)
-    return InertialDatum(family=grp["family"], n=grp["n"],
-                         division_degree=grp.get("division_degree", 1),
-                         blocks=tuple(blocks), sl_rgroup=sl)
+        sl = SLRGroupSpec(
+            labels=tuple(raw["labels"]),
+            matrices={l: tuple(map(tuple, m))
+                      for l, m in raw["matrices"].items()},
+            table={tuple(k.split(",")): v for k, v in raw["table"].items()},
+            cocycle={tuple(k.split(",")): v
+                     for k, v in raw["cocycle"].items()},
+            translations=translations)
+    # the checked field names are those of the dataclasses
+    return InertialDatum(blocks=tuple(BlockDatum(**b) for b in doc["blocks"]),
+                         sl_rgroup=sl, **doc["group"])
 
 
 # ---------------------------------------------------------------------------

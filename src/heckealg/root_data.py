@@ -122,15 +122,24 @@ class RootDatum:
             if on_line not in (2, 4):
                 raise RootDatumError("line through %r has %d roots"
                                      % (r.vector, on_line))
-        # n = <s, r^vee> once per pair: s_r s = s - n r is a root, and for
-        # n != 0 r and s are on one component, with one component index
+        # n = <v, r^vee> for the roots v meeting the support of r^vee (every
+        # other pairing is 0): s_r v = v - n r is a root, and for n != 0 r
+        # and v are on one component, with one component index
         roots, mixed = self._by_vector, False
+        meets = [set() for _ in range(self.rank)]   # coordinate -> vectors
+        for v in roots:
+            for i, x in enumerate(v):
+                if x:
+                    meets[i].add(v)
         for r in self.roots:
-            for s in self.roots:
-                n = pairing(s.vector, r.coroot)
-                if n and vsub(s.vector, vscale(r.vector, n)) not in roots:
+            support = [(i, x) for i, x in enumerate(r.coroot) if x]
+            for v in set().union(*(meets[i] for i, _ in support)):
+                n = sum(v[i] * x for i, x in support)
+                if not n:
+                    continue
+                if tuple(a - n * b for a, b in zip(v, r.vector)) not in roots:
                     raise RootDatumError("reflection does not preserve roots")
-                if n and r.component_index != s.component_index:
+                if r.component_index != roots[v].component_index:
                     mixed = True
         if mixed:
             raise RootDatumError(

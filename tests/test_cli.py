@@ -405,9 +405,9 @@ def _bench_sl_doc(edit):
 
 
 MISTYPED_SL_RGROUPS = {
-    # int() would truncate 0.7 to 0 and read "1" and -1.9 as 1 and -1
+    # read with int(), 0.7 would be 0, and "1" and -1.9 would be 1 and -1
     "float-matrix-entry": (
-        lambda r: r["matrices"].update(g=[[1.0, 0.7], [0, 1]]),
+        lambda r: r["matrices"].update(g=[[1, 0.7], [0, 1]]),
         "0.7 is not of type 'integer'"),
     "string-matrix-entry": (
         lambda r: r["matrices"].update(g=[[1, 0], [0, "1"]]),
@@ -430,6 +430,62 @@ def test_mistyped_sl_rgroup_exit_2(case, tmp_path, capsys):
                              capsys)
     assert code == 2 and out == ""
     assert err == "input error: %s\n" % message
+
+
+def _edited(name, edit):
+    """A copy of a built-in example, changed in memory by ``edit``."""
+    from heckealg.pipeline import BUILTIN_EXAMPLES
+    doc = json.loads(json.dumps(BUILTIN_EXAMPLES[name]))
+    edit(doc)
+    return doc
+
+
+# integers written as floats: each would read as the integer it equals
+INTEGRAL_FLOATS = {
+    "e": (_edited("sp2-iwahori", lambda d: d["blocks"][0].update(e=1.0)),
+          "1.0 is not of type 'integer'"),
+    "n": (_edited("sp2-iwahori", lambda d: d["group"].update(n=1.0)),
+          "1.0 is not of type 'integer'"),
+    "torsion": (_edited("sp2-iwahori",
+                        lambda d: d["blocks"][0].update(torsion=2.0)),
+                "2.0 is not of type 'integer', 'string'"),
+    "dim": (_edited("gl-a2", lambda d: d["blocks"][0].update(dim=2.0)),
+            "2.0 is not of type 'integer'"),
+    "division_degree": (_edited("gl-a2", lambda d: d["group"].update(
+        division_degree=2.0)), "2.0 is not of type 'integer'"),
+    "matrix-entry": (_bench_sl_doc(lambda r: r["matrices"].update(
+        g=[[1.0, 0], [0, 1]])), "1.0 is not of type 'integer'"),
+}
+
+
+@pytest.mark.parametrize("command", ["describe", "count"])
+@pytest.mark.parametrize("case", sorted(INTEGRAL_FLOATS))
+def test_integral_float_exit_2(case, command, tmp_path, capsys):
+    doc, message = INTEGRAL_FLOATS[case]
+    p = tmp_path / "datum.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--input", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert err == "input error: %s\n" % message
+
+
+def test_cli_imports_only_the_standard_library():
+    # site hooks (setuptools' _distutils_hack among them) load before the
+    # snapshot; every module that the import and one command add counts
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import heckealg.cli\n"
+        "heckealg.cli.main(['describe', '--example', 'sp58'])\n"
+        "added = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "sys.stderr.write(' '.join(sorted(added)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0 and "BC2 x B3" in proc.stdout
+    added = proc.stderr.split()
+    assert "heckealg" in added
+    assert [m for m in added if m != "heckealg" and
+            m not in sys.stdlib_module_names] == []
 
 
 def test_console_script_entry():
