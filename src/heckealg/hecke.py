@@ -250,30 +250,30 @@ class AffineDescriptor(HeckeDescriptor):
         if any(v < 0 for v in self.lam.values()) or \
            any(v < 0 for v in self.lam_star.values()):
             raise HeckeError("parameters must be nonnegative integers")
-        rg = self.wext.rgroup
-        images = [lambda v, s=s: reflect(v, s.vector, s.coroot)
+        # a simple reflection moves only the roots pairing nonzero with its
+        # coroot, and those meet the coroot's support
+        images = [{v: reflect(v, s.vector, s.coroot)
+                   for v in rd.roots_meeting(s.coroot)}
                   for s in rd.simple_roots]
-        images += [lambda v, m=rg.matrix(l): mat_apply(m, v)
-                   for l in rg.labels]
+        images += self.wext.root_images.values()
         for image in images:
             for v in nondiv:
-                w = image(v)
+                w = image.get(v, v)
                 if self.lam[v] != self.lam.get(w):
                     raise HeckeError("lambda is not W-invariant")
                 if v in halvable and self.lam_star[v] != self.lam_star.get(w):
                     raise HeckeError("lambda* is not W-invariant")
-        for l in rg.labels:
-            m = rg.matrix(l)
+        for image in self.wext.root_images.values():
             for r in rd.roots:
-                img = rd.root(mat_apply(m, r.vector))
-                if img.component_index != r.component_index:
+                if rd.root(image[r.vector]).component_index != \
+                        r.component_index:
                     raise HeckeError("z-variable assignment is not stable "
                                      "under the diagram group")
 
     def _simple_info(self, i: int) -> SimpleRootInfo:
         root = self.rd.simple_roots[i]
         return SimpleRootInfo(
-            index=i, root=root, matrix=self.rd.simple_reflections()[i],
+            index=i, root=root, matrix=self.rd.simple_reflections[i],
             zvar=root.component_index, lam=self.lam[root.vector],
             lam_star=self.lam_star.get(root.vector), halvable=root.halvable)
 
@@ -564,6 +564,7 @@ class GradedSimpleInfo:
     matrix: Matrix
     rvar: int
     k: int
+    factor: TorusAlgebraElement   # the constant k(alpha) r_j
 
 
 class GradedDescriptor(HeckeDescriptor):
@@ -588,10 +589,15 @@ class GradedDescriptor(HeckeDescriptor):
             cocycle)
         self.weyl = self.wext.weyl
         self.diagram_matrices = self.wext.rgroup.matrices
+        zero = (0,) * sub_rd.rank
         self.simple_info = tuple(
-            GradedSimpleInfo(i, s, sub_rd.simple_reflections()[i],
-                             s.component_index, self.k[s.vector])
-            for i, s in enumerate(sub_rd.simple_roots))
+            GradedSimpleInfo(i, s, m, s.component_index, self.k[s.vector],
+                             TorusAlgebraElement(sub_rd.rank, {
+                                 zero: LaurentZ.var_power(
+                                     self.d, s.component_index, 1,
+                                     self.k[s.vector])}))
+            for i, (s, m) in enumerate(zip(sub_rd.simple_roots,
+                                           sub_rd.simple_reflections)))
 
     def xi(self, coeffs: Sequence[int]) -> GradedElement:
         """Degree-one polynomial sum coeffs[i] x_i."""
@@ -615,8 +621,7 @@ class GradedDescriptor(HeckeDescriptor):
         diff = c - cs
         if not (diff and info.k):
             return cs, TorusAlgebraElement.zero(self.rd.rank)
-        return cs, diff.divide_linear(info.root.vector).scale(
-            LaurentZ.var_power(self.d, info.rvar, 1, info.k))
+        return cs, diff.divide_linear(info.root.vector) * info.factor
 
 
 def im_involution(desc: GradedDescriptor, a: GradedElement) -> GradedElement:

@@ -15,6 +15,7 @@ giving quadratic relations (T - q^{lambda*torsion})(T + 1) = 0.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -26,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .hecke import AffineDescriptor, HeckeError
 from .params import a_from_ell, is_admissible_ell, lambda_from_jordan
 from .root_data import (Root, RootDatum, RootDatumError, build_classical,
-                        empty_datum, weyl_order_classical)
+                        empty_datum, product, weyl_order_classical)
 from .weyl import Cocycle, ExtendedGroup, RGroup, WeylError
 
 Torsion = Union[int, str]
@@ -326,32 +327,17 @@ def _block_weyl_order(family_rank: Optional[Tuple[str, int]]) -> int:
     return weyl_order_classical(fam, rank)
 
 
-def _block_params(datum_family: str, b: BlockDatum, rd: RootDatum,
-                  fam_rank: Optional[Tuple[str, int]]
-                  ) -> Tuple[Dict[tuple, int], Dict[tuple, int]]:
-    """lambda / lambda* on the nondivisible roots of one block's datum."""
-    lam: Dict[tuple, int] = {}
-    lam_star: Dict[tuple, int] = {}
-    if fam_rank is None:
-        return lam, lam_star
-    fam, _ = fam_rank
+def _root_params(datum_family: str, b: BlockDatum, fam: str, r: Root
+                 ) -> Tuple[int, Optional[int]]:
+    """lambda and lambda* (None unless the coroot is halvable) of a
+    nondivisible root r of block b, whose root system has family fam."""
     if datum_family in ("GL", "SL"):
-        for r in rd.nondivisible_roots:
-            lam[r.vector] = b.dim
-        return lam, lam_star
-    for r in rd.nondivisible_roots:
-        short = sum(c * c for c in r.vector) == 1
-        if fam in ("A", "C", "D") or not short:
-            lam[r.vector] = 1
-            if r.halvable:
-                lam_star[r.vector] = 1
-        else:
-            a = a_from_ell(b.side, b.ell)
-            a_prime = a_from_ell(b.side, b.partner_ell or 0)
-            pair = lambda_from_jordan(a, a_prime)
-            lam[r.vector] = pair.lam
-            lam_star[r.vector] = pair.lam_star
-    return lam, lam_star
+        return b.dim, None
+    if fam in ("A", "C", "D") or sum(c * c for c in r.vector) != 1:
+        return 1, 1 if r.halvable else None
+    pair = lambda_from_jordan(a_from_ell(b.side, b.ell),
+                              a_from_ell(b.side, b.partner_ell or 0))
+    return pair.lam, pair.lam_star
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +350,12 @@ def _flip_matrix(rank: int, coords: Sequence[int]):
                  for i in range(rank))
 
 
-def build_rgroup(datum: InertialDatum, block_data: Sequence[RootDatum],
-                 offsets: Sequence[int]) -> Tuple[RGroup, Cocycle, str]:
+def build_rgroup(datum: InertialDatum, offsets: Sequence[int]
+                 ) -> Tuple[RGroup, Cocycle, str]:
     """Elementary abelian 2-group of sign flips r_tau for the D-type
     blocks (O side, e >= 1, no discrete part), with the even-SO rule for
-    pure-GL Levis; trivial cocycle."""
+    pure-GL Levis; trivial cocycle.  Block i has the coordinates
+    offsets[i] .. offsets[i + 1] - 1."""
     rank = offsets[-1]
     candidates: List[int] = []   # block indices (0-based) carrying r_tau
     odd_dim: Dict[int, bool] = {}
@@ -542,23 +529,17 @@ def assemble(datum: InertialDatum) -> HeckeReport:
         offsets.append(offsets[-1] + rd.rank)
 
     # orthogonal sum over blocks, one z-variable per block (also for
-    # rootless blocks, which still own a deformation variable)
-    rank = offsets[-1]
-    roots = []
-    for i, rd in enumerate(block_data):
-        for r in rd.roots:
-            roots.append(Root(_embed(r.vector, offsets[i], rank),
-                              _embed(r.coroot, offsets[i], rank), i + 1))
-    combined = RootDatum(rank, roots, max(1, len(datum.blocks)))
-
+    # rootless blocks, which still own a deformation variable); a datum
+    # with no blocks keeps one on the rank-0 torus
+    combined = product(*block_data or [empty_datum(0)])
     lam: Dict[tuple, int] = {}
     lam_star: Dict[tuple, int] = {}
-    for i, (b, rd, fr) in enumerate(zip(datum.blocks, block_data, systems)):
-        bl, bs = _block_params(datum.family, b, rd, fr)
-        for v, val in bl.items():
-            lam[_embed(v, offsets[i], rank)] = val
-        for v, val in bs.items():
-            lam_star[_embed(v, offsets[i], rank)] = val
+    for r in combined.nondivisible_roots:
+        i = r.component_index - 1
+        lam[r.vector], star = _root_params(datum.family, datum.blocks[i],
+                                           systems[i][0], r)
+        if star is not None:
+            lam_star[r.vector] = star
 
     supplied = datum.family == "SL" and datum.sl_rgroup is not None
     try:
@@ -566,7 +547,7 @@ def assemble(datum: InertialDatum) -> HeckeReport:
             rg, cocycle = _sl_rgroup(datum.sl_rgroup)
             structure = "supplied R-group of order %d" % rg.order()
         else:
-            rg, cocycle, structure = build_rgroup(datum, block_data, offsets)
+            rg, cocycle, structure = build_rgroup(datum, offsets)
         wext = ExtendedGroup(combined, rg)
         descriptor = AffineDescriptor(combined, wext, lam, lam_star, cocycle)
     except (WeylError, HeckeError) as exc:
@@ -585,15 +566,17 @@ def assemble(datum: InertialDatum) -> HeckeReport:
         else:
             reduced.append(fr)
 
+    # the simple roots in descending lexicographic order are those of
+    # block 1, then block 2, ..., each in its own order
     simple_reports: List[SimpleRootReport] = []
-    for i, (b, rd) in enumerate(zip(datum.blocks, block_data)):
-        letter = GREEK[i % len(GREEK)]
-        for j, s in enumerate(rd.simple_roots):
-            vec = _embed(s.vector, offsets[i], combined.rank)
+    for i, roots in itertools.groupby(combined.simple_roots,
+                                      lambda s: s.component_index - 1):
+        for j, s in enumerate(roots, 1):
             simple_reports.append(SimpleRootReport(
-                name="%s%d" % (letter, j + 1), block=i,
-                vector=vec, lam=lam[vec], lam_star=lam_star.get(vec),
-                torsion=b.torsion))
+                name="%s%d" % (GREEK[i % len(GREEK)], j), block=i,
+                vector=s.vector, lam=lam[s.vector],
+                lam_star=lam_star.get(s.vector),
+                torsion=datum.blocks[i].torsion))
 
     charlat = None
     if datum.family == "SL":
@@ -613,10 +596,6 @@ def assemble(datum: InertialDatum) -> HeckeReport:
         group_order=group_order, rgroup_structure=structure,
         block_systems=systems, block_reduced=reduced,
         simple_roots=simple_reports, character_lattice=charlat)
-
-
-def _embed(v: tuple, offset: int, rank: int) -> tuple:
-    return (0,) * offset + tuple(v) + (0,) * (rank - offset - len(v))
 
 
 def _sl_rgroup(spec: SLRGroupSpec) -> Tuple[RGroup, Cocycle]:

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 Vector = Tuple[int, ...]
 
@@ -89,12 +89,17 @@ class RootDatum:
         self.roots: Tuple[Root, ...] = tuple(roots)
         self.num_z_vars = num_z_vars
         self._by_vector: Dict[Vector, Root] = {}
+        # coordinate -> vectors of the roots nonzero there
+        self._meets: List[Set[Vector]] = [set() for _ in range(rank)]
         for r in self.roots:
             if len(r.vector) != rank or len(r.coroot) != rank:
                 raise RootDatumError("root length does not match rank")
             if r.vector in self._by_vector:
                 raise RootDatumError("duplicate root %r" % (r.vector,))
             self._by_vector[r.vector] = r
+            for i, x in enumerate(r.vector):
+                if x:
+                    self._meets[i].add(r.vector)
         self._validate()
         self.positive_roots = tuple(r for r in self.roots if _lex_positive(r.vector))
         self.nondivisible_roots = tuple(r for r in self.roots
@@ -126,14 +131,9 @@ class RootDatum:
         # other pairing is 0): s_r v = v - n r is a root, and for n != 0 r
         # and v are on one component, with one component index
         roots, mixed = self._by_vector, False
-        meets = [set() for _ in range(self.rank)]   # coordinate -> vectors
-        for v in roots:
-            for i, x in enumerate(v):
-                if x:
-                    meets[i].add(v)
         for r in self.roots:
             support = [(i, x) for i, x in enumerate(r.coroot) if x]
-            for v in set().union(*(meets[i] for i, _ in support)):
+            for v in self.roots_meeting(r.coroot):
                 n = sum(v[i] * x for i, x in support)
                 if not n:
                     continue
@@ -146,18 +146,13 @@ class RootDatum:
                 "component index not constant on a component")
 
     def _find_simples(self) -> Tuple[Root, ...]:
-        pos = [r for r in self.reduced_positive]
-        vectors = {r.vector for r in pos}
-        simples = []
-        for r in pos:
-            decomposable = False
-            for s in pos:
-                diff = vsub(r.vector, s.vector)
-                if diff != (0,) * self.rank and diff in vectors:
-                    decomposable = True
-                    break
-            if not decomposable:
-                simples.append(r)
+        """The reduced positive roots r that are no sum s + t of two such
+        roots; one of s, t meets the support of r, so only those s are
+        tried."""
+        vectors = {r.vector for r in self.reduced_positive}
+        simples = [r for r in self.reduced_positive
+                   if not any(vsub(r.vector, s) in vectors for s in
+                              self.roots_meeting(r.vector) & vectors)]
         # descending lexicographic order: in B_n this lists the long simple
         # roots before the short one, matching the usual alpha_1..alpha_n
         simples.sort(key=lambda r: r.vector, reverse=True)
@@ -177,11 +172,16 @@ class RootDatum:
     def is_positive(self, v: Sequence[int]) -> bool:
         return _lex_positive(tuple(v))
 
-    def reflection(self, r: Root):
-        return reflection_matrix(self.rank, r.vector, r.coroot)
+    def roots_meeting(self, v: Sequence[int]) -> Set[Vector]:
+        """Vectors of the roots nonzero somewhere v is: every other root
+        pairs to 0 with v."""
+        return set().union(*(self._meets[i] for i, x in enumerate(v) if x))
 
-    def simple_reflections(self):
-        return tuple(self.reflection(s) for s in self.simple_roots)
+    @cached_property
+    def simple_reflections(self) -> Tuple[Tuple[Vector, ...], ...]:
+        """Matrices of the simple reflections, in ``simple_roots`` order."""
+        return tuple(reflection_matrix(self.rank, s.vector, s.coroot)
+                     for s in self.simple_roots)
 
     @cached_property
     def inverse_cartan(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
@@ -285,17 +285,19 @@ def empty_datum(rank: int, num_z_vars: int = 1) -> RootDatum:
     return RootDatum(rank, (), num_z_vars)
 
 
-def product(a: RootDatum, b: RootDatum) -> RootDatum:
-    """Orthogonal direct sum; b's coordinates and z-variables are shifted."""
-    rank = a.rank + b.rank
+def product(*data: RootDatum) -> RootDatum:
+    """Orthogonal direct sum; each summand's coordinates and z-variables
+    are shifted past those of the summands before it."""
+    rank = sum(rd.rank for rd in data)
     roots: List[Root] = []
-    for r in a.roots:
-        roots.append(Root(r.vector + (0,) * b.rank, r.coroot + (0,) * b.rank,
-                          r.component_index))
-    for r in b.roots:
-        roots.append(Root((0,) * a.rank + r.vector, (0,) * a.rank + r.coroot,
-                          r.component_index + a.num_z_vars))
-    return RootDatum(rank, roots, a.num_z_vars + b.num_z_vars)
+    offset = z = 0
+    for rd in data:
+        left, right = (0,) * offset, (0,) * (rank - offset - rd.rank)
+        roots += [Root(left + r.vector + right, left + r.coroot + right,
+                       r.component_index + z) for r in rd.roots]
+        offset += rd.rank
+        z += rd.num_z_vars
+    return RootDatum(rank, roots, z)
 
 
 def merge_components(rd: RootDatum, new_index: Dict[int, int],

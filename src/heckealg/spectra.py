@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+from typing import (Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .root_data import RootDatum
@@ -56,7 +56,6 @@ class CentralCharacterPoint:
 class ConjugacyClass(NamedTuple):
     """One class, as ``FiniteGroup.conjugacy_classes`` returns it."""
     members: List
-    conjugators: Dict
     centralizer: List
 
 
@@ -83,25 +82,24 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> List[ConjugacyClass]:
         """One pass over the group per class, from its first member g in
-        element order: the members in element order, each member x ->
-        some h with h g h^-1 = x, and the centralizer of g."""
+        element order: the members in element order and the centralizer
+        of g."""
         position = {g: i for i, g in enumerate(self.elements)}
         seen = set()
         classes = []
         for g in self.elements:
             if g in seen:
                 continue
-            conjugators: Dict = {}
+            members = set()
             centralizer = []
             for h in self.elements:
                 x = self.mult(self.mult(h, g), self.inv(h))
-                conjugators.setdefault(x, h)
+                members.add(x)
                 if x == g:
                     centralizer.append(h)
             classes.append(ConjugacyClass(
-                sorted(conjugators, key=position.__getitem__), conjugators,
-                centralizer))
-            seen.update(conjugators)
+                sorted(members, key=position.__getitem__), centralizer))
+            seen |= members
         return classes
 
 
@@ -109,26 +107,16 @@ def count_twisted_irreps(group: FiniteGroup) -> int:
     """Number of cocycle-regular conjugacy classes: g is regular iff
     cocycle(g, h) = cocycle(h, g) for all h centralizing g.
 
-    The classes come with the centralizer of their first member g only;
-    a member x = h g h^-1 has centralizer h C(g) h^-1.  Regularity is
-    still evaluated on every member, as a check that it is a class
-    function."""
-    mult, coc = group.mult, group.cocycle_fn
+    For a 2-cocycle regularity is a class function (Karpilovsky,
+    Projective Representations of Finite Groups), so each class is
+    tested at its first member, against the centralizer that
+    ``conjugacy_classes`` returns with it; ``Cocycle.check`` has made
+    sure the cocycle is one when a descriptor is built."""
+    coc = group.cocycle_fn
     count = 0
-    for members, conjugators, cent in group.conjugacy_classes():
+    for members, centralizer in group.conjugacy_classes():
         g = members[0]
-        regular_flags = []
-        for x in members:
-            cx = cent
-            if x != g:
-                h = conjugators[x]
-                hinv = group.inv(h)
-                cx = [mult(mult(h, c), hinv) for c in cent]
-            regular_flags.append(all(coc(x, y) == coc(y, x) for y in cx))
-        if any(regular_flags) != all(regular_flags):
-            raise SpectraError("cocycle-regularity is not a class function")
-        if regular_flags[0]:
-            count += 1
+        count += all(coc(g, h) == coc(h, g) for h in centralizer)
     return count
 
 

@@ -10,8 +10,8 @@ Hecke layer moves its basis keys, and point stabilizers and minimal coset
 representatives are computed, as table ids.  Enumerating a Weyl group
 records a reduced word of every element, so words and lengths are dict
 lookups and the table's walks are built from them.
-Rational linear algebra (R-group inverses, the inverse Cartan matrix)
-goes through one exact row reduction, ``rref``.
+Rational linear algebra (the inverse Cartan matrix, the centre of a
+twisted group algebra) goes through one exact row reduction, ``rref``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .root_data import RootDatum, pairing, subdatum
@@ -39,13 +40,12 @@ def identity_matrix(rank: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rank = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(rank))
-                       for j in range(rank)) for i in range(rank))
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_apply(m: Matrix, v: Sequence[int]) -> Vector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def rref(rows: Sequence[Sequence], width: int
@@ -75,17 +75,6 @@ def rref(rows: Sequence[Sequence], width: int
     return mat[:len(pivots)], pivots
 
 
-def mat_inv(m: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with det +-1."""
-    n = len(m)
-    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
-                         for i, row in enumerate(m)], n)
-    if len(pivots) < n or any(x.denominator != 1
-                              for row in rows for x in row[n:]):
-        raise WeylError("matrix %r is not invertible over ZZ" % (m,))
-    return tuple(tuple(int(x) for x in row[n:]) for row in rows)
-
-
 def _integral(values: Iterable[Fraction]) -> bool:
     return all(Fraction(v).denominator == 1 for v in values)
 
@@ -109,7 +98,7 @@ class WeylGroup:
     def __init__(self, rd: RootDatum):
         self.rd = rd
         self.rank = rd.rank
-        self.simple_matrices: Tuple[Matrix, ...] = rd.simple_reflections()
+        self.simple_matrices: Tuple[Matrix, ...] = rd.simple_reflections
         self.identity = WeylElement(identity_matrix(rd.rank))
         self._elements: Optional[List[WeylElement]] = None
         self._words: Dict[Matrix, Tuple[int, ...]] = {}
@@ -231,7 +220,9 @@ class RGroup:
     positive roots of the ambient datum) and an optional translation
     part: a tuple of Fractions mod 1 describing how the element moves
     finite-order torus points beyond its linear action.  The identity
-    is the label ``"e"``.
+    is the label ``"e"``, acting by the identity matrix; as the matrices
+    multiply as the table, M_a M_b = 1 for b = a^-1, so every matrix is
+    invertible over ZZ.
     """
 
     def __init__(self, labels: Sequence[str], matrices: Dict[str, Matrix],
@@ -254,6 +245,9 @@ class RGroup:
             if len(m) != rank or any(len(row) != rank for row in m):
                 raise WeylError("matrix of label %r is not %dx%d"
                                 % (l, rank, rank))
+        if self.matrices[self.identity] != identity_matrix(rank):
+            raise WeylError("the matrix of the identity label is not the "
+                            "identity")
         unknown = set(translations or ()) - set(self.labels)
         if unknown:
             raise WeylError("translations given for unknown labels %s"
@@ -262,8 +256,6 @@ class RGroup:
             if len(t) != rank:
                 raise WeylError("translation of label %r has %d entries, "
                                 "not %d" % (l, len(t), rank))
-        self._inverse_matrices = {l: mat_inv(m)
-                                  for l, m in self.matrices.items()}
         self._inverse = {}
         for a in self.labels:
             for b in self.labels:
@@ -287,7 +279,7 @@ class RGroup:
         """The point action e -> P_a e + t(a) is an action only if
         t(ab) = t(a) + P_a t(b) mod ZZ^rank."""
         for a in self.labels:
-            point = mat_transpose(self._inverse_matrices[a])
+            point = mat_transpose(self.matrices[self.inv(a)])
             for b in self.labels:
                 moved = mat_apply(point, self.translations[b])
                 want = self.translations[self.table[(a, b)]]
@@ -313,31 +305,34 @@ class RGroup:
     def order(self) -> int:
         return len(self.labels)
 
-    def validate_action(self, rd: RootDatum) -> None:
+    def validate_action(self, rd: RootDatum
+                        ) -> Dict[str, Dict[Vector, Vector]]:
         """Labels permute the roots and fix the positive system; each
         translation is W-invariant mod ZZ^rank, so that W_ext acts on
-        points."""
+        points.  Returns, per label, the image of each root vector."""
         # a simple reflection is its own inverse, so its point matrix is s^T
-        points = [mat_transpose(s) for s in rd.simple_reflections()]
+        points = [mat_transpose(s) for s in rd.simple_reflections]
+        images = {}
         for l in self.labels:
             m = self.matrices[l]
             if len(m) != rd.rank:
                 raise WeylError("matrix of label %r is not %dx%d"
                                 % (l, rd.rank, rd.rank))
-            for r in rd.roots:
-                img = mat_apply(m, r.vector)
-                if not rd.has_root(img):
-                    raise WeylError("diagram label %r does not permute roots" % (l,))
-            for r in rd.positive_roots:
-                if not rd.is_positive(mat_apply(m, r.vector)):
-                    raise WeylError(
-                        "diagram label %r does not stabilize the positive system"
-                        % (l,))
+            image = images[l] = {r.vector: mat_apply(m, r.vector)
+                                 for r in rd.roots}
+            if not all(map(rd.has_root, image.values())):
+                raise WeylError("diagram label %r does not permute roots" % (l,))
+            if not all(rd.is_positive(image[r.vector])
+                       for r in rd.positive_roots):
+                raise WeylError(
+                    "diagram label %r does not stabilize the positive system"
+                    % (l,))
             t = self.translations[l]
             for p in points if any(t) else ():
                 if not _integral(a - b for a, b in zip(mat_apply(p, t), t)):
                     raise WeylError("translation of label %r is not "
                                     "W-invariant mod ZZ^%d" % (l, rd.rank))
+        return images
 
 
 @dataclass(frozen=True)
@@ -354,14 +349,15 @@ class ExtendedGroup:
     """W_ext = W(reduced system) x| R, with the R-action by matrices.
 
     Products, inverses and the point action are looked up in ``table``,
-    built on first use.
+    built on first use; ``root_images`` maps each R-label to the image of
+    each root vector.
     """
 
     def __init__(self, rd: RootDatum, rgroup: RGroup | None = None):
         self.rd = rd
         self.weyl = WeylGroup(rd)
         self.rgroup = rgroup or RGroup.trivial(rd.rank)
-        self.rgroup.validate_action(rd)
+        self.root_images = self.rgroup.validate_action(rd)
         self.identity = ExtendedWeylElement(self.weyl.identity,
                                             self.rgroup.identity)
         self._table: Optional[GroupTable] = None
@@ -546,7 +542,7 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
     subsystem = subdatum(rd, root_values)
     reflection_part = table.subgroup(
         table.index[ExtendedWeylElement(WeylElement(m), group.rgroup.identity)]
-        for m in subsystem.simple_reflections())
+        for m in subsystem.simple_reflections)
     diagram_part = [
         g for g in stab
         if all(subsystem.is_positive(mat_apply(table.actions[g], s.vector))

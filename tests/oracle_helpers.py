@@ -8,13 +8,25 @@ from heckealg import hecke
 from heckealg.checks import random_graded
 from heckealg.hecke import graded_multiply
 from heckealg.spectra import FiniteGroup, _commutation_rows
-from heckealg.weyl import (ExtendedGroup, RGroup, identity_matrix, mat_apply,
-                           mat_mul, rref)
+from heckealg.weyl import (ExtendedGroup, RGroup, WeylError, identity_matrix,
+                           mat_apply, mat_mul, rref)
+
+
+def mat_inv(m):
+    """Exact inverse of an integer matrix with det +-1, by row reduction
+    over QQ; WeylError for any other matrix."""
+    n = len(m)
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(m)], n)
+    if len(pivots) < n or any(x.denominator != 1
+                              for row in rows for x in row[n:]):
+        raise WeylError("matrix %r is not invertible over ZZ" % (m,))
+    return tuple(tuple(int(x) for x in row[n:]) for row in rows)
 
 
 def word_matrix(rd, word):
     """The product s_{i_1} ... s_{i_m} of simple reflection matrices."""
-    simple = rd.simple_reflections()
+    simple = rd.simple_reflections
     m = identity_matrix(rd.rank)
     for i in word:
         m = mat_mul(m, simple[i])
@@ -46,7 +58,7 @@ def root_count_length(rd, matrix):
 def descent_word(rd, matrix):
     """Reduced word (0-based) by peeling off the least right descent:
     w = w' s_i with i least such that w(alpha_i) < 0."""
-    simple = rd.simple_reflections()
+    simple = rd.simple_reflections
     word_rev = []
     m = matrix
     for _ in range(len(rd.reduced_positive) + 1):
@@ -290,6 +302,26 @@ def distinguished_bruteforce(side, parts):
         if _valid_partition(side, rem):
             return False
     return True
+
+
+def count_twisted_irreps_by_member(group):
+    """Number of cocycle-regular conjugacy classes, regularity tested at
+    every element g against its centralizer, both found by brute force;
+    AssertionError unless regularity is constant on each class."""
+    mult, inv, coc = group.mult, group.inv, group.cocycle_fn
+    regular = {g: all(coc(g, h) == coc(h, g) for h in group.elements
+                      if mult(g, h) == mult(h, g))
+               for g in group.elements}
+    count, seen = 0, set()
+    for g in group.elements:
+        if g in seen:
+            continue
+        members = {mult(mult(h, g), inv(h)) for h in group.elements}
+        assert {regular[x] for x in members} == {regular[g]}, \
+            "cocycle-regularity is not a class function"
+        seen |= members
+        count += regular[g]
+    return count
 
 
 def twisted_algebra_center_basis(group):

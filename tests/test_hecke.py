@@ -16,7 +16,7 @@ from heckealg.hecke import (AffineDescriptor, HeckeError, act,
                             is_central, multiply, quotient_z1,
                             serialize_element, specialize_element,
                             spread_invariant, symmetrize)
-from heckealg.root_data import build_classical
+from heckealg.root_data import build_classical, product
 from heckealg.weyl import Cocycle, ExtendedGroup
 
 DESCS = standard_descriptors()
@@ -158,6 +158,26 @@ def test_descriptor_parameter_validation():
     good = AffineDescriptor(b2, w, lam, lam_star, Cocycle.trivial(("e",)))
     with pytest.raises(HeckeError):
         good.specialized((Fraction(-2),))
+
+
+def test_invariance_checks_read_the_kept_root_images(monkeypatch):
+    """W_ext-invariance of lambda and of the z-variables is checked on
+    the root images the extended group keeps, with no matrix applied:
+    the swap label of A1 x A1 refuses lambda 1 and 2 on its two factors,
+    and two z-variables."""
+    def no_matrix(*args):
+        raise AssertionError("mat_apply called")
+    good = DESCS["A1xA1-twisted"]
+    rd, w, cocycle = good.rd, good.wext, good.cocycle
+    monkeypatch.setattr(hecke, "mat_apply", no_matrix)
+    AffineDescriptor(rd, w, good.lam, {}, cocycle)
+    lam = {v: 1 + any(v[2:]) for v in good.lam}
+    with pytest.raises(HeckeError, match="lambda is not W-invariant"):
+        AffineDescriptor(rd, w, lam, {}, cocycle)
+    two = product(build_classical("A", 1), build_classical("A", 1))
+    with pytest.raises(HeckeError, match="z-variable"):
+        AffineDescriptor(two, ExtendedGroup(two, w.rgroup), good.lam, {},
+                         cocycle)
 
 
 def test_descriptor_mismatch_rejected():

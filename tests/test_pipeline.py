@@ -154,14 +154,11 @@ def test_table_weyl_orders():
 def _rgroup_of(family, blocks, n):
     datum = validate(InertialDatum(family, n, tuple(blocks)))
     from heckealg.pipeline import _block_datum
-    block_data = []
     offsets = [0]
     for b in datum.blocks:
         fr = root_component(b.side, b.e, b.ell_total())
-        rd = _block_datum(fr, b.e)
-        block_data.append(rd)
-        offsets.append(offsets[-1] + rd.rank)
-    return build_rgroup(datum, block_data, offsets)
+        offsets.append(offsets[-1] + _block_datum(fr, b.e).rank)
+    return build_rgroup(datum, offsets)
 
 
 def test_rgroup_sp_two_generators():

@@ -71,6 +71,18 @@ def test_product():
     a1a1 = product(build_classical("A", 1), build_classical("A", 1))
     assert len(a1a1.roots) == 4 and a1a1.num_z_vars == 2
 
+    # n-ary: the sum of three is the sum of the first two with the third,
+    # and its simple roots are the summands' in summand order
+    three = product(bc2, empty_datum(1), b3)
+    nested = product(product(bc2, empty_datum(1)), b3)
+    assert three.rank == 6 and three.num_z_vars == 3
+    assert [(r.vector, r.coroot, r.component_index) for r in three.roots] \
+        == [(r.vector, r.coroot, r.component_index) for r in nested.roots]
+    assert [s.vector for s in three.simple_roots] == \
+        [s.vector[:2] + (0,) * 4 for s in bc2.simple_roots] + \
+        [(0,) * 3 + s.vector for s in b3.simple_roots]
+    assert [s.component_index for s in three.simple_roots] == [1, 1, 3, 3, 3]
+
 
 def test_doubled_and_halvable():
     bc2 = build_classical("BC", 2)

@@ -11,6 +11,7 @@ from heckealg.spectra import (FiniteGroup, FiniteTorusPoint, SpectraError,
 from heckealg.weyl import (Cocycle, ExtendedGroup, GroupTable, RGroup,
                            identity_matrix)
 from oracle_helpers import (all_subgroups, bilinear_cocycles,
+                            count_twisted_irreps_by_member,
                             distinguished_bruteforce, weyl_finite_group,
                             _partitions, _valid_partition)
 
@@ -65,26 +66,23 @@ def test_conjugacy_class_records(family, rank):
     n, mult, inv = len(fg.elements), fg.mult, fg.inv
     classes = fg.conjugacy_classes()
     assert sorted(x for c in classes for x in c.members) == fg.elements
-    for members, conjugators, centralizer in classes:
+    for members, centralizer in classes:
         g = members[0]
-        assert members == sorted(members) and set(conjugators) == set(members)
+        assert members == sorted(
+            {mult(mult(h, g), inv(h)) for h in fg.elements})
         assert len(members) * len(centralizer) == n
-        assert all(mult(mult(h, g), inv(h)) == x
-                   for x, h in conjugators.items())
         assert all(mult(c, g) == mult(g, c) for c in centralizer)
 
 
 @pytest.mark.parametrize("family, rank, expected",
-                         [("B", 2, 104), ("A", 3, 394)])
+                         [("B", 2, 80), ("A", 3, 240)])
 def test_count_twisted_irreps_one_pass_per_class(family, rank, expected):
-    """2|G| products per class for its one pass, and 2|C(g)| to conjugate
-    the centralizer to each of the other |G|/|C(g)| - 1 members."""
+    """2|G| products per class for its one pass, and none beyond it:
+    regularity is tested at the class's first member only."""
     fg, calls = _table_group(family, rank)
     count_twisted_irreps(fg)
     assert calls[0] == expected
-    n, classes = len(fg.elements), fg.conjugacy_classes()
-    assert expected == 2 * n * len(classes) + \
-        2 * sum(n - len(c.centralizer) for c in classes)
+    assert expected == 2 * len(fg.elements) * len(fg.conjugacy_classes())
 
 
 def test_extended_quotient_one_pass_per_orbit(monkeypatch):
@@ -122,6 +120,18 @@ def test_counting_oracle_all_subgroups():
                 fg = FiniteGroup(sub_els, big.mult, big.inv, big.identity, fn)
                 assert count_twisted_irreps(fg) == \
                     twisted_algebra_center_dim(fg)
+
+
+def test_count_by_representative_matches_every_member():
+    """Regularity tested at one member per class counts as testing it at
+    every member, over every subgroup of W(B2) and every cocycle in the
+    bilinear test set."""
+    big = FiniteGroup.from_extended(weyl_finite_group(build_classical("B", 2)))
+    for sub_els in all_subgroups(big):
+        for fn in bilinear_cocycles(big, sub_els):
+            fg = FiniteGroup(sub_els, big.mult, big.inv, big.identity, fn)
+            assert count_twisted_irreps(fg) == \
+                count_twisted_irreps_by_member(fg)
 
 
 def test_sum_of_squares_regular_trace():
