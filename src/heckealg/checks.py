@@ -8,7 +8,6 @@ exact; randomness is seeded.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .coeffs import LaurentZ, TorusAlgebraElement
@@ -299,8 +298,10 @@ def coset_cone_cases() -> List[Tuple[str, RootDatum, Tuple[int, ...]]]:
     return cases
 
 
-def _random_vector(rng: random.Random, rank: int) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 6))
+def _random_vector(rng: random.Random, rank: int) -> Tuple[int, ...]:
+    """Coordinates n / d with 1 <= d <= 6, times 60, the lcm of every d
+    that can be drawn: an integer vector on the same ray, as cones see it."""
+    return tuple(rng.randint(-8, 8) * (60 // rng.randint(1, 6))
                  for _ in range(rank))
 
 
@@ -330,8 +331,9 @@ def check_coset_cones(name: str, rd: RootDatum, point: Tuple[int, ...],
             x = _random_vector(rng, rd.rank)
         elif k % 3 == 1:
             # biased sample inside the subsystem antidominant cone
-            x = tuple(sum(-Fraction(rng.randint(0, 4), rng.randint(1, 3)) * c[i]
-                          for c in sub_simple_coroots) for i in range(rd.rank))
+            # coefficients -n / d with 1 <= d <= 3, times their lcm 6
+            x = tuple(-sum(rng.randint(0, 4) * (6 // rng.randint(1, 3)) * c[i]
+                           for c in sub_simple_coroots) for i in range(rd.rank))
             x = mat_apply(rng.choice(reps), x)
         else:
             x = _random_vector(rng, rd.rank)

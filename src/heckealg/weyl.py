@@ -1,24 +1,28 @@
 """Weyl groups, extended groups W. x| R, reduced words, cosets and cones.
 
-Weyl group elements are integer lattice automorphisms stored as tuples
-of rows; equality is matrix equality.  An extended group W_ext = W x| R
-builds, on first use, one ``GroupTable`` that numbers its elements and
-answers products, inverses, left multiplication by a generator, subgroup
-closure and the action on finite-order torus points by lookup, with
-integer arithmetic only.  After the build it is the only group law: the
-Hecke layer moves its basis keys, and point stabilizers and minimal coset
-representatives are computed, as table ids.  Enumerating a Weyl group
-records a reduced word of every element, so words and lengths are dict
-lookups and the table's walks are built from them.
-Rational linear algebra (the inverse Cartan matrix, the centre of a
-twisted group algebra) goes through one exact row reduction, ``rref``.
+Group elements are permutations inside and integer matrices at the
+boundary: they permute the orbit of the standard basis ({+-e_i} on the
+classical data), and each element's matrix is read off once.  An extended
+group W_ext = W x| R builds, on first use, one ``GroupTable`` that
+numbers its elements and answers products, inverses, left multiplication
+by a generator, subgroup closure and the action on finite-order torus
+points by lookup, with integer arithmetic only.  After the build it is
+the only group law: the Hecke layer moves its basis keys, and point
+stabilizers and minimal coset representatives are computed, as table
+ids.  Enumerating a Weyl group records a reduced word of every element,
+so words and lengths are dict lookups and the table's walks are built
+from them.  Rational linear algebra (the inverse Cartan matrix, the
+centre of a twisted group algebra) goes through one exact row reduction,
+``rref``, which eliminates on integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -26,6 +30,7 @@ from .root_data import RootDatum, pairing, subdatum
 
 Matrix = Tuple[Tuple[int, ...], ...]
 Vector = Tuple[int, ...]
+Perm = Tuple[int, ...]
 
 ENUMERATION_CAP = 2_000_000
 
@@ -48,14 +53,16 @@ def mat_apply(m: Matrix, v: Sequence[int]) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
-def rref(rows: Sequence[Sequence], width: int
+def rref(rows: Sequence[Sequence[int]], width: int
          ) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over QQ, pivoting on the first ``width``
-    columns (further columns, e.g. an augmented block, ride along).
+    """Reduced row echelon form over QQ of integer rows, pivoting on the
+    first ``width`` columns (further columns, e.g. an augmented block,
+    ride along).  Returns the nonzero reduced rows and their pivots.
 
-    Returns the nonzero reduced rows and their pivot columns.
+    Each new row, pivot * row - f * pivot row, is divided by the gcd of
+    its entries; rows are divided by their pivots, as Fractions, at the end.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [list(row) for row in rows]
     pivots: List[int] = []
     for col in range(width):
         r = len(pivots)
@@ -63,16 +70,19 @@ def rref(rows: Sequence[Sequence], width: int
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        top = mat[r]
+        p = top[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         if len(pivots) == len(mat):
             break
-    return mat[:len(pivots)], pivots
+    return [[Fraction(x, row[c]) for x in row]
+            for row, c in zip(mat, pivots)], pivots
 
 
 def _integral(values: Iterable[Fraction]) -> bool:
@@ -93,19 +103,49 @@ class WeylElement:
 
 
 class WeylGroup:
-    """The Weyl group of the reduced subsystem of a root datum."""
+    """The Weyl group of the reduced subsystem of a root datum.
 
-    def __init__(self, rd: RootDatum):
+    An element is a permutation p of ``orbit``, the standard basis closed
+    under the simple reflections and the matrices ``extra`` (the R-labels
+    of an extended group); column j of its matrix is ``orbit[p[j]]``.
+    """
+
+    def __init__(self, rd: RootDatum, extra: Iterable[Matrix] = ()):
         self.rd = rd
         self.rank = rd.rank
         self.simple_matrices: Tuple[Matrix, ...] = rd.simple_reflections
         self.identity = WeylElement(identity_matrix(rd.rank))
+        self._gens = self.simple_matrices + tuple(extra)
         self._elements: Optional[List[WeylElement]] = None
         self._words: Dict[Matrix, Tuple[int, ...]] = {}
+        self.orbit_perms: List[Perm] = []
+
+    @cached_property
+    def orbit(self) -> List[Vector]:
+        orbit, seen = list(self.identity.matrix), set(self.identity.matrix)
+        for v in orbit:                  # the list grows while it is read
+            for u in (mat_apply(m, v) for m in self._gens):
+                if u not in seen:
+                    seen.add(u)
+                    orbit.append(u)
+        return orbit
+
+    @cached_property
+    def _position(self) -> Dict[Vector, int]:
+        return {v: i for i, v in enumerate(self.orbit)}
+
+    def permutation(self, m: Matrix) -> Perm:
+        """The permutation of ``orbit`` by which the matrix acts."""
+        return tuple(self._position[mat_apply(m, v)] for v in self.orbit)
+
+    def matrix_of(self, p: Perm) -> Matrix:
+        """The matrix of a permutation of ``orbit``."""
+        return tuple(zip(*(self.orbit[p[j]] for j in range(self.rank))))
 
     def enumerate(self) -> List[WeylElement]:
         """All elements, sorted by matrix, by closure from the simple
-        reflections; records a reduced word of each element on the way.
+        reflections; records a reduced word of each element on the way,
+        and its permutation of ``orbit`` in ``orbit_perms``.
 
         Each length level is reached from the last by right multiplication
         with the simple reflections in the outer loop, so a new element
@@ -113,21 +153,24 @@ class WeylGroup:
         is word(w) + (i,).
         """
         if self._elements is None:
-            words = {self.identity.matrix: ()}
-            frontier = [self.identity.matrix]
+            simple = list(map(self.permutation, self.simple_matrices))
+            words = {tuple(range(len(self.orbit))): ()}
+            frontier = list(words)
             while frontier:
                 nxt = []
-                for i, s in enumerate(self.simple_matrices):
-                    for m in frontier:
-                        p = mat_mul(m, s)
-                        if p not in words:
+                for i, s in enumerate(simple):
+                    for p in frontier:
+                        q = tuple(map(p.__getitem__, s))
+                        if q not in words:
                             if len(words) >= ENUMERATION_CAP:
                                 raise WeylError("group enumeration cap exceeded")
-                            words[p] = words[m] + (i,)
-                            nxt.append(p)
+                            words[q] = words[p] + (i,)
+                            nxt.append(q)
                 frontier = nxt
-            self._words = words
-            self._elements = [WeylElement(m) for m in sorted(words)]
+            pairs = sorted((self.matrix_of(p), p) for p in words)
+            self._words = {m: words[p] for m, p in pairs}
+            self._elements = [WeylElement(m) for m, _p in pairs]
+            self.orbit_perms = [p for _m, p in pairs]
         return self._elements
 
     def order(self) -> int:
@@ -136,7 +179,8 @@ class WeylGroup:
     def reduced_word(self, w: WeylElement) -> Tuple[int, ...]:
         """Reduced word in simple-reflection indices (0-based), recorded by
         ``enumerate``."""
-        self.enumerate()
+        if self._elements is None:
+            self.enumerate()
         try:
             return self._words[w.matrix]
         except KeyError:
@@ -355,9 +399,9 @@ class ExtendedGroup:
 
     def __init__(self, rd: RootDatum, rgroup: RGroup | None = None):
         self.rd = rd
-        self.weyl = WeylGroup(rd)
         self.rgroup = rgroup or RGroup.trivial(rd.rank)
         self.root_images = self.rgroup.validate_action(rd)
+        self.weyl = WeylGroup(rd, self.rgroup.matrices.values())
         self.identity = ExtendedWeylElement(self.weyl.identity,
                                             self.rgroup.identity)
         self._table: Optional[GroupTable] = None
@@ -407,8 +451,8 @@ class GroupTable:
     ``perms``.  The generators are the simple reflections (generator i
     is s_i) and the non-identity R-labels (generator ``gen_index[l]``);
     ``perms[k][h]`` is the id of gen_k * h, so s_i (w, l) = (s_i w, l)
-    and gamma (w, l) = (gamma w gamma^-1, gamma l), one integer matrix
-    product per entry when the table is built.  Per id the table keeps
+    and gamma (w, l) = (gamma w gamma^-1, gamma l), one composition of
+    orbit permutations per entry of the build.  Per id the table keeps
     the element, its label, its action matrix, its length ``lengths``
     (that of its Weyl part), a walk over those permutations, the inverse
     id and the matrix acting on point exponents (the transpose of the
@@ -419,33 +463,37 @@ class GroupTable:
     generator of l^-1.  Memory is linear in |W_ext|; a product walks a
     word, one list lookup per letter, with no matrix arithmetic.
 
-    An element is determined by its action matrix together with its
-    label (w = action * R(label)^-1); the matrix alone does not suffice
-    when two labels act by the same matrix.
+    An element is determined by its action on the orbit together with
+    its label (w = action * R(label)^-1); the action alone does not
+    suffice when two labels act by the same matrix.
     """
 
     def __init__(self, group: ExtendedGroup):
-        rg = group.rgroup
+        rg, wg = group.rgroup, group.weyl
         self.elements: List[ExtendedWeylElement] = group.elements()
         self.index: Dict[ExtendedWeylElement, int] = {
             g: i for i, g in enumerate(self.elements)}
         self.labels: List[str] = [g.diagram for g in self.elements]
-        self.actions: List[Matrix] = [
-            mat_mul(g.weyl.matrix, rg.matrix(g.diagram)) for g in self.elements]
         self.identity = self.index[group.identity]
         self._translations = rg.translations
         self._shifts: Dict[Tuple[str, int], Vector] = {}
-        by_key = {key: i for i, key in enumerate(zip(self.actions,
-                                                     self.labels))}
-        gens = [(m, rg.identity) for m in group.weyl.simple_matrices]
-        gens += [(rg.matrix(l), l) for l in rg.labels if l != rg.identity]
+        # each id's permutation of wg.orbit: that of w composed with R(l)
+        r_perms = {l: wg.permutation(rg.matrix(l)) for l in rg.labels}
+        on_orbit = [tuple(map(p.__getitem__, r_perms[l]))
+                    for l in rg.labels for p in wg.orbit_perms]
+        self.actions: List[Matrix] = [
+            g.weyl.matrix if l == rg.identity else wg.matrix_of(p)
+            for g, l, p in zip(self.elements, self.labels, on_orbit)]
+        by_key = {key: i for i, key in enumerate(zip(on_orbit, self.labels))}
+        gens = [(wg.permutation(m), rg.identity) for m in wg.simple_matrices]
+        gens += [(r_perms[l], l) for l in rg.labels if l != rg.identity]
         self.gen_index: Dict[str, int] = {
-            l: k for k, (_m, l) in enumerate(gens) if l != rg.identity}
+            l: k for k, (_p, l) in enumerate(gens) if l != rg.identity}
         self.perms: List[List[int]] = [
-            [by_key[(mat_mul(m, a), rg.mult(l, b))]
-             for a, b in zip(self.actions, self.labels)]
-            for m, l in gens]
-        words = [group.weyl.reduced_word(g.weyl) for g in self.elements]
+            [by_key[(tuple(map(p.__getitem__, a)), rg.mult(l, b))]
+             for a, b in zip(on_orbit, self.labels)]
+            for p, l in gens]
+        words = [wg.reduced_word(g.weyl) for g in self.elements]
         self.lengths: List[int] = [len(word) for word in words]
         gamma = {l: (k,) for l, k in self.gen_index.items()}
         self._walks = [tuple(self.perms[k]
@@ -459,6 +507,11 @@ class GroupTable:
             self.inverse.append(h)
         self.point_matrices: List[Matrix] = [
             mat_transpose(self.actions[i]) for i in self.inverse]
+        # act_point reads each row as its (column, coefficient) nonzeros
+        sparse = {r: tuple((j, a) for j, a in enumerate(r) if a)
+                  for r in set(chain.from_iterable(self.point_matrices))}
+        self._point_rows = [tuple(map(sparse.get, m))
+                            for m in self.point_matrices]
 
     def mult(self, g: int, h: int) -> int:
         for perm in self._walks[g]:
@@ -495,8 +548,8 @@ class GroupTable:
         return self._shifts[key]
 
     def act_point(self, g: int, exponents: Vector, order: int) -> Vector:
-        return tuple((sum(a * x for a, x in zip(row, exponents)) + s) % order
-                     for row, s in zip(self.point_matrices[g],
+        return tuple((sum(a * exponents[j] for j, a in row) + s) % order
+                     for row, s in zip(self._point_rows[g],
                                        self.shift(self.labels[g], order)))
 
 
@@ -596,8 +649,8 @@ def cone_classify(rd: RootDatum, x: Sequence[Fraction]) -> ConeMembership:
     """Exact membership in the dominant and antidominant-obtuse cones."""
     if len(x) != rd.rank:
         raise WeylError("vector length does not match rank")
-    x = [Fraction(v) for v in x]
     # the cones are invariant under positive scaling: clear denominators
+    # (an int is its own numerator, over 1)
     den = math.lcm(*(v.denominator for v in x))
     x = [v.numerator * (den // v.denominator) for v in x]
     dominant = all(pairing(r.vector, x) >= 0 for r in rd.positive_roots)

@@ -1,6 +1,7 @@
 """Shared independent oracles and test-only helpers."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ from heckealg import hecke
 from heckealg.checks import random_graded
 from heckealg.hecke import graded_multiply
 from heckealg.spectra import FiniteGroup, _commutation_rows
-from heckealg.weyl import (ExtendedGroup, RGroup, WeylError, identity_matrix,
+from heckealg.root_data import build_classical
+from heckealg.weyl import (ExtendedGroup, ExtendedWeylElement, RGroup,
+                           WeylElement, WeylError, identity_matrix,
                            mat_apply, mat_mul, rref)
 
 
@@ -22,6 +25,26 @@ def mat_inv(m):
                               for row in rows for x in row[n:]):
         raise WeylError("matrix %r is not invertible over ZZ" % (m,))
     return tuple(tuple(int(x) for x in row[n:]) for row in rows)
+
+
+def fraction_rref(rows, width):
+    """Reference reduced row echelon form, eliminating over ``Fraction``:
+    each pivot row is divided by its pivot before it clears its column."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
 
 
 def word_matrix(rd, word):
@@ -355,3 +378,22 @@ def check_graded_associativity(gd, rng, triples):
                 graded_multiply(gd, a, graded_multiply(gd, b, c)):
             return False
     return True
+
+
+def b6_table_spot_checks():
+    """Build the group table of W(B6), |W| = 46080, and check its longest
+    element and some seeded products and inverses against matrices."""
+    group = ExtendedGroup(build_classical("B", 6))
+    table = group.table
+    assert len(table.elements) == group.order() == 46080
+    w0 = table.index[ExtendedWeylElement(WeylElement(tuple(
+        tuple(-x for x in row) for row in identity_matrix(6))), "e")]
+    assert table.lengths[w0] == 36 == max(table.lengths)
+    assert table.inverse[w0] == w0 and table.mult(w0, w0) == table.identity
+    rng = random.Random(6)
+    for _ in range(50):
+        g, h = rng.randrange(46080), rng.randrange(46080)
+        assert table.actions[table.mult(g, h)] == \
+            mat_mul(table.actions[g], table.actions[h])
+        assert mat_mul(table.actions[g], table.actions[table.inverse[g]]) \
+            == identity_matrix(6)

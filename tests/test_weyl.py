@@ -3,19 +3,22 @@ import math
 import operator
 import pathlib
 import random
+import resource
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from oracle_helpers import (descent_word, mat_inv, root_count_length,
-                            word_matrix)
+from oracle_helpers import (descent_word, fraction_rref, mat_inv,
+                            root_count_length, word_matrix)
 
 from heckealg import weyl
 from heckealg.checks import (check_braid, graded_test_descriptors,
                              standard_descriptors)
 from heckealg.hecke import multiply, spread_invariant
 from heckealg.pipeline import BUILTIN_EXAMPLES, assemble, datum_from_json
-from heckealg.root_data import build_classical, empty_datum, product
+from heckealg.root_data import (Root, RootDatum, build_classical,
+                                empty_datum, product)
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
                            RGroup, WeylElement, WeylError, WeylGroup,
                            cone_classify, identity_matrix,
@@ -213,6 +216,24 @@ def test_rref_rank_and_pivots():
     assert rref([], 0) == ([], [])
 
 
+def test_rref_matches_fraction_reference():
+    """The integer eliminator gives the reduced rows and pivots of
+    elimination over Fraction, on square, wide and tall, rank-deficient
+    and augmented integer matrices."""
+    rng = random.Random(16)
+    for _ in range(300):
+        height, width = rng.randint(0, 6), rng.randint(0, 6)
+        rank = rng.randint(0, min(height, width))
+        basis = [[rng.randint(-5, 5) for _ in range(width)]
+                 for _ in range(rank)]
+        augmented = rng.choice((0, 0, 1, 3))
+        rows = [[sum(rng.randint(-3, 3) * b[j] for b in basis)
+                 for j in range(width)]
+                + [rng.randint(-9, 9) for _ in range(augmented)]
+                for _ in range(height)]
+        assert rref(rows, width) == fraction_rref(rows, width)
+
+
 def test_mat_inv_exact_and_rejects_non_unimodular():
     m = ((2, 1), (1, 1))
     assert mat_mul(m, mat_inv(m)) == identity_matrix(2)
@@ -273,7 +294,29 @@ def _table_test_groups():
                               if k == (cycles[a] + cycles[b]) % 3)
                  for a in cycles for b in cycles})
     groups["A1^3-cyclic"] = ExtendedGroup(product(product(a1, a1), a1), rg)
+    # A2 on the root lattice, basis the simple roots: its Weyl matrices
+    # are not signed permutations, and the orbit of the basis is the roots
+    a2 = root_lattice_a2()
+    groups["A2-root-lattice"] = ExtendedGroup(a2)
+    z2 = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"}
+    swap = ((0, 1), (1, 0))          # the diagram automorphism
+    groups["A2-root-lattice-swap"] = ExtendedGroup(a2, RGroup(
+        ("e", "g"), {"e": identity_matrix(2), "g": swap}, z2))
+    # an R-label sending e_1 to e_1 + e_2, which only the closure of the
+    # orbit under the R-labels, not under W, reaches
+    shear = ((1, 0), (1, -1))
+    groups["rank2-shear-label"] = ExtendedGroup(empty_datum(2), RGroup(
+        ("e", "g"), {"e": identity_matrix(2), "g": shear}, z2))
     return groups
+
+
+def root_lattice_a2():
+    """A2 with the simple roots as basis: roots +-(1,0), +-(0,1),
+    +-(1,1), coroots read off the Cartan matrix."""
+    coroots = {(1, 0): (2, -1), (0, 1): (-1, 2), (1, 1): (1, 1)}
+    return RootDatum(2, [Root(tuple(s * x for x in v),
+                              tuple(s * x for x in c), 1)
+                         for v, c in coroots.items() for s in (1, -1)], 1)
 
 
 TABLE_GROUPS = _table_test_groups()
@@ -401,13 +444,9 @@ def test_stabilizer_decomposition(name):
         assert set(products) == elements
 
 
-@pytest.mark.parametrize("name", ["B2", "A1xA1-twisted"])
-def test_no_matrix_products_after_table_build(name, monkeypatch):
-    """Once the table is built, stabilizers, coset representatives, root
-    orbits, braid orders and products run on ids: no ``mat_mul`` call."""
-    desc = standard_descriptors()[name]
-    group = desc.wext
-    group.table
+def _recorded_mat_mul_calls(monkeypatch):
+    """Route every ``heckealg`` module's ``mat_mul`` through a recorder
+    and return the list it appends the calls to."""
     calls, real = [], weyl.mat_mul
 
     def counting_mat_mul(a, b):
@@ -418,6 +457,46 @@ def test_no_matrix_products_after_table_build(name, monkeypatch):
         if module.__name__.startswith("heckealg") and \
                 getattr(module, "mat_mul", None) is real:
             monkeypatch.setattr(module, "mat_mul", counting_mat_mul)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GROUPS))
+def test_no_matrix_products_in_enumeration_or_table_build(name, monkeypatch):
+    """Enumeration and the table build compose permutations: a fresh
+    group of the same datum and R-group builds with no ``mat_mul`` call."""
+    group = TABLE_GROUPS[name]
+    calls = _recorded_mat_mul_calls(monkeypatch)
+    fresh = ExtendedGroup(group.rd, group.rgroup)
+    assert fresh.table.actions == group.table.actions
+    assert fresh.table.perms == group.table.perms
+    assert calls == []
+
+
+def test_b6_table_builds_within_ten_seconds():
+    """W(B6) builds its table in a child interpreter capped at 1 GiB of
+    address space and 10 s of wall clock, so that a slower group layer
+    fails here instead of stalling the suite."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    here = pathlib.Path(__file__).parent
+    code = "import sys; sys.path[:0] = %r; import oracle_helpers as m; " \
+        "m.b6_table_spot_checks()" % [str(here),
+                                      str(pathlib.Path(weyl.__file__)
+                                          .parents[1])]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=10, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["B2", "A1xA1-twisted"])
+def test_no_matrix_products_after_table_build(name, monkeypatch):
+    """Once the table is built, stabilizers, coset representatives, root
+    orbits, braid orders and products run on ids: no ``mat_mul`` call."""
+    desc = standard_descriptors()[name]
+    group = desc.wext
+    group.table
+    calls = _recorded_mat_mul_calls(monkeypatch)
     x = tuple(int(i == 0) for i in range(desc.rd.rank))
     stab = stabilizer_of_point(group, x, 2)
     assert len(stab.reflection_part) > 1
