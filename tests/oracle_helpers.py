@@ -347,6 +347,38 @@ def count_twisted_irreps_by_member(group):
     return count
 
 
+def partition_power(k, n):
+    """[x^n] P(x)^k, P(x) = prod_{j >= 1} 1 / (1 - x^j), on integers: the
+    number of k-tuples of partitions of total size n (Macdonald, Symmetric
+    Functions and Hall Polynomials, ch. I)."""
+    coeffs = [1] + [0] * n
+    for j in range(1, n + 1):
+        for _ in range(k):            # multiply by 1 / (1 - x^j)
+            for i in range(j, n + 1):
+                coeffs[i] += coeffs[i - j]
+    return coeffs[n]
+
+
+def closed_form_total(block_systems, order):
+    """The total of ``count`` at the given order for blocks of type A, B, C
+    or BC under a trivial R-group and cocycle, the product over blocks.
+
+    The stabilizer of a point of (ZZ/N)^n is a product of symmetric groups
+    S_m, one per residue class, for a type-A_{n-1} block, so the block
+    gives [x^n] P^N.  For a type-B/C/BC_n block the residues with 2x = 0,
+    k0 = 1 + [N even] of them, give W(B_m), whose classes are the
+    bipartitions of m (Carter, Compositio Math. 25, 1972), and the other
+    (N - k0) / 2 pairs {x, -x} give S_m: [x^n] P^(2 k0 + (N - k0) / 2)."""
+    total = 1
+    for family, m in block_systems:
+        if family == "A":
+            total *= partition_power(order, m + 1)
+        else:
+            k0 = 1 + (order % 2 == 0)
+            total *= partition_power(2 * k0 + (order - k0) // 2, m)
+    return total
+
+
 def twisted_algebra_center_basis(group):
     """Exact basis (coefficient vectors over the group basis) of the
     centre of the twisted group algebra."""
