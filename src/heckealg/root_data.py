@@ -85,6 +85,10 @@ class RootDatum:
     """A lattice ZZ^rank with a finite (possibly non-reduced) root set."""
 
     def __init__(self, rank: int, roots: Iterable[Root], num_z_vars: int):
+        self._build(rank, roots, num_z_vars)
+        self._validate()
+
+    def _build(self, rank: int, roots: Iterable[Root], num_z_vars: int):
         self.rank = rank
         self.roots: Tuple[Root, ...] = tuple(roots)
         self.num_z_vars = num_z_vars
@@ -100,7 +104,6 @@ class RootDatum:
             for i, x in enumerate(r.vector):
                 if x:
                     self._meets[i].add(r.vector)
-        self._validate()
         self.positive_roots = tuple(r for r in self.roots if _lex_positive(r.vector))
         self.nondivisible_roots = tuple(r for r in self.roots
                                         if not self._half_in(r.vector))
@@ -287,7 +290,10 @@ def empty_datum(rank: int, num_z_vars: int = 1) -> RootDatum:
 
 def product(*data: RootDatum) -> RootDatum:
     """Orthogonal direct sum; each summand's coordinates and z-variables
-    are shifted past those of the summands before it."""
+    are shifted past those of the summands before it.  Not validated
+    again: the summands were, and they pair to 0 with each other."""
+    if len(data) == 1:
+        return data[0]
     rank = sum(rd.rank for rd in data)
     roots: List[Root] = []
     offset = z = 0
@@ -297,7 +303,9 @@ def product(*data: RootDatum) -> RootDatum:
                        r.component_index + z) for r in rd.roots]
         offset += rd.rank
         z += rd.num_z_vars
-    return RootDatum(rank, roots, z)
+    out = RootDatum.__new__(RootDatum)
+    out._build(rank, roots, z)
+    return out
 
 
 def merge_components(rd: RootDatum, new_index: Dict[int, int],

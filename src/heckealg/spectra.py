@@ -3,14 +3,17 @@
 The extended-quotient bookkeeping: points of finite order on the torus,
 their stabilizers in W_ext, and the number of cocycle-projective
 irreducibles of each stabilizer (= number of cocycle-regular conjugacy
-classes).  An independent oracle computes the dimension of the centre of
-the explicitly constructed twisted group algebra over QQ.
+classes, found as orbits under conjugation by generators, each with
+generators of a centralizer).  An independent oracle computes the
+dimension of the centre of the explicitly constructed twisted group
+algebra over QQ.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import (Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -54,22 +57,27 @@ class CentralCharacterPoint:
 # ---------------------------------------------------------------------------
 
 class ConjugacyClass(NamedTuple):
-    """One class, as ``FiniteGroup.conjugacy_classes`` returns it."""
+    """One class, as ``FiniteGroup.conjugacy_classes`` returns it: members
+    in element order and generators of the first member's centralizer."""
     members: List
     centralizer: List
 
 
 class FiniteGroup:
     """Concrete finite group: elements are hashable, multiplication is a
-    callable; a cocycle value is attached to each ordered pair."""
+    callable; a cocycle value is attached to each ordered pair (the
+    trivial cocycle, and ``twisted`` False, when none is given)."""
 
     def __init__(self, elements: Sequence, mult, inv, identity,
-                 cocycle_fn=None):
+                 cocycle_fn=None, generators: Optional[Sequence] = None):
         self.elements = list(elements)
         self.mult = mult
         self.inv = inv
         self.identity = identity
+        self.twisted = cocycle_fn is not None
         self.cocycle_fn = cocycle_fn or (lambda a, b: 1)
+        if generators is not None:
+            self.generators = list(generators)
 
     @classmethod
     def from_extended(cls, group: ExtendedGroup,
@@ -80,26 +88,49 @@ class FiniteGroup:
         fn = (lambda a, b: coc(a.diagram, b.diagram)) if coc else None
         return cls(els, group.mult, group.inv, group.identity, fn)
 
+    @cached_property
+    def generators(self) -> List:
+        """Those given, or else each element, in order, outside the closure
+        of those before it under left multiplication by them."""
+        gens, found = [], {self.identity}
+        for g in self.elements:
+            if g not in found:
+                gens.append(g)
+                new = {self.mult(g, x) for x in found}
+                while new:   # found is closed under the earlier generators
+                    found |= new
+                    new = {self.mult(s, x) for s in gens for x in new} - found
+        return gens
+
     def conjugacy_classes(self) -> List[ConjugacyClass]:
-        """One pass over the group per class, from its first member g in
-        element order: the members in element order and the centralizer
-        of g."""
+        """Each class is the orbit of its first member g, in element order,
+        under conjugation by the generators.  The orbit's spanning tree
+        gives t[x] with t[x] g t[x]^-1 = x, and the Schreier generators
+        t[s x s^-1]^-1 s t[x] generate the centralizer of g (Holt-Eick-
+        O'Brien, Handbook of Computational Group Theory, 4.1).  Only
+        generators multiply on the left: s x s^-1 = (s (s x)^-1)^-1."""
+        mult, inv, one = self.mult, self.inv, self.identity
         position = {g: i for i, g in enumerate(self.elements)}
-        seen = set()
-        classes = []
+        seen, classes = set(), []
         for g in self.elements:
             if g in seen:
                 continue
-            members = set()
-            centralizer = []
-            for h in self.elements:
-                x = self.mult(self.mult(h, g), self.inv(h))
-                members.add(x)
-                if x == g:
-                    centralizer.append(h)
+            orbit, tree, centralizer = [g], {g: one}, {}
+            for x in orbit:                  # the list grows while it is read
+                t = tree[x]
+                for s in self.generators:
+                    y = inv(mult(s, inv(mult(s, x))))
+                    st = mult(s, t)
+                    if y not in tree:
+                        tree[y] = st
+                        orbit.append(y)
+                    else:
+                        h = mult(inv(tree[y]), st)
+                        if h != one:
+                            centralizer[h] = None
             classes.append(ConjugacyClass(
-                sorted(members, key=position.__getitem__), centralizer))
-            seen |= members
+                sorted(orbit, key=position.__getitem__), list(centralizer)))
+            seen.update(orbit)
         return classes
 
 
@@ -107,17 +138,16 @@ def count_twisted_irreps(group: FiniteGroup) -> int:
     """Number of cocycle-regular conjugacy classes: g is regular iff
     cocycle(g, h) = cocycle(h, g) for all h centralizing g.
 
-    For a 2-cocycle regularity is a class function (Karpilovsky,
-    Projective Representations of Finite Groups), so each class is
-    tested at its first member, against the centralizer that
-    ``conjugacy_classes`` returns with it; ``Cocycle.check`` has made
-    sure the cocycle is one when a descriptor is built."""
+    For a 2-cocycle regularity is a class function, and h -> cocycle(g, h)
+    / cocycle(h, g) is a homomorphism on the centralizer of g (Karpilovsky,
+    Projective Representations of Finite Groups), so each class is tested
+    at its first member against the centralizer generators returned with
+    it, and only under a twisting cocycle; ``Cocycle.check`` has made sure
+    the cocycle is one when a descriptor is built."""
     coc = group.cocycle_fn
-    count = 0
-    for members, centralizer in group.conjugacy_classes():
-        g = members[0]
-        count += all(coc(g, h) == coc(h, g) for h in centralizer)
-    return count
+    return sum(not group.twisted or all(
+        coc(members[0], h) == coc(h, members[0]) for h in centralizer)
+        for members, centralizer in group.conjugacy_classes())
 
 
 def _commutation_rows(group: FiniteGroup) -> List[List[int]]:
@@ -184,16 +214,19 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
     are swept once in sorted order, skipping those already seen; each
     orbit costs one pass over the group, whose images give the orbit and
     the stabilizer of the swept point.  Stabilizers of points in one
-    orbit are conjugate, so their order and count are the orbit's.
+    orbit are conjugate, so their order and count are the orbit's.  A
+    stabilizer that is all of W_ext takes the table's generators.
     """
     order = common_order(group, (p.order for p in points))
     canon = canonicalize or (lambda e, n: e)
     table = group.table
     ids = range(len(table.elements))
     labels = table.labels
+    table_gens = [perm[table.identity] for perm in table.perms]
 
     def cocycle_fn(a, b):
         return cocycle(labels[a], labels[b])
+    twist = cocycle_fn if -1 in cocycle.table.values() else None
 
     starts = {canon(p.rescaled(order).exponents, order) for p in points}
     seen = set()
@@ -206,8 +239,8 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
         orbit = set(moved)
         stab = [g for g in ids if moved[g] == e]
         seen |= orbit
-        sub = FiniteGroup(stab, table.mult, table.inv, table.identity,
-                          cocycle_fn)
+        sub = FiniteGroup(stab, table.mult, table.inv, table.identity, twist,
+                          table_gens if len(stab) == len(ids) else None)
         cnt = count_twisted_irreps(sub)
         reports.append(OrbitReport(FiniteTorusPoint(order, min(orbit)),
                                    len(orbit), len(stab), cnt))

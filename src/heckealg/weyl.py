@@ -2,11 +2,12 @@
 
 Group elements are permutations inside and integer matrices at the
 boundary: they permute the orbit of the standard basis ({+-e_i} on the
-classical data), and each element's matrix is read off once.  An extended
-group W_ext = W x| R builds, on first use, one ``GroupTable`` that
-numbers its elements and answers products, inverses, left multiplication
-by a generator, subgroup closure and the action on finite-order torus
-points by lookup, with integer arithmetic only.  After the build it is
+classical data); each element's matrix is read off, and its hash
+computed, once.  An extended group W_ext = W x| R builds, on first use,
+one ``GroupTable`` that numbers its elements and answers products,
+inverses, left multiplication by a generator, subgroup closure and the
+action on finite-order torus points by lookup, with integer arithmetic
+only.  After the build it is
 the only group law: the Hecke layer moves its basis keys, and point
 stabilizers and minimal coset representatives are computed, as table
 ids.  Enumerating a Weyl group records a reduced word of every element,
@@ -93,10 +94,19 @@ def mat_transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
+def _kept_hash(self) -> int:
+    return self._hash
+
+
 @dataclass(frozen=True)
 class WeylElement:
-    """Lattice automorphism in the finite Weyl group of a datum."""
+    """Lattice automorphism in the finite Weyl group of a datum.  The hash
+    is computed once, at construction; equality compares the matrix."""
     matrix: Matrix
+    __hash__ = _kept_hash
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.matrix,)))
 
     def __repr__(self):
         return "W%s" % (list(map(list, self.matrix)),)
@@ -117,7 +127,7 @@ class WeylGroup:
         self.identity = WeylElement(identity_matrix(rd.rank))
         self._gens = self.simple_matrices + tuple(extra)
         self._elements: Optional[List[WeylElement]] = None
-        self._words: Dict[Matrix, Tuple[int, ...]] = {}
+        self._words: Dict[WeylElement, Tuple[int, ...]] = {}
         self.orbit_perms: List[Perm] = []
 
     @cached_property
@@ -168,9 +178,10 @@ class WeylGroup:
                             nxt.append(q)
                 frontier = nxt
             pairs = sorted((self.matrix_of(p), p) for p in words)
-            self._words = {m: words[p] for m, p in pairs}
             self._elements = [WeylElement(m) for m, _p in pairs]
             self.orbit_perms = [p for _m, p in pairs]
+            self._words = dict(zip(self._elements,
+                                   map(words.get, self.orbit_perms)))
         return self._elements
 
     def order(self) -> int:
@@ -182,7 +193,7 @@ class WeylGroup:
         if self._elements is None:
             self.enumerate()
         try:
-            return self._words[w.matrix]
+            return self._words[w]
         except KeyError:
             raise WeylError("%r is not an element of this group" % (w,)) \
                 from None
@@ -381,9 +392,14 @@ class RGroup:
 
 @dataclass(frozen=True)
 class ExtendedWeylElement:
-    """Element of W. x| R; acts on the lattice as weyl o diagram."""
+    """Element of W. x| R; acts on the lattice as weyl o diagram.  Hashed
+    once, like ``WeylElement``."""
     weyl: WeylElement
     diagram: str
+    __hash__ = _kept_hash
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.weyl, self.diagram)))
 
     def __repr__(self):
         return "Ext(%r, %s)" % (self.weyl, self.diagram)
@@ -404,13 +420,10 @@ class ExtendedGroup:
         self.weyl = WeylGroup(rd, self.rgroup.matrices.values())
         self.identity = ExtendedWeylElement(self.weyl.identity,
                                             self.rgroup.identity)
-        self._table: Optional[GroupTable] = None
 
-    @property
+    @cached_property
     def table(self) -> "GroupTable":
-        if self._table is None:
-            self._table = GroupTable(self)
-        return self._table
+        return GroupTable(self)
 
     def elements(self) -> List[ExtendedWeylElement]:
         return [ExtendedWeylElement(w, l) for l in self.rgroup.labels
@@ -505,8 +518,10 @@ class GroupTable:
             for k in word + gamma.get(rg.inv(l), ()):
                 h = self.perms[k][h]
             self.inverse.append(h)
+        # the action itself for a signed permutation, and then kept once
         self.point_matrices: List[Matrix] = [
-            mat_transpose(self.actions[i]) for i in self.inverse]
+            m if p == m else p for m, p in zip(self.actions, (
+                mat_transpose(self.actions[i]) for i in self.inverse))]
         # act_point reads each row as its (column, coefficient) nonzeros
         sparse = {r: tuple((j, a) for j, a in enumerate(r) if a)
                   for r in set(chain.from_iterable(self.point_matrices))}

@@ -2,16 +2,18 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 from heckealg import hecke
 from heckealg.checks import random_graded
 from heckealg.hecke import graded_multiply
-from heckealg.spectra import FiniteGroup, _commutation_rows
+from heckealg.spectra import (FiniteGroup, FiniteTorusPoint,
+                              _commutation_rows, extended_quotient_count)
 from heckealg.root_data import build_classical
-from heckealg.weyl import (ExtendedGroup, ExtendedWeylElement, RGroup,
-                           WeylElement, WeylError, identity_matrix,
+from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
+                           RGroup, WeylElement, WeylError, identity_matrix,
                            mat_apply, mat_mul, rref)
 
 
@@ -414,7 +416,8 @@ def check_graded_associativity(gd, rng, triples):
 
 def b6_table_spot_checks():
     """Build the group table of W(B6), |W| = 46080, and check its longest
-    element and some seeded products and inverses against matrices."""
+    element and some seeded products and inverses against matrices;
+    returns the group."""
     group = ExtendedGroup(build_classical("B", 6))
     table = group.table
     assert len(table.elements) == group.order() == 46080
@@ -429,3 +432,17 @@ def b6_table_spot_checks():
             mat_mul(table.actions[g], table.actions[h])
         assert mat_mul(table.actions[g], table.actions[table.inverse[g]]) \
             == identity_matrix(6)
+    return group
+
+
+def b6_count_at_order_one(group, seconds):
+    """Count W(B6) at order 1 on its built table: one orbit, the origin,
+    whose stabilizer is all of W(B6) with its 65 classes (bipartitions of
+    6), within the given seconds."""
+    start = time.perf_counter()
+    total, orbits = extended_quotient_count(
+        group, Cocycle.trivial(("e",)), [FiniteTorusPoint(1, (0,) * 6)])
+    elapsed = time.perf_counter() - start
+    assert (total, [(o.orbit_size, o.stabilizer_order, o.count)
+                    for o in orbits]) == (65, [(1, 46080, 65)])
+    assert elapsed < seconds, "count took %.2f s" % elapsed

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from heckealg import root_data
 from heckealg.checks import (check_associativity, check_bernstein,
                              check_center, check_quadratic)
 from heckealg.hecke import multiply
@@ -17,6 +18,23 @@ from fractions import Fraction
 
 def sp58():
     return datum_from_json(BUILTIN_EXAMPLES["sp58"])
+
+
+@pytest.mark.parametrize("example, validated",
+                         [("sp58", [2, 3]), ("gl-a2", [3])])
+def test_assemble_validates_each_block_datum_once(example, validated,
+                                                  monkeypatch):
+    """Each block's root datum is validated when it is built, and their
+    sum is not validated again (one block: the sum is the block)."""
+    ranks, real = [], root_data.RootDatum._validate
+
+    def counting(self):
+        ranks.append(self.rank)
+        return real(self)
+    monkeypatch.setattr(root_data.RootDatum, "_validate", counting)
+    report = assemble(datum_from_json(BUILTIN_EXAMPLES[example]))
+    assert ranks == validated
+    assert report.descriptor.rd.rank == sum(validated)
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,14 @@ def test_count_examples():
     fg2 = FiniteGroup.from_extended(gg, cocycle=coc)
     assert count_twisted_irreps(fg2) == 1
     assert twisted_algebra_center_dim(fg2) == 1
+    # the same count where the point's stabilizer is the whole group
+    total, _ = extended_quotient_count(gg, coc, [FiniteTorusPoint(1, (0,))])
+    assert total == 1
 
 
-def _table_group(family, rank):
-    """W(family rank) on its table ids, with a mult that counts its calls."""
+def _table_group(family, rank, table_gens=False):
+    """W(family rank) on its table ids, with a mult that counts its calls;
+    generated by the table's generators or by those the group picks."""
     table = ExtendedGroup(build_classical(family, rank)).table
     calls = [0]
 
@@ -57,32 +61,55 @@ def _table_group(family, rank):
         calls[0] += 1
         return table.mult(a, b)
     ids = list(range(len(table.elements)))
-    return FiniteGroup(ids, mult, table.inv, table.identity), calls
+    gens = [perm[table.identity] for perm in table.perms] if table_gens \
+        else None
+    return FiniteGroup(ids, mult, table.inv, table.identity,
+                       generators=gens), calls, table
 
 
-@pytest.mark.parametrize("family, rank", [("B", 2), ("A", 3)])
-def test_conjugacy_class_records(family, rank):
-    fg, _ = _table_group(family, rank)
-    n, mult, inv = len(fg.elements), fg.mult, fg.inv
+CLASS_GROUPS = pytest.mark.parametrize(
+    "family, rank, table_gens",
+    [("B", 2, False), ("B", 2, True), ("A", 3, False), ("A", 3, True),
+     ("B", 3, False)],
+    ids=["B2-picked", "B2-table", "A3-picked", "A3-table", "B3-picked"])
+
+
+@CLASS_GROUPS
+def test_conjugacy_classes_and_centralizer_generators(family, rank,
+                                                      table_gens):
+    """The classes partition the group, each is the set of conjugates of
+    its first member, and the centralizer generators of that member
+    commute with it and generate all of its centralizer."""
+    fg, _, table = _table_group(family, rank, table_gens)
+    mult, inv = fg.mult, fg.inv
     classes = fg.conjugacy_classes()
     assert sorted(x for c in classes for x in c.members) == fg.elements
     for members, centralizer in classes:
         g = members[0]
         assert members == sorted(
             {mult(mult(h, g), inv(h)) for h in fg.elements})
-        assert len(members) * len(centralizer) == n
         assert all(mult(c, g) == mult(g, c) for c in centralizer)
+        generated = table.subgroup(centralizer)
+        assert generated == [h for h in fg.elements
+                             if mult(h, g) == mult(g, h)]
+        assert len(generated) * len(members) == len(fg.elements)
 
 
-@pytest.mark.parametrize("family, rank, expected",
-                         [("B", 2, 80), ("A", 3, 240)])
-def test_count_twisted_irreps_one_pass_per_class(family, rank, expected):
-    """2|G| products per class for its one pass, and none beyond it:
-    regularity is tested at the class's first member only."""
-    fg, calls = _table_group(family, rank)
-    count_twisted_irreps(fg)
-    assert calls[0] == expected
-    assert expected == 2 * len(fg.elements) * len(fg.conjugacy_classes())
+@CLASS_GROUPS
+def test_classes_cost_a_few_products_per_element_and_generator(
+        family, rank, table_gens):
+    """Under the trivial cocycle the count is the number of classes, for
+    at most 4 |G| #gens products after the generators are known; picking
+    the generators takes at most |G| (#gens + 1) more."""
+    fg, calls, _ = _table_group(family, rank, table_gens)
+    n, gens = len(fg.elements), fg.generators
+    assert calls[0] <= (0 if table_gens else n * (len(gens) + 1))
+    calls[0] = 0
+    assert not fg.twisted
+    count = count_twisted_irreps(fg)
+    assert calls[0] <= 4 * n * len(gens)
+    assert count == len(fg.conjugacy_classes()) == \
+        count_twisted_irreps_by_member(fg)
 
 
 def test_extended_quotient_one_pass_per_orbit(monkeypatch):

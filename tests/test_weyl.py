@@ -473,17 +473,17 @@ def test_no_matrix_products_in_enumeration_or_table_build(name, monkeypatch):
 
 
 def test_b6_table_builds_within_ten_seconds():
-    """W(B6) builds its table in a child interpreter capped at 1 GiB of
-    address space and 10 s of wall clock, so that a slower group layer
-    fails here instead of stalling the suite."""
+    """W(B6) builds its table and counts its 65 classes at order 1, the
+    count in under 2 s, in a child interpreter capped at 1 GiB of address
+    space and 10 s of wall clock, so that a slower group layer fails here
+    instead of stalling the suite."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     here = pathlib.Path(__file__).parent
     code = "import sys; sys.path[:0] = %r; import oracle_helpers as m; " \
-        "m.b6_table_spot_checks()" % [str(here),
-                                      str(pathlib.Path(weyl.__file__)
-                                          .parents[1])]
+        "m.b6_count_at_order_one(m.b6_table_spot_checks(), 2)" % [
+            str(here), str(pathlib.Path(weyl.__file__).parents[1])]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=10, preexec_fn=cap)
     assert proc.returncode == 0, proc.stderr
