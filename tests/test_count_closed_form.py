@@ -32,14 +32,14 @@ B5_PINS = [(1, 36, "400d4dc0934cc2ce"),
 
 
 def qualifies(report):
-    group = report.descriptor.wext
-    ranks = [m + 1 if fam == "A" else m for fam, m in
-             filter(None, report.block_systems)]
+    """Trivial R-group and cocycle, and blocks of type A (A_m on m + 1
+    coordinates), B, C or BC that fill the torus."""
+    systems, desc = report.block_systems, report.descriptor
     return all(s is not None and s[0] in ("A", "B", "C", "BC")
-               for s in report.block_systems) \
-        and sum(ranks) == report.torus_dim \
-        and group.rgroup.order() == 1 \
-        and set(report.descriptor.cocycle.table.values()) == {1}
+               for s in systems) \
+        and sum(m + (fam == "A") for fam, m in systems) == report.torus_dim \
+        and desc.wext.rgroup.order() == 1 \
+        and set(desc.cocycle.table.values()) == {1}
 
 
 def count_stdout(args, capsys):
