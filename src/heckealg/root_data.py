@@ -291,7 +291,7 @@ def empty_datum(rank: int, num_z_vars: int = 1) -> RootDatum:
 def product(*data: RootDatum) -> RootDatum:
     """Orthogonal direct sum; each summand's coordinates and z-variables
     are shifted past those of the summands before it.  Not validated
-    again: the summands were, and they pair to 0 with each other."""
+    again: the summands were, and pair to 0 with each other."""
     if len(data) == 1:
         return data[0]
     rank = sum(rd.rank for rd in data)

@@ -3,10 +3,9 @@
 The extended-quotient bookkeeping: points of finite order on the torus,
 their stabilizers in W_ext, and the number of cocycle-projective
 irreducibles of each stabilizer (= number of cocycle-regular conjugacy
-classes, found as orbits under conjugation by generators, each with
-generators of a centralizer).  An independent oracle computes the
-dimension of the centre of the explicitly constructed twisted group
-algebra over QQ.
+classes, found as orbits under conjugation by generators).  An
+independent oracle computes the dimension of the centre of the
+explicitly constructed twisted group algebra over QQ.
 """
 
 from __future__ import annotations
@@ -57,16 +56,14 @@ class CentralCharacterPoint:
 # ---------------------------------------------------------------------------
 
 class ConjugacyClass(NamedTuple):
-    """One class, as ``FiniteGroup.conjugacy_classes`` returns it: members
-    in element order and generators of the first member's centralizer."""
+    """One class: members in element order, centralizer generators."""
     members: List
     centralizer: List
 
 
 class FiniteGroup:
     """Concrete finite group: elements are hashable, multiplication is a
-    callable; a cocycle value is attached to each ordered pair (the
-    trivial cocycle, and ``twisted`` False, when none is given)."""
+    callable; a cocycle value is attached to each ordered pair."""
 
     def __init__(self, elements: Sequence, mult, inv, identity,
                  cocycle_fn=None, generators: Optional[Sequence] = None):
@@ -74,7 +71,6 @@ class FiniteGroup:
         self.mult = mult
         self.inv = inv
         self.identity = identity
-        self.twisted = cocycle_fn is not None
         self.cocycle_fn = cocycle_fn or (lambda a, b: 1)
         if generators is not None:
             self.generators = list(generators)
@@ -84,14 +80,12 @@ class FiniteGroup:
                       elements: Optional[Sequence[ExtendedWeylElement]] = None,
                       cocycle: Optional[Cocycle] = None) -> "FiniteGroup":
         els = list(elements) if elements is not None else group.elements()
-        coc = cocycle
-        fn = (lambda a, b: coc(a.diagram, b.diagram)) if coc else None
+        fn = (lambda a, b: cocycle(a.diagram, b.diagram)) if cocycle else None
         return cls(els, group.mult, group.inv, group.identity, fn)
 
     @cached_property
     def generators(self) -> List:
-        """Those given, or else each element, in order, outside the closure
-        of those before it under left multiplication by them."""
+        """Those given, or else picked greedily in element order."""
         gens, found = [], {self.identity}
         for g in self.elements:
             if g not in found:
@@ -103,12 +97,10 @@ class FiniteGroup:
         return gens
 
     def conjugacy_classes(self) -> List[ConjugacyClass]:
-        """Each class is the orbit of its first member g, in element order,
-        under conjugation by the generators.  The orbit's spanning tree
-        gives t[x] with t[x] g t[x]^-1 = x, and the Schreier generators
-        t[s x s^-1]^-1 s t[x] generate the centralizer of g (Holt-Eick-
-        O'Brien, Handbook of Computational Group Theory, 4.1).  Only
-        generators multiply on the left: s x s^-1 = (s (s x)^-1)^-1."""
+        """Each class is the orbit of its first member g (in element order)
+        under conjugation by the generators; with t[x] g t[x]^-1 = x along
+        the orbit's spanning tree, the Schreier generators t[s.x]^-1 s t[x]
+        generate g's centralizer (Holt-Eick-O'Brien, Handbook of CGT, 4.1)."""
         mult, inv, one = self.mult, self.inv, self.identity
         position = {g: i for i, g in enumerate(self.elements)}
         seen, classes = set(), []
@@ -119,7 +111,7 @@ class FiniteGroup:
             for x in orbit:                  # the list grows while it is read
                 t = tree[x]
                 for s in self.generators:
-                    y = inv(mult(s, inv(mult(s, x))))
+                    y = inv(mult(s, inv(mult(s, x))))   # s x s^-1
                     st = mult(s, t)
                     if y not in tree:
                         tree[y] = st
@@ -141,13 +133,12 @@ def count_twisted_irreps(group: FiniteGroup) -> int:
     For a 2-cocycle regularity is a class function, and h -> cocycle(g, h)
     / cocycle(h, g) is a homomorphism on the centralizer of g (Karpilovsky,
     Projective Representations of Finite Groups), so each class is tested
-    at its first member against the centralizer generators returned with
-    it, and only under a twisting cocycle; ``Cocycle.check`` has made sure
-    the cocycle is one when a descriptor is built."""
+    at its first member against its centralizer generators; ``Cocycle.check``
+    has made sure the cocycle is one when a descriptor is built."""
     coc = group.cocycle_fn
-    return sum(not group.twisted or all(
-        coc(members[0], h) == coc(h, members[0]) for h in centralizer)
-        for members, centralizer in group.conjugacy_classes())
+    return sum(all(coc(members[0], h) == coc(h, members[0])
+                   for h in centralizer)
+               for members, centralizer in group.conjugacy_classes())
 
 
 def _commutation_rows(group: FiniteGroup) -> List[List[int]]:
@@ -226,7 +217,6 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
 
     def cocycle_fn(a, b):
         return cocycle(labels[a], labels[b])
-    twist = cocycle_fn if -1 in cocycle.table.values() else None
 
     starts = {canon(p.rescaled(order).exponents, order) for p in points}
     seen = set()
@@ -239,7 +229,8 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
         orbit = set(moved)
         stab = [g for g in ids if moved[g] == e]
         seen |= orbit
-        sub = FiniteGroup(stab, table.mult, table.inv, table.identity, twist,
+        sub = FiniteGroup(stab, table.mult, table.inv, table.identity,
+                          cocycle_fn,
                           table_gens if len(stab) == len(ids) else None)
         cnt = count_twisted_irreps(sub)
         reports.append(OrbitReport(FiniteTorusPoint(order, min(orbit)),

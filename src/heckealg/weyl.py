@@ -7,10 +7,9 @@ computed, once.  An extended group W_ext = W x| R builds, on first use,
 one ``GroupTable`` that numbers its elements and answers products,
 inverses, left multiplication by a generator, subgroup closure and the
 action on finite-order torus points by lookup, with integer arithmetic
-only.  After the build it is
-the only group law: the Hecke layer moves its basis keys, and point
-stabilizers and minimal coset representatives are computed, as table
-ids.  Enumerating a Weyl group records a reduced word of every element,
+only.  After the build it is the only group law: the Hecke layer moves
+its basis keys, and point stabilizers and minimal coset representatives
+are computed, as table ids.  Enumerating a Weyl group records a reduced word of every element,
 so words and lengths are dict lookups and the table's walks are built
 from them.  Rational linear algebra (the inverse Cartan matrix, the
 centre of a twisted group algebra) goes through one exact row reduction,
@@ -100,8 +99,7 @@ def _kept_hash(self) -> int:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Lattice automorphism in the finite Weyl group of a datum.  The hash
-    is computed once, at construction; equality compares the matrix."""
+    """Lattice automorphism in the finite Weyl group of a datum."""
     matrix: Matrix
     __hash__ = _kept_hash
 
@@ -178,10 +176,9 @@ class WeylGroup:
                             nxt.append(q)
                 frontier = nxt
             pairs = sorted((self.matrix_of(p), p) for p in words)
-            self._elements = [WeylElement(m) for m, _p in pairs]
+            self._words = {WeylElement(m): words[p] for m, p in pairs}
+            self._elements = list(self._words)
             self.orbit_perms = [p for _m, p in pairs]
-            self._words = dict(zip(self._elements,
-                                   map(words.get, self.orbit_perms)))
         return self._elements
 
     def order(self) -> int:
@@ -392,8 +389,7 @@ class RGroup:
 
 @dataclass(frozen=True)
 class ExtendedWeylElement:
-    """Element of W. x| R; acts on the lattice as weyl o diagram.  Hashed
-    once, like ``WeylElement``."""
+    """Element of W. x| R; acts on the lattice as weyl o diagram."""
     weyl: WeylElement
     diagram: str
     __hash__ = _kept_hash

@@ -105,7 +105,6 @@ def test_classes_cost_a_few_products_per_element_and_generator(
     n, gens = len(fg.elements), fg.generators
     assert calls[0] <= (0 if table_gens else n * (len(gens) + 1))
     calls[0] = 0
-    assert not fg.twisted
     count = count_twisted_irreps(fg)
     assert calls[0] <= 4 * n * len(gens)
     assert count == len(fg.conjugacy_classes()) == \
