@@ -7,9 +7,9 @@ conjugacy classes, which we cross-check against the dimension of the
 centre of the explicitly constructed twisted group algebra.
 """
 
-from heckealg import (Cocycle, ExtendedGroup, FiniteGroup, FiniteTorusPoint,
-                      build_classical, count_twisted_irreps,
-                      extended_quotient_count, twisted_algebra_center_dim)
+from heckealg import (Cocycle, ExtendedGroup, FiniteGroup, build_classical,
+                      count_twisted_irreps, extended_quotient_count,
+                      twisted_algebra_center_dim)
 from heckealg.root_data import empty_datum
 from heckealg.weyl import RGroup, identity_matrix
 
@@ -17,8 +17,8 @@ from heckealg.weyl import RGroup, identity_matrix
 b2 = build_classical("B", 2)
 g = ExtendedGroup(b2)
 coc = Cocycle.trivial(("e",))
-pts = [FiniteTorusPoint(2, (i, j)) for i in range(2) for j in range(2)]
-total, orbits = extended_quotient_count(g, coc, pts)
+pts = [(i, j) for i in range(2) for j in range(2)]
+total, orbits = extended_quotient_count(g, coc, 2, pts)
 print("W(B2) at order-2 points: total", total)
 for o in orbits:
     print("   rep %-8r orbit %d  |stab| %2d  count %d"
@@ -47,8 +47,7 @@ print()
 # 3. the cocycle changes the extended quotient: same torus, same group,
 #    different counts
 triv = FiniteGroup.from_extended(gg, cocycle=Cocycle.trivial(lbls))
-t_triv, _ = extended_quotient_count(gg, Cocycle.trivial(lbls),
-                                    [FiniteTorusPoint(2, (0,))])
-t_alt, _ = extended_quotient_count(gg, alt, [FiniteTorusPoint(2, (0,))])
+t_triv, _ = extended_quotient_count(gg, Cocycle.trivial(lbls), 2, [(0,)])
+t_alt, _ = extended_quotient_count(gg, alt, 2, [(0,)])
 print("extended quotient at the identity point: trivial cocycle ->",
       t_triv, ", alternating cocycle ->", t_alt)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 invariant-suite failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -13,7 +14,7 @@ import sys
 from . import checks
 from .pipeline import (BUILTIN_EXAMPLES, ValidationError, assemble,
                        datum_from_json, parse_q, specialize_report)
-from .spectra import FiniteTorusPoint, common_order, extended_quotient_count
+from .spectra import common_order, extended_quotient_count
 from .weyl import ENUMERATION_CAP
 
 POINT_ENUM_CAP = 200_000
@@ -99,10 +100,10 @@ def cmd_count(args) -> int:
             return min(tuple((a + k * b) % order for a, b in zip(e, wr))
                        for k in range(order))
 
-    pts = [FiniteTorusPoint(n, t)
-           for t in itertools.product(range(n), repeat=rank)]
-    total, orbits = extended_quotient_count(desc.wext, desc.cocycle, pts,
-                                            canonicalize)
+    # the points of order dividing n, as exponents at the common order
+    pts = itertools.product(range(0, common, common // n), repeat=rank)
+    total, orbits = extended_quotient_count(desc.wext, desc.cocycle, common,
+                                            pts, canonicalize)
     doc = {
         "order": n,
         "torus_dim": rank,
@@ -126,6 +127,7 @@ def cmd_count(args) -> int:
     return 0
 
 
+@functools.cache   # once per process: parsing does not change the parser
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="heckealg",

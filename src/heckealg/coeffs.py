@@ -31,7 +31,8 @@ operation whose result could hold an exponent beyond ``MAX_EXP`` raises
 ``monomials(nvars)`` decodes the keys back to (x, e, scalar).  The key
 format is private to this module: the Hecke layer reaches packed keys only
 through ring operations, ``reflect_telescope`` (the N_s step of the affine
-algebra) and ``divide_linear``.
+algebra), ``map_monomials`` (that of the graded algebra, from a table) and
+``divide_linear``.
 """
 
 from __future__ import annotations
@@ -389,6 +390,43 @@ class TorusAlgebraElement:
         return _new(self, image, bound, self.den), _new(
             self, {k: c for k, c in out.items() if c}, _check_bound(cbound),
             den)
+
+    def map_monomials(self, table: Dict[int, tuple], build,
+                      factor: "TorusAlgebraElement") -> tuple:
+        """(f(c), g(c) factor) in one pass over c, this element, for maps f
+        and g that fix the z- (r-) part and are linear over it, given by
+        (f(theta_x), g(theta_x)) = ``build(theta_x)``, both free of z.
+        ``table``, the caller's for this build and ZZ-mode factor, maps each
+        lattice part x met so far to (b, terms of f(theta_x), terms of
+        g(theta_x) factor), terms as key offsets from key(x) and b the larger
+        bound of f(theta_x) and g(theta_x).  Bounds: B = max(bound(c), b
+        over c) for f(c), B + bound(factor) for a nonzero g(c) factor."""
+        offset, mask = _low_split(self.rank)
+        image, corr = {}, {}
+        iget, cget = image.get, corr.get
+        bound = self.bound
+        for k, v in self.terms.items():
+            xk = ((k + offset) & mask) - offset
+            entry = table.get(xk)
+            if entry is None:
+                f, g = build(_new(self, {xk: 1}, max(map(abs, _unpack(
+                    xk, self.rank)[0]), default=0), None))
+                entry = table[xk] = (max(f.bound, g.bound), *(tuple(
+                    (ek - xk, w) for ek, w in e.terms.items())
+                    for e in (f, g * factor)))
+            b, fs, gs = entry
+            if b > bound:
+                bound = b
+            for d, w in fs:
+                d += k
+                image[d] = iget(d, 0) + v * w
+            for d, w in gs:
+                d += k
+                corr[d] = cget(d, 0) + v * w
+        corr = {k: c for k, c in corr.items() if c}
+        return _new(self, {k: c for k, c in image.items() if c}, _check_bound(
+            bound), self.den), _new(self, corr, _check_bound(
+                bound + factor.bound) if corr else 0, self.den)
 
     def divide_linear(self, alpha: Exps) -> "TorusAlgebraElement":
         """Exact quotient of a polynomial by the linear form

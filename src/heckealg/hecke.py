@@ -598,6 +598,7 @@ class GradedDescriptor(HeckeDescriptor):
                                      self.k[s.vector])}))
             for i, (s, m) in enumerate(zip(sub_rd.simple_roots,
                                            sub_rd.simple_reflections)))
+        self._tables = tuple({} for _ in self.simple_info)
 
     def xi(self, coeffs: Sequence[int]) -> GradedElement:
         """Degree-one polynomial sum coeffs[i] x_i."""
@@ -614,14 +615,13 @@ class GradedDescriptor(HeckeDescriptor):
 
     def ns_step(self, info: GradedSimpleInfo, c: TorusAlgebraElement,
                 shorter: bool) -> tuple:
-        """s(c) and k(alpha) r_j (c - s c) / alpha; alpha divides c - s c
-        exactly, so ``divide_linear`` raising ArithmeticError means an
-        internal inconsistency."""
-        cs = c.substitute(info.matrix)
-        diff = c - cs
-        if not (diff and info.k):
-            return cs, TorusAlgebraElement.zero(self.rd.rank)
-        return cs, diff.divide_linear(info.root.vector) * info.factor
+        """s(c) and k(alpha) r_j (c - s c) / alpha from the table of s (s
+        fixes r, the divided difference is linear over ZZ[r]); alpha divides
+        m - s m exactly, so ArithmeticError means an internal inconsistency."""
+        def divided(m):
+            ms = m.substitute(info.matrix)
+            return ms, (m - ms).divide_linear(info.root.vector)
+        return c.map_monomials(self._tables[info.index], divided, info.factor)
 
 
 def im_involution(desc: GradedDescriptor, a: GradedElement) -> GradedElement:

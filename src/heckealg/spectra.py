@@ -38,12 +38,6 @@ class FiniteTorusPoint:
         object.__setattr__(self, "exponents",
                            tuple(e % self.order for e in self.exponents))
 
-    def rescaled(self, new_order: int) -> "FiniteTorusPoint":
-        if new_order % self.order:
-            raise SpectraError("new order must be a multiple of the old one")
-        f = new_order // self.order
-        return FiniteTorusPoint(new_order, tuple(e * f for e in self.exponents))
-
 
 @dataclass(frozen=True)
 class CentralCharacterPoint:
@@ -190,13 +184,15 @@ def common_order(group: ExtendedGroup, orders: Iterable[int]) -> int:
 
 
 def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
-                            points: Sequence[FiniteTorusPoint],
+                            order: int, points: Iterable[Tuple[int, ...]],
                             canonicalize=None
                             ) -> Tuple[int, List[OrbitReport]]:
     """Total count and per-orbit breakdown of the twisted extended
     quotient over the W_ext-closure of the given points, one report per
     orbit sorted by representative (the orbit's least point).
 
+    ``points`` are exponent vectors at ``order``, which the denominators
+    of the translation parts must divide (see ``common_order``).
     ``canonicalize`` optionally maps an exponent vector to a canonical
     representative of its class on a quotient torus (the group action
     must descend to classes); counting then happens on classes.
@@ -206,19 +202,22 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
     orbit costs one pass over the group, whose images give the orbit and
     the stabilizer of the swept point.  Stabilizers of points in one
     orbit are conjugate, so their order and count are the orbit's.  A
-    stabilizer that is all of W_ext takes the table's generators.
+    stabilizer that is all of W_ext takes the table's generators, a
+    proper one those picked greedily, shortest first.
     """
-    order = common_order(group, (p.order for p in points))
+    if common_order(group, [order]) != order:
+        raise SpectraError("order %d is not a multiple of the translation "
+                           "denominators" % order)
     canon = canonicalize or (lambda e, n: e)
     table = group.table
     ids = range(len(table.elements))
-    labels = table.labels
+    labels, lengths = table.labels, table.lengths
     table_gens = [perm[table.identity] for perm in table.perms]
 
     def cocycle_fn(a, b):
         return cocycle(labels[a], labels[b])
 
-    starts = {canon(p.rescaled(order).exponents, order) for p in points}
+    starts = {canon(tuple(a % order for a in e), order) for e in points}
     seen = set()
     reports: List[OrbitReport] = []
     total = 0
@@ -227,7 +226,8 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
             continue
         moved = [canon(table.act_point(g, e, order), order) for g in ids]
         orbit = set(moved)
-        stab = [g for g in ids if moved[g] == e]
+        stab = sorted((g for g in ids if moved[g] == e),
+                      key=lengths.__getitem__)
         seen |= orbit
         sub = FiniteGroup(stab, table.mult, table.inv, table.identity,
                           cocycle_fn,

@@ -9,12 +9,21 @@ from fractions import Fraction
 from heckealg import hecke
 from heckealg.checks import random_graded
 from heckealg.hecke import graded_multiply
-from heckealg.spectra import (FiniteGroup, FiniteTorusPoint,
-                              _commutation_rows, extended_quotient_count)
-from heckealg.root_data import build_classical
+from heckealg.spectra import (FiniteGroup, _commutation_rows,
+                              extended_quotient_count)
+from heckealg.root_data import Root, RootDatum, build_classical
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
                            RGroup, WeylElement, WeylError, identity_matrix,
                            mat_apply, mat_mul, rref)
+
+
+def root_lattice_a2():
+    """A2 with the simple roots as basis: roots +-(1,0), +-(0,1),
+    +-(1,1), coroots read off the Cartan matrix."""
+    coroots = {(1, 0): (2, -1), (0, 1): (-1, 2), (1, 1): (1, 1)}
+    return RootDatum(2, [Root(tuple(s * x for x in v),
+                              tuple(s * x for x in c), 1)
+                         for v, c in coroots.items() for s in (1, -1)], 1)
 
 
 def mat_inv(m):
@@ -441,7 +450,7 @@ def b6_count_at_order_one(group, seconds):
     6), within the given seconds."""
     start = time.perf_counter()
     total, orbits = extended_quotient_count(
-        group, Cocycle.trivial(("e",)), [FiniteTorusPoint(1, (0,) * 6)])
+        group, Cocycle.trivial(("e",)), 1, [(0,) * 6])
     elapsed = time.perf_counter() - start
     assert (total, [(o.orbit_size, o.stabilizer_order, o.count)
                     for o in orbits]) == (65, [(1, 46080, 65)])

@@ -22,8 +22,8 @@ from heckealg.params import (c_lambda_roundtrip, lambda_c_roundtrip,
 from heckealg.pipeline import (BUILTIN_EXAMPLES, assemble, datum_from_json,
                                root_component)
 from heckealg.root_data import build_classical, weyl_order_classical
-from heckealg.spectra import (FiniteGroup, FiniteTorusPoint,
-                              count_twisted_irreps, extended_quotient_count,
+from heckealg.spectra import (FiniteGroup, count_twisted_irreps,
+                              extended_quotient_count,
                               twisted_algebra_center_dim)
 from heckealg.weyl import Cocycle, ExtendedGroup, WeylGroup
 
@@ -257,14 +257,12 @@ def test_criterion_9_counting_oracle():
     g = ExtendedGroup(b2)
     coc = Cocycle.trivial(("e",))
     for n in (1, 2, 3, 4, 6):
-        pts = [FiniteTorusPoint(n, (i, j)) for i in range(n)
-               for j in range(n)]
-        total, _orbits = extended_quotient_count(g, coc, pts)
+        pts = [(i, j) for i in range(n) for j in range(n)]
+        total, _orbits = extended_quotient_count(g, coc, n, pts)
         acc = Fraction(0)
         for p in pts:
-            stab = [w for w in g.elements()
-                    if g.act_point(w, p.exponents, n) == p.exponents]
-            orbit = {g.act_point(w, p.exponents, n) for w in g.elements()}
+            stab = [w for w in g.elements() if g.act_point(w, p, n) == p]
+            orbit = {g.act_point(w, p, n) for w in g.elements()}
             acc += Fraction(count_twisted_irreps(
                 FiniteGroup.from_extended(g, stab, coc)), len(orbit))
         assert acc == total

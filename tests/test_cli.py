@@ -494,3 +494,48 @@ def test_console_script_entry():
          "gl-a2"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "A2" in proc.stdout
+
+
+PARSER_SEQUENCE = (["describe", "--example", "gl-a2"],
+                   ["count", "--example", "sp2-iwahori", "--order", "4"],
+                   ["count", "--order", "x"],
+                   ["count", "--example", "gl-a2", "--order", "2",
+                    "--format", "json"])
+
+
+def test_parser_reused_across_calls(capsys):
+    """One process that runs every command of the sequence, an argparse
+    error (exit 2) among them, prints and exits as separate processes do."""
+    alone = [subprocess.run([sys.executable, "-m", "heckealg.cli"] + args,
+                            capture_output=True, text=True)
+             for args in PARSER_SEQUENCE]
+    for args, proc in zip(PARSER_SEQUENCE, alone):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert [p.returncode for p in alone] == [0, 0, 2, 0]
+
+
+SL_ALTERNATING = pathlib.Path(__file__).resolve().parent / "data" / \
+    "sl_alternating.json"
+
+
+@pytest.mark.parametrize("cocycle, totals", [("alternating", (2, 4, 3)),
+                                             ("trivial", (8, 16, 12))])
+def test_count_depends_on_the_cocycle(cocycle, totals, tmp_path, capsys):
+    """(Z/2)^2 acts trivially on the torus, so it lies in every stabilizer;
+    with the alternating cocycle it has one projective irreducible where
+    the trivial cocycle gives four characters, so each total is a quarter."""
+    doc = json.loads(SL_ALTERNATING.read_text())
+    if cocycle == "trivial":
+        rgroup = doc["sl_rgroup"]
+        rgroup["cocycle"] = dict.fromkeys(rgroup["cocycle"], 1)
+    path = tmp_path / "sl.json"
+    path.write_text(json.dumps(doc))
+    for order, total in zip((1, 2, 3), totals):
+        code, out, _ = run_cli(["count", "--input", str(path), "--order",
+                                str(order), "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["total"] == total

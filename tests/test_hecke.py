@@ -9,7 +9,8 @@ from heckealg.checks import (check_associativity, check_bernstein, check_braid,
                              random_element, standard_descriptors)
 from heckealg import hecke
 from heckealg.checks import random_graded
-from heckealg.coeffs import LaurentZ, TorusAlgebraElement
+from heckealg.coeffs import (MAX_EXP, LaurentZ, PackedRangeError,
+                             TorusAlgebraElement, _signed_permutation)
 from heckealg.hecke import (AffineDescriptor, HeckeError, act,
                             affine_to_graded, bernstein_divide,
                             graded_from_datum, graded_multiply, im_involution,
@@ -18,6 +19,8 @@ from heckealg.hecke import (AffineDescriptor, HeckeError, act,
                             spread_invariant, symmetrize)
 from heckealg.root_data import build_classical, product
 from heckealg.weyl import Cocycle, ExtendedGroup
+
+from oracle_helpers import root_lattice_a2
 
 DESCS = standard_descriptors()
 
@@ -296,6 +299,56 @@ def test_ns_step_matches_bernstein_oracle(name):
                         bound = max(bound, cs.bound + quad.bound)
                     assert corr.bound == bound
                     assert corr.bound >= _largest_exponent(ocorr, desc.d)
+
+
+def _graded_chain(info, c):
+    """s(c) and k r_j (c - s c) / alpha by substitute, subtract,
+    divide_linear and the factor, on the whole of c."""
+    cs = c.substitute(info.matrix)
+    diff = c - cs
+    if not (diff and info.k):
+        return cs, TorusAlgebraElement.zero(c.rank)
+    return cs, diff.divide_linear(info.root.vector) * info.factor
+
+
+GRADED = dict(graded_test_descriptors(DESCS), **{
+    # simple reflections that are not signed permutations, so that
+    # substitute expands each monomial as a product of linear forms
+    "A2-root-lattice": graded_from_datum(
+        root_lattice_a2(),
+        {r.vector: 2 for r in root_lattice_a2().nondivisible_roots})})
+
+
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_graded_ns_step_matches_chain(name):
+    gd = GRADED[name]
+    rng = random.Random(1989)
+    rank = gd.rd.rank
+    if name == "A2-root-lattice":
+        assert not any(_signed_permutation(i.matrix) for i in gd.simple_info)
+    for info in gd.simple_info:
+        for _ in range(8):
+            c = TorusAlgebraElement(rank, {
+                tuple(rng.randint(0, 4) for _ in range(rank)):
+                LaurentZ.monomial(gd.d, [rng.randint(0, 2)
+                                         for _ in range(gd.d)],
+                                  rng.choice((-3, 1, 2)))
+                for _ in range(rng.randint(1, 5))})
+            for _ in range(2):   # the table's entries built, then read
+                cs, corr = gd.ns_step(info, c, False)
+                ocs, ocorr = _graded_chain(info, c)
+                assert cs == ocs and corr == ocorr
+                for got, chain in ((cs, ocs), (corr, ocorr)):
+                    assert _largest_exponent(got, gd.d) <= got.bound \
+                        <= chain.bound
+    # an odd power at the edge of the packed range, which s moves: building
+    # its entry refuses it
+    info = gd.simple_info[0]
+    i = next(j for j, a in enumerate(info.root.vector) if a)
+    big = TorusAlgebraElement(rank, {tuple(
+        MAX_EXP if j == i else 0 for j in range(rank)): gd.scalar_one()})
+    with pytest.raises(PackedRangeError):
+        gd.ns_step(info, big, False)
 
 
 def test_act_examples():

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from heckealg import cli, spectra
+from heckealg.pipeline import assemble, datum_from_json
 from heckealg.root_data import build_classical, empty_datum
 from heckealg.spectra import (FiniteGroup, FiniteTorusPoint, SpectraError,
                               central_character, classify,
@@ -47,7 +50,7 @@ def test_count_examples():
     assert count_twisted_irreps(fg2) == 1
     assert twisted_algebra_center_dim(fg2) == 1
     # the same count where the point's stabilizer is the whole group
-    total, _ = extended_quotient_count(gg, coc, [FiniteTorusPoint(1, (0,))])
+    total, _ = extended_quotient_count(gg, coc, 1, [(0,)])
     assert total == 1
 
 
@@ -124,11 +127,54 @@ def test_extended_quotient_one_pass_per_orbit(monkeypatch):
         return act_point(self, *args)
     monkeypatch.setattr(GroupTable, "act_point", counting)
     total, orbits = extended_quotient_count(
-        g, Cocycle.trivial(("e",)), [FiniteTorusPoint(2, (1, 0))])
+        g, Cocycle.trivial(("e",)), 2, [(1, 0)])
     assert calls[0] == 8
     assert [(o.representative.exponents, o.orbit_size, o.stabilizer_order)
             for o in orbits] == [((0, 1), 2, 4)]
     assert total == orbits[0].count
+
+
+B3_DATUM = {"group": {"family": "Sp", "n": 3},
+            "blocks": [{"side": "O", "dim": 1, "e": 3, "ell": 1,
+                        "torsion": 1}]}
+
+
+@pytest.mark.parametrize("args, most, total", [
+    (["--example", "sp2-iwahori"], 2, 5),
+    # stabilizers W(B2) x W(B1) and W(B2): in id order 4 and 3 generators
+    (["--input", "b3.json"], 3, 65)])
+def test_stabilizer_generators_shortest_first(args, most, total, tmp_path,
+                                              monkeypatch, capsys):
+    """Every stabilizer at order 4 gets at most ``most`` generators, picked
+    in order of length, and the total stays the same."""
+    (tmp_path / "b3.json").write_text(json.dumps(B3_DATUM))
+    monkeypatch.chdir(tmp_path)
+    gens = []
+    count = spectra.count_twisted_irreps
+
+    def recording(group):
+        gens.append(len(group.generators))
+        return count(group)
+    monkeypatch.setattr(spectra, "count_twisted_irreps", recording)
+    assert cli.main(["count", "--order", "4", "--format", "json"] + args) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == total
+    assert gens and max(gens) <= most
+
+
+def test_extended_quotient_order_covers_translations():
+    doc = {"group": {"family": "SL", "n": 4, "division_degree": 1},
+           "blocks": [{"side": "GL", "dim": 1, "e": 2, "levi": 2,
+                       "torsion": 2}],
+           "sl_rgroup": {
+               "labels": ["e", "g"],
+               "matrices": {"e": [[1, 0], [0, 1]], "g": [[1, 0], [0, 1]]},
+               "table": {"e,e": "e", "e,g": "g", "g,e": "g", "g,g": "e"},
+               "cocycle": {"e,e": 1, "e,g": 1, "g,e": 1, "g,g": 1},
+               "translations": {"g": ["1/2", "1/2"]}}}
+    desc = assemble(datum_from_json(json.dumps(doc))).descriptor
+    with pytest.raises(SpectraError):
+        extended_quotient_count(desc.wext, desc.cocycle, 3, [(0, 0)])
+    assert extended_quotient_count(desc.wext, desc.cocycle, 2, [(0, 0)])[0] > 0
 
 
 def test_counting_oracle_all_subgroups():
@@ -256,16 +302,16 @@ def test_counting_against_central_extension():
 def test_extended_quotient_examples():
     b1 = build_classical("B", 1)
     g = ExtendedGroup(b1)
-    pts = [FiniteTorusPoint(2, (0,)), FiniteTorusPoint(2, (1,))]
-    total, orbits = extended_quotient_count(g, Cocycle.trivial(("e",)), pts)
+    total, orbits = extended_quotient_count(g, Cocycle.trivial(("e",)), 2,
+                                            [(0,), (1,)])
     assert total == 4 and len(orbits) == 2
 
     # free orbit contributes exactly 1
     total, orbits = extended_quotient_count(
-        g, Cocycle.trivial(("e",)), [FiniteTorusPoint(5, (1,))])
+        g, Cocycle.trivial(("e",)), 5, [(1,)])
     assert any(o.orbit_size == 2 and o.count == 1 for o in orbits)
 
-    assert extended_quotient_count(g, Cocycle.trivial(("e",)), [])[0] == 0
+    assert extended_quotient_count(g, Cocycle.trivial(("e",)), 1, [])[0] == 0
 
 
 def test_extended_quotient_bruteforce_orders():
@@ -275,15 +321,13 @@ def test_extended_quotient_bruteforce_orders():
     g = ExtendedGroup(b2)
     coc = Cocycle.trivial(("e",))
     for n in (1, 2, 3, 4, 6):
-        pts = [FiniteTorusPoint(n, (i, j)) for i in range(n)
-               for j in range(n)]
-        total, orbits = extended_quotient_count(g, coc, pts)
+        pts = [(i, j) for i in range(n) for j in range(n)]
+        total, orbits = extended_quotient_count(g, coc, n, pts)
         # brute force: per point, count(stabilizer) / |orbit|
         acc = Fraction(0)
         for p in pts:
-            stab = [w for w in g.elements()
-                    if g.act_point(w, p.exponents, n) == p.exponents]
-            orbit = {g.act_point(w, p.exponents, n) for w in g.elements()}
+            stab = [w for w in g.elements() if g.act_point(w, p, n) == p]
+            orbit = {g.act_point(w, p, n) for w in g.elements()}
             fg = FiniteGroup.from_extended(g, stab, coc)
             acc += Fraction(count_twisted_irreps(fg), len(orbit))
         assert acc == total
@@ -293,12 +337,10 @@ def test_extended_quotient_translate_invariance():
     b2 = build_classical("B", 2)
     g = ExtendedGroup(b2)
     coc = Cocycle.trivial(("e",))
-    pts = [FiniteTorusPoint(4, (1, 2))]
-    t1, _ = extended_quotient_count(g, coc, pts)
+    t1, _ = extended_quotient_count(g, coc, 4, [(1, 2)])
     # W-translates of the input point set give the same closure
-    moved = [FiniteTorusPoint(4, g.act_point(w, (1, 2), 4))
-             for w in g.elements()]
-    t2, _ = extended_quotient_count(g, coc, moved)
+    moved = [g.act_point(w, (1, 2), 4) for w in g.elements()]
+    t2, _ = extended_quotient_count(g, coc, 4, moved)
     assert t1 == t2
 
 

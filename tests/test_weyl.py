@@ -10,15 +10,14 @@ from fractions import Fraction
 
 import pytest
 from oracle_helpers import (descent_word, fraction_rref, mat_inv,
-                            root_count_length, word_matrix)
+                            root_count_length, root_lattice_a2, word_matrix)
 
 from heckealg import weyl
 from heckealg.checks import (check_braid, graded_test_descriptors,
                              standard_descriptors)
 from heckealg.hecke import multiply, spread_invariant
 from heckealg.pipeline import BUILTIN_EXAMPLES, assemble, datum_from_json
-from heckealg.root_data import (Root, RootDatum, build_classical,
-                                empty_datum, product)
+from heckealg.root_data import build_classical, empty_datum, product
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
                            RGroup, WeylElement, WeylError, WeylGroup,
                            cone_classify, identity_matrix,
@@ -308,15 +307,6 @@ def _table_test_groups():
     groups["rank2-shear-label"] = ExtendedGroup(empty_datum(2), RGroup(
         ("e", "g"), {"e": identity_matrix(2), "g": shear}, z2))
     return groups
-
-
-def root_lattice_a2():
-    """A2 with the simple roots as basis: roots +-(1,0), +-(0,1),
-    +-(1,1), coroots read off the Cartan matrix."""
-    coroots = {(1, 0): (2, -1), (0, 1): (-1, 2), (1, 1): (1, 1)}
-    return RootDatum(2, [Root(tuple(s * x for x in v),
-                              tuple(s * x for x in c), 1)
-                         for v, c in coroots.items() for s in (1, -1)], 1)
 
 
 TABLE_GROUPS = _table_test_groups()
