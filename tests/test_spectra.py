@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -162,16 +163,10 @@ def test_stabilizer_generators_shortest_first(args, most, total, tmp_path,
 
 
 def test_extended_quotient_order_covers_translations():
-    doc = {"group": {"family": "SL", "n": 4, "division_degree": 1},
-           "blocks": [{"side": "GL", "dim": 1, "e": 2, "levi": 2,
-                       "torsion": 2}],
-           "sl_rgroup": {
-               "labels": ["e", "g"],
-               "matrices": {"e": [[1, 0], [0, 1]], "g": [[1, 0], [0, 1]]},
-               "table": {"e,e": "e", "e,g": "g", "g,e": "g", "g,g": "e"},
-               "cocycle": {"e,e": 1, "e,g": 1, "g,e": 1, "g,g": 1},
-               "translations": {"g": ["1/2", "1/2"]}}}
-    desc = assemble(datum_from_json(json.dumps(doc))).descriptor
+    """The SL datum translates by (1/2, 1/2): order 3 cannot carry it."""
+    sl = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data" / \
+        "sl.json"
+    desc = assemble(datum_from_json(sl.read_text())).descriptor
     with pytest.raises(SpectraError):
         extended_quotient_count(desc.wext, desc.cocycle, 3, [(0, 0)])
     assert extended_quotient_count(desc.wext, desc.cocycle, 2, [(0, 0)])[0] > 0
