@@ -83,7 +83,7 @@ def cmd_count(args) -> int:
     # points are counted at the common order with the translation parts,
     # so that order bounds the work
     common = common_order(desc.wext, [n])
-    if common ** max(rank, 1) > POINT_ENUM_CAP:
+    if common ** rank > POINT_ENUM_CAP:
         raise ValidationError(["%d^%d points exceed the enumeration cap %d"
                                % (common, rank, POINT_ENUM_CAP)])
     group_order = report.group_order * desc.wext.rgroup.order()
@@ -92,7 +92,7 @@ def cmd_count(args) -> int:
                                % (group_order, ENUMERATION_CAP)])
     canonicalize = None
     lattice = report.character_lattice
-    if lattice is not None:
+    if lattice is not None and rank:   # on rank 0, () is canonical
         wr = tuple(x // lattice["quotient_order"]
                    for x in lattice["constraint"])
 

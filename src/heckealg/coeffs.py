@@ -603,9 +603,6 @@ class LaurentZ(TorusAlgebraElement):
     def __rmul__(self, other):
         return self.scale(other) if isinstance(other, int) else NotImplemented
 
-    def is_one(self) -> bool:
-        return self.terms == {0: 1}
-
     def __repr__(self):
         return _z_text(self.terms, self.rank)
 

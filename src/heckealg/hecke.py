@@ -45,8 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .coeffs import LaurentZ, TorusAlgebraElement, z_bracket
 from .root_data import Root, RootDatum, pairing, reflect, vscale, vsub
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, Matrix,
-                   RGroup, Vector, WeylElement, identity_matrix, mat_apply,
-                   stabilizer_of_point)
+                   RGroup, Vector, WeylElement, mat_apply, stabilizer_of_point)
 
 
 class HeckeError(ValueError):
@@ -448,30 +447,9 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
 graded_multiply = multiply
 
 
-def act(desc: AffineDescriptor, g: ExtendedWeylElement,
-        e: TorusAlgebraElement) -> TorusAlgebraElement:
-    """theta_x -> theta_{g x} with z-coefficients fixed."""
-    return e.act_matrix(desc.wext.action_matrix(g))
-
-
 # ---------------------------------------------------------------------------
 # Specialization, the z = 1 crossed product, centrality
 # ---------------------------------------------------------------------------
-
-def specialize_element(spec_desc: AffineDescriptor, elem: HeckeElement
-                       ) -> HeckeElement:
-    """Map a symbolic element into the specialized algebra."""
-    if spec_desc.z_values is None:
-        raise HeckeError("target descriptor is not specialized")
-    out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
-    zvals = spec_desc.z_values
-    for w, c in elem.terms.items():
-        terms: Dict[Vector, Fraction] = {}
-        for x, e, v in c.monomials(len(zvals)):
-            terms[x] = terms.get(x, 0) + v * spec_desc.zmonomial(e)
-        _add_term(out, w, TorusAlgebraElement(c.rank, terms))
-    return HeckeElement(out)
-
 
 def quotient_z1(desc: AffineDescriptor) -> AffineDescriptor:
     """The crossed-product quotient at z_1 = .. = z_d = 1."""
@@ -680,9 +658,3 @@ def affine_to_graded(desc: AffineDescriptor, exponents: Vector, order: int
     cocycle = Cocycle(labels, cocycle_table)
     return GradedDescriptor(sub, k, matrices, table, cocycle)
 
-
-def graded_from_datum(rd: RootDatum, k: Dict[Vector, int]) -> GradedDescriptor:
-    """Plain graded algebra of a root datum (trivial diagram part)."""
-    return GradedDescriptor(
-        rd, k, {"e": identity_matrix(rd.rank)}, {("e", "e"): "e"},
-        Cocycle.trivial(("e",)))

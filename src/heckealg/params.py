@@ -1,4 +1,4 @@
-"""Parameter arithmetic: c, c*, lambda, lambda*, k from Jordan/cuspidal data.
+"""Parameter arithmetic: lambda, lambda* from Jordan/cuspidal data.
 
 All functions are closed-form integer arithmetic.  The two cuspidal
 shapes are:
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 class ParameterError(ValueError):
@@ -77,17 +77,6 @@ def cuspidal_d(side: str, ell: int) -> int:
     return math.isqrt(ell)
 
 
-def cuspidal_partition(side: str, d: int) -> Tuple[int, ...]:
-    """(2, 4, .., 2d) on the S side, (1, 3, .., 2d-1) on the O side."""
-    if d < 0:
-        raise ParameterError("d must be nonnegative")
-    if side == "S":
-        return tuple(2 * i for i in range(1, d + 1))
-    if side == "O":
-        return tuple(2 * i - 1 for i in range(1, d + 1))
-    raise ParameterError("unknown side %r" % (side,))
-
-
 def a_from_ell(side: str, ell: int) -> int:
     """Largest part of the cuspidal partition; the trivial-partner
     conventions give a = 0 (S) and a = -1 (O) at ell = 0."""
@@ -110,46 +99,3 @@ def lambda_from_jordan(a: int, a_prime: int) -> ParamPair:
     lam = (a + a_prime) // 2 + 1
     lam_star = abs(a - a_prime) // 2
     return ParamPair(lam, lam_star, basepoint_swapped=a < a_prime)
-
-
-def lambda_c_roundtrip(lam: int, lam_star: Optional[int], halvable: bool
-                       ) -> Tuple[int, Optional[int]]:
-    """(lambda, lambda*) -> (c, c*)."""
-    if not halvable:
-        if lam_star is not None:
-            raise ParameterError("lambda* is undefined for non-halvable roots")
-        return 2 * lam, None
-    if lam_star is None:
-        raise ParameterError("lambda* required for halvable roots")
-    return lam + lam_star, lam - lam_star
-
-
-def c_lambda_roundtrip(c: int, c_star: Optional[int], halvable: bool
-                       ) -> Tuple[int, Optional[int]]:
-    """(c, c*) -> (lambda, lambda*), inverse of lambda_c_roundtrip."""
-    if not halvable:
-        if c_star is not None:
-            raise ParameterError("c* is undefined for non-halvable roots")
-        if c % 2:
-            raise ParameterError("c must be even for non-halvable roots")
-        if c < 0:
-            raise ParameterError("c must be nonnegative")
-        return c // 2, None
-    if c_star is None:
-        raise ParameterError("c* required for halvable roots")
-    if (c - c_star) % 2:
-        raise ParameterError("c and c* must have equal parity")
-    lam = (c + c_star) // 2
-    lam_star = (c - c_star) // 2
-    if lam < 0 or lam_star < 0:
-        raise ParameterError("negative parameter from (c, c*) = (%d, %d)"
-                             % (c, c_star))
-    return lam, lam_star
-
-
-def gl_parameters(d_i: int, t_phi: int) -> Tuple[int, int]:
-    """Type-A block: lambda = d_i on every root and specialization
-    exponent f_i = d_i * t(phi_i)."""
-    if d_i < 1 or t_phi < 1:
-        raise ParameterError("d and t must be positive")
-    return d_i, d_i * t_phi

@@ -214,20 +214,6 @@ def _direction(v: Vector) -> Vector:
     return tuple(x // g for x in v)
 
 
-def is_doubled(rd: RootDatum, alpha: Root) -> bool:
-    """True iff 2*alpha is itself a root (BC phenomenon)."""
-    if alpha.vector not in rd._by_vector:
-        raise RootDatumError("root not in datum")
-    return rd.has_root(vscale(alpha.vector, 2))
-
-
-def coroot_halvable(rd: RootDatum, alpha: Root) -> bool:
-    """``alpha.halvable`` for a root of ``rd``."""
-    if alpha.vector not in rd._by_vector:
-        raise RootDatumError("root not in datum")
-    return alpha.halvable
-
-
 # ---------------------------------------------------------------------------
 # Classical constructions
 # ---------------------------------------------------------------------------

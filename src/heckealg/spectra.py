@@ -39,12 +39,6 @@ class FiniteTorusPoint:
                            tuple(e % self.order for e in self.exponents))
 
 
-@dataclass(frozen=True)
-class CentralCharacterPoint:
-    finite_part: FiniteTorusPoint
-    z_exponents: Tuple[Fraction, ...]
-
-
 # ---------------------------------------------------------------------------
 # Finite groups with multiplication tables
 # ---------------------------------------------------------------------------
@@ -241,41 +235,8 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
 
 
 # ---------------------------------------------------------------------------
-# Central characters and analytic classification flags
+# Analytic classification flags
 # ---------------------------------------------------------------------------
-
-def central_character(finite_part: FiniteTorusPoint,
-                      gl_partitions: Sequence[Sequence[int]],
-                      group: Optional[ExtendedGroup] = None
-                      ) -> CentralCharacterPoint:
-    """Attach the real-split exponents of the Jordan cocharacter: a block
-    of size p places weights (p-1, p-3, .., 1-p) on its coordinates."""
-    rank = len(finite_part.exponents)
-    sizes = sum(sum(p) for p in gl_partitions)
-    if sizes != rank:
-        raise SpectraError("partitions cover %d coordinates, torus has %d"
-                           % (sizes, rank))
-    z_exps: List[Fraction] = []
-    for partition in gl_partitions:
-        for part in partition:
-            z_exps.extend(Fraction(part - 1 - 2 * k) for k in range(part))
-    point = CentralCharacterPoint(finite_part, tuple(z_exps))
-    if group is None:
-        return point
-    return _canonicalize_orbit(group, point)
-
-
-def _canonicalize_orbit(group: ExtendedGroup, point: CentralCharacterPoint
-                        ) -> CentralCharacterPoint:
-    order = point.finite_part.order
-    table = group.table
-    fin, zs = min(
-        (table.act_point(g, point.finite_part.exponents, order),
-         tuple(sum(a * z for a, z in zip(row, point.z_exponents))
-               for row in m))
-        for g, m in enumerate(table.point_matrices))
-    return CentralCharacterPoint(FiniteTorusPoint(order, fin), zs)
-
 
 @dataclass(frozen=True)
 class ModuleClassification:

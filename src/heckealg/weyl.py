@@ -237,6 +237,8 @@ class Cocycle:
     def __init__(self, labels: Sequence[str], table: Dict[Tuple[str, str], int]):
         self.labels = tuple(labels)
         self.table = dict(table)
+        if len(set(self.labels)) < len(self.labels):
+            raise WeylError("cocycle labels repeat: %r" % (self.labels,))
         for a in self.labels:
             for b in self.labels:
                 if (a, b) not in self.table:
@@ -274,7 +276,9 @@ class RGroup:
     finite-order torus points beyond its linear action.  The identity
     is the label ``"e"``, acting by the identity matrix; as the matrices
     multiply as the table, M_a M_b = 1 for b = a^-1, so every matrix is
-    invertible over ZZ.
+    invertible over ZZ.  When the labels have distinct matrices, the
+    matrices multiplying as the table makes the table a group law; when
+    two labels share a matrix, the table itself is checked.
     """
 
     def __init__(self, labels: Sequence[str], matrices: Dict[str, Matrix],
@@ -284,6 +288,8 @@ class RGroup:
         self.matrices = dict(matrices)
         self.table = dict(table)
         self.identity = "e"
+        if len(set(self.labels)) < len(self.labels):
+            raise WeylError("R-group labels repeat: %r" % (self.labels,))
         rank = len(next(iter(matrices.values()))) if matrices else 0
         self.translations = {
             l: tuple(translations[l]) if translations and l in translations
@@ -321,11 +327,28 @@ class RGroup:
                                     "table at %r" % ((a, b),))
                 if c == self.identity:
                     self._inverse[a] = b
+        if len(set(self.matrices.values())) < len(self.labels):
+            self._check_group_law()
         for a in self.labels:
             if a not in self._inverse:
                 raise WeylError("label %r has no inverse" % (a,))
         if any(map(any, self.translations.values())):
             self._check_translation_law()
+
+    def _check_group_law(self) -> None:
+        """The identity law and associativity of the table."""
+        e, t = self.identity, self.table
+        for a in self.labels:
+            if t[(e, a)] != a or t[(a, e)] != a:
+                raise WeylError("R-group table: %r is not the identity at %r"
+                                % (e, a))
+        for a in self.labels:
+            for b in self.labels:
+                ab = t[(a, b)]
+                for c in self.labels:
+                    if t[(ab, c)] != t[(a, t[(b, c)])]:
+                        raise WeylError("R-group table is not associative "
+                                        "at %r" % ((a, b, c),))
 
     def _check_translation_law(self) -> None:
         """The point action e -> P_a e + t(a) is an action only if

@@ -1,16 +1,20 @@
 """Shared independent oracles and test-only helpers."""
 
 import itertools
+import math
 import random
 import time
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from heckealg import hecke
 from heckealg.checks import random_graded
-from heckealg.hecke import graded_multiply
-from heckealg.spectra import (FiniteGroup, _commutation_rows,
-                              extended_quotient_count)
+from heckealg.coeffs import TorusAlgebraElement
+from heckealg.hecke import HeckeElement, HeckeError, _add_term, graded_multiply
+from heckealg.params import ParameterError
+from heckealg.spectra import (FiniteTorusPoint, SpectraError,
+                              _commutation_rows, extended_quotient_count)
 from heckealg.root_data import Root, RootDatum, build_classical
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
                            RGroup, WeylElement, WeylError, identity_matrix,
@@ -273,9 +277,7 @@ def bilinear_cocycles(group, elements):
     return fns
 
 
-
 def _valid_partition(side, parts):
-    from collections import Counter
     cnt = Counter(parts)
     if side == "Sp":
         return all(cnt[p] % 2 == 0 for p in cnt if p % 2 == 1)
@@ -296,12 +298,10 @@ def _partitions(total):
 
 
 def _sub_multisets(parts):
-    from collections import Counter
     cnt = Counter(parts)
     keys = sorted(cnt)
     choices = [range(cnt[k] + 1) for k in keys]
-    import itertools as it
-    for combo in it.product(*choices):
+    for combo in itertools.product(*choices):
         yield Counter({k: c for k, c in zip(keys, combo) if c})
 
 
@@ -313,7 +313,6 @@ def distinguished_bruteforce(side, parts):
     factors embed as v + v^*, so membership means lambda = mu + 2*nu with
     nu nonempty and mu valid for the same classical type.
     """
-    from collections import Counter
     cnt = Counter(parts)
     if side == "GL":
         for nu in _sub_multisets(parts):
@@ -390,6 +389,31 @@ def closed_form_total(block_systems, order):
     return total
 
 
+def closed_form_orbit(block_systems, representative, order):
+    """(stabilizer order, count) at one orbit of ``count`` under a trivial
+    R-group and cocycle, for the blocks of ``closed_form_total``, whose
+    coordinates follow one another in block order.  A type-A block gives
+    prod m! and prod p(m) over the multiplicities m of its residues.  A
+    type-B/C/BC block folds x to min(x, N - x); a fold v with 2v = 0 gives
+    W(B_m), 2^m m! and p_2(m), and any other fold S_m, m! and p(m)."""
+    stabilizer, count = 1, 1
+    start = 0
+    for family, m in block_systems:
+        width = m + (family == "A")
+        coords = representative[start:start + width]
+        start += width
+        if family != "A":
+            coords = [min(x, order - x) for x in coords]
+        for v, mult in Counter(coords).items():
+            if family != "A" and 2 * v % order == 0:
+                stabilizer *= 2 ** mult * math.factorial(mult)
+                count *= partition_power(2, mult)
+            else:
+                stabilizer *= math.factorial(mult)
+                count *= partition_power(1, mult)
+    return stabilizer, count
+
+
 def twisted_algebra_center_basis(group):
     """Exact basis (coefficient vectors over the group basis) of the
     centre of the twisted group algebra."""
@@ -455,3 +479,104 @@ def b6_count_at_order_one(group, seconds):
     assert (total, [(o.orbit_size, o.stabilizer_order, o.count)
                     for o in orbits]) == (65, [(1, 46080, 65)])
     assert elapsed < seconds, "count took %.2f s" % elapsed
+
+
+def specialize_element(spec_desc, elem):
+    """Map a symbolic element into the specialized algebra."""
+    if spec_desc.z_values is None:
+        raise HeckeError("target descriptor is not specialized")
+    out = {}
+    zvals = spec_desc.z_values
+    for w, c in elem.terms.items():
+        terms = {}
+        for x, e, v in c.monomials(len(zvals)):
+            terms[x] = terms.get(x, 0) + v * spec_desc.zmonomial(e)
+        _add_term(out, w, TorusAlgebraElement(c.rank, terms))
+    return HeckeElement(out)
+
+
+@dataclass(frozen=True)
+class CentralCharacterPoint:
+    finite_part: FiniteTorusPoint
+    z_exponents: tuple
+
+
+def central_character(finite_part, gl_partitions, group=None):
+    """Attach the real-split exponents of the Jordan cocharacter: a block
+    of size p places weights (p-1, p-3, .., 1-p) on its coordinates."""
+    rank = len(finite_part.exponents)
+    sizes = sum(sum(p) for p in gl_partitions)
+    if sizes != rank:
+        raise SpectraError("partitions cover %d coordinates, torus has %d"
+                           % (sizes, rank))
+    z_exps = []
+    for partition in gl_partitions:
+        for part in partition:
+            z_exps.extend(Fraction(part - 1 - 2 * k) for k in range(part))
+    point = CentralCharacterPoint(finite_part, tuple(z_exps))
+    if group is None:
+        return point
+    return _canonicalize_orbit(group, point)
+
+
+def _canonicalize_orbit(group, point):
+    order = point.finite_part.order
+    table = group.table
+    fin, zs = min(
+        (table.act_point(g, point.finite_part.exponents, order),
+         tuple(sum(a * z for a, z in zip(row, point.z_exponents))
+               for row in m))
+        for g, m in enumerate(table.point_matrices))
+    return CentralCharacterPoint(FiniteTorusPoint(order, fin), zs)
+
+
+def cuspidal_partition(side, d):
+    """(2, 4, .., 2d) on the S side, (1, 3, .., 2d-1) on the O side."""
+    if d < 0:
+        raise ParameterError("d must be nonnegative")
+    if side == "S":
+        return tuple(2 * i for i in range(1, d + 1))
+    if side == "O":
+        return tuple(2 * i - 1 for i in range(1, d + 1))
+    raise ParameterError("unknown side %r" % (side,))
+
+
+def lambda_c_roundtrip(lam, lam_star, halvable):
+    """(lambda, lambda*) -> (c, c*)."""
+    if not halvable:
+        if lam_star is not None:
+            raise ParameterError("lambda* is undefined for non-halvable roots")
+        return 2 * lam, None
+    if lam_star is None:
+        raise ParameterError("lambda* required for halvable roots")
+    return lam + lam_star, lam - lam_star
+
+
+def c_lambda_roundtrip(c, c_star, halvable):
+    """(c, c*) -> (lambda, lambda*), inverse of lambda_c_roundtrip."""
+    if not halvable:
+        if c_star is not None:
+            raise ParameterError("c* is undefined for non-halvable roots")
+        if c % 2:
+            raise ParameterError("c must be even for non-halvable roots")
+        if c < 0:
+            raise ParameterError("c must be nonnegative")
+        return c // 2, None
+    if c_star is None:
+        raise ParameterError("c* required for halvable roots")
+    if (c - c_star) % 2:
+        raise ParameterError("c and c* must have equal parity")
+    lam = (c + c_star) // 2
+    lam_star = (c - c_star) // 2
+    if lam < 0 or lam_star < 0:
+        raise ParameterError("negative parameter from (c, c*) = (%d, %d)"
+                             % (c, c_star))
+    return lam, lam_star
+
+
+def gl_parameters(d_i, t_phi):
+    """Type-A block: lambda = d_i on every root and specialization
+    exponent f_i = d_i * t(phi_i)."""
+    if d_i < 1 or t_phi < 1:
+        raise ParameterError("d and t must be positive")
+    return d_i, d_i * t_phi

@@ -9,16 +9,13 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from heckealg.checks import (check_associativity, check_bernstein,
                              check_braid, check_center, check_coset_cones,
                              check_degeneration, check_im, check_quadratic,
                              coset_cone_cases, graded_test_descriptors,
                              standard_descriptors)
 from heckealg.hecke import affine_to_graded, spread_invariant, AffineDescriptor
-from heckealg.params import (c_lambda_roundtrip, lambda_c_roundtrip,
-                             lambda_from_jordan)
+from heckealg.params import lambda_from_jordan
 from heckealg.pipeline import (BUILTIN_EXAMPLES, assemble, datum_from_json,
                                root_component)
 from heckealg.root_data import build_classical, weyl_order_classical
@@ -27,7 +24,9 @@ from heckealg.spectra import (FiniteGroup, count_twisted_irreps,
                               twisted_algebra_center_dim)
 from heckealg.weyl import Cocycle, ExtendedGroup, WeylGroup
 
-from oracle_helpers import all_subgroups, bilinear_cocycles, weyl_finite_group
+from oracle_helpers import (all_subgroups, bilinear_cocycles,
+                            c_lambda_roundtrip, lambda_c_roundtrip,
+                            weyl_finite_group)
 
 
 def _report(num, title, elapsed=None, budget=None):

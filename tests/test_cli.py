@@ -147,6 +147,22 @@ def test_count_cap_exit_2(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("family,order", [("GL", 300000), ("SL", 10 ** 12)])
+def test_count_rank0_torus_under_cap(family, order, tmp_path, capsys):
+    # a rank-0 torus has one point at every order: N^0 = 1 is under the cap,
+    # and an SL character lattice does no work proportional to the order
+    p = tmp_path / "rank0.json"
+    p.write_text(json.dumps({"group": {"family": family, "n": 0},
+                             "blocks": []}))
+    t0 = time.monotonic()
+    code, out, err = run_cli(["count", "--input", str(p), "--order",
+                              str(order), "--format", "json"], capsys)
+    assert time.monotonic() - t0 < 10
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["total"] == 1 and len(doc["orbits"]) == 1
+
+
 def _gl_doc(e):
     return {"group": {"family": "GL", "n": e},
             "blocks": [{"side": "GL", "dim": 1, "e": e, "levi": 1}]}
@@ -303,8 +319,8 @@ def test_count_sl_quotient_classes(tmp_path, capsys):
     assert "total irreducibles: 4" in out
 
 
-def _sl_doc(matrices, table, translations=None):
-    labels = sorted(matrices)
+def _sl_doc(matrices, table, translations=None, labels=None):
+    labels = labels or sorted(matrices)
     doc = {
         "group": {"family": "SL", "n": 4, "division_degree": 1},
         "blocks": [
@@ -345,6 +361,15 @@ BAD_SL_RGROUPS = {
     # the simple reflection swaps the coordinates: (0, 1/2) != (1/2, 0)
     "translation-not-w-invariant": _sl_doc({"e": IDENTITY, "g": IDENTITY},
                                            Z2_TABLE, {"g": ["1/2", "0"]}),
+    # two labels sharing a matrix: the matrices multiply as any table does
+    "repeated-label": _sl_doc({"e": IDENTITY}, {"e,e": "e"},
+                              labels=["e", "e"]),
+    "no-identity-law": _sl_doc({"e": IDENTITY, "g": IDENTITY},
+                               dict.fromkeys(Z2_TABLE, "e")),
+    "not-associative": _sl_doc(
+        {"e": IDENTITY, "a": IDENTITY, "b": IDENTITY},
+        {"e,e": "e", "e,a": "a", "e,b": "b", "a,e": "a", "b,e": "b",
+         "a,a": "e", "b,b": "e", "a,b": "a", "b,a": "b"}),
 }
 
 

@@ -39,7 +39,7 @@ def test_laurent_basics():
     sq = (z - zinv) * (z - zinv)
     assert sq == LaurentZ(1, {(2,): 1, (0,): -2, (-2,): 1})
     assert z_bracket(1, 1, 0) == LaurentZ.zero(1)
-    assert (z * zinv).is_one()
+    assert z * zinv == LaurentZ.one(1)
 
 
 def test_theta_multiplication_inverse():

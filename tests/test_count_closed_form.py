@@ -3,7 +3,9 @@
 A datum qualifies when its R-group and cocycle are trivial and every block
 is a type-A, B, C or BC system whose ranks fill the torus; then the total
 at order N is a product over blocks of coefficients of powers of
-P(x) = prod 1 / (1 - x^j) (``oracle_helpers.closed_form_total``).
+P(x) = prod 1 / (1 - x^j) (``oracle_helpers.closed_form_total``), and each
+orbit's stabilizer order and count are products of factorials and of
+partition and bipartition numbers (``oracle_helpers.closed_form_orbit``).
 """
 
 import hashlib
@@ -14,7 +16,8 @@ import pytest
 
 from heckealg.cli import main
 from heckealg.pipeline import BUILTIN_EXAMPLES, assemble, datum_from_json
-from oracle_helpers import closed_form_total, partition_power
+from oracle_helpers import (closed_form_orbit, closed_form_total,
+                            partition_power)
 
 BENCH_DATA = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data"
 DATA = dict(BUILTIN_EXAMPLES)
@@ -72,6 +75,9 @@ def test_count_total_matches_closed_form(name, order, tmp_path, capsys):
     systems = assemble(datum_from_json(DATA[name])).block_systems
     assert doc["total"] == closed_form_total(systems, order)
     assert doc["total"] == sum(o["count"] for o in doc["orbits"])
+    for o in doc["orbits"]:
+        assert (o["stabilizer_order"], o["count"]) == \
+            closed_form_orbit(systems, o["representative"], order)
 
 
 @pytest.mark.parametrize("order, total, digest", B5_PINS,
@@ -82,5 +88,8 @@ def test_b5_count_pinned_and_closed_form(order, total, digest, tmp_path,
     path.write_text(json.dumps(B5))
     out = count_stdout(["--order", str(order), "--input", str(path)], capsys)
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
-    assert json.loads(out)["total"] == total == \
-        closed_form_total([("B", 5)], order)
+    doc = json.loads(out)
+    assert doc["total"] == total == closed_form_total([("B", 5)], order)
+    for o in doc["orbits"]:
+        assert (o["stabilizer_order"], o["count"]) == \
+            closed_form_orbit([("B", 5)], o["representative"], order)

@@ -33,9 +33,10 @@ from heckealg.checks import (graded_test_descriptors, random_element,
                              random_graded, standard_descriptors)
 from heckealg.cli import main
 from heckealg.hecke import (graded_multiply, im_involution, multiply,
-                            quotient_z1, serialize_element,
-                            specialize_element)
+                            quotient_z1, serialize_element)
 from heckealg.pipeline import BUILTIN_EXAMPLES
+
+from oracle_helpers import specialize_element
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden.json"

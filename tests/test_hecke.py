@@ -11,16 +11,15 @@ from heckealg import hecke
 from heckealg.checks import random_graded
 from heckealg.coeffs import (MAX_EXP, LaurentZ, PackedRangeError,
                              TorusAlgebraElement, _signed_permutation)
-from heckealg.hecke import (AffineDescriptor, HeckeError, act,
+from heckealg.hecke import (AffineDescriptor, GradedDescriptor, HeckeError,
                             affine_to_graded, bernstein_divide,
-                            graded_from_datum, graded_multiply, im_involution,
-                            is_central, multiply, quotient_z1,
-                            serialize_element, specialize_element,
+                            graded_multiply, im_involution, is_central,
+                            multiply, quotient_z1, serialize_element,
                             spread_invariant, symmetrize)
 from heckealg.root_data import build_classical, product
-from heckealg.weyl import Cocycle, ExtendedGroup
+from heckealg.weyl import Cocycle, ExtendedGroup, identity_matrix
 
-from oracle_helpers import root_lattice_a2
+from oracle_helpers import root_lattice_a2, specialize_element
 
 DESCS = standard_descriptors()
 
@@ -314,9 +313,11 @@ def _graded_chain(info, c):
 GRADED = dict(graded_test_descriptors(DESCS), **{
     # simple reflections that are not signed permutations, so that
     # substitute expands each monomial as a product of linear forms
-    "A2-root-lattice": graded_from_datum(
+    "A2-root-lattice": GradedDescriptor(
         root_lattice_a2(),
-        {r.vector: 2 for r in root_lattice_a2().nondivisible_roots})})
+        {r.vector: 2 for r in root_lattice_a2().nondivisible_roots},
+        {"e": identity_matrix(2)}, {("e", "e"): "e"},
+        Cocycle.trivial(("e",)))})
 
 
 @pytest.mark.parametrize("name", sorted(GRADED))
@@ -358,8 +359,10 @@ def test_act_examples():
         else desc.wext.elements()[0]
     # the nontrivial element of W(A1) swaps the coordinates
     nontriv = [w for w in desc.wext.elements() if w != desc.wext.identity][0]
-    assert act(desc, nontriv, e) == TorusAlgebraElement.theta((0, 1), one(desc))
-    assert act(desc, desc.wext.identity, e) == e
+    m = desc.wext.action_matrix
+    assert e.act_matrix(m(nontriv)) == \
+        TorusAlgebraElement.theta((0, 1), one(desc))
+    assert e.act_matrix(m(desc.wext.identity)) == e
 
     b2 = DESCS["B2"]
     wg = b2.wext.weyl
@@ -367,13 +370,15 @@ def test_act_examples():
     from heckealg.weyl import ExtendedWeylElement
     g = ExtendedWeylElement(longest, "e")
     e = TorusAlgebraElement.theta((1, 2), one(b2))
-    assert act(b2, g, e) == TorusAlgebraElement.theta((-1, -2), one(b2))
+    assert e.act_matrix(b2.wext.action_matrix(g)) == \
+        TorusAlgebraElement.theta((-1, -2), one(b2))
 
 
 def test_act_composition_automorphism():
     desc = DESCS["B2"]
     rng = random.Random(4)
     els = desc.wext.elements()
+    m = desc.wext.action_matrix
     for _ in range(15):
         g, h = rng.choice(els), rng.choice(els)
         e = TorusAlgebraElement(2, {(rng.randint(-2, 2), rng.randint(-2, 2)):
@@ -381,8 +386,9 @@ def test_act_composition_automorphism():
         f = TorusAlgebraElement(2, {(rng.randint(-2, 2), rng.randint(-2, 2)):
                                     one(desc)})
         gh = desc.wext.mult(g, h)
-        assert act(desc, gh, e) == act(desc, g, act(desc, h, e))
-        assert act(desc, g, e * f) == act(desc, g, e) * act(desc, g, f)
+        assert e.act_matrix(m(gh)) == e.act_matrix(m(h)).act_matrix(m(g))
+        assert (e * f).act_matrix(m(g)) == \
+            e.act_matrix(m(g)) * f.act_matrix(m(g))
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +505,10 @@ def test_poly_divide_linear_cases():
 def test_graded_linear_case():
     # (xi - s xi)/alpha = xi(alpha^vee) for linear xi
     b2 = build_classical("B", 2)
-    gd = graded_from_datum(b2, {r.vector: 1 for r in b2.nondivisible_roots})
+    s = b2.simple_reflections[1]
     alpha = b2.simple_roots[1]           # short root e2, coroot 2 e2
     xi = TorusAlgebraElement(2, {(1, 0): LaurentZ.one(1)})  # x1
-    sxi = xi.substitute(gd.simple_info[1].matrix)
+    sxi = xi.substitute(s)
     diff = xi - sxi
     if diff:
         q = diff.divide_linear(alpha.vector)
@@ -510,7 +516,7 @@ def test_graded_linear_case():
         pairing = 0  # <x1, (2 e2)> = 0
         assert not const and pairing == 0
     xi2 = TorusAlgebraElement(2, {(0, 1): LaurentZ.one(1)})  # x2
-    sxi2 = xi2.substitute(gd.simple_info[1].matrix)
+    sxi2 = xi2.substitute(s)
     q = (xi2 - sxi2).divide_linear(alpha.vector)
     assert q == TorusAlgebraElement(2, {(0, 0): LaurentZ.const(1, 2)})
 

@@ -1,9 +1,9 @@
 import pytest
 
-from heckealg.params import (ParameterError, a_from_ell, c_lambda_roundtrip,
-                             cuspidal_d, cuspidal_partition, gl_parameters,
-                             is_admissible_ell, lambda_c_roundtrip,
-                             lambda_from_jordan)
+from heckealg.params import (ParameterError, a_from_ell, cuspidal_d,
+                             is_admissible_ell, lambda_from_jordan)
+from oracle_helpers import (c_lambda_roundtrip, cuspidal_partition,
+                            gl_parameters, lambda_c_roundtrip)
 
 
 def test_cuspidal_partitions():

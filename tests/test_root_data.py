@@ -1,8 +1,7 @@
 import pytest
 
-from heckealg.root_data import (RootDatumError, build_classical,
-                                coroot_halvable, empty_datum, is_doubled,
-                                pairing, product, reflect,
+from heckealg.root_data import (RootDatumError, build_classical, empty_datum,
+                                pairing, product, reflect, vscale,
                                 weyl_order_classical)
 
 
@@ -86,15 +85,15 @@ def test_product():
 
 def test_doubled_and_halvable():
     bc2 = build_classical("BC", 2)
-    assert is_doubled(bc2, bc2.root((1, 0)))
-    assert not is_doubled(bc2, bc2.root((1, 1)))
+    assert bc2.has_root(vscale(bc2.root((1, 0)).vector, 2))
+    assert not bc2.has_root(vscale(bc2.root((1, 1)).vector, 2))
     b2 = build_classical("B", 2)
-    assert coroot_halvable(b2, b2.root((1, 0)))      # coroot 2 e_1
-    assert not is_doubled(b2, b2.root((1, 0)))
+    assert b2.root((1, 0)).halvable                  # coroot 2 e_1
+    assert not b2.has_root(vscale(b2.root((1, 0)).vector, 2))
     a2 = build_classical("A", 2)
     for r in a2.roots:
-        assert not is_doubled(a2, r)
-        assert not coroot_halvable(a2, r)
+        assert not a2.has_root(vscale(r.vector, 2))
+        assert not r.halvable
 
 
 def test_foreign_root_rejected():
@@ -103,7 +102,7 @@ def test_foreign_root_rejected():
     with pytest.raises(RootDatumError):
         b2.root((3, 3))
     with pytest.raises(RootDatumError):
-        is_doubled(b2, a2.roots[0])
+        b2.root(a2.roots[0].vector)
 
 
 def test_guards():

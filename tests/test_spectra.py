@@ -1,6 +1,5 @@
 import json
 import pathlib
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,13 +8,13 @@ from heckealg import cli, spectra
 from heckealg.pipeline import assemble, datum_from_json
 from heckealg.root_data import build_classical, empty_datum
 from heckealg.spectra import (FiniteGroup, FiniteTorusPoint, SpectraError,
-                              central_character, classify,
-                              count_twisted_irreps, extended_quotient_count,
-                              is_distinguished, twisted_algebra_center_dim)
+                              classify, count_twisted_irreps,
+                              extended_quotient_count, is_distinguished,
+                              twisted_algebra_center_dim)
 from heckealg.weyl import (Cocycle, ExtendedGroup, GroupTable, RGroup,
                            identity_matrix)
 from oracle_helpers import (all_subgroups, bilinear_cocycles,
-                            count_twisted_irreps_by_member,
+                            central_character, count_twisted_irreps_by_member,
                             distinguished_bruteforce, weyl_finite_group,
                             _partitions, _valid_partition)
 

@@ -257,6 +257,8 @@ def test_rgroup_validation():
     table = ExtendedGroup(b1b1, rg).table
     g = table.index[ExtendedWeylElement(WeylElement(ident), "g")]
     assert table.actions[table.inverse[g]] == swap
+    with pytest.raises(WeylError, match="cocycle labels repeat"):
+        Cocycle(("e", "e"), {("e", "e"): 1})
 
 
 # ---------------------------------------------------------------------------
