@@ -30,8 +30,8 @@ operation whose result could hold an exponent beyond ``MAX_EXP`` raises
 ``PackedRangeError`` instead of letting a digit wrap into its neighbour.
 ``monomials(nvars)`` decodes the keys back to (x, e, scalar).  The key
 format is private to this module: the Hecke layer reaches packed keys only
-through ring operations, ``reflect_telescope`` (the N_s step of the affine
-algebra), ``map_monomials`` (that of the graded algebra, from a table) and
+through ring operations, ``map_monomials`` (the N_s step of both the affine
+and the graded algebra, from a table of per-monomial images) and
 ``divide_linear``.
 """
 
@@ -40,7 +40,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 Exps = Tuple[int, ...]
@@ -321,112 +320,67 @@ class TorusAlgebraElement:
             out[k + move[0]] = c if move[1] == 1 else -c
         return _new(self, out, self.bound, self.den)
 
-    def reflect_telescope(self, root: Exps, coroot: Exps, halvable: bool,
-                          factor: "TorusAlgebraElement",
-                          bracket: Optional["TorusAlgebraElement"],
-                          moves: Dict[int, tuple]) -> tuple:
-        """(s(c), sum_x c_x D_x factor + s(c) bracket) in one pass, c this
-        element, c_x its coefficient of theta_x, s x = x - n root with
-        n = <x, coroot>; no bracket term when ``bracket`` is None.
+    def map_monomials(self, table: Dict[int, tuple], build,
+                      factor: "TorusAlgebraElement",
+                      bracket: Optional["TorusAlgebraElement"] = None
+                      ) -> tuple:
+        """(f(c), g(c) factor + f(c) bracket) for c this element, f and g
+        maps that fix the z- (r-) part and are linear over it, given on a
+        monomial by (f(theta_x), g(theta_x)) = ``build(x)``, both free of z
+        and over ZZ; no bracket term when ``bracket`` is None.
 
-        D_x telescopes along step = root for m = n, or step = 2 root for
-        m = n/2 when ``halvable``: theta_x + .. + theta_{x - (m-1) step}
-        for m > 0, zero for m = 0, -(theta_{x + step} + .. +
-        theta_{x - m step}) for m < 0; so D_x (1 - theta_{-step}) =
-        theta_x - theta_{x - m step} (Bernstein-Lusztig).  Keys add, so
-        key(s x) = key(x) - n key(root).  ``moves``, the caller's table for
-        this reflection, maps each lattice part decoded so far to (key(s x) - key(x), the keys of D_x less key(x), m < 0, |n|,
-        max |s x|); a part with s x out of the packed range raises
-        PackedRangeError before its D_x is summed and is not recorded.
-        Bounds: that of ``act_matrix`` for s(c); the larger of bound(c) +
-        max|n| max|root| + bound(factor) and bound(s(c)) + bound(bracket)
-        for the correction, over one denominator in QQ-mode."""
+        ``table``, the caller's for this build, maps each lattice part x met
+        so far to (bound of f(theta_x), bound of g(theta_x), terms of
+        f(theta_x), terms of g(theta_x)), the terms (key offset from key(x),
+        scalar) pairs kept once by ``_shared``; a part whose ``build``
+        raises is not recorded.  One pass over c sums f(c) and g(c), one
+        more applies the factor and the bracket, over one denominator in
+        QQ-mode.  Bounds: F = max(bound(c), those of f(theta_x) over c) for
+        f(c); for a nonzero second element, the larger of G + bound(factor),
+        G the same for g, and, with a bracket, F + bound(bracket)."""
         rank = self.rank
-        akey = _pack(root)
-        skey = 2 * akey if halvable else akey
         offset, mask = _low_split(rank)
-        bound, reach = self.bound, 0
-        image, tele = {}, {}   # s(c), sum_x c_x D_x
-        get = tele.get
+        fbound = gbound = self.bound
+        image, tele = {}, {}   # f(c), g(c)
+        iget, tget = image.get, tele.get
         for k, v in self.terms.items():
             xk = ((k + offset) & mask) - offset
-            move = moves.get(xk)
-            if move is None:
-                x, _ = _unpack(xk, rank)
-                n = sum(map(mul, x, coroot))
-                sx = _check_bound(max(abs(a - n * r) for a, r in zip(
-                    x, root))) if n else 0
-                m = n // 2 if halvable else n
-                ds = range(0, -m * skey, -skey) if m > 0 else \
-                    range(skey, (1 - m) * skey, skey)   # D_x's keys - key(x)
-                move = moves[xk] = (-n * akey, ds, m < 0, abs(n), sx)
-            sk, ds, neg, n, sx = move
-            if n > reach:
-                reach = n
-            if sx > bound:
-                bound = sx
-            image[k + sk] = v   # s permutes the keys: no two terms meet
-            if neg:
-                v = -v
-            for y in ds:
-                y += k
-                tele[y] = get(y, 0) + v
+            entry = table.get(xk)
+            if entry is None:
+                f, g = build(_unpack(xk, rank)[0])
+                entry = table[xk] = (f.bound, g.bound, *(_shared(tuple(
+                    (ek - xk, w) for ek, w in e.terms.items())) for e in (f, g)))
+            bf, bg, fs, gs = entry
+            if bf > fbound:
+                fbound = bf
+            if bg > gbound:
+                gbound = bg
+            for d, w in fs:
+                d += k
+                image[d] = iget(d, 0) + v * w
+            for d, w in gs:
+                d += k
+                tele[d] = tget(d, 0) + v * w
         mden, ff, fb = (factor.den, 1, 1) if bracket is None else \
             _common(factor.den, bracket.den)
         den = None if self.den is mden is None else \
             _qden(self.den) * _qden(mden)
         out: Dict[int, object] = {}
         get = out.get
-        for part, mult, f in ((tele, factor, ff), (image, bracket, fb)):
+        for part, mult, m in ((tele, factor, ff), (image, bracket, fb)):
             for fk, b in mult.terms.items() if mult is not None else ():
-                b *= f
+                b *= m
                 for k, v in part.items():
                     key = k + fk
                     out[key] = get(key, 0) + v * b
-        cbound = self.bound + factor.bound + (
-            reach * max(map(abs, root)) if factor else 0)
-        if bracket is not None:
-            cbound = max(cbound, bound + bracket.bound)
-        return _new(self, image, bound, self.den), _new(
-            self, {k: c for k, c in out.items() if c}, _check_bound(cbound),
-            den)
-
-    def map_monomials(self, table: Dict[int, tuple], build,
-                      factor: "TorusAlgebraElement") -> tuple:
-        """(f(c), g(c) factor) in one pass over c, this element, for maps f
-        and g that fix the z- (r-) part and are linear over it, given by
-        (f(theta_x), g(theta_x)) = ``build(theta_x)``, both free of z.
-        ``table``, the caller's for this build and ZZ-mode factor, maps each
-        lattice part x met so far to (b, terms of f(theta_x), terms of
-        g(theta_x) factor), terms as key offsets from key(x) and b the larger
-        bound of f(theta_x) and g(theta_x).  Bounds: B = max(bound(c), b
-        over c) for f(c), B + bound(factor) for a nonzero g(c) factor."""
-        offset, mask = _low_split(self.rank)
-        image, corr = {}, {}
-        iget, cget = image.get, corr.get
-        bound = self.bound
-        for k, v in self.terms.items():
-            xk = ((k + offset) & mask) - offset
-            entry = table.get(xk)
-            if entry is None:
-                f, g = build(_new(self, {xk: 1}, max(map(abs, _unpack(
-                    xk, self.rank)[0]), default=0), None))
-                entry = table[xk] = (max(f.bound, g.bound), *(tuple(
-                    (ek - xk, w) for ek, w in e.terms.items())
-                    for e in (f, g * factor)))
-            b, fs, gs = entry
-            if b > bound:
-                bound = b
-            for d, w in fs:
-                d += k
-                image[d] = iget(d, 0) + v * w
-            for d, w in gs:
-                d += k
-                corr[d] = cget(d, 0) + v * w
-        corr = {k: c for k, c in corr.items() if c}
-        return _new(self, {k: c for k, c in image.items() if c}, _check_bound(
-            bound), self.den), _new(self, corr, _check_bound(
-                bound + factor.bound) if corr else 0, self.den)
+        cbound = gbound + factor.bound if tele else 0
+        if bracket is not None and image:
+            cbound = max(cbound, fbound + bracket.bound)
+        _check_bound(cbound)
+        image = {k: c for k, c in image.items() if c}
+        out = {k: c for k, c in out.items() if c}
+        return (_new(self, image, fbound, self.den),
+                _new(self, out, cbound if out else 0, den))
 
     def divide_linear(self, alpha: Exps) -> "TorusAlgebraElement":
         """Exact quotient of a polynomial by the linear form
@@ -551,6 +505,14 @@ def _common(da: Optional[int], db: Optional[int]) -> Tuple:
         return da, 1, 1
     den = lcm(_qden(da), _qden(db))
     return den, den // (da or 1), den // (db or 1)
+
+
+@lru_cache(maxsize=4096)
+def _shared(terms: tuple) -> tuple:
+    """One copy of equal term lists, which many entries of the tables of
+    ``map_monomials`` hold: those of an affine N_s step depend on
+    <x, coroot> only."""
+    return terms
 
 
 def _z_text(terms: Dict[int, object], nvars: int) -> str:

@@ -23,9 +23,11 @@ commutation rule  N_s xi = (s xi) N_s + k(alpha) r_j (xi - s xi)/alpha,
 with the group algebra embedded (no quadratic correction).
 
 Both algebras share one multiplication skeleton (``multiply``, with the
-left actions ``_ns_mul`` and ``_ngamma_mul``); a descriptor supplies
-only its action on coefficients (``act_coeff``) and its N_s step
-(``ns_step``: s(c) and the correction term together).  Basis keys
+left actions ``_ns_mul`` and ``_ngamma_mul``) and one N_s step
+(``ns_step``: s(c) and the correction term together, in one
+``map_monomials`` pass); a descriptor supplies only its action on
+coefficients (``act_coeff``) and, per simple root, what its N_s step
+does to one monomial theta_x (``_step``).  Basis keys
 are ``ExtendedWeylElement``s; ``multiply`` turns them into W_ext
 ``GroupTable`` ids on entry and back on exit, and in between moves them
 by the table's left-multiplication permutations and compares lengths
@@ -150,8 +152,9 @@ class HeckeDescriptor:
 
     Subclasses provide ``simple_info``, ``act_coeff(matrix, c)`` (the
     action of a lattice automorphism on coefficients, for N_gamma) and
-    ``ns_step(info, c, shorter)`` -> the coefficients (s(c), correction)
-    of N_{s u} and N_u in N_s * c N_u; shorter says if l(s u) < l(u).
+    ``_steps``: per simple root, the (table, build, factor, bracket) of its
+    N_s step for ``TorusAlgebraElement.map_monomials``, each table filled
+    as lattice parts are met, so that it lives as long as the descriptor.
     """
 
     element_type = HeckeElement
@@ -188,6 +191,14 @@ class HeckeDescriptor:
     def n_gamma(self, label: str) -> HeckeElement:
         return self.n_element(ExtendedWeylElement(self.wext.weyl.identity,
                                                   label))
+
+    def ns_step(self, info, c: TorusAlgebraElement, shorter: bool) -> tuple:
+        """The coefficients (s(c), correction) of N_{s u} and N_u in
+        N_s * c N_u, in one pass over c; the correction takes the bracket
+        term only when s u is shorter than u."""
+        table, build, factor, bracket = self._steps[info.index]
+        return c.map_monomials(table, build, factor,
+                               bracket if shorter else None)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +242,7 @@ class AffineDescriptor(HeckeDescriptor):
         self._validate_params()
         self.simple_info = tuple(self._simple_info(i)
                                  for i in range(len(rd.simple_roots)))
-        self._corrections = tuple(self._correction_data(info)
-                                  for info in self.simple_info)
+        self._steps = tuple(map(self._step, self.simple_info))
 
     # -- validation ----------------------------------------------------
 
@@ -285,24 +295,27 @@ class AffineDescriptor(HeckeDescriptor):
         z = self.z_values[j - 1]
         return z ** m - z ** (-m)
 
-    def _correction_data(self, info: SimpleRootInfo) -> tuple:
-        """(factor, bracket, moves) for the N_s step: G_alpha(x) = D factor
-        = D (z^lambda - z^-lambda) + theta_{-alpha} D (z^lambda* -
+    def _step(self, info: SimpleRootInfo) -> tuple:
+        """N_s c = s(c) N_s + sum_x c_x D_x factor (Bernstein-Lusztig), with
+        factor = (z^lambda - z^-lambda) + theta_{-alpha} (z^lambda* -
         z^-lambda*), the second summand only for a halvable coroot, which
-        halves the pairing and steps by 2 alpha (D the telescoping quotient
-        of ``bernstein_divide``); bracket is the constant z^lambda -
-        z^-lambda of the quadratic relation; moves is the move table of
-        ``reflect_telescope`` for s, filled as lattice parts are met, so
-        it lives as long as the descriptor."""
+        halves the pairing and steps by 2 alpha (D_x of
+        ``bernstein_divide``); the bracket is the constant z^lambda -
+        z^-lambda of the quadratic relation.  ``build`` reflects theta_x
+        first, so a part whose image leaves the packed range raises before
+        its D_x is built."""
         rank = self.rd.rank
-        zero = (0,) * rank
-        bracket = self.zbracket(info.zvar, info.lam)
-        quadratic = TorusAlgebraElement(rank, {zero: bracket})
-        if not info.halvable:
-            return quadratic, quadratic, {}
-        return TorusAlgebraElement(rank, {
-            zero: bracket, vscale(info.root.vector, -1):
-            self.zbracket(info.zvar, info.lam_star)}), quadratic, {}
+        terms = {(0,) * rank: self.zbracket(info.zvar, info.lam)}
+        bracket = TorusAlgebraElement(rank, terms)
+        if info.halvable:
+            terms[vscale(info.root.vector, -1)] = self.zbracket(
+                info.zvar, info.lam_star)
+        factor = TorusAlgebraElement(rank, terms)
+
+        def build(x):
+            return (TorusAlgebraElement.theta(x, 1).act_matrix(info.matrix),
+                    bernstein_divide(x, info.root, info.halvable, 1))
+        return {}, build, factor, bracket
 
     def zmonomial(self, exps: Sequence[int]):
         if self.z_values is None:
@@ -317,17 +330,6 @@ class AffineDescriptor(HeckeDescriptor):
     def act_coeff(self, matrix: Matrix, c: TorusAlgebraElement
                   ) -> TorusAlgebraElement:
         return c.act_matrix(matrix)
-
-    def ns_step(self, info: SimpleRootInfo, c: TorusAlgebraElement,
-                shorter: bool) -> tuple:
-        """s(c) and the Bernstein-Lusztig correction sum_x c_x G_alpha(x),
-        plus (z^lambda - z^-lambda) s(c) when s u is shorter than u (the
-        quadratic relation), in one pass over c."""
-        factor, bracket, moves = self._corrections[info.index]
-        root = info.root
-        return c.reflect_telescope(root.vector, root.coroot, info.halvable,
-                                   factor, bracket if shorter else None,
-                                   moves)
 
     # -- element constructors -------------------------------------------
 
@@ -540,9 +542,7 @@ class GradedSimpleInfo:
     index: int
     root: Root
     matrix: Matrix
-    rvar: int
     k: int
-    factor: TorusAlgebraElement   # the constant k(alpha) r_j
 
 
 class GradedDescriptor(HeckeDescriptor):
@@ -567,16 +567,11 @@ class GradedDescriptor(HeckeDescriptor):
             cocycle)
         self.weyl = self.wext.weyl
         self.diagram_matrices = self.wext.rgroup.matrices
-        zero = (0,) * sub_rd.rank
         self.simple_info = tuple(
-            GradedSimpleInfo(i, s, m, s.component_index, self.k[s.vector],
-                             TorusAlgebraElement(sub_rd.rank, {
-                                 zero: LaurentZ.var_power(
-                                     self.d, s.component_index, 1,
-                                     self.k[s.vector])}))
+            GradedSimpleInfo(i, s, m, self.k[s.vector])
             for i, (s, m) in enumerate(zip(sub_rd.simple_roots,
                                            sub_rd.simple_reflections)))
-        self._tables = tuple({} for _ in self.simple_info)
+        self._steps = tuple(map(self._step, self.simple_info))
 
     def xi(self, coeffs: Sequence[int]) -> GradedElement:
         """Degree-one polynomial sum coeffs[i] x_i."""
@@ -591,15 +586,19 @@ class GradedDescriptor(HeckeDescriptor):
                   ) -> TorusAlgebraElement:
         return c.substitute(matrix)
 
-    def ns_step(self, info: GradedSimpleInfo, c: TorusAlgebraElement,
-                shorter: bool) -> tuple:
-        """s(c) and k(alpha) r_j (c - s c) / alpha from the table of s (s
-        fixes r, the divided difference is linear over ZZ[r]); alpha divides
-        m - s m exactly, so ArithmeticError means an internal inconsistency."""
-        def divided(m):
+    def _step(self, info: GradedSimpleInfo) -> tuple:
+        """N_s c = s(c) N_s + k(alpha) r_j (c - s c)/alpha, with no bracket
+        (the group algebra embeds); s fixes r, so the divided difference is
+        linear over ZZ[r].  alpha divides m - s m exactly, so
+        ArithmeticError means an internal inconsistency."""
+        def build(x):
+            m = TorusAlgebraElement.theta(x, 1)
             ms = m.substitute(info.matrix)
             return ms, (m - ms).divide_linear(info.root.vector)
-        return c.map_monomials(self._tables[info.index], divided, info.factor)
+        factor = TorusAlgebraElement(self.rd.rank, {
+            (0,) * self.rd.rank: LaurentZ.var_power(
+                self.d, info.root.component_index, 1, info.k)})
+        return {}, build, factor, None
 
 
 def im_involution(desc: GradedDescriptor, a: GradedElement) -> GradedElement:

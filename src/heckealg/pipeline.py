@@ -608,11 +608,11 @@ def _sl_rgroup(spec: SLRGroupSpec) -> Tuple[RGroup, Cocycle]:
 def _check_q_bits(report: HeckeReport, bits: int) -> None:
     """ValidationError when q^m, m the largest integer exponent of q in the
     relations (q itself among them), could pass the interpreter's limit on
-    printed integer digits, q having ``bits`` bits above or below the bar."""
+    printed integer digits, q = a/b with a, b <= 2^bits."""
     m = max([1] + [abs(r["exponent"]) for r in report.specializations()
                    if isinstance(r["exponent"], int)])
     limit = getattr(sys, "get_int_max_str_digits", int)()   # from 3.10.7
-    # q^m has at most m * bits bits, and log10(2) < 0.30103
+    # q^m <= 2^(m bits) above and below the bar, and log10(2) < 0.30103
     if limit and m * bits * 30103 // 100000 + 1 > limit:
         raise ValidationError(["q^%d could have more than %d digits, the "
                                "limit for printed integers" % (m, limit)])
@@ -644,8 +644,8 @@ def specialize_report(report: HeckeReport, q: Fraction) -> List[dict]:
     any power is taken, when q^m (q itself among them) could pass the
     interpreter's limit on printed integer digits."""
     rels, q = report.specializations(), Fraction(q)
-    _check_q_bits(report, max(q.numerator.bit_length(),
-                              q.denominator.bit_length()))
+    _check_q_bits(report, max((q.numerator - 1).bit_length(),
+                              (q.denominator - 1).bit_length()))
     out = []
     for rel in rels:
         item = dict(rel)

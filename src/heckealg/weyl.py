@@ -245,6 +245,9 @@ class Cocycle:
                     raise WeylError("cocycle table incomplete at %r" % ((a, b),))
                 if self.table[(a, b)] not in (1, -1):
                     raise WeylError("cocycle values must be +-1")
+        if len(self.table) > len(self.labels) ** 2:   # every pair is a key
+            raise WeylError("cocycle table has keys that are not pairs of "
+                            "labels")
 
     @classmethod
     def trivial(cls, labels: Sequence[str]) -> "Cocycle":
@@ -327,6 +330,9 @@ class RGroup:
                                     "table at %r" % ((a, b),))
                 if c == self.identity:
                     self._inverse[a] = b
+        if len(self.table) > len(self.labels) ** 2:   # every pair is a key
+            raise WeylError("R-group table has keys that are not pairs of "
+                            "labels")
         if len(set(self.matrices.values())) < len(self.labels):
             self._check_group_law()
         for a in self.labels:

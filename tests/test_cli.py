@@ -133,6 +133,18 @@ def test_q_exponent_within_digit_limit(capsys):
     assert "at q = 1%s:" % ("0" * 1000) in out
 
 
+def test_q_one_never_trips_digit_limit(tmp_path, capsys):
+    # 1^40000 = 1: a bound of 1 bit per factor of q would refuse it
+    doc = {"group": {"family": "GL", "n": 3, "division_degree": 2},
+           "blocks": [{"side": "GL", "dim": 2, "e": 3, "torsion": 20000,
+                       "levi": 1}]}
+    p = tmp_path / "q1.json"
+    p.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["describe", "--input", str(p)], capsys)
+    assert code == 0
+    assert "(T[alpha1] - q^40000)*(T[alpha1] + 1) = 0" in out
+
+
 def test_large_q_below_digit_limit(capsys):
     code, out, _ = run_cli(["describe", "--example", "sp58", "--q", "1e800"],
                            capsys)
@@ -370,7 +382,12 @@ BAD_SL_RGROUPS = {
         {"e": IDENTITY, "a": IDENTITY, "b": IDENTITY},
         {"e,e": "e", "e,a": "a", "e,b": "b", "a,e": "a", "b,e": "b",
          "a,a": "e", "b,b": "e", "a,b": "a", "b,a": "b"}),
+    # keys that are not pairs of labels
+    "stray-table-key": _sl_doc({"e": IDENTITY, "g": IDENTITY},
+                               dict(Z2_TABLE, **{"x,y,z": "e"})),
+    "stray-cocycle-key": _sl_doc({"e": IDENTITY, "g": IDENTITY}, Z2_TABLE),
 }
+BAD_SL_RGROUPS["stray-cocycle-key"]["sl_rgroup"]["cocycle"]["q"] = 1
 
 
 @pytest.mark.parametrize("command", ["describe", "count"])

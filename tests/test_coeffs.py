@@ -12,6 +12,9 @@ import pytest
 
 from heckealg.coeffs import (MAX_EXP, LaurentZ, PackedRangeError,
                              TorusAlgebraElement, z_bracket)
+from heckealg.hecke import AffineDescriptor, GradedDescriptor
+from heckealg.root_data import Root, RootDatum, vneg
+from heckealg.weyl import Cocycle, ExtendedGroup, RGroup, identity_matrix
 
 
 def rand_laurent(rng, nvars, nterms=3):
@@ -183,11 +186,11 @@ def test_packed_ring_matches_sympy():
             sympy, qa, nvars).subs(monomial_images, simultaneous=True)))
         # the N_s step: corr (1 - theta_{-step}) = (c - s c) factor
         # + s(c) bracket (1 - theta_{-step})
-        halvable = trial % 4 == 0
-        root, coroot = _reflection(rng, rank, halvable)
-        step = [(2 if halvable else 1) * a for a in root]
-        refl = tuple(tuple(int(i == j) - root[i] * coroot[j]
-                           for j in range(rank)) for i in range(rank))
+        simple = _reflection(rng, rank, trial % 4 == 0)
+        root = simple.vector
+        step = [(2 if simple.halvable else 1) * a for a in root]
+        refl = _reflection_matrix(root, simple.coroot)
+        (table, build, _, _), (gtable, gbuild, _, _) = _rank_one_steps(simple)
         c = TorusAlgebraElement(rank, {
             tuple(rng.randint(-1, 1) for _ in range(rank)): rand_laurent(
                 rng, nvars, 1) for _ in range(2)}).scale(
@@ -195,8 +198,7 @@ def test_packed_ring_matches_sympy():
         factor = rand_qtae(rng, rank, nvars, nterms=1)
         bracket = TorusAlgebraElement(rank, {(0,) * rank: rand_laurent(
             rng, nvars, 2)}).scale(Fraction(1, rng.randint(2, 5)))
-        cs, corr = c.reflect_telescope(root, coroot, halvable, factor,
-                                       bracket, {})
+        cs, corr = c.map_monomials(table, build, factor, bracket)
         sc, sfactor, sbracket = (poly(e) for e in (c, factor, bracket))
         scs = cleared(_sympy_form(sympy, c, nvars).subs(
             {xs[j]: sympy.Mul(*(xs[i] ** refl[i][j] for i in range(rank)))
@@ -217,6 +219,15 @@ def test_packed_ring_matches_sympy():
         quotient = (q * form).divide_linear(alpha)
         assert same(quotient, poly(q))
         assert quotient.den
+        # the graded N_s step: corr root = (q - s q) factor, s q the
+        # substitution by the reflection, root as a linear form
+        qs, gcorr = q.map_monomials(gtable, gbuild, factor)
+        sqs = cleared(_sympy_form(sympy, q, nvars).subs(
+            {xs[i]: sum(refl[j][i] * xs[j] for j in range(rank))
+             for i in range(rank)}, simultaneous=True))
+        assert same(qs, sqs)
+        assert poly(gcorr) * cleared(sum(map(mul, root, xs))) == \
+            (poly(q) - sqs) * sfactor
 
 
 def test_inexact_scalars_refused():
@@ -331,39 +342,66 @@ def test_laurent_equals_only_laurent():
 
 
 def _reflection(rng, rank, halvable):
-    """(root, coroot) with <root, coroot> = 2, the coroot all even when
-    ``halvable``: x -> x - <x, coroot> root is then a lattice reflection."""
+    """A Root, the vector lexicographically positive and paired to 2 with
+    the coroot, the coroot all even when ``halvable``: x -> x - <x, coroot>
+    root is then a lattice reflection."""
     scale = 2 if halvable else 1
     while True:
         root = tuple(rng.randint(-2, 2) for _ in range(rank))
         half = tuple(rng.randint(-3, 3) for _ in range(rank))
         if scale * sum(map(mul, root, half)) == 2:
-            return root, tuple(scale * a for a in half)
+            sign = 1 if next(a for a in root if a) > 0 else -1
+            return Root(tuple(sign * a for a in root),
+                        tuple(sign * scale * a for a in half), 1)
 
 
-def test_reflect_telescope_solves_bernstein_lusztig():
-    # s(c) is act_matrix of the reflection; D_x (1 - theta_{-step}) =
-    # theta_x - theta_{x - m step}, m = <x, coroot> (halved, with a doubled
-    # step, for an even coroot), determines D_x in the Laurent ring; the
-    # factor and the bracket multiply through
+def _reflection_matrix(root, coroot):
+    rank = len(root)
+    return tuple(tuple(int(i == j) - root[i] * coroot[j] for j in range(rank))
+                 for i in range(rank))
+
+
+def _rank_one_steps(alpha):
+    """The N_s step data (table, build, factor, bracket) of the affine and
+    of the graded algebra on the root datum {+-alpha}, every parameter 1."""
+    minus = Root(vneg(alpha.vector), vneg(alpha.coroot), 1)
+    rd = RootDatum(len(alpha.vector), (alpha, minus), 1)
+    ones = {alpha.vector: 1, minus.vector: 1}
+    trivial = Cocycle.trivial(("e",))
+    affine = AffineDescriptor(rd, ExtendedGroup(rd, RGroup.trivial(rd.rank)),
+                              ones, ones if alpha.halvable else {}, trivial)
+    graded = GradedDescriptor(rd, ones, {"e": identity_matrix(rd.rank)},
+                              {("e", "e"): "e"}, trivial)
+    return affine._steps[0], graded._steps[0]
+
+
+def test_map_monomials_solves_bernstein_lusztig():
+    # with the affine build, s(c) is act_matrix of the reflection; D_x (1 -
+    # theta_{-step}) = theta_x - theta_{x - m step}, m = <x, coroot>
+    # (halved, with a doubled step, for an even coroot), determines D_x in
+    # the Laurent ring; the factor and the bracket multiply through
     rng = random.Random(1989)
     rank, nvars = 2, 1
     one = TorusAlgebraElement.theta((0,) * rank, 1)
     for trial in range(40):
-        halvable = bool(trial % 2)
-        root, coroot = _reflection(rng, rank, halvable)
+        alpha = _reflection(rng, rank, bool(trial % 2))
+        root, coroot, halvable = alpha.vector, alpha.coroot, alpha.halvable
         step = tuple(2 * a for a in root) if halvable else root
         c = rand_tae(rng, rank, nvars, nterms=4)
-        moves = {}   # filled here, read by the calls below
-        cs, d = c.reflect_telescope(root, coroot, halvable, one, None, moves)
-        matrix = tuple(tuple(int(i == j) - root[i] * coroot[j]
-                             for j in range(rank)) for i in range(rank))
-        image = c.act_matrix(matrix)
+        # the table is filled here and read by the calls below
+        (table, build, _, _), _ = _rank_one_steps(alpha)
+        cs, d = c.map_monomials(table, build, one)
+        image = c.act_matrix(_reflection_matrix(root, coroot))
         assert cs == image and cs.bound == image.bound
-        # bound(c) + max|m| max|step| = bound(c) + max|n| max|root|
-        reach = max(abs(sum(map(mul, x, coroot)))
-                    for x, _, _ in c.monomials(nvars))
-        assert d.bound == c.bound + reach * max(map(abs, root))
+        # an entry keeps the bounds of s(theta_x) and of D_x apart
+        parts = {x for x, _, _ in c.monomials(nvars)}
+        assert sorted(entry[:2] for entry in table.values()) == sorted(
+            (f.bound, g.bound) for f, g in map(build, parts))
+        # at most bound(c) + max|m| max|step| = bound(c) + max|n| max|root|
+        reach = max(abs(sum(map(mul, x, coroot))) for x in parts)
+        largest = max((max(map(abs, x + e)) for x, e, _ in
+                       d.monomials(nvars)), default=0)
+        assert largest <= d.bound <= c.bound + reach * max(map(abs, root))
         expect = TorusAlgebraElement(rank)
         for x, e, v in c.monomials(nvars):
             n = sum(map(mul, x, coroot))
@@ -374,10 +412,9 @@ def test_reflect_telescope_solves_bernstein_lusztig():
         factor = rand_tae(rng, rank, nvars, nterms=2)
         bracket = TorusAlgebraElement(rank, {(0,) * rank:
                                              rand_laurent(rng, nvars, 2)})
-        assert c.reflect_telescope(root, coroot, halvable, factor, None,
-                                   moves) == (cs, d * factor)
-        assert c.reflect_telescope(root, coroot, halvable, factor, bracket,
-                                   moves) == (cs, d * factor + cs * bracket)
+        assert c.map_monomials(table, build, factor) == (cs, d * factor)
+        assert c.map_monomials(table, build, factor, bracket) == \
+            (cs, d * factor + cs * bracket)
 
 
 def _telescope_past_packed_range():
@@ -387,37 +424,38 @@ def _telescope_past_packed_range():
     c = TorusAlgebraElement(2, {(h, h): 1})
     with pytest.raises(PackedRangeError):
         c.act_matrix(((-1, -1), (0, 1)))
+    (_, build, _, _), _ = _rank_one_steps(Root((1, 0), (2, 1), 1))
     with pytest.raises(PackedRangeError):
-        c.reflect_telescope((1, 0), (2, 1), False, one, None, {})
+        c.map_monomials({}, build, one)
     # the image fits, D_x times the factor holds z^(MAX_EXP + 1)
+    (_, build, _, _), _ = _rank_one_steps(Root((1, -1), (1, -1), 1))
     zbracket = TorusAlgebraElement(2, {(0, 0): z_bracket(1, 1, 1)})
     ztop = LaurentZ.var_power(1, 1, MAX_EXP)
     c = TorusAlgebraElement(2, {(1, 0): ztop})
     with pytest.raises(PackedRangeError):
-        c.reflect_telescope((1, -1), (1, -1), False, zbracket, None, {})
+        c.map_monomials({}, build, zbracket)
     # <x, coroot> = 0: only the bracket term passes the range
     c = TorusAlgebraElement(2, {(1, 1): ztop})
-    c.reflect_telescope((1, -1), (1, -1), False, one, None, {})
+    c.map_monomials({}, build, one)
     with pytest.raises(PackedRangeError):
-        c.reflect_telescope((1, -1), (1, -1), False, one, zbracket, {})
+        c.map_monomials({}, build, one, zbracket)
 
 
 def _telescope_range_checked_first():
-    # a warm move table: (1, 1) was met in range and is recorded
+    # a warm table: (1, 1) was met in range and is recorded
     one = TorusAlgebraElement.theta((0, 0), 1)
-    root, coroot, moves = (1, 0), (2, 1), {}
+    (table, build, _, _), _ = _rank_one_steps(Root((1, 0), (2, 1), 1))
     small = TorusAlgebraElement(2, {(1, 1): 1})
-    first = small.reflect_telescope(root, coroot, False, one, None, moves)
-    assert len(moves) == 1
+    first = small.map_monomials(table, build, one)
+    assert len(table) == 1
     # (h, h) has n = 3h > MAX_EXP and s(h, h) = (-2h, h) is out of range;
     # telescoping it before the check would sum 3h keys
     h = MAX_EXP // 2 + 1
     c = TorusAlgebraElement(2, {(1, 1): 1, (h, h): 1})
     with pytest.raises(PackedRangeError):
-        c.reflect_telescope(root, coroot, False, one, None, moves)
-    assert len(moves) == 1
-    assert small.reflect_telescope(root, coroot, False, one, None, moves) \
-        == first
+        c.map_monomials(table, build, one)
+    assert len(table) == 1
+    assert small.map_monomials(table, build, one) == first
 
 
 def _run_capped(body):
@@ -436,9 +474,9 @@ def _run_capped(body):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_reflect_telescope_past_packed_range_raises():
+def test_map_monomials_past_packed_range_raises():
     _run_capped(_telescope_past_packed_range)
 
 
-def test_reflect_telescope_checks_range_before_telescoping():
+def test_map_monomials_checks_range_before_telescoping():
     _run_capped(_telescope_range_checked_first)

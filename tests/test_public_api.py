@@ -1,12 +1,15 @@
-"""Every module-level function and class in ``src/heckealg`` has a caller
+"""Every module-level function and class in ``src/heckealg``, and every
+field of its ``@dataclass`` and ``NamedTuple`` classes, has a caller
 outside ``tests/``.
 
 The walk reads ``src/heckealg/*.py`` (not ``__init__.py``, whose
 re-exports call nothing), ``bench/*.py`` and ``demos/*.py``.  A name is
-used when a ``Name``, an ``Attribute`` or an import alias spells it
-outside the body that defines it.  A name only tests reach belongs in
-``tests/oracle_helpers.py``, or nowhere if its callers could call the
-library directly.
+used when a ``Name``, an ``Attribute``, an import alias or a keyword
+spells it outside the body that defines it, and a field when one spells
+its name anywhere but in the fields that declare it (a ``Name`` reads
+the fields of an unpacked ``NamedTuple``).  A name only tests reach
+belongs in ``tests/oracle_helpers.py``, or nowhere if its callers could
+call the library directly; a field only tests read goes.
 """
 
 import ast
@@ -26,7 +29,16 @@ def _names(node):
             found[n.attr] += 1
         elif isinstance(n, ast.alias):
             found[n.name.rpartition(".")[2]] += 1
+        elif isinstance(n, ast.keyword) and n.arg:
+            found[n.arg] += 1
     return found
+
+
+def _is_record(node):
+    """``node`` is a ``@dataclass`` (maybe called) or a ``NamedTuple``."""
+    marks = [getattr(d, "func", d) for d in node.decorator_list] + node.bases
+    return any(isinstance(m, ast.Name) and m.id in ("dataclass", "NamedTuple")
+               for m in marks)
 
 
 def test_every_src_definition_has_a_non_test_caller():
@@ -41,4 +53,11 @@ def test_every_src_definition_has_a_non_test_caller():
               for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and spelt[node.name] == _names(node)[node.name]]
+    fields = [("%s.%s.%s" % (path.stem, node.name, f.target.id), f.target.id)
+              for path, tree in zip(sources, trees)
+              for node in tree.body
+              if isinstance(node, ast.ClassDef) and _is_record(node)
+              for f in node.body if isinstance(f, ast.AnnAssign)]
+    defined = Counter(name for _, name in fields)
+    unused += [label for label, name in fields if spelt[name] == defined[name]]
     assert unused == []
