@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import pathlib
 import random
+import resource
+import subprocess
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -15,10 +19,27 @@ from heckealg.hecke import HeckeElement, HeckeError, _add_term, graded_multiply
 from heckealg.params import ParameterError
 from heckealg.spectra import (FiniteTorusPoint, SpectraError,
                               _commutation_rows, extended_quotient_count)
-from heckealg.root_data import Root, RootDatum, build_classical
+from heckealg.root_data import (Root, RootDatum, build_classical, pairing,
+                                reflect, vadd, vscale, vsub)
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
                            RGroup, WeylElement, WeylError, identity_matrix,
                            mat_apply, mat_mul, rref)
+
+
+def run_capped(body, seconds=120):
+    """Run the module-level function ``body`` of a test module in a child
+    interpreter whose address space is capped at 1 GiB, so that a step
+    that outgrows its range check fails with MemoryError at once instead
+    of filling the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    here = pathlib.Path(__file__).resolve().parent
+    code = "import sys; sys.path.insert(0, %r); import %s as m; m.%s()" % (
+        str(here), body.__module__, body.__name__)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=seconds, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
 
 
 def root_lattice_a2():
@@ -85,6 +106,101 @@ def multiply_by_words(desc, a, b):
         for u, c2 in t.items():
             hecke._add_term(out, u, c * c2)
     return desc.element({table.elements[u]: c for u, c in out.items()})
+
+
+# ---------------------------------------------------------------------------
+# The polynomial representation of the affine algebra
+# ---------------------------------------------------------------------------
+#
+# Polynomials in O(T) (x) ZZ[z^{+-1}] are plain dicts {(x, e): int} of
+# lattice and z-exponent tuples.  The module is induced from the character
+# N_s -> z^lambda, N_gamma -> 1 of the finite part (Lusztig, JAMS 2, 1989,
+# section 4; Macdonald, Affine Hecke Algebras and Orthogonal Polynomials,
+# ch. 4): theta_x acts by multiplication, N_gamma by theta_x -> theta_{gamma
+# x} (so the cocycle must be trivial), and N_s by
+#     theta_x -> z^lambda theta_{s x} + D_x ((z^lambda - z^-lambda)
+#                + theta_{-alpha} (z^lambda* - z^-lambda*)),
+# D_x (theta_0 - theta_{-alpha}) = theta_x - theta_{s x}, the second summand
+# and a doubled step only for a halvable coroot.  Everything is read from the
+# root datum and the parameter maps, not from the N_s tables of the product.
+
+
+def _poly_add(out, key, c):
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def poly_mul(f, g):
+    out = {}
+    for (x, e), v in f.items():
+        for (y, d), w in g.items():
+            _poly_add(out, (vadd(x, y), vadd(e, d)), v * w)
+    return out
+
+
+def poly_of(c, nvars):
+    """A coefficient of a symbolic element as a polynomial."""
+    out = {}
+    for x, e, v in c.monomials(nvars):
+        _poly_add(out, (x, e), v)
+    return out
+
+
+def _telescope(x, root, coroot, halvable):
+    """D_x as {lattice vector: int}: theta_x + theta_{x - step} + .. over
+    n = <x, coroot> terms (n/2 with step 2 alpha for a halvable coroot),
+    minus the mirrored sum above x for n < 0."""
+    n = pairing(x, coroot)
+    step = root
+    if halvable:
+        assert n % 2 == 0, "odd pairing with a halvable coroot"
+        n, step = n // 2, vscale(root, 2)
+    if n >= 0:
+        return {vsub(x, vscale(step, k)): 1 for k in range(n)}
+    return {vadd(x, vscale(step, k)): -1 for k in range(1, -n + 1)}
+
+
+def poly_ns(desc, i, f):
+    """N_{s_i} on the polynomial f."""
+    root = desc.rd.simple_roots[i]
+    alpha, coroot = root.vector, root.coroot
+    lam = desc.lam[alpha]
+    zero = (0,) * desc.rd.rank
+    unit = tuple(int(k == root.component_index - 1) for k in range(desc.d))
+    brackets = [(zero, lam)]
+    if root.halvable:
+        brackets.append((vscale(alpha, -1), desc.lam_star[alpha]))
+    out = {}
+    for (x, e), v in f.items():
+        _poly_add(out, (reflect(x, alpha, coroot), vadd(e, vscale(unit, lam))),
+                  v)
+        for y, sign in _telescope(x, alpha, coroot, root.halvable).items():
+            for shift, m in brackets:
+                for power in (m, -m):
+                    _poly_add(out, (vadd(y, shift),
+                                    vadd(e, vscale(unit, power))),
+                              v * sign * (1 if power == m else -1))
+    return out
+
+
+def poly_act(desc, elem, f):
+    """The element ``elem`` of a symbolic affine descriptor with a trivial
+    cocycle on the polynomial f: sum c_w N_w N_gamma, with N_w the product
+    of the N_s along a reduced word of w found by descents."""
+    assert set(desc.cocycle.table.values()) <= {1}, "twisted cocycle"
+    rd = desc.rd
+    out = {}
+    for key, c in elem.terms.items():
+        matrix = desc.wext.rgroup.matrix(key.diagram)
+        g = {(mat_apply(matrix, x), e): v for (x, e), v in f.items()}
+        for i in reversed(descent_word(rd, key.weyl.matrix)):
+            g = poly_ns(desc, i, g)
+        for k, v in poly_mul(poly_of(c, desc.d), g).items():
+            _poly_add(out, k, v)
+    return out
 
 
 def root_count_length(rd, matrix):

@@ -1,8 +1,4 @@
-import pathlib
 import random
-import resource
-import subprocess
-import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -15,6 +11,8 @@ from heckealg.coeffs import (MAX_EXP, LaurentZ, PackedRangeError,
 from heckealg.hecke import AffineDescriptor, GradedDescriptor
 from heckealg.root_data import Root, RootDatum, vneg
 from heckealg.weyl import Cocycle, ExtendedGroup, RGroup, identity_matrix
+
+from oracle_helpers import run_capped
 
 
 def rand_laurent(rng, nvars, nterms=3):
@@ -458,25 +456,9 @@ def _telescope_range_checked_first():
     assert small.map_monomials(table, build, one) == first
 
 
-def _run_capped(body):
-    """Run ``body`` of this module in a child interpreter whose address
-    space is capped at 1 GiB.  Its calls have n ~ 3.2e9: a range check that
-    came after the telescoping would then fail with MemoryError at once
-    instead of filling the machine's memory."""
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    here = pathlib.Path(__file__)
-    code = "import sys; sys.path.insert(0, %r); import %s as m; m.%s()" % (
-        str(here.parent), here.stem, body.__name__)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, preexec_fn=cap)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_map_monomials_past_packed_range_raises():
-    _run_capped(_telescope_past_packed_range)
+    run_capped(_telescope_past_packed_range)
 
 
 def test_map_monomials_checks_range_before_telescoping():
-    _run_capped(_telescope_range_checked_first)
+    run_capped(_telescope_range_checked_first)

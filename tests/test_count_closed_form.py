@@ -93,3 +93,13 @@ def test_b5_count_pinned_and_closed_form(order, total, digest, tmp_path,
     for o in doc["orbits"]:
         assert (o["stabilizer_order"], o["count"]) == \
             closed_form_orbit([("B", 5)], o["representative"], order)
+
+
+# W(B6) and W(B7) (the datum of B5 with n = e = 6 and 7) are too large to
+# count in the suite; their closed-form totals at N = 1, 2 and 60, against
+# which `count` was checked outside it at N = 1 and 2 on B6 and N = 1 on B7
+@pytest.mark.parametrize("rank, totals", [(6, (65, 574, 5299019)),
+                                          (7, (110, 1240, 36518823))])
+def test_b6_b7_closed_form_totals_pinned(rank, totals):
+    assert tuple(closed_form_total([("B", rank)], order)
+                 for order in (1, 2, 60)) == totals

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -723,3 +724,105 @@ def test_multiply_makes_one_ns_step_per_word_trie_node(monkeypatch):
     multiply(twisted, _on_all_of_wext(twisted, rng, one(twisted)),
              twisted.theta_elem((1, 0, 0, 0)))
     assert len(steps) == 6
+
+
+# ---------------------------------------------------------------------------
+# multiply against the polynomial representation
+# ---------------------------------------------------------------------------
+
+def _sp58():
+    from heckealg.pipeline import BUILTIN_EXAMPLES, assemble, datum_from_json
+    return assemble(datum_from_json(BUILTIN_EXAMPLES["sp58"])).descriptor
+
+
+POLY_REP = sorted(n for n, d in DESCS.items()
+                  if set(d.cocycle.table.values()) == {1}) + ["sp58"]
+
+
+@pytest.mark.parametrize("name", POLY_REP)
+def test_multiply_matches_polynomial_representation(name):
+    # act(a b)(f) = act(a)(act(b)(f)) on monomials f, where act is built
+    # from the root datum and the parameters alone; the oracle's N_s is
+    # first checked against the quadratic relation
+    from oracle_helpers import poly_act, poly_mul, poly_ns
+    desc = _sp58() if name == "sp58" else DESCS[name]
+    rng = random.Random(1989)
+    rank, d = desc.rd.rank, desc.d
+
+    def monomial():
+        return {(tuple(rng.randint(-2, 2) for _ in range(rank)),
+                 tuple(rng.randint(-1, 1) for _ in range(d))): 1}
+
+    for i, root in enumerate(desc.rd.simple_roots):
+        unit = tuple(int(k == root.component_index - 1) for k in range(d))
+        lam = desc.lam[root.vector]
+        bracket = {((0,) * rank, tuple(lam * u for u in unit)): 1,
+                   ((0,) * rank, tuple(-lam * u for u in unit)): -1}
+        f = monomial()
+        nf = poly_ns(desc, i, f)
+        rhs = poly_mul(bracket, nf)
+        for k, v in f.items():
+            rhs[k] = rhs.get(k, 0) + v
+        assert poly_ns(desc, i, nf) == {k: v for k, v in rhs.items() if v}
+    length = 3 if name == "sp58" else None
+    for _ in range(4):
+        a, b = (random_element(desc, rng, nterms=3, max_length=length)
+                for _ in range(2))
+        ab = multiply(desc, a, b)
+        for _ in range(2):
+            f = monomial()
+            assert poly_act(desc, ab, f) == poly_act(desc, a,
+                                                     poly_act(desc, b, f))
+
+
+# ---------------------------------------------------------------------------
+# multiply: the packed range and the scalar modes
+# ---------------------------------------------------------------------------
+
+def _reflection_past_packed_range():
+    # on the root lattice of A2, s_1 sends (h, -h) to (-2h, -h), past
+    # MAX_EXP; <(h, -h), coroot> = 3h, so a telescope built before the
+    # reflection's range check would not fit the child's memory
+    rd = root_lattice_a2()
+    desc = AffineDescriptor(
+        rd, ExtendedGroup(rd), {r.vector: 1 for r in rd.nondivisible_roots},
+        {}, Cocycle.trivial(("e",)))
+    i = next(i for i, r in enumerate(rd.simple_roots) if r.vector == (1, 0))
+    h = MAX_EXP // 2 + 1
+    with pytest.raises(PackedRangeError):
+        multiply(desc, desc.n_simple(i), desc.theta_elem((h, -h)))
+
+
+def test_multiply_reflection_past_packed_range_raises():
+    from oracle_helpers import run_capped
+    run_capped(_reflection_past_packed_range)
+
+
+def test_multiply_last_product_past_packed_range_raises():
+    # the final c * c2 of multiply, on a lattice and on a z-digit, after no
+    # N_s step and after one
+    desc = DESCS["A1"]
+    s = desc.n_simple(0)
+    top = TorusAlgebraElement.theta((MAX_EXP, 0), one(desc))
+    ztop = TorusAlgebraElement.theta((0, 0), LaurentZ.var_power(1, 1, MAX_EXP))
+    z = desc.element({desc.wext.identity: TorusAlgebraElement.theta(
+        (0, 0), LaurentZ.var_power(1, 1, 1))})
+    for c, b in ((top, desc.theta_elem((1, 0))), (ztop, z)):
+        for key in (desc.wext.identity, next(iter(s.terms))):
+            with pytest.raises(PackedRangeError):
+                multiply(desc, desc.element({key: c}), b)
+
+
+def test_multiply_reduces_rational_content():
+    # every coefficient of a product over QQ is in lowest terms:
+    # gcd(den, numerators) = 1, with factors scaled off den 1
+    base = DESCS["B2"]
+    rng = random.Random(5)
+    for desc in (base.specialized((Fraction(3, 2),)), quotient_z1(base)):
+        for _ in range(4):
+            a, b = (specialize_element(desc, random_element(base, rng))
+                    for _ in range(2))
+            for x, y in ((a, b), (a.scale(Fraction(2, 3)),
+                                  b.scale(Fraction(9, 4)))):
+                for c in multiply(desc, x, y).terms.values():
+                    assert c.den and gcd(c.den, *c.terms.values()) == 1
