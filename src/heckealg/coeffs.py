@@ -29,10 +29,13 @@ absolute value of its exponents, updated in O(1) per operation.  An
 operation whose result could hold an exponent beyond ``MAX_EXP`` raises
 ``PackedRangeError`` instead of letting a digit wrap into its neighbour.
 ``monomials(nvars)`` decodes the keys back to (x, e, scalar).  The key
-format is private to this module: the Hecke layer reaches packed keys only
-through ring operations, ``map_monomials`` (the N_s step of both the affine
-and the graded algebra, from a table of per-monomial images) and
-``divide_linear``.
+format is private to this module.  The Hecke layer reaches packed keys only
+through ring operations, ``divide_linear`` and the slot functions: a
+product keeps each partial sum as a slot, [terms, bound, den] with zeros
+and content left in, that ``map_monomials`` (the one N_s step of both the
+affine and the graded algebra, from a table of per-monomial images) and
+``mul_into`` (the final coefficient product) add into in place, and that
+``settle`` turns into an element once.
 """
 
 from __future__ import annotations
@@ -194,21 +197,9 @@ class TorusAlgebraElement:
     def __add__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        da, db = self.den, other.den
-        den, fa, fb = (None, 1, 1) if da is db is None else _common(da, db)
-        out = dict(self.terms) if fa == 1 else \
-            {k: c * fa for k, c in self.terms.items()}
-        get = out.get
-        items = other.terms.items()
-        if fb != 1:
-            items = [(k, c * fb) for k, c in items]
-        for k, c in items:
-            s = get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _new(self, out, max(self.bound, other.bound), den)
+        out = [dict(self.terms), self.bound, self.den]
+        _add_into(out, other.terms, other.den, other.bound)
+        return settle(out, self)
 
     def __sub__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
         return self + (-other)
@@ -218,23 +209,9 @@ class TorusAlgebraElement:
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        bound = _check_bound(self.bound + other.bound)
-        da, db = self.den, other.den
-        den = None if da is db is None else _qden(da) * _qden(db)
-        terms, items = self.terms, other.terms.items()
-        if len(terms) == 1:   # one term: a key shift and a scalar product
-            terms, items = other.terms, terms.items()
-        if len(items) == 1:
-            (k2, c2), = items
-            return _new(self, {k + k2: c * c2 for k, c in terms.items()},
-                        bound, den)
-        out: Dict[int, object] = {}
-        get = out.get
-        for k1, c1 in terms.items():
-            for k2, c2 in items:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return _new(self, {k: c for k, c in out.items() if c}, bound, den)
+        out = new_slot()
+        mul_into(out, self, as_slot(other))
+        return settle(out, self)
 
     def scale(self, scalar) -> "TorusAlgebraElement":
         """Multiply by a scalar the constructor takes (a Fraction moves a
@@ -319,68 +296,6 @@ class TorusAlgebraElement:
                 move = moves[xk] = (_pack(y) - xk, -1 if odd else 1)
             out[k + move[0]] = c if move[1] == 1 else -c
         return _new(self, out, self.bound, self.den)
-
-    def map_monomials(self, table: Dict[int, tuple], build,
-                      factor: "TorusAlgebraElement",
-                      bracket: Optional["TorusAlgebraElement"] = None
-                      ) -> tuple:
-        """(f(c), g(c) factor + f(c) bracket) for c this element, f and g
-        maps that fix the z- (r-) part and are linear over it, given on a
-        monomial by (f(theta_x), g(theta_x)) = ``build(x)``, both free of z
-        and over ZZ; no bracket term when ``bracket`` is None.
-
-        ``table``, the caller's for this build, maps each lattice part x met
-        so far to (bound of f(theta_x), bound of g(theta_x), terms of
-        f(theta_x), terms of g(theta_x)), the terms (key offset from key(x),
-        scalar) pairs kept once by ``_shared``; a part whose ``build``
-        raises is not recorded.  One pass over c sums f(c) and g(c), one
-        more applies the factor and the bracket, over one denominator in
-        QQ-mode.  Bounds: F = max(bound(c), those of f(theta_x) over c) for
-        f(c); for a nonzero second element, the larger of G + bound(factor),
-        G the same for g, and, with a bracket, F + bound(bracket)."""
-        rank = self.rank
-        offset, mask = _low_split(rank)
-        fbound = gbound = self.bound
-        image, tele = {}, {}   # f(c), g(c)
-        iget, tget = image.get, tele.get
-        for k, v in self.terms.items():
-            xk = ((k + offset) & mask) - offset
-            entry = table.get(xk)
-            if entry is None:
-                f, g = build(_unpack(xk, rank)[0])
-                entry = table[xk] = (f.bound, g.bound, *(_shared(tuple(
-                    (ek - xk, w) for ek, w in e.terms.items())) for e in (f, g)))
-            bf, bg, fs, gs = entry
-            if bf > fbound:
-                fbound = bf
-            if bg > gbound:
-                gbound = bg
-            for d, w in fs:
-                d += k
-                image[d] = iget(d, 0) + v * w
-            for d, w in gs:
-                d += k
-                tele[d] = tget(d, 0) + v * w
-        mden, ff, fb = (factor.den, 1, 1) if bracket is None else \
-            _common(factor.den, bracket.den)
-        den = None if self.den is mden is None else \
-            _qden(self.den) * _qden(mden)
-        out: Dict[int, object] = {}
-        get = out.get
-        for part, mult, m in ((tele, factor, ff), (image, bracket, fb)):
-            for fk, b in mult.terms.items() if mult is not None else ():
-                b *= m
-                for k, v in part.items():
-                    key = k + fk
-                    out[key] = get(key, 0) + v * b
-        cbound = gbound + factor.bound if tele else 0
-        if bracket is not None and image:
-            cbound = max(cbound, fbound + bracket.bound)
-        _check_bound(cbound)
-        image = {k: c for k, c in image.items() if c}
-        out = {k: c for k, c in out.items() if c}
-        return (_new(self, image, fbound, self.den),
-                _new(self, out, cbound if out else 0, den))
 
     def divide_linear(self, alpha: Exps) -> "TorusAlgebraElement":
         """Exact quotient of a polynomial by the linear form
@@ -505,6 +420,150 @@ def _common(da: Optional[int], db: Optional[int]) -> Tuple:
         return da, 1, 1
     den = lcm(_qden(da), _qden(db))
     return den, den // (da or 1), den // (db or 1)
+
+
+# ---------------------------------------------------------------------------
+# Slots: sums of products accumulated in place
+# ---------------------------------------------------------------------------
+#
+# A slot is a list [terms, bound, den], the fields of an element except that
+# its terms may hold zeros, which readers skip, and its content is not
+# reduced.  The functions below add into a slot in place, bringing it over
+# the common denominator when a summand has another; they never write into
+# a slot they only read.
+
+def new_slot() -> list:
+    return [{}, 0, None]
+
+
+def as_slot(c: TorusAlgebraElement) -> list:
+    """A slot that shares the terms of ``c``, for reading."""
+    return [c.terms, c.bound, c.den]
+
+
+def settle(slot: list, like: TorusAlgebraElement) -> TorusAlgebraElement:
+    """The element, of the type and rank of ``like``, that ``slot`` holds."""
+    terms = slot[0]
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    return _new(like, terms, *slot[1:])
+
+
+def _join(slot: list, den: Optional[int], bound: int) -> int:
+    """Raise the bound of ``slot`` to ``bound`` and bring it over the common
+    denominator of its own and ``den``; the factor that brings a summand
+    over ``den`` to it."""
+    if bound > slot[1]:
+        slot[1] = bound
+    if slot[2] == den != 0:
+        return 1
+    slot[2], fs, fd = _common(slot[2], den)
+    if fs != 1:
+        terms = slot[0]
+        for k in terms:
+            terms[k] *= fs
+    return fd
+
+
+def _add_into(slot: list, terms: Dict[int, object], den: Optional[int],
+              bound: int) -> None:
+    m = _join(slot, den, bound)
+    acc = slot[0]
+    get = acc.get
+    for k, c in terms.items():
+        acc[k] = get(k, 0) + c * m
+
+
+def mul_into(out: list, a: TorusAlgebraElement, b: list) -> None:
+    """Add a * b to the slot ``out``, ``b`` a slot; a one-term factor is a
+    key shift and a scalar product."""
+    terms, bound, den = b
+    m = _join(out, None if a.den is den is None else
+              _qden(a.den) * _qden(den), _check_bound(a.bound + bound))
+    acc = out[0]
+    get = acc.get
+    # the slot's terms outside, where their zeros are skipped, unless they
+    # are the one-term factor
+    xs, ys = (a.terms, terms) if len(terms) == 1 < len(a.terms) else \
+        (terms, a.terms)
+    if len(ys) == 1:
+        (k2, c2), = ys.items()
+        c2 *= m
+        if not acc:   # keys shifted by one key stay distinct
+            out[0] = {k + k2: c * c2 for k, c in xs.items()}
+            return
+        for k, c in xs.items():
+            k += k2
+            acc[k] = get(k, 0) + c * c2
+        return
+    for k1, c1 in xs.items():
+        if c1:
+            c1 *= m
+            for k2, c2 in ys.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+
+
+def map_monomials(c: list, table: Dict[int, tuple], build,
+                  factor: TorusAlgebraElement,
+                  bracket: Optional[TorusAlgebraElement],
+                  image: list, corr: list) -> None:
+    """Add f(c) to the slot ``image`` and g(c) factor + f(c) bracket (no
+    bracket term when it is None) to the slot ``corr``, for c a slot, f
+    and g maps that fix the z- (r-) part and are linear over it, given on
+    a monomial by (f(theta_x), g(theta_x)) = ``build(x)``, both free of z
+    and over ZZ.  ``table``, the caller's for this build, maps each
+    lattice part x met so far to (bound of f(theta_x), bound of
+    g(theta_x), terms of f(theta_x), terms of g(theta_x)), the terms (key
+    offset from key(x), scalar) pairs kept once by ``_shared``; a part
+    whose ``build`` raises is not recorded.  The bound of f(c) is F =
+    max(bound(c), those of f(theta_x)); that of the correction, checked
+    before ``corr`` is written, is G + bound(factor) (G the same for g)
+    and, with a bracket, at least F + bound(bracket)."""
+    terms, fbound, den = c
+    rank = factor.rank
+    offset, mask = _low_split(rank)
+    gbound = fbound
+    direct = image[2] == den and (bracket is None or not image[0])
+    fc = image[0] if direct else {}
+    tele: Dict[int, object] = {}   # g(c)
+    fget, tget = fc.get, tele.get
+    for k, v in terms.items():
+        if not v:
+            continue
+        xk = ((k + offset) & mask) - offset
+        entry = table.get(xk)
+        if entry is None:
+            f, g = build(_unpack(xk, rank)[0])
+            entry = table[xk] = (f.bound, g.bound, *(_shared(tuple(
+                (ek - xk, w) for ek, w in e.terms.items())) for e in (f, g)))
+        bf, bg, fs, gs = entry
+        if bf > fbound:
+            fbound = bf
+        if bg > gbound:
+            gbound = bg
+        for d, w in fs:
+            d += k
+            fc[d] = fget(d, 0) + v * w
+        for d, w in gs:
+            d += k
+            tele[d] = tget(d, 0) + v * w
+    _add_into(image, {} if direct else fc, den, fbound)
+    cbound = gbound + factor.bound if tele else 0
+    if bracket is not None and fc:
+        cbound = max(cbound, fbound + bracket.bound)
+    mden, ff, fb = (factor.den, 1, 1) if bracket is None else \
+        _common(factor.den, bracket.den)
+    m = _join(corr, None if den is mden is None else
+              _qden(den) * _qden(mden), _check_bound(cbound))
+    acc = corr[0]
+    get = acc.get
+    for part, mult, fm in ((tele, factor, ff), (fc, bracket, fb)):
+        for fk, b in mult.terms.items() if mult is not None else ():
+            b *= fm * m
+            for k, v in part.items():
+                key = k + fk
+                acc[key] = get(key, 0) + v * b
 
 
 @lru_cache(maxsize=4096)

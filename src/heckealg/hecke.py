@@ -23,15 +23,16 @@ commutation rule  N_s xi = (s xi) N_s + k(alpha) r_j (xi - s xi)/alpha,
 with the group algebra embedded (no quadratic correction).
 
 Both algebras share one multiplication skeleton (``multiply``, with the
-left actions ``_ns_mul`` and ``_ngamma_mul``) and one N_s step
-(``ns_step``: s(c) and the correction term together, in one
-``map_monomials`` pass); a descriptor supplies only its action on
-coefficients (``act_coeff``) and, per simple root, what its N_s step
-does to one monomial theta_x (``_step``).  Basis keys
-are ``ExtendedWeylElement``s; ``multiply`` turns them into W_ext
-``GroupTable`` ids on entry and back on exit, and in between moves them
-by the table's left-multiplication permutations and compares lengths
-from its ``lengths``; it never multiplies group elements itself.
+left actions ``_ns_mul`` and ``_ngamma_mul``) and one N_s kernel,
+``coeffs.map_monomials``, which adds s(c) and the correction term in one
+pass into the slots (raw sums of coefficients, one per table id) of s u
+and u; a descriptor supplies only its action on coefficients
+(``act_coeff``) and, per simple root, what its N_s step does to one
+monomial theta_x (``_step``).  Basis keys are ``ExtendedWeylElement``s;
+``multiply`` turns them into W_ext ``GroupTable`` ids on entry and back
+on exit, and in between moves them by the table's left-multiplication
+permutations and compares lengths from its ``lengths``; it never
+multiplies group elements itself.
 ``multiply`` applies N_w along the recorded word of w^-1; these words
 are closed under prefixes, so per diagram label one depth-first walk of
 their trie makes one N_s step per node and keeps O(longest word)
@@ -40,11 +41,13 @@ partial products.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coeffs import LaurentZ, TorusAlgebraElement, z_bracket
+from .coeffs import (LaurentZ, TorusAlgebraElement, as_slot, map_monomials,
+                     mul_into, new_slot, settle, z_bracket)
 from .root_data import Root, RootDatum, pairing, reflect, vscale, vsub
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, Matrix,
                    RGroup, Vector, WeylElement, mat_apply, stabilizer_of_point)
@@ -131,16 +134,11 @@ class GradedElement(HeckeElement):
 
 
 def _add_term(out: Dict, key, c: TorusAlgebraElement):
-    if not c:
-        return
-    if key in out:
-        s = out[key] + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
+    s = out[key] + c if key in out else c
+    if s:
+        out[key] = s
     else:
-        out[key] = c
+        out.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +151,7 @@ class HeckeDescriptor:
     Subclasses provide ``simple_info``, ``act_coeff(matrix, c)`` (the
     action of a lattice automorphism on coefficients, for N_gamma) and
     ``_steps``: per simple root, the (table, build, factor, bracket) of its
-    N_s step for ``TorusAlgebraElement.map_monomials``, each table filled
+    N_s step for ``coeffs.map_monomials``, each table filled
     as lattice parts are met, so that it lives as long as the descriptor.
     """
 
@@ -191,14 +189,6 @@ class HeckeDescriptor:
     def n_gamma(self, label: str) -> HeckeElement:
         return self.n_element(ExtendedWeylElement(self.wext.weyl.identity,
                                                   label))
-
-    def ns_step(self, info, c: TorusAlgebraElement, shorter: bool) -> tuple:
-        """The coefficients (s(c), correction) of N_{s u} and N_u in
-        N_s * c N_u, in one pass over c; the correction takes the bracket
-        term only when s u is shorter than u."""
-        table, build, factor, bracket = self._steps[info.index]
-        return c.map_monomials(table, build, factor,
-                               bracket if shorter else None)
 
 
 # ---------------------------------------------------------------------------
@@ -360,37 +350,38 @@ def spread_invariant(rd: RootDatum, wext: ExtendedGroup,
 # Multiplication: one skeleton for the affine and the graded algebra
 # ---------------------------------------------------------------------------
 
-def _ns_mul(desc: HeckeDescriptor, i: int,
-            terms: Dict[int, TorusAlgebraElement]
-            ) -> Dict[int, TorusAlgebraElement]:
-    """Left multiplication by N_{s_i} on terms keyed by table ids:
-    N_s (c N_u) = s(c) N_{s u} + correction N_u, both from ``ns_step``."""
-    info = desc.simple_info[i]
+def _ns_mul(desc: HeckeDescriptor, i: int, terms: Dict[int, list]
+            ) -> Dict[int, list]:
+    """Left multiplication by N_{s_i} on slots keyed by table ids:
+    N_s (c N_u) = s(c) N_{s u} + correction N_u, one ``map_monomials``
+    call adding s(c) to the slot of s u and the correction, with the
+    bracket term only when s u is shorter than u, to the slot of u."""
+    steps, build, factor, bracket = desc._steps[i]
     table = desc.wext.table
     perm, lengths = table.perms[i], table.lengths
-    out: Dict[int, TorusAlgebraElement] = {}
+    out: Dict[int, list] = defaultdict(new_slot)
     for u, c in terms.items():
         su = perm[u]
-        cs, corr = desc.ns_step(info, c, lengths[su] < lengths[u])
-        _add_term(out, su, cs)
-        _add_term(out, u, corr)
-    return out
+        map_monomials(c, steps, build, factor,
+                      bracket if lengths[su] < lengths[u] else None,
+                      out[su], out[u])
+    return {u: s for u, s in out.items() if s[0]}   # drop unwritten slots
 
 
 def _ngamma_mul(desc: HeckeDescriptor, label: str,
-                terms: Dict[int, TorusAlgebraElement]
-                ) -> Dict[int, TorusAlgebraElement]:
-    """Left multiplication by N_gamma on terms keyed by table ids."""
+                terms: Dict[int, TorusAlgebraElement]) -> Dict[int, list]:
+    """Left multiplication by N_gamma on terms keyed by table ids, as
+    slots."""
     if label == desc.wext.rgroup.identity:
-        return terms
+        return {u: as_slot(c) for u, c in terms.items()}
     amat = desc.wext.rgroup.matrix(label)
     table = desc.wext.table
     perm, labels = table.perms[table.gen_index[label]], table.labels
-    out: Dict[int, TorusAlgebraElement] = {}
+    out: Dict[int, list] = {}
     for u, c in terms.items():
         cg = desc.act_coeff(amat, c)
         sign = desc.cocycle(label, labels[u])
-        _add_term(out, perm[u], cg if sign == 1 else -cg)
+        out[perm[u]] = as_slot(cg if sign == 1 else -cg)
     return out
 
 
@@ -416,7 +407,10 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
     of w^-1 (a reduced word of w read right to left).  These words are
     closed under prefixes, so a walk in lexicographic order with a stack
     of partial products makes one ``_ns_mul`` per node of their trie: 7
-    for all of W(B2), where one walk per term made 16.
+    for all of W(B2), where one walk per term made 16.  Partial products
+    are slots keyed by table id; c times each partial product is added
+    into the output slot of its id by ``coeffs.mul_into``, and each output
+    slot becomes one element at the end.
 
     Both factors must have their keys in W_ext (``HeckeError``
     otherwise).  The first product on a descriptor builds the W_ext
@@ -431,7 +425,7 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
         w = ExtendedWeylElement(key.weyl, desc.wext.rgroup.identity)
         w_inv = table.elements[table.inverse[table.index[w]]].weyl
         labels.setdefault(key.diagram, []).append((wg.reduced_word(w_inv), c))
-    out: Dict[int, TorusAlgebraElement] = {}
+    out: Dict[int, list] = defaultdict(new_slot)
     for label, words in labels.items():
         # (i_1 .. i_k, N_{s_{i_k}} .. N_{s_{i_1}} N_gamma b) along the word
         path = [((), _ngamma_mul(desc, label, b_ids))]
@@ -442,8 +436,10 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
                 prefix, t = path[-1]
                 path.append((prefix + (i,), _ns_mul(desc, i, t)))
             for u, c2 in path[-1][1].items():
-                _add_term(out, u, c * c2)
-    return desc.element({table.elements[u]: c for u, c in out.items()})
+                mul_into(out[u], c, c2)
+    like = TorusAlgebraElement.zero(desc.rd.rank)
+    return desc.element({table.elements[u]: settle(s, like)
+                         for u, s in out.items()})
 
 
 graded_multiply = multiply

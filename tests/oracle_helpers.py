@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from heckealg import hecke
 from heckealg.checks import random_graded
-from heckealg.coeffs import TorusAlgebraElement
+from heckealg.coeffs import TorusAlgebraElement, settle
 from heckealg.hecke import HeckeElement, HeckeError, _add_term, graded_multiply
 from heckealg.params import ParameterError
 from heckealg.spectra import (FiniteTorusPoint, SpectraError,
@@ -34,9 +34,10 @@ def run_capped(body, seconds=120):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    here = pathlib.Path(__file__).resolve().parent
-    code = "import sys; sys.path.insert(0, %r); import %s as m; m.%s()" % (
-        str(here), body.__module__, body.__name__)
+    paths = [str(pathlib.Path(__file__).resolve().parent),
+             str(pathlib.Path(hecke.__file__).resolve().parents[1])]
+    code = "import sys; sys.path[:0] = %r; import %s as m; m.%s()" % (
+        paths, body.__module__, body.__name__)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=seconds, preexec_fn=cap)
     assert proc.returncode == 0, proc.stderr
@@ -95,7 +96,8 @@ def word_matrix(rd, word):
 def multiply_by_words(desc, a, b):
     """The Hecke product term by term: for each term c N_w N_gamma of a,
     N_gamma b and then one N_s step per letter of the recorded word of w,
-    read right to left, with nothing shared between terms."""
+    read right to left, with nothing shared between terms; each partial
+    product is settled and multiplied by c as an element."""
     wg, table = desc.wext.weyl, desc.wext.table
     b_ids = {table.index[key]: c for key, c in b.terms.items()}
     out = {}
@@ -104,7 +106,7 @@ def multiply_by_words(desc, a, b):
         for i in reversed(wg.reduced_word(key.weyl)):
             t = hecke._ns_mul(desc, i, t)
         for u, c2 in t.items():
-            hecke._add_term(out, u, c * c2)
+            _add_term(out, u, c * settle(c2, c))
     return desc.element({table.elements[u]: c for u, c in out.items()})
 
 

@@ -11,7 +11,8 @@ from heckealg.checks import (check_associativity, check_bernstein, check_braid,
 from heckealg import hecke
 from heckealg.checks import random_graded
 from heckealg.coeffs import (MAX_EXP, LaurentZ, PackedRangeError,
-                             TorusAlgebraElement, _signed_permutation)
+                             TorusAlgebraElement, _signed_permutation,
+                             as_slot, new_slot, settle)
 from heckealg.hecke import (AffineDescriptor, GradedDescriptor, HeckeError,
                             affine_to_graded, bernstein_divide,
                             graded_multiply, im_involution, is_central,
@@ -255,6 +256,16 @@ def _ns_step_oracle(desc, info, c, shorter):
     return cs, corr
 
 
+def _ns_step(desc, info, c, shorter):
+    """(s(c), correction): the slots of s u and u after ``_ns_mul`` on
+    c N_u, with u = s when ``shorter`` and u = e otherwise."""
+    table, i = desc.wext.table, info.index
+    u = table.perms[i][table.identity] if shorter else table.identity
+    out = hecke._ns_mul(desc, i, {u: as_slot(c)})
+    return tuple(settle(out.get(v, new_slot()), c)
+                 for v in (table.perms[i][u], u))
+
+
 def _largest_exponent(elem, nvars):
     return max((max(map(abs, x + e), default=0)
                 for x, e, _ in elem.monomials(nvars)), default=0)
@@ -281,7 +292,7 @@ def test_ns_step_matches_bernstein_oracle(name):
                 reach = max(abs(sum(a * b for a, b in zip(x, info.root.coroot)))
                             for x, _, _ in c.monomials(desc.d))
                 for shorter in (False, True):
-                    cs, corr = desc.ns_step(info, c, shorter)
+                    cs, corr = _ns_step(desc, info, c, shorter)
                     ocs, ocorr = _ns_step_oracle(desc, info, c, shorter)
                     assert cs == ocs and cs.bound == ocs.bound
                     assert corr == ocorr
@@ -334,7 +345,7 @@ def test_graded_ns_step_matches_chain(name):
                                   rng.choice((-3, 1, 2)))
                 for _ in range(rng.randint(1, 5))})
             for _ in range(2):   # the table's entries built, then read
-                cs, corr = gd.ns_step(info, c, False)
+                cs, corr = _ns_step(gd, info, c, False)
                 ocs, ocorr = _graded_chain(gd, info, c)
                 assert cs == ocs and corr == ocorr
                 for got, chain in ((cs, ocs), (corr, ocorr)):
@@ -347,7 +358,7 @@ def test_graded_ns_step_matches_chain(name):
     big = TorusAlgebraElement(rank, {tuple(
         MAX_EXP if j == i else 0 for j in range(rank)): gd.scalar_one()})
     with pytest.raises(PackedRangeError):
-        gd.ns_step(info, big, False)
+        _ns_step(gd, info, big, False)
 
 
 def test_act_examples():
@@ -813,16 +824,21 @@ def test_multiply_last_product_past_packed_range_raises():
                 multiply(desc, desc.element({key: c}), b)
 
 
-def test_multiply_reduces_rational_content():
-    # every coefficient of a product over QQ is in lowest terms:
-    # gcd(den, numerators) = 1, with factors scaled off den 1
+def test_multiply_over_qq_specializes_in_lowest_terms():
+    # a product over QQ is the specialization of the symbolic product, and
+    # every coefficient is in lowest terms: gcd(den, numerators) = 1, with
+    # factors scaled off den 1
     base = DESCS["B2"]
     rng = random.Random(5)
     for desc in (base.specialized((Fraction(3, 2),)), quotient_z1(base)):
         for _ in range(4):
-            a, b = (specialize_element(desc, random_element(base, rng))
-                    for _ in range(2))
-            for x, y in ((a, b), (a.scale(Fraction(2, 3)),
-                                  b.scale(Fraction(9, 4)))):
-                for c in multiply(desc, x, y).terms.values():
+            a, b = (random_element(base, rng) for _ in range(2))
+            sa, sb = (specialize_element(desc, e) for e in (a, b))
+            ab = specialize_element(desc, multiply(base, a, b))
+            for x, y, scale in ((sa, sb, 1), (sa.scale(Fraction(2, 3)),
+                                              sb.scale(Fraction(9, 4)),
+                                              Fraction(3, 2))):
+                product = multiply(desc, x, y)
+                assert product == ab.scale(scale)
+                for c in product.terms.values():
                     assert c.den and gcd(c.den, *c.terms.values()) == 1

@@ -3,8 +3,6 @@ import math
 import operator
 import pathlib
 import random
-import resource
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -464,21 +462,18 @@ def test_no_matrix_products_in_enumeration_or_table_build(name, monkeypatch):
     assert calls == []
 
 
+def _b6_table_and_count():
+    from oracle_helpers import b6_count_at_order_one, b6_table_spot_checks
+    b6_count_at_order_one(b6_table_spot_checks(), 2)
+
+
 def test_b6_table_builds_within_ten_seconds():
     """W(B6) builds its table and counts its 65 classes at order 1, the
     count in under 2 s, in a child interpreter capped at 1 GiB of address
     space and 10 s of wall clock, so that a slower group layer fails here
     instead of stalling the suite."""
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    here = pathlib.Path(__file__).parent
-    code = "import sys; sys.path[:0] = %r; import oracle_helpers as m; " \
-        "m.b6_count_at_order_one(m.b6_table_spot_checks(), 2)" % [
-            str(here), str(pathlib.Path(weyl.__file__).parents[1])]
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=10, preexec_fn=cap)
-    assert proc.returncode == 0, proc.stderr
+    from oracle_helpers import run_capped
+    run_capped(_b6_table_and_count, seconds=10)
 
 
 @pytest.mark.parametrize("name", ["B2", "A1xA1-twisted"])
