@@ -33,9 +33,10 @@ format is private to this module.  The Hecke layer reaches packed keys only
 through ring operations, ``divide_linear`` and the slot functions: a
 product keeps each partial sum as a slot, [terms, bound, den] with zeros
 and content left in, that ``map_monomials`` (the one N_s step of both the
-affine and the graded algebra, from a table of per-monomial images) and
-``mul_into`` (the final coefficient product) add into in place, and that
-``settle`` turns into an element once.
+affine and the graded algebra, from a table whose entries hold each
+monomial's image and correction terms ready to add) and ``mul_into`` (the
+final coefficient product) add into in place, and that ``settle`` turns
+into an element once.
 """
 
 from __future__ import annotations
@@ -198,7 +199,10 @@ class TorusAlgebraElement:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         out = [dict(self.terms), self.bound, self.den]
-        _add_into(out, other.terms, other.den, other.bound)
+        m = _join(out, other.den, other.bound)
+        acc = out[0]
+        for k, c in other.terms.items():
+            acc[k] = acc.get(k, 0) + c * m
         return settle(out, self)
 
     def __sub__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
@@ -465,13 +469,17 @@ def _join(slot: list, den: Optional[int], bound: int) -> int:
     return fd
 
 
-def _add_into(slot: list, terms: Dict[int, object], den: Optional[int],
-              bound: int) -> None:
-    m = _join(slot, den, bound)
-    acc = slot[0]
+def _mul_terms(acc: Dict[int, object], xs: Dict[int, object],
+               ys: Dict[int, object], m) -> None:
+    """Add m times the product of the term dicts ``xs`` and ``ys`` into
+    ``acc``; zeros of ``xs`` are skipped.  Checks no range."""
     get = acc.get
-    for k, c in terms.items():
-        acc[k] = get(k, 0) + c * m
+    for k1, c1 in xs.items():
+        if c1:
+            c1 *= m
+            for k2, c2 in ys.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
 
 
 def mul_into(out: list, a: TorusAlgebraElement, b: list) -> None:
@@ -481,53 +489,46 @@ def mul_into(out: list, a: TorusAlgebraElement, b: list) -> None:
     m = _join(out, None if a.den is den is None else
               _qden(a.den) * _qden(den), _check_bound(a.bound + bound))
     acc = out[0]
-    get = acc.get
     # the slot's terms outside, where their zeros are skipped, unless they
     # are the one-term factor
     xs, ys = (a.terms, terms) if len(terms) == 1 < len(a.terms) else \
         (terms, a.terms)
-    if len(ys) == 1:
+    if len(ys) == 1 and not acc:   # keys shifted by one key stay distinct
         (k2, c2), = ys.items()
         c2 *= m
-        if not acc:   # keys shifted by one key stay distinct
-            out[0] = {k + k2: c * c2 for k, c in xs.items()}
-            return
-        for k, c in xs.items():
-            k += k2
-            acc[k] = get(k, 0) + c * c2
-        return
-    for k1, c1 in xs.items():
-        if c1:
-            c1 *= m
-            for k2, c2 in ys.items():
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
+        out[0] = {k + k2: c * c2 for k, c in xs.items()}
+    else:
+        _mul_terms(acc, xs, ys, m)
 
 
-def map_monomials(c: list, table: Dict[int, tuple], build,
-                  factor: TorusAlgebraElement,
-                  bracket: Optional[TorusAlgebraElement],
-                  image: list, corr: list) -> None:
-    """Add f(c) to the slot ``image`` and g(c) factor + f(c) bracket (no
-    bracket term when it is None) to the slot ``corr``, for c a slot, f
-    and g maps that fix the z- (r-) part and are linear over it, given on
-    a monomial by (f(theta_x), g(theta_x)) = ``build(x)``, both free of z
-    and over ZZ.  ``table``, the caller's for this build, maps each
-    lattice part x met so far to (bound of f(theta_x), bound of
-    g(theta_x), terms of f(theta_x), terms of g(theta_x)), the terms (key
-    offset from key(x), scalar) pairs kept once by ``_shared``; a part
-    whose ``build`` raises is not recorded.  The bound of f(c) is F =
-    max(bound(c), those of f(theta_x)); that of the correction, checked
-    before ``corr`` is written, is G + bound(factor) (G the same for g)
-    and, with a bracket, at least F + bound(bracket)."""
-    terms, fbound, den = c
+def map_monomials(c: list, step: tuple, shorter: bool, image: list,
+                  corr: list) -> None:
+    """Add f(c) to the slot ``image`` and g(c) factor, plus f(c) bracket
+    when ``shorter`` (and bracket is not None), to the slot ``corr``, for
+    c a slot and ``step`` = (table, build, factor, bracket): f and g fix
+    the z- (r-) part and are linear over it, and ``build(x)`` gives
+    (f(theta_x), g(theta_x)), free of z and over ZZ.  ``table``, bound to
+    this step, maps each lattice part x met so far to (bound of
+    f(theta_x), bound of g(theta_x), f(theta_x), g(theta_x) factor,
+    g(theta_x) factor + f(theta_x) bracket): (key offset, scalar) pairs
+    kept once by ``_shared``, the products over the common denominator
+    of factor and bracket, so that an entry serves both kinds of step; a
+    part whose ``build`` raises is not recorded.  f(c) has the bound F =
+    max(bound(c), those of f(theta_x)); the correction, checked before
+    ``corr`` is written, G + bound(factor) (G the same for g, over the
+    nonzero g(theta_x) factor) and, when ``shorter``, at least F +
+    bound(bracket)."""
+    table, build, factor, bracket = step
+    terms, bound, den = c
     rank = factor.rank
     offset, mask = _low_split(rank)
-    gbound = fbound
-    direct = image[2] == den and (bracket is None or not image[0])
-    fc = image[0] if direct else {}
-    tele: Dict[int, object] = {}   # g(c)
-    fget, tget = fc.get, tele.get
+    mden, ff, fb = (factor.den, 1, 1) if bracket is None else \
+        _common(factor.den, bracket.den)
+    mi = _join(image, den, bound)
+    acc = image[0]
+    get = acc.get
+    fbound, gbound = bound, -1   # -1: no g(theta_x) factor met
+    hits = []   # (key, scalar, correction terms), added once in range
     for k, v in terms.items():
         if not v:
             continue
@@ -535,42 +536,48 @@ def map_monomials(c: list, table: Dict[int, tuple], build,
         entry = table.get(xk)
         if entry is None:
             f, g = build(_unpack(xk, rank)[0])
+            long: Dict[int, object] = {}
+            _mul_terms(long, g.terms, factor.terms, ff)
+            short = dict(long)
+            if bracket is not None:
+                _mul_terms(short, f.terms, bracket.terms, fb)
             entry = table[xk] = (f.bound, g.bound, *(_shared(tuple(
-                (ek - xk, w) for ek, w in e.terms.items())) for e in (f, g)))
-        bf, bg, fs, gs = entry
+                (ek - xk, w) for ek, w in e.items() if w))
+                for e in (f.terms, long, short)))
+        bf, bg, fs, long, short = entry
         if bf > fbound:
             fbound = bf
-        if bg > gbound:
+        if long and bg > gbound:
             gbound = bg
+        vi = v * mi
         for d, w in fs:
             d += k
-            fc[d] = fget(d, 0) + v * w
-        for d, w in gs:
-            d += k
-            tele[d] = tget(d, 0) + v * w
-    _add_into(image, {} if direct else fc, den, fbound)
-    cbound = gbound + factor.bound if tele else 0
-    if bracket is not None and fc:
+            acc[d] = get(d, 0) + vi * w
+        ts = short if shorter else long
+        if ts:
+            hits.append((k, v, ts))
+    image[1] = max(image[1], fbound)
+    if not hits:
+        return
+    cbound = max(bound, gbound) + factor.bound if gbound >= 0 else 0
+    if shorter and bracket is not None:
         cbound = max(cbound, fbound + bracket.bound)
-    mden, ff, fb = (factor.den, 1, 1) if bracket is None else \
-        _common(factor.den, bracket.den)
     m = _join(corr, None if den is mden is None else
               _qden(den) * _qden(mden), _check_bound(cbound))
     acc = corr[0]
     get = acc.get
-    for part, mult, fm in ((tele, factor, ff), (fc, bracket, fb)):
-        for fk, b in mult.terms.items() if mult is not None else ():
-            b *= fm * m
-            for k, v in part.items():
-                key = k + fk
-                acc[key] = get(key, 0) + v * b
+    for k, v, ts in hits:
+        v *= m
+        for d, w in ts:
+            d += k
+            acc[d] = get(d, 0) + v * w
 
 
 @lru_cache(maxsize=4096)
 def _shared(terms: tuple) -> tuple:
     """One copy of equal term lists, which many entries of the tables of
     ``map_monomials`` hold: those of an affine N_s step depend on
-    <x, coroot> only."""
+    <x, coroot> only, and a step without a bracket has equal corrections."""
     return terms
 
 
@@ -593,10 +600,6 @@ class LaurentZ(TorusAlgebraElement):
     only a LaurentZ and also multiplies by an ``int``."""
 
     __slots__ = ()
-
-    @property
-    def nvars(self) -> int:
-        return self.rank
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentZ":
@@ -628,8 +631,9 @@ class LaurentZ(TorusAlgebraElement):
         return _z_text(self.terms, self.rank)
 
 
+@lru_cache(maxsize=None)
 def z_bracket(nvars: int, j: int, m: int) -> LaurentZ:
-    """z_j^m - z_j^{-m}; zero when m = 0."""
+    """z_j^m - z_j^{-m}, built once; zero when m = 0."""
     if m == 0:
         return LaurentZ.zero(nvars)
     return LaurentZ.var_power(nvars, j, m) - LaurentZ.var_power(nvars, j, -m)

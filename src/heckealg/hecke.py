@@ -150,9 +150,10 @@ class HeckeDescriptor:
 
     Subclasses provide ``simple_info``, ``act_coeff(matrix, c)`` (the
     action of a lattice automorphism on coefficients, for N_gamma) and
-    ``_steps``: per simple root, the (table, build, factor, bracket) of its
-    N_s step for ``coeffs.map_monomials``, each table filled
-    as lattice parts are met, so that it lives as long as the descriptor.
+    ``_steps``: per simple root, the step (table, build, factor, bracket)
+    of ``coeffs.map_monomials``, its table filled as lattice parts are met
+    and kept as long as the descriptor, each entry holding the image of
+    theta_x and both of its correction terms ready to add.
     """
 
     element_type = HeckeElement
@@ -164,9 +165,11 @@ class HeckeDescriptor:
         self.d = rd.num_z_vars
         self.cocycle = cocycle
         cocycle.check(wext.rgroup.table, wext.rgroup.identity)
+        self._one = Fraction(1) if self.z_values else LaurentZ.one(self.d)
+        self._coeff_zero = TorusAlgebraElement.zero(rd.rank)
 
     def scalar_one(self):
-        return LaurentZ.one(self.d) if self.z_values is None else Fraction(1)
+        return self._one
 
     def element(self, terms: Dict[ExtendedWeylElement, TorusAlgebraElement]
                 ) -> HeckeElement:
@@ -220,10 +223,10 @@ class AffineDescriptor(HeckeDescriptor):
                  z_values: Optional[Tuple[Fraction, ...]] = None):
         if wext.rd is not rd:
             raise HeckeError("extended group must be built on the same datum")
+        self.z_values = tuple(Fraction(z) for z in z_values) if z_values else None
         super().__init__(rd, wext, cocycle)
         self.lam = {tuple(k): v for k, v in lam.items()}
         self.lam_star = {tuple(k): v for k, v in lam_star.items()}
-        self.z_values = tuple(Fraction(z) for z in z_values) if z_values else None
         if self.z_values is not None:
             if len(self.z_values) != self.d:
                 raise HeckeError("expected %d z-values" % self.d)
@@ -356,15 +359,13 @@ def _ns_mul(desc: HeckeDescriptor, i: int, terms: Dict[int, list]
     N_s (c N_u) = s(c) N_{s u} + correction N_u, one ``map_monomials``
     call adding s(c) to the slot of s u and the correction, with the
     bracket term only when s u is shorter than u, to the slot of u."""
-    steps, build, factor, bracket = desc._steps[i]
+    step = desc._steps[i]
     table = desc.wext.table
     perm, lengths = table.perms[i], table.lengths
     out: Dict[int, list] = defaultdict(new_slot)
     for u, c in terms.items():
         su = perm[u]
-        map_monomials(c, steps, build, factor,
-                      bracket if lengths[su] < lengths[u] else None,
-                      out[su], out[u])
+        map_monomials(c, step, lengths[su] < lengths[u], out[su], out[u])
     return {u: s for u, s in out.items() if s[0]}   # drop unwritten slots
 
 
@@ -437,8 +438,7 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
                 path.append((prefix + (i,), _ns_mul(desc, i, t)))
             for u, c2 in path[-1][1].items():
                 mul_into(out[u], c, c2)
-    like = TorusAlgebraElement.zero(desc.rd.rank)
-    return desc.element({table.elements[u]: settle(s, like)
+    return desc.element({table.elements[u]: settle(s, desc._coeff_zero)
                          for u, s in out.items()})
 
 
@@ -462,10 +462,8 @@ def multiply_crossed(desc: AffineDescriptor, a: HeckeElement, b: HeckeElement
     out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
     for w, cw in a.terms.items():
         for v, dv in b.terms.items():
-            sign = desc.cocycle(w.diagram, v.diagram)
-            moved = dv.act_matrix(desc.wext.action_matrix(w))
-            prod = cw * moved
-            if sign == -1:
+            prod = cw * dv.act_matrix(desc.wext.action_matrix(w))
+            if desc.cocycle(w.diagram, v.diagram) == -1:
                 prod = -prod
             _add_term(out, desc.wext.mult(w, v), prod)
     return HeckeElement(out)
@@ -602,11 +600,9 @@ def im_involution(desc: GradedDescriptor, a: GradedElement) -> GradedElement:
     part), r_j -> r_j, xi -> -xi in degree one; sign(w) = (-1)^l(w)."""
     rank = desc.rd.rank
     neg = tuple(tuple(-int(i == j) for j in range(rank)) for i in range(rank))
-    out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
-    for key, c in a.terms.items():
-        c = c.substitute(neg)
-        _add_term(out, key, -c if desc.weyl.length(key.weyl) % 2 else c)
-    return desc.element(out)
+    out = {key: c.substitute(neg) for key, c in a.terms.items()}
+    return desc.element({key: -c if desc.weyl.length(key.weyl) % 2 else c
+                         for key, c in out.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared independent oracles and test-only helpers."""
 
+import importlib.util
 import itertools
 import math
 import pathlib
@@ -41,6 +42,17 @@ def run_capped(body, seconds=120):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=seconds, preexec_fn=cap)
     assert proc.returncode == 0, proc.stderr
+
+
+def load_bench_module(name):
+    """``bench/<name>.py`` loaded as a module, to read from; the tests
+    write nothing under ``bench/``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / (
+        name + ".py")
+    spec = importlib.util.spec_from_file_location("bench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def root_lattice_a2():

@@ -16,11 +16,12 @@ from heckealg.weyl import Cocycle, ExtendedGroup, RGroup, identity_matrix
 from oracle_helpers import run_capped
 
 
-def _mapped(c, table, build, factor, bracket=None):
-    """(f(c), g(c) factor + f(c) bracket) from ``map_monomials`` on c into
-    two new slots."""
+def _mapped(c, step, shorter=False):
+    """(f(c), g(c) factor, plus f(c) bracket when ``shorter``) from
+    ``map_monomials`` on c into two new slots, for ``step`` = (table,
+    build, factor, bracket)."""
     image, corr = new_slot(), new_slot()
-    map_monomials(as_slot(c), table, build, factor, bracket, image, corr)
+    map_monomials(as_slot(c), step, shorter, image, corr)
     return settle(image, c), settle(corr, c)
 
 
@@ -197,7 +198,7 @@ def test_packed_ring_matches_sympy():
         root = simple.vector
         step = [(2 if simple.halvable else 1) * a for a in root]
         refl = _reflection_matrix(root, simple.coroot)
-        (table, build, _, _), (gtable, gbuild, _, _) = _rank_one_steps(simple)
+        (_, build, _, _), (_, gbuild, _, _) = _rank_one_steps(simple)
         c = TorusAlgebraElement(rank, {
             tuple(rng.randint(-1, 1) for _ in range(rank)): rand_laurent(
                 rng, nvars, 1) for _ in range(2)}).scale(
@@ -205,7 +206,7 @@ def test_packed_ring_matches_sympy():
         factor = rand_qtae(rng, rank, nvars, nterms=1)
         bracket = TorusAlgebraElement(rank, {(0,) * rank: rand_laurent(
             rng, nvars, 2)}).scale(Fraction(1, rng.randint(2, 5)))
-        cs, corr = _mapped(c, table, build, factor, bracket)
+        cs, corr = _mapped(c, ({}, build, factor, bracket), True)
         sc, sfactor, sbracket = (poly(e) for e in (c, factor, bracket))
         scs = cleared(_sympy_form(sympy, c, nvars).subs(
             {xs[j]: sympy.Mul(*(xs[i] ** refl[i][j] for i in range(rank)))
@@ -228,7 +229,7 @@ def test_packed_ring_matches_sympy():
         assert quotient.den
         # the graded N_s step: corr root = (q - s q) factor, s q the
         # substitution by the reflection, root as a linear form
-        qs, gcorr = _mapped(q, gtable, gbuild, factor)
+        qs, gcorr = _mapped(q, ({}, gbuild, factor, None))
         sqs = cleared(_sympy_form(sympy, q, nvars).subs(
             {xs[i]: sum(refl[j][i] * xs[j] for j in range(rank))
              for i in range(rank)}, simultaneous=True))
@@ -395,9 +396,10 @@ def test_map_monomials_solves_bernstein_lusztig():
         root, coroot, halvable = alpha.vector, alpha.coroot, alpha.halvable
         step = tuple(2 * a for a in root) if halvable else root
         c = rand_tae(rng, rank, nvars, nterms=4)
-        # the table is filled here and read by the calls below
-        (table, build, _, _), _ = _rank_one_steps(alpha)
-        cs, d = _mapped(c, table, build, one)
+        # one table per (factor, bracket), filled by its first call
+        (_, build, _, _), _ = _rank_one_steps(alpha)
+        table = {}
+        cs, d = _mapped(c, (table, build, one, None))
         image = c.act_matrix(_reflection_matrix(root, coroot))
         assert cs == image and cs.bound == image.bound
         # an entry keeps the bounds of s(theta_x) and of D_x apart
@@ -419,9 +421,9 @@ def test_map_monomials_solves_bernstein_lusztig():
         factor = rand_tae(rng, rank, nvars, nterms=2)
         bracket = TorusAlgebraElement(rank, {(0,) * rank:
                                              rand_laurent(rng, nvars, 2)})
-        assert _mapped(c, table, build, factor) == (cs, d * factor)
-        assert _mapped(c, table, build, factor, bracket) == \
-            (cs, d * factor + cs * bracket)
+        step = ({}, build, factor, bracket)
+        assert _mapped(c, step) == (cs, d * factor)
+        assert _mapped(c, step, True) == (cs, d * factor + cs * bracket)
 
 
 def _telescope_past_packed_range():
@@ -433,36 +435,39 @@ def _telescope_past_packed_range():
         c.act_matrix(((-1, -1), (0, 1)))
     (_, build, _, _), _ = _rank_one_steps(Root((1, 0), (2, 1), 1))
     with pytest.raises(PackedRangeError):
-        _mapped(c, {}, build, one)
+        _mapped(c, ({}, build, one, None))
     # the image fits, D_x times the factor holds z^(MAX_EXP + 1)
     (_, build, _, _), _ = _rank_one_steps(Root((1, -1), (1, -1), 1))
     zbracket = TorusAlgebraElement(2, {(0, 0): z_bracket(1, 1, 1)})
     ztop = LaurentZ.var_power(1, 1, MAX_EXP)
     c = TorusAlgebraElement(2, {(1, 0): ztop})
     with pytest.raises(PackedRangeError):
-        _mapped(c, {}, build, zbracket)
+        _mapped(c, ({}, build, zbracket, None))
     # <x, coroot> = 0: only the bracket term passes the range
     c = TorusAlgebraElement(2, {(1, 1): ztop})
-    _mapped(c, {}, build, one)
+    step = ({}, build, one, zbracket)
+    _mapped(c, step)
     with pytest.raises(PackedRangeError):
-        _mapped(c, {}, build, one, zbracket)
+        _mapped(c, step, True)
 
 
 def _telescope_range_checked_first():
     # a warm table: (1, 1) was met in range and is recorded
     one = TorusAlgebraElement.theta((0, 0), 1)
-    (table, build, _, _), _ = _rank_one_steps(Root((1, 0), (2, 1), 1))
+    (_, build, _, _), _ = _rank_one_steps(Root((1, 0), (2, 1), 1))
+    table = {}
+    step = (table, build, one, None)
     small = TorusAlgebraElement(2, {(1, 1): 1})
-    first = _mapped(small, table, build, one)
+    first = _mapped(small, step)
     assert len(table) == 1
     # (h, h) has n = 3h > MAX_EXP and s(h, h) = (-2h, h) is out of range;
     # telescoping it before the check would sum 3h keys
     h = MAX_EXP // 2 + 1
     c = TorusAlgebraElement(2, {(1, 1): 1, (h, h): 1})
     with pytest.raises(PackedRangeError):
-        _mapped(c, table, build, one)
+        _mapped(c, step)
     assert len(table) == 1
-    assert _mapped(small, table, build, one) == first
+    assert _mapped(small, step) == first
 
 
 def test_map_monomials_past_packed_range_raises():

@@ -13,15 +13,16 @@ from heckealg.checks import random_graded
 from heckealg.coeffs import (MAX_EXP, LaurentZ, PackedRangeError,
                              TorusAlgebraElement, _signed_permutation,
                              as_slot, new_slot, settle)
-from heckealg.hecke import (AffineDescriptor, GradedDescriptor, HeckeError,
-                            affine_to_graded, bernstein_divide,
+from heckealg.hecke import (AffineDescriptor, GradedDescriptor, HeckeElement,
+                            HeckeError, affine_to_graded, bernstein_divide,
                             graded_multiply, im_involution, is_central,
                             multiply, quotient_z1, serialize_element,
                             spread_invariant, symmetrize)
 from heckealg.root_data import build_classical, product
 from heckealg.weyl import Cocycle, ExtendedGroup, identity_matrix
 
-from oracle_helpers import root_lattice_a2, specialize_element
+from oracle_helpers import (load_bench_module, root_lattice_a2,
+                            specialize_element)
 
 DESCS = standard_descriptors()
 
@@ -784,6 +785,61 @@ def test_multiply_matches_polynomial_representation(name):
             f = monomial()
             assert poly_act(desc, ab, f) == poly_act(desc, a,
                                                      poly_act(desc, b, f))
+
+
+@pytest.mark.parametrize("name", POLY_REP[:-1])
+def test_step_entries_serve_longer_and_shorter_steps(name):
+    # N_s c N_u with u = e (a longer step) and u = s (a shorter one, with
+    # the bracket terms) on the same lattice parts, in both orders, on
+    # fresh tables: an entry built by one kind of step must serve the
+    # other.  Checked against the term-by-term product on tables that only
+    # it fills and against the polynomial representation, symbolic, at a
+    # specialization and at z = 1
+    from oracle_helpers import multiply_by_words, poly_act
+    base = DESCS[name]
+    rng = random.Random(1989)
+    rank, d = base.rd.rank, base.d
+    c = TorusAlgebraElement(rank, {
+        tuple(rng.randint(-3, 3) for _ in range(rank)): LaurentZ.monomial(
+            d, [rng.randint(-1, 1) for _ in range(d)], rng.choice((-2, 1, 3)))
+        for _ in range(6)})
+    fs = [{(tuple(rng.randint(-2, 2) for _ in range(rank)), (0,) * d): 1}
+          for _ in range(2)]
+
+    def fresh(z_values):
+        return AffineDescriptor(base.rd, base.wext, base.lam, base.lam_star,
+                                base.cocycle, z_values)
+
+    symbolic = {}
+    for z_values in (None, (Fraction(3, 2),) * d, (Fraction(1),) * d):
+        for order in ((False, True), (True, False)):
+            desc = fresh(z_values)
+            for i in range(len(desc.simple_info)):
+                ns = desc.n_simple(i)
+                s = next(iter(ns.terms))
+                for shorter in order:
+                    b = HeckeElement({s if shorter else desc.wext.identity: c})
+                    if z_values:
+                        b = specialize_element(desc, b)
+                    got = multiply(desc, ns, b)
+                    assert got == multiply_by_words(fresh(z_values), ns, b)
+                    if z_values:
+                        assert got == specialize_element(
+                            desc, symbolic[i, shorter])
+                        continue
+                    for f in fs:
+                        assert poly_act(desc, got, f) == \
+                            poly_act(desc, ns, poly_act(desc, b, f))
+                    symbolic[i, shorter] = got
+
+
+def test_affine_products_match_bench_pins():
+    # the digests of serialize_element((ab)c) for every affine triple of
+    # the benchmark at its default seed, which the benchmark checks too
+    workloads = load_bench_module("workloads")
+    assert workloads.affine_pins(workloads.DEFAULT_SEED,
+                                 workloads.SIZES["full"]) == \
+        workloads.load_pins()
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ The benchmark tracer replaces library functions by name; a rename in
 test imports the tracer module and touches nothing under ``bench/``.
 """
 
-import importlib.util
-import pathlib
 import random
 
 from heckealg import hecke, spectra
@@ -15,14 +13,11 @@ from heckealg.coeffs import LaurentZ, TorusAlgebraElement
 from heckealg.root_data import build_classical
 from heckealg.weyl import ExtendedGroup
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from oracle_helpers import load_bench_module
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench_module("tracing")
 
 
 def test_tracer_hooks_resolve_and_round_trip():
