@@ -54,10 +54,14 @@ def cmd_describe(args) -> int:
 
 
 def cmd_check(args) -> int:
-    for flag in ("triples", "im_pairs", "cone_samples"):
-        if getattr(args, flag) < 1:
-            raise ValidationError(["--%s must be >= 1"
-                                   % flag.replace("_", "-")])
+    # the size flags are capped at ten times their defaults
+    for flag, cap in (("triples", 2000), ("im_pairs", 1000),
+                      ("cone_samples", 10_000)):
+        value = getattr(args, flag)
+        if not 1 <= value <= cap:
+            bound = "<= %d" % cap if value > cap else ">= 1"
+            raise ValidationError(["--%s must be %s"
+                                   % (flag.replace("_", "-"), bound)])
     results = checks.run_all(seed=args.seed, triples=args.triples,
                              im_pairs=args.im_pairs,
                              cone_samples=args.cone_samples)

@@ -193,7 +193,7 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
 
     Group elements are the ids of ``group.table``.  The starting points
     are swept once in sorted order, skipping those already seen; each
-    orbit costs one pass over the group, whose images give the orbit and
+    orbit costs one ``GroupTable.images`` pass, which gives the orbit and
     the stabilizer of the swept point.  Stabilizers of points in one
     orbit are conjugate, so their order and count are the orbit's.  A
     stabilizer that is all of W_ext takes the table's generators, a
@@ -204,7 +204,6 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
                            "denominators" % order)
     canon = canonicalize or (lambda e, n: e)
     table = group.table
-    ids = range(len(table.elements))
     labels, lengths = table.labels, table.lengths
     table_gens = [perm[table.identity] for perm in table.perms]
 
@@ -218,14 +217,14 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
     for e in sorted(starts):
         if e in seen:
             continue
-        moved = [canon(table.act_point(g, e, order), order) for g in ids]
+        moved = [canon(x, order) for x in table.images(e, order)]
         orbit = set(moved)
-        stab = sorted((g for g in ids if moved[g] == e),
+        stab = sorted((g for g, x in enumerate(moved) if x == e),
                       key=lengths.__getitem__)
         seen |= orbit
-        sub = FiniteGroup(stab, table.mult, table.inv, table.identity,
-                          cocycle_fn,
-                          table_gens if len(stab) == len(ids) else None)
+        sub = FiniteGroup(stab, table.mult, table.inverse.__getitem__,
+                          table.identity, cocycle_fn,
+                          table_gens if len(stab) == len(moved) else None)
         cnt = count_twisted_irreps(sub)
         reports.append(OrbitReport(FiniteTorusPoint(order, min(orbit)),
                                    len(orbit), len(stab), cnt))

@@ -2,18 +2,18 @@
 
 Group elements are permutations inside and integer matrices at the
 boundary: they permute the orbit of the standard basis ({+-e_i} on the
-classical data); each element's matrix is read off, and its hash
-computed, once.  An extended group W_ext = W x| R builds, on first use,
-one ``GroupTable`` that numbers its elements and answers products,
-inverses, left multiplication by a generator, subgroup closure and the
-action on finite-order torus points by lookup, with integer arithmetic
-only.  After the build it is the only group law: the Hecke layer moves
-its basis keys, and point stabilizers and minimal coset representatives
-are computed, as table ids.  Enumerating a Weyl group records a reduced word of every element,
-so words and lengths are dict lookups and the table's walks are built
-from them.  Rational linear algebra (the inverse Cartan matrix, the
-centre of a twisted group algebra) goes through one exact row reduction,
-``rref``, which eliminates on integers.
+classical data).  A Weyl group's search numbers its elements once, in
+matrix order, as lists of permutations and reduced words.  An extended
+group W_ext = W x| R builds on first use one ``GroupTable`` that keeps
+per id only a label, length, inverse, walk and point rows, and answers
+products, inverses, left multiplication by a generator, subgroup
+closure and the action on finite-order torus points by lookup, with
+integer arithmetic only; element objects and matrices are built when
+asked for.  After the build it is the only group law: the Hecke layer
+moves its basis keys, and point stabilizers and minimal coset
+representatives are computed, as table ids.  Rational linear algebra
+(the inverse Cartan matrix, the centre of a twisted group algebra) goes
+through one exact row reduction, ``rref``, which eliminates on integers.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ Matrix = Tuple[Tuple[int, ...], ...]
 Vector = Tuple[int, ...]
 Perm = Tuple[int, ...]
 
+# A table id costs about 0.8 KB retained (B6, 46,080 ids: 37.7 MB under
+# tracemalloc) and 1.3 KB of peak RSS (B7, 645,120 ids: 839 MB), so the
+# cap's 2,000,000 ids admit about 2.6 GB.
 ENUMERATION_CAP = 2_000_000
 
 
@@ -116,6 +119,7 @@ class WeylGroup:
     An element is a permutation p of ``orbit``, the standard basis closed
     under the simple reflections and the matrices ``extra`` (the R-labels
     of an extended group); column j of its matrix is ``orbit[p[j]]``.
+    Element objects are built from ``search`` on the first ``enumerate``.
     """
 
     def __init__(self, rd: RootDatum, extra: Iterable[Matrix] = ()):
@@ -125,8 +129,6 @@ class WeylGroup:
         self.identity = WeylElement(identity_matrix(rd.rank))
         self._gens = self.simple_matrices + tuple(extra)
         self._elements: Optional[List[WeylElement]] = None
-        self._words: Dict[WeylElement, Tuple[int, ...]] = {}
-        self.orbit_perms: List[Perm] = []
 
     @cached_property
     def orbit(self) -> List[Vector]:
@@ -150,45 +152,61 @@ class WeylGroup:
         """The matrix of a permutation of ``orbit``."""
         return tuple(zip(*(self.orbit[p[j]] for j in range(self.rank))))
 
-    def enumerate(self) -> List[WeylElement]:
-        """All elements, sorted by matrix, by closure from the simple
-        reflections; records a reduced word of each element on the way,
-        and its permutation of ``orbit`` in ``orbit_perms``.
-
-        Each length level is reached from the last by right multiplication
-        with the simple reflections in the outer loop, so a new element
+    @cached_property
+    def search(self) -> Tuple[List[Perm], List[Tuple[int, ...]],
+                              List[List[int]]]:
+        """(perms, words, right) in matrix order: each element's permutation
+        of ``orbit``, its reduced word and ``right[i][j]``, the number of
+        w_j s_i.  Each length level is reached from the last by right
+        multiplication with the simple reflections in the outer loop, so
         w s_i is first met through its least right descent i, and its word
-        is word(w) + (i,).
-        """
+        is word(w) + (i,)."""
+        simple = list(map(self.permutation, self.simple_matrices))
+        perms = [tuple(range(len(self.orbit)))]
+        words, found = [()], {perms[0]: 0}
+        right: List[List[int]] = [[] for _ in simple]
+        level = range(1)
+        while level:
+            start = len(perms)
+            for i, s in enumerate(simple):
+                for a in level:          # right[i] fills in search order
+                    q = tuple(map(perms[a].__getitem__, s))
+                    b = found.setdefault(q, len(perms))
+                    if b == len(perms):
+                        if b >= ENUMERATION_CAP:
+                            raise WeylError("group enumeration cap exceeded")
+                        perms.append(q)
+                        words.append(words[a] + (i,))
+                    right[i].append(b)
+            level = range(start, len(perms))
+        # a matrix sorts as the integer whose digits, in base ``base``, are
+        # its entries less ``lo`` row by row; column j adds digits[j][p[j]]
+        lo = min(chain.from_iterable(self.orbit), default=0)
+        base = max(chain.from_iterable(self.orbit), default=0) - lo + 1
+        n = self.rank
+        digits = [[sum((v[i] - lo) * base ** ((n - i) * n - 1 - j)
+                       for i in range(n)) for v in self.orbit]
+                  for j in range(n)]
+        order = sorted(range(len(perms)), key=lambda a: sum(
+            map(list.__getitem__, digits, perms[a])))
+        number = sorted(range(len(order)), key=order.__getitem__)
+        return ([perms[a] for a in order], [words[a] for a in order],
+                [[number[r[a]] for a in order] for r in right])
+
+    def enumerate(self) -> List[WeylElement]:
+        """All elements, in matrix order, built on the first call."""
         if self._elements is None:
-            simple = list(map(self.permutation, self.simple_matrices))
-            words = {tuple(range(len(self.orbit))): ()}
-            frontier = list(words)
-            while frontier:
-                nxt = []
-                for i, s in enumerate(simple):
-                    for p in frontier:
-                        q = tuple(map(p.__getitem__, s))
-                        if q not in words:
-                            if len(words) >= ENUMERATION_CAP:
-                                raise WeylError("group enumeration cap exceeded")
-                            words[q] = words[p] + (i,)
-                            nxt.append(q)
-                frontier = nxt
-            pairs = sorted((self.matrix_of(p), p) for p in words)
-            self._words = {WeylElement(m): words[p] for m, p in pairs}
-            self._elements = list(self._words)
-            self.orbit_perms = [p for _m, p in pairs]
+            self._elements = list(map(WeylElement, map(self.matrix_of,
+                                                       self.search[0])))
         return self._elements
 
-    def order(self) -> int:
-        return len(self.enumerate())
+    @cached_property
+    def _words(self) -> Dict[WeylElement, Tuple[int, ...]]:
+        return dict(zip(self.enumerate(), self.search[1]))
 
     def reduced_word(self, w: WeylElement) -> Tuple[int, ...]:
         """Reduced word in simple-reflection indices (0-based), recorded by
-        ``enumerate``."""
-        if self._elements is None:
-            self.enumerate()
+        ``search``."""
         try:
             return self._words[w]
         except KeyError:
@@ -451,11 +469,8 @@ class ExtendedGroup:
         return GroupTable(self)
 
     def elements(self) -> List[ExtendedWeylElement]:
-        return [ExtendedWeylElement(w, l) for l in self.rgroup.labels
-                for w in self.weyl.enumerate()]
-
-    def order(self) -> int:
-        return self.weyl.order() * self.rgroup.order()
+        """The table's element objects, in id order."""
+        return self.table.elements
 
     def _id(self, g: ExtendedWeylElement) -> int:
         try:
@@ -482,84 +497,102 @@ class ExtendedGroup:
 
 
 class GroupTable:
-    """W_ext numbered 0 .. |W_ext|-1 in ``ExtendedGroup.elements()`` order.
+    """W_ext numbered 0 .. |W_ext|-1, the one place that knows its group
+    law: id k |W| + j is (w_j, l_k), the j-th element of W in matrix order
+    and the k-th R-label.  Generator i is s_i, generator ``gen_index[l]``
+    the R-label l; ``perms[k][h]`` is the id of gen_k * h, so s_i (w, l) =
+    (s_i w, l) and gamma (w, l) = (gamma w gamma^-1, gamma l).
 
-    This is the one place that knows the group law of W_ext; everything
-    else moves and checks elements through ``index``, ``elements`` and
-    ``perms``.  The generators are the simple reflections (generator i
-    is s_i) and the non-identity R-labels (generator ``gen_index[l]``);
-    ``perms[k][h]`` is the id of gen_k * h, so s_i (w, l) = (s_i w, l)
-    and gamma (w, l) = (gamma w gamma^-1, gamma l), one composition of
-    orbit permutations per entry of the build.  Per id the table keeps
-    the element, its label, its action matrix, its length ``lengths``
-    (that of its Weyl part), a walk over those permutations, the inverse
-    id and the matrix acting on point exponents (the transpose of the
-    inverse's action matrix).  The walks come from the reduced words
-    that ``WeylGroup.enumerate`` records: (w, l) = (w, e)(1, l) is the
-    generator of l followed by the word of w read right to left, and
-    (w, l)^-1 is the word of w read left to right followed by the
-    generator of l^-1.  Memory is linear in |W_ext|; a product walks a
-    word, one list lookup per letter, with no matrix arithmetic.
-
-    An element is determined by its action on the orbit together with
-    its label (w = action * R(label)^-1); the action alone does not
-    suffice when two labels act by the same matrix.
+    Per id the table keeps one record, read off ``WeylGroup.search`` by
+    list lookups: label, length (that of w), inverse, a walk over
+    ``perms`` (the generator of l, then the word of w read right to left)
+    and the rows of the point matrix, as shared sparse orbit vectors.
+    ``elements``, ``index``, ``actions`` and ``point_matrices`` are built
+    on first access: column j of the action of (w, l) is
+    ``orbit[p_w[r_l[j]]]``, with p_w and r_l the permutations of w and
+    R(l), and the point matrix of g has the columns of g^-1 as rows.
     """
 
     def __init__(self, group: ExtendedGroup):
-        rg, wg = group.rgroup, group.weyl
-        self.elements: List[ExtendedWeylElement] = group.elements()
-        self.index: Dict[ExtendedWeylElement, int] = {
-            g: i for i, g in enumerate(self.elements)}
-        self.labels: List[str] = [g.diagram for g in self.elements]
-        self.identity = self.index[group.identity]
-        self._translations = rg.translations
-        self._shifts: Dict[Tuple[str, int], Vector] = {}
-        # each id's permutation of wg.orbit: that of w composed with R(l)
-        r_perms = {l: wg.permutation(rg.matrix(l)) for l in rg.labels}
-        on_orbit = [tuple(map(p.__getitem__, r_perms[l]))
-                    for l in rg.labels for p in wg.orbit_perms]
-        self.actions: List[Matrix] = [
-            g.weyl.matrix if l == rg.identity else wg.matrix_of(p)
-            for g, l, p in zip(self.elements, self.labels, on_orbit)]
-        by_key = {key: i for i, key in enumerate(zip(on_orbit, self.labels))}
-        gens = [(wg.permutation(m), rg.identity) for m in wg.simple_matrices]
-        gens += [(r_perms[l], l) for l in rg.labels if l != rg.identity]
+        rg = self._rgroup = group.rgroup
+        wg = self._weyl = group.weyl
+        words, right = wg.search[1:]
+        nw, e, one = len(words), rg.identity, words.index(())
+
+        def walk(letters):               # the number of s_i1 s_i2 ..
+            h = one
+            for i in letters:
+                h = right[i][h]
+            return h
+
+        # in W: w^-1 = s_ik .. s_i1 and s_i w = (w^-1 s_i)^-1; gamma w
+        # gamma^-1 has the word of w with each s_i sent to gamma s_i
+        # gamma^-1, the simple reflection of the simple root gamma alpha_i
+        # (W_ext is finite, as its orbit is, so it keeps an inner product)
+        w_inv = [walk(reversed(word)) for word in words]
+        gens = [(None, [w_inv[r[x]] for x in w_inv]) for r in right]
+        simple = {s.vector: i for i, s in enumerate(group.rd.simple_roots)}
+        for l in rg.labels:
+            if l != e:
+                image = group.root_images[l]
+                sigma = [simple[image[s]] for s in simple]
+                gens.append((l, [walk(map(sigma.__getitem__, word))
+                                 for word in words]))
+        ids = list(range(nw * len(rg.labels)))
+        block = {l: ids[k * nw:(k + 1) * nw] for k, l in enumerate(rg.labels)}
+        self.perms: List[List[int]] = [list(chain.from_iterable(
+            map(block[b if l is None else rg.mult(l, b)].__getitem__, moved)
+            for b in rg.labels)) for l, moved in gens]
         self.gen_index: Dict[str, int] = {
-            l: k for k, (_p, l) in enumerate(gens) if l != rg.identity}
-        self.perms: List[List[int]] = [
-            [by_key[(tuple(map(p.__getitem__, a)), rg.mult(l, b))]
-             for a, b in zip(on_orbit, self.labels)]
-            for p, l in gens]
-        words = [wg.reduced_word(g.weyl) for g in self.elements]
-        self.lengths: List[int] = [len(word) for word in words]
-        gamma = {l: (k,) for l, k in self.gen_index.items()}
-        self._walks = [tuple(self.perms[k]
-                             for k in gamma.get(l, ()) + word[::-1])
-                       for l, word in zip(self.labels, words)]
-        self.inverse: List[int] = []
-        for l, word in zip(self.labels, words):
-            h = self.identity
-            for k in word + gamma.get(rg.inv(l), ()):
-                h = self.perms[k][h]
-            self.inverse.append(h)
-        # the action itself for a signed permutation, and then kept once
-        self.point_matrices: List[Matrix] = [
-            m if p == m else p for m, p in zip(self.actions, (
-                mat_transpose(self.actions[i]) for i in self.inverse))]
+            l: k for k, (l, _m) in enumerate(gens) if l is not None}
+        gen = {l: self.perms[k] for l, k in self.gen_index.items()}
+        self.labels: List[str] = [l for l in rg.labels for _ in range(nw)]
+        self.lengths: List[int] = list(map(len, words)) * len(rg.labels)
+        self.identity = block[e][one]
+        self.inverse: List[int] = [gen.get(rg.inv(l), ids)[block[e][x]]
+                                   for l in rg.labels for x in w_inv]
+        tails = [tuple(map(self.perms.__getitem__, reversed(word)))
+                 for word in words]
+        self._walks = [(gen[l],) + t if l in gen else t
+                       for l in rg.labels for t in tails]
+        self._label_columns = [wg.permutation(rg.matrix(l))[:wg.rank]
+                               for l in rg.labels]
+        self._shifts: Dict[Tuple[str, int], Vector] = {}
         # act_point reads each row as its (column, coefficient) nonzeros
-        sparse = {r: tuple((j, a) for j, a in enumerate(r) if a)
-                  for r in set(chain.from_iterable(self.point_matrices))}
-        self._point_rows = [tuple(map(sparse.get, m))
-                            for m in self.point_matrices]
+        sparse = [tuple((j, a) for j, a in enumerate(v) if a)
+                  for v in wg.orbit]
+        self._point_rows = list(map(self._columns(sparse).__getitem__,
+                                    self.inverse))
+
+    def _columns(self, vectors: Sequence) -> List[tuple]:
+        """Per id, ``vectors`` at the orbit positions of the columns of
+        its action matrix."""
+        perms = self._weyl.search[0]
+        return [tuple(map(vectors.__getitem__, map(p.__getitem__, r)))
+                for r in self._label_columns for p in perms]
+
+    @cached_property
+    def elements(self) -> List[ExtendedWeylElement]:
+        return [ExtendedWeylElement(w, l) for l in self._rgroup.labels
+                for w in self._weyl.enumerate()]
+
+    @cached_property
+    def index(self) -> Dict[ExtendedWeylElement, int]:
+        return {g: i for i, g in enumerate(self.elements)}
+
+    @cached_property
+    def actions(self) -> List[Matrix]:
+        return [tuple(zip(*c)) for c in self._columns(self._weyl.orbit)]
+
+    @cached_property
+    def point_matrices(self) -> List[Matrix]:
+        return list(map(self._columns(self._weyl.orbit).__getitem__,
+                        self.inverse))
 
     def mult(self, g: int, h: int) -> int:
         for perm in self._walks[g]:
             h = perm[h]
         return h
-
-    def inv(self, g: int) -> int:
-        return self.inverse[g]
 
     def subgroup(self, gens: Iterable[int]) -> List[int]:
         """Sorted ids of the subgroup generated by the given ids, closed
@@ -577,7 +610,7 @@ class GroupTable:
         key = (label, order)
         if key not in self._shifts:
             out = []
-            for t in self._translations[label]:
+            for t in self._rgroup.translations[label]:
                 s = t * order
                 if s.denominator != 1:
                     raise WeylError(
@@ -591,6 +624,11 @@ class GroupTable:
         return tuple((sum(a * exponents[j] for j, a in row) + s) % order
                      for row, s in zip(self._point_rows[g],
                                        self.shift(self.labels[g], order)))
+
+    def images(self, exponents: Vector, order: int) -> List[Vector]:
+        """The point moved by every id, in id order."""
+        return [self.act_point(g, exponents, order)
+                for g in range(len(self.labels))]
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +660,8 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
     rd = group.rd
     exponents = tuple(e % order for e in exponents)
     table = group.table
-    stab = [g for g in range(len(table.elements))
-            if table.act_point(g, exponents, order) == exponents]
+    stab = [g for g, x in enumerate(table.images(exponents, order))
+            if x == exponents]
 
     root_values: Dict[Vector, int] = {}
     for r in rd.roots:   # alpha(t) = zeta_order^<alpha, exponents>

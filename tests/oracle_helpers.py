@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from heckealg import hecke
@@ -18,8 +17,7 @@ from heckealg.checks import random_graded
 from heckealg.coeffs import TorusAlgebraElement, settle
 from heckealg.hecke import HeckeElement, HeckeError, _add_term, graded_multiply
 from heckealg.params import ParameterError
-from heckealg.spectra import (FiniteTorusPoint, SpectraError,
-                              _commutation_rows, extended_quotient_count)
+from heckealg.spectra import _commutation_rows, extended_quotient_count
 from heckealg.root_data import (Root, RootDatum, build_classical, pairing,
                                 reflect, vadd, vscale, vsub)
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
@@ -27,13 +25,13 @@ from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
                            mat_apply, mat_mul, rref)
 
 
-def run_capped(body, seconds=120):
+def run_capped(body, seconds=120, mib=1024):
     """Run the module-level function ``body`` of a test module in a child
-    interpreter whose address space is capped at 1 GiB, so that a step
-    that outgrows its range check fails with MemoryError at once instead
-    of filling the machine's memory."""
+    interpreter whose address space is capped at ``mib`` MiB, so that a
+    step that outgrows its range check fails with MemoryError at once
+    instead of filling the machine's memory."""
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
 
     paths = [str(pathlib.Path(__file__).resolve().parent),
              str(pathlib.Path(hecke.__file__).resolve().parents[1])]
@@ -583,7 +581,7 @@ def b6_table_spot_checks():
     returns the group."""
     group = ExtendedGroup(build_classical("B", 6))
     table = group.table
-    assert len(table.elements) == group.order() == 46080
+    assert len(table.elements) == 46080
     w0 = table.index[ExtendedWeylElement(WeylElement(tuple(
         tuple(-x for x in row) for row in identity_matrix(6))), "e")]
     assert table.lengths[w0] == 36 == max(table.lengths)
@@ -623,41 +621,6 @@ def specialize_element(spec_desc, elem):
             terms[x] = terms.get(x, 0) + v * spec_desc.zmonomial(e)
         _add_term(out, w, TorusAlgebraElement(c.rank, terms))
     return HeckeElement(out)
-
-
-@dataclass(frozen=True)
-class CentralCharacterPoint:
-    finite_part: FiniteTorusPoint
-    z_exponents: tuple
-
-
-def central_character(finite_part, gl_partitions, group=None):
-    """Attach the real-split exponents of the Jordan cocharacter: a block
-    of size p places weights (p-1, p-3, .., 1-p) on its coordinates."""
-    rank = len(finite_part.exponents)
-    sizes = sum(sum(p) for p in gl_partitions)
-    if sizes != rank:
-        raise SpectraError("partitions cover %d coordinates, torus has %d"
-                           % (sizes, rank))
-    z_exps = []
-    for partition in gl_partitions:
-        for part in partition:
-            z_exps.extend(Fraction(part - 1 - 2 * k) for k in range(part))
-    point = CentralCharacterPoint(finite_part, tuple(z_exps))
-    if group is None:
-        return point
-    return _canonicalize_orbit(group, point)
-
-
-def _canonicalize_orbit(group, point):
-    order = point.finite_part.order
-    table = group.table
-    fin, zs = min(
-        (table.act_point(g, point.finite_part.exponents, order),
-         tuple(sum(a * z for a, z in zip(row, point.z_exponents))
-               for row in m))
-        for g, m in enumerate(table.point_matrices))
-    return CentralCharacterPoint(FiniteTorusPoint(order, fin), zs)
 
 
 def cuspidal_partition(side, d):
@@ -702,11 +665,3 @@ def c_lambda_roundtrip(c, c_star, halvable):
         raise ParameterError("negative parameter from (c, c*) = (%d, %d)"
                              % (c, c_star))
     return lam, lam_star
-
-
-def gl_parameters(d_i, t_phi):
-    """Type-A block: lambda = d_i on every root and specialization
-    exponent f_i = d_i * t(phi_i)."""
-    if d_i < 1 or t_phi < 1:
-        raise ParameterError("d and t must be positive")
-    return d_i, d_i * t_phi

@@ -265,11 +265,18 @@ def test_check_small(capsys):
 
 @pytest.mark.parametrize("flag", ["--triples", "--im-pairs",
                                   "--cone-samples"])
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_check_sizes_below_one_exit_2(flag, value, capsys):
-    code, out, err = run_cli(["check", flag, value], capsys)
-    assert code == 2 and out == ""
-    assert err == "input error: %s must be >= 1\n" % flag
+@pytest.mark.parametrize("value", ["0", "-5", "10001"])
+def test_check_sizes_below_one_exit_2(flag, value):
+    """Sizes below 1 and above the caps (2000, 1000 and 10000, ten times
+    the defaults) exit 2, in a child under a 10 s limit, so that a size
+    that is not refused fails here instead of running the suites."""
+    proc = subprocess.run([sys.executable, "-m", "heckealg.cli", "check",
+                           flag, value], capture_output=True, text=True,
+                          timeout=10)
+    cap = {"--triples": 2000, "--im-pairs": 1000, "--cone-samples": 10000}
+    bound = ">= 1" if int(value) < 1 else "<= %d" % cap[flag]
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "input error: %s must be %s\n" % (flag, bound)
 
 
 def test_check_deterministic(capsys):

@@ -3,7 +3,7 @@ import pytest
 from heckealg.params import (ParameterError, a_from_ell, cuspidal_d,
                              is_admissible_ell, lambda_from_jordan)
 from oracle_helpers import (c_lambda_roundtrip, cuspidal_partition,
-                            gl_parameters, lambda_c_roundtrip)
+                            lambda_c_roundtrip)
 
 
 def test_cuspidal_partitions():
@@ -102,11 +102,3 @@ def test_roundtrip_identity_on_domain():
         for lam_star in range(0, lam + 1):
             c, cs = lambda_c_roundtrip(lam, lam_star, True)
             assert c_lambda_roundtrip(c, cs, True) == (lam, lam_star)
-
-
-def test_gl_parameters():
-    assert gl_parameters(1, 1) == (1, 1)
-    assert gl_parameters(2, 3) == (2, 6)
-    assert gl_parameters(4, 1) == (4, 4)
-    with pytest.raises(ParameterError):
-        gl_parameters(0, 1)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 from fractions import Fraction
@@ -5,16 +6,16 @@ from fractions import Fraction
 import pytest
 
 from heckealg import cli, spectra
-from heckealg.pipeline import assemble, datum_from_json
+from heckealg.pipeline import BUILTIN_EXAMPLES, assemble, datum_from_json
 from heckealg.root_data import build_classical, empty_datum
-from heckealg.spectra import (FiniteGroup, FiniteTorusPoint, SpectraError,
-                              classify, count_twisted_irreps,
+from heckealg.spectra import (FiniteGroup, SpectraError, classify,
+                              common_order, count_twisted_irreps,
                               extended_quotient_count, is_distinguished,
                               twisted_algebra_center_dim)
 from heckealg.weyl import (Cocycle, ExtendedGroup, GroupTable, RGroup,
-                           identity_matrix)
+                           WeylElement, identity_matrix)
 from oracle_helpers import (all_subgroups, bilinear_cocycles,
-                            central_character, count_twisted_irreps_by_member,
+                            count_twisted_irreps_by_member,
                             distinguished_bruteforce, weyl_finite_group,
                             _partitions, _valid_partition)
 
@@ -66,7 +67,7 @@ def _table_group(family, rank, table_gens=False):
     ids = list(range(len(table.elements)))
     gens = [perm[table.identity] for perm in table.perms] if table_gens \
         else None
-    return FiniteGroup(ids, mult, table.inv, table.identity,
+    return FiniteGroup(ids, mult, table.inverse.__getitem__, table.identity,
                        generators=gens), calls, table
 
 
@@ -132,6 +133,29 @@ def test_extended_quotient_one_pass_per_orbit(monkeypatch):
     assert [(o.representative.exponents, o.orbit_size, o.stabilizer_order)
             for o in orbits] == [((0, 1), 2, 4)]
     assert total == orbits[0].count
+
+
+def test_count_builds_no_element_objects_or_matrices(monkeypatch):
+    """Counting sp58 at order 2 on ``count``'s points reads ids only: the
+    table builds no element objects, index, action or point matrices,
+    and no ``WeylElement`` is made."""
+    desc = assemble(datum_from_json(BUILTIN_EXAMPLES["sp58"])).descriptor
+    made = []
+    post_init = WeylElement.__post_init__
+
+    def counting(self):
+        made.append(self)
+        post_init(self)
+    monkeypatch.setattr(WeylElement, "__post_init__", counting)
+    common = common_order(desc.wext, [2])
+    points = itertools.product(range(0, common, common // 2),
+                               repeat=desc.rd.rank)
+    total, orbits = extended_quotient_count(desc.wext, desc.cocycle, common,
+                                            points)
+    assert (total, len(orbits)) == (560, 12)
+    assert not {"elements", "index", "actions", "point_matrices"} & \
+        set(vars(desc.wext.table))
+    assert made == []
 
 
 B3_DATUM = {"group": {"family": "Sp", "n": 3},
@@ -336,25 +360,6 @@ def test_extended_quotient_translate_invariance():
     moved = [g.act_point(w, (1, 2), 4) for w in g.elements()]
     t2, _ = extended_quotient_count(g, coc, 4, moved)
     assert t1 == t2
-
-
-def test_central_character_examples():
-    cc = central_character(FiniteTorusPoint(2, (0, 0)), [[2]])
-    assert cc.z_exponents == (Fraction(1), Fraction(-1))
-    cc = central_character(FiniteTorusPoint(2, (0, 0, 0)), [[3]])
-    assert cc.z_exponents == (Fraction(2), Fraction(0), Fraction(-2))
-    cc = central_character(FiniteTorusPoint(2, (0, 0)), [[1, 1]])
-    assert cc.z_exponents == (Fraction(0), Fraction(0))
-    with pytest.raises(SpectraError):
-        central_character(FiniteTorusPoint(2, (0, 0)), [[3]])
-
-
-def test_central_character_canonicalized():
-    a1 = build_classical("A", 1)
-    g = ExtendedGroup(a1)
-    cc1 = central_character(FiniteTorusPoint(3, (1, 2)), [[1], [1]], g)
-    cc2 = central_character(FiniteTorusPoint(3, (2, 1)), [[1], [1]], g)
-    assert cc1 == cc2
 
 
 def test_classify_examples():

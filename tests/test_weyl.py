@@ -1,16 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import operator
 import pathlib
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
 from oracle_helpers import (descent_word, fraction_rref, mat_inv,
                             root_count_length, root_lattice_a2, word_matrix)
 
-from heckealg import weyl
+from heckealg import cli, weyl
 from heckealg.checks import (check_braid, graded_test_descriptors,
                              standard_descriptors)
 from heckealg.hecke import multiply, spread_invariant
@@ -474,6 +477,29 @@ def test_b6_table_builds_within_ten_seconds():
     instead of stalling the suite."""
     from oracle_helpers import run_capped
     run_capped(_b6_table_and_count, seconds=10)
+
+
+B6 = {"group": {"family": "Sp", "n": 6},
+      "blocks": [{"side": "O", "dim": 1, "e": 6, "ell": 1, "torsion": 1}]}
+
+
+def _b6_count_in_the_cli():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "b6.json"
+        path.write_text(json.dumps(B6))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["count", "--input", str(path), "--order", "1",
+                             "--format", "json"]) == 0
+    assert json.loads(out.getvalue())["total"] == 65
+
+
+def test_b6_count_within_104_mib():
+    """``count --order 1`` on B6, |W| = 46080, runs in a child capped at
+    104 MiB of address space: the table keeps no element object or
+    matrix per id."""
+    from oracle_helpers import run_capped
+    run_capped(_b6_count_in_the_cli, seconds=30, mib=104)
 
 
 @pytest.mark.parametrize("name", ["B2", "A1xA1-twisted"])
