@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pathlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -676,38 +679,85 @@ def _on_all_of_wext(desc, rng, one, low=-1):
 
 
 def _assert_matches_oracle(desc, pairs):
+    # each coefficient also has the oracle's den and a bound that holds its
+    # exponents; the oracle walks other words, and its bounds differ by up
+    # to two (on 22 of the 685 coefficients of these tests)
     from oracle_helpers import multiply_by_words
     for a, b in pairs:
-        assert serialize_element(desc, multiply(desc, a, b)) == \
-            serialize_element(desc, multiply_by_words(desc, a, b))
+        ab, oracle = multiply(desc, a, b), multiply_by_words(desc, a, b)
+        assert serialize_element(desc, ab) == serialize_element(desc, oracle)
+        for w, c in ab.terms.items():
+            assert c.den == oracle.terms[w].den
+            assert _largest_exponent(c, desc.d) <= c.bound
+            assert abs(c.bound - oracle.terms[w].bound) <= 2
 
 
-@pytest.mark.parametrize("name", sorted(DESCS))
-def test_multiply_matches_term_by_term_oracle(name):
-    # symbolic, specialized and z = 1 forms; random factors and a left
-    # factor on all of W_ext, so every label's word trie is walked in full
-    desc = DESCS[name]
+def _oracle_forms(desc):
+    """(tag, descriptor, pairs) of the term-by-term oracle tests on
+    ``desc``: symbolic, specialized at 3/2 and at z = 1; random factors
+    and a left factor on all of W_ext, so every label's word trie is
+    walked in full."""
     rng = random.Random(1989)
     pairs = [(random_element(desc, rng, nterms=5),
               random_element(desc, rng, nterms=3)) for _ in range(3)]
     pairs.append((_on_all_of_wext(desc, rng, one(desc)),
                   random_element(desc, rng, nterms=2)))
-    _assert_matches_oracle(desc, pairs)
-    for spec in (desc.specialized([Fraction(3, 2)] * desc.d),
-                 quotient_z1(desc)):
-        _assert_matches_oracle(spec, [
-            (specialize_element(spec, a), specialize_element(spec, b))
-            for a, b in pairs])
+    yield "", desc, pairs
+    for tag, spec in (("@3/2", desc.specialized([Fraction(3, 2)] * desc.d)),
+                      ("@z=1", quotient_z1(desc))):
+        yield tag, spec, [(specialize_element(spec, a),
+                           specialize_element(spec, b)) for a, b in pairs]
 
 
-def test_graded_multiply_matches_term_by_term_oracle():
+def _graded_oracle_forms():
+    """(name, descriptor, pairs) of the graded term-by-term oracle test."""
     rng = random.Random(1989)
-    for gd in graded_test_descriptors(DESCS).values():
+    for name, gd in graded_test_descriptors(DESCS).items():
         pairs = [(random_graded(gd, rng, nterms=5),
                   random_graded(gd, rng, nterms=3)) for _ in range(2)]
         pairs.append((_on_all_of_wext(gd, rng, LaurentZ.one(gd.d), 0),
                       random_graded(gd, rng, nterms=2)))
+        yield name, gd, pairs
+
+
+@pytest.mark.parametrize("name", sorted(DESCS))
+def test_multiply_matches_term_by_term_oracle(name):
+    for _, desc, pairs in _oracle_forms(DESCS[name]):
+        _assert_matches_oracle(desc, pairs)
+
+
+def test_graded_multiply_matches_term_by_term_oracle():
+    for _, gd, pairs in _graded_oracle_forms():
         _assert_matches_oracle(gd, pairs)
+
+
+def _product_digest(desc, pairs):
+    """sha256 over (serialize_element, bound, den) of every coefficient of
+    the products of ``pairs``, sorted within each product."""
+    h = hashlib.sha256()
+    for a, b in pairs:
+        ab = multiply(desc, a, b)
+        h.update("\n".join(sorted("%s | %d | %s" % (
+            serialize_element(desc, desc.element({w: c})), c.bound, c.den)
+            for w, c in ab.terms.items())).encode() + b"\n\n")
+    return h.hexdigest()
+
+
+def _product_digests():
+    """The digests of ``_product_digest`` for the oracle tests' pairs, by
+    descriptor and form; ``tests/data/product_digests.json`` holds them."""
+    out = {name + tag: _product_digest(desc, pairs) for name in sorted(DESCS)
+           for tag, desc, pairs in _oracle_forms(DESCS[name])}
+    out.update(("graded " + name, _product_digest(gd, pairs))
+               for name, gd, pairs in _graded_oracle_forms())
+    return out
+
+
+def test_products_keep_terms_bounds_and_dens():
+    # every product of the oracle tests keeps the terms, bound and den of
+    # every coefficient that it had when the digests were recorded
+    recorded = pathlib.Path(__file__).parent / "data" / "product_digests.json"
+    assert _product_digests() == json.loads(recorded.read_text())
 
 
 def test_multiply_makes_one_ns_step_per_word_trie_node(monkeypatch):
