@@ -506,7 +506,7 @@ class GroupTable:
     Per id the table keeps one record, read off ``WeylGroup.search`` by
     list lookups: label, length (that of w), inverse, a walk over
     ``perms`` (the generator of l, then the word of w read right to left)
-    and the rows of the point matrix, as shared sparse orbit vectors.
+    and the rows of the point matrix, as positions in the orbit.
     ``elements``, ``index``, ``actions`` and ``point_matrices`` are built
     on first access: column j of the action of (w, l) is
     ``orbit[p_w[r_l[j]]]``, with p_w and r_l the permutations of w and
@@ -558,11 +558,11 @@ class GroupTable:
         self._label_columns = [wg.permutation(rg.matrix(l))[:wg.rank]
                                for l in rg.labels]
         self._shifts: Dict[Tuple[str, int], Vector] = {}
-        # act_point reads each row as its (column, coefficient) nonzeros
-        sparse = [tuple((j, a) for j, a in enumerate(v) if a)
-                  for v in wg.orbit]
-        self._point_rows = list(map(self._columns(sparse).__getitem__,
-                                    self.inverse))
+        # point rows are orbit positions; orbit vectors as their nonzeros
+        self._sparse = [tuple((j, a) for j, a in enumerate(v) if a)
+                        for v in wg.orbit]
+        self._point_rows = list(map(self._columns(range(len(wg.orbit)))
+                                    .__getitem__, self.inverse))
 
     def _columns(self, vectors: Sequence) -> List[tuple]:
         """Per id, ``vectors`` at the orbit positions of the columns of
@@ -621,14 +621,18 @@ class GroupTable:
         return self._shifts[key]
 
     def act_point(self, g: int, exponents: Vector, order: int) -> Vector:
-        return tuple((sum(a * exponents[j] for j, a in row) + s) % order
-                     for row, s in zip(self._point_rows[g],
-                                       self.shift(self.labels[g], order)))
+        return tuple((sum(a * exponents[j] for j, a in self._sparse[p]) + s)
+                     % order for p, s in zip(self._point_rows[g],
+                                             self.shift(self.labels[g], order)))
 
     def images(self, exponents: Vector, order: int) -> List[Vector]:
-        """The point moved by every id, in id order."""
-        return [self.act_point(g, exponents, order)
-                for g in range(len(self.labels))]
+        """The point moved by every id, in id order, from each orbit
+        vector paired with the point once."""
+        values = [sum(a * exponents[j] for j, a in v) for v in self._sparse]
+        cols = {l: [[(v + s) % order for v in values]
+                    for s in self.shift(l, order)] for l in self._rgroup.labels}
+        return [tuple(map(list.__getitem__, cols[l], rows))
+                for rows, l in zip(self._point_rows, self.labels)]
 
 
 # ---------------------------------------------------------------------------

@@ -120,16 +120,17 @@ def test_extended_quotient_one_pass_per_orbit(monkeypatch):
     pass over W(B2) too."""
     g = ExtendedGroup(build_classical("B", 2))
     g.table   # built before counting starts
-    calls = [0]
-    act_point = GroupTable.act_point
+    passes = []
+    images = GroupTable.images
 
     def counting(self, *args):
-        calls[0] += 1
-        return act_point(self, *args)
-    monkeypatch.setattr(GroupTable, "act_point", counting)
+        out = images(self, *args)
+        passes.append(len(out))
+        return out
+    monkeypatch.setattr(GroupTable, "images", counting)
     total, orbits = extended_quotient_count(
         g, Cocycle.trivial(("e",)), 2, [(1, 0)])
-    assert calls[0] == 8
+    assert passes == [8]
     assert [(o.representative.exponents, o.orbit_size, o.stabilizer_order)
             for o in orbits] == [((0, 1), 2, 4)]
     assert total == orbits[0].count
