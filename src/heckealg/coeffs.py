@@ -28,15 +28,13 @@ Every ``TorusAlgebraElement`` carries ``bound``, an upper bound on the
 absolute value of its exponents, updated in O(1) per operation.  An
 operation whose result could hold an exponent beyond ``MAX_EXP`` raises
 ``PackedRangeError`` instead of letting a digit wrap into its neighbour.
-``monomials(nvars)`` decodes the keys back to (x, e, scalar).  The key
-format is private to this module.  The Hecke layer reaches packed keys only
-through ring operations, ``divide_linear`` and the slot functions: a
-product keeps each partial sum as a slot, [terms, bound, den] with zeros
-and content left in, that ``map_monomials`` (the one N_s step of both the
-affine and the graded algebra, from a table whose entries hold each
-monomial's image and correction terms ready to add) and ``mul_into`` (the
-final coefficient product) add into in place, and that ``settle`` turns
-into an element once.
+``monomials`` and ``monomial_groups`` decode the keys, which stay private
+to this module.  The Hecke layer reaches them only through ring
+operations, ``divide_linear`` and blocks: a partial product is one block,
+a raw [terms, bound] per table id over one denominator.
+``map_monomials``, the one N_s kernel of both algebras, maps a whole block
+in one call; ``mul_into`` adds a coefficient times a block into another,
+and ``settle`` turns a block into elements.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Exps = Tuple[int, ...]
 
@@ -113,6 +111,17 @@ def _signed_permutation(matrix) -> Optional[Tuple[Tuple[int, int], ...]]:
     if sorted(j for j, _ in out) != list(range(len(out))):
         return None
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _permuted_key(perm, xk: int, rank: int) -> Tuple[int, int]:
+    """(key offset, sign) that the signed permutation ``perm`` gives the
+    lattice part xk: digit j moves to digit perm[j], and the scalar takes
+    the sign prod_j sign_j^(new digit j)."""
+    x = _unpack(xk, rank)[0]
+    y = [x[j] for j, _ in perm]
+    odd = sum(v for v, (_, s) in zip(y, perm) if s < 0) % 2
+    return _pack(y) - xk, -1 if odd else 1
 
 
 class TorusAlgebraElement:
@@ -198,12 +207,13 @@ class TorusAlgebraElement:
     def __add__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out = [dict(self.terms), self.bound, self.den]
-        m = _join(out, other.den, other.bound)
-        acc = out[0]
+        den, fs, fo = _common(self.den, other.den)
+        acc = dict(self.terms) if fs == 1 else \
+            {k: c * fs for k, c in self.terms.items()}
+        get = acc.get
         for k, c in other.terms.items():
-            acc[k] = acc.get(k, 0) + c * m
-        return settle(out, self)
+            acc[k] = get(k, 0) + c * fo
+        return _settled(self, acc, max(self.bound, other.bound), den)
 
     def __sub__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
         return self + (-other)
@@ -213,9 +223,10 @@ class TorusAlgebraElement:
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out = new_slot()
-        mul_into(out, self, as_slot(other))
-        return settle(out, self)
+        out = [{}, None]
+        mul_into(out, self, [{0: [other.terms, other.bound]}, other.den])
+        (terms, bound), = out[0].values()
+        return _settled(self, terms, bound, out[1])
 
     def scale(self, scalar) -> "TorusAlgebraElement":
         """Multiply by a scalar the constructor takes (a Fraction moves a
@@ -251,9 +262,7 @@ class TorusAlgebraElement:
                 move = moves[xk] = _pack(y) - xk
             k += move
             out[k] = get(k, 0) + c
-        if len(out) < len(self.terms):
-            out = {k: c for k, c in out.items() if c}
-        return _new(self, out, bound, self.den)
+        return _settled(self, out, bound, self.den)
 
     def substitute(self, matrix) -> "TorusAlgebraElement":
         """x_i -> sum_j matrix[j][i] x_j on polynomials in the lattice
@@ -261,13 +270,18 @@ class TorusAlgebraElement:
         exponent shuffle with signs; any other matrix expands each
         monomial as a product of linear forms."""
         perm = _signed_permutation(matrix)
-        if perm is not None:
-            return self._permuted(perm)
         rank = self.rank
+        offset, mask = _low_split(rank)
+        if perm is not None:
+            out: Dict[int, object] = {}
+            for k, c in self.terms.items():
+                move, sign = _permuted_key(perm, ((k + offset) & mask)
+                                           - offset, rank)
+                out[k + move] = c if sign == 1 else -c
+            return _new(self, out, self.bound, self.den)
         lin = [TorusAlgebraElement(rank, {
             tuple(int(k == j) for k in range(rank)): matrix[j][i]
             for j in range(rank) if matrix[j][i]}) for i in range(rank)]
-        offset, mask = _low_split(rank)
         out = TorusAlgebraElement(rank)
         for k, c in self.terms.items():
             xk = ((k + offset) & mask) - offset
@@ -280,26 +294,6 @@ class TorusAlgebraElement:
                     prod = prod * lin[i]
             out = out + prod
         return out
-
-    def _permuted(self, perm) -> "TorusAlgebraElement":
-        """x_i -> sign x_j on monomials for the signed permutation ``perm``
-        of ``_signed_permutation``: digit j of the lattice part becomes
-        digit perm[j] of it and the scalar takes the sign
-        prod_j sign_j^(new digit j)."""
-        rank = self.rank
-        offset, mask = _low_split(rank)
-        moves: Dict[int, Tuple[int, int]] = {}
-        out: Dict[int, object] = {}
-        for k, c in self.terms.items():
-            xk = ((k + offset) & mask) - offset
-            move = moves.get(xk)
-            if move is None:
-                x, _ = _unpack(xk, rank)
-                y = [x[j] for j, _ in perm]
-                odd = sum(v for v, (_, s) in zip(y, perm) if s < 0) % 2
-                move = moves[xk] = (_pack(y) - xk, -1 if odd else 1)
-            out[k + move[0]] = c if move[1] == 1 else -c
-        return _new(self, out, self.bound, self.den)
 
     def divide_linear(self, alpha: Exps) -> "TorusAlgebraElement":
         """Exact quotient of a polynomial by the linear form
@@ -354,19 +348,13 @@ class TorusAlgebraElement:
                                   % (alpha,))
         return _new(self, quot, self.bound, den)
 
-    def monomials(self, nvars: int) -> Iterator[Tuple[Exps, Exps, object]]:
-        """(x, e, scalar) for every term: the lattice exponents, the
-        ``nvars`` z- (or r-) exponents and the scalar.  Raises ValueError
-        when a monomial has a nonzero z-exponent past ``nvars``.  The
-        scalar is an ``int`` in ZZ-mode and a ``Fraction`` in QQ-mode."""
-        rank, den = self.rank, self.den
-        for k, c in self.terms.items():
-            x, rest = _unpack(k, rank)
-            e, rest = _unpack(rest, nvars)
-            if rest:
-                raise ValueError("monomial with more than %d z-exponents"
-                                 % nvars)
-            yield x, e, Fraction(c, den) if den else c
+    def monomials(self, nvars: int) -> List[Tuple[Exps, Exps, object]]:
+        """(x, e, scalar) for every term, sorted: the lattice exponents,
+        the ``nvars`` z- (or r-) exponents and the scalar, as in
+        ``monomial_groups``."""
+        rank = self.rank
+        return [(exps[:rank], exps[rank:], v) for exps, ((_, v),) in
+                monomial_groups([self], nvars)]
 
     def __repr__(self):
         if not self.terms:
@@ -410,6 +398,14 @@ def _new(like: TorusAlgebraElement, terms: Dict[int, object], bound: int,
     return r
 
 
+def _settled(like: TorusAlgebraElement, terms: Dict[int, object], bound: int,
+             den: Optional[int]) -> TorusAlgebraElement:
+    """``_new`` on terms that may hold zeros."""
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    return _new(like, terms, bound, den)
+
+
 def _qden(den: Optional[int]) -> int:
     """``den`` in QQ-mode, 1 in ZZ-mode; TypeError for mixed scalars."""
     if den == 0:
@@ -426,47 +422,48 @@ def _common(da: Optional[int], db: Optional[int]) -> Tuple:
     return den, den // (da or 1), den // (db or 1)
 
 
+def monomial_groups(cs: Sequence[TorusAlgebraElement], nvars: int) -> list:
+    """(exponents, [(j, scalar), ..]) per monomial of the elements ``cs``,
+    sorted by its lattice then its ``nvars`` z- (r-) exponents, with j
+    ascending over the cs that hold it; each monomial is decoded once.
+    The scalar is an ``int`` in ZZ-mode and a ``Fraction`` in QQ-mode.
+    Raises ValueError for a nonzero z-exponent past ``nvars``."""
+    by_key: Dict[int, list] = {}
+    for j, c in enumerate(cs):
+        den = c.den
+        for k, v in c.terms.items():
+            by_key.setdefault(k, []).append((j, Fraction(v, den) if den
+                                             else v))
+    n = cs[0].rank + nvars if cs else 0
+    out = sorted((_unpack(k, n), js) for k, js in by_key.items())
+    if any(rest for (_, rest), _ in out):
+        raise ValueError("monomial with more than %d z-exponents" % nvars)
+    return [(exps, js) for (exps, _), js in out]
+
+
 # ---------------------------------------------------------------------------
-# Slots: sums of products accumulated in place
+# Blocks: partial products over table ids
 # ---------------------------------------------------------------------------
-#
-# A slot is a list [terms, bound, den], the fields of an element except that
-# its terms may hold zeros, which readers skip, and its content is not
-# reduced.  The functions below add into a slot in place, bringing it over
-# the common denominator when a summand has another; they never write into
-# a slot they only read.
 
-def new_slot() -> list:
-    return [{}, 0, None]
-
-
-def as_slot(c: TorusAlgebraElement) -> list:
-    """A slot that shares the terms of ``c``, for reading."""
-    return [c.terms, c.bound, c.den]
+def block(cs: Dict[int, TorusAlgebraElement]) -> list:
+    """The block [parts, den] of the elements ``cs``: parts maps each id to
+    [terms, bound], an element's but for zeros in the terms, which readers
+    skip, over den, None in ZZ-mode and else the lcm of the dens of cs,
+    content not reduced.  No function writes into a block it only reads."""
+    dens = {c.den for c in cs.values()}
+    den = None if dens <= {None} else lcm(*map(_qden, dens))
+    return [{u: [c.terms if c.den == den else {
+        k: v * (den // _qden(c.den)) for k, v in c.terms.items()}, c.bound]
+        for u, c in cs.items()}, den]
 
 
-def settle(slot: list, like: TorusAlgebraElement) -> TorusAlgebraElement:
-    """The element, of the type and rank of ``like``, that ``slot`` holds."""
-    terms = slot[0]
-    if 0 in terms.values():
-        terms = {k: c for k, c in terms.items() if c}
-    return _new(like, terms, *slot[1:])
-
-
-def _join(slot: list, den: Optional[int], bound: int) -> int:
-    """Raise the bound of ``slot`` to ``bound`` and bring it over the common
-    denominator of its own and ``den``; the factor that brings a summand
-    over ``den`` to it."""
-    if bound > slot[1]:
-        slot[1] = bound
-    if slot[2] == den != 0:
-        return 1
-    slot[2], fs, fd = _common(slot[2], den)
-    if fs != 1:
-        terms = slot[0]
-        for k in terms:
-            terms[k] *= fs
-    return fd
+def settle(blk: list, like: TorusAlgebraElement
+           ) -> Dict[int, TorusAlgebraElement]:
+    """The nonzero elements, of the type and rank of ``like``, that ``blk``
+    holds, by id."""
+    den = blk[1]
+    return {u: c for u, (terms, bound) in blk[0].items()
+            if (c := _settled(like, terms, bound, den))}
 
 
 def _mul_terms(acc: Dict[int, object], xs: Dict[int, object],
@@ -482,95 +479,121 @@ def _mul_terms(acc: Dict[int, object], xs: Dict[int, object],
                 acc[k] = get(k, 0) + c1 * c2
 
 
-def mul_into(out: list, a: TorusAlgebraElement, b: list) -> None:
-    """Add a * b to the slot ``out``, ``b`` a slot; a one-term factor is a
-    key shift and a scalar product."""
-    terms, bound, den = b
-    m = _join(out, None if a.den is den is None else
-              _qden(a.den) * _qden(den), _check_bound(a.bound + bound))
-    acc = out[0]
-    # the slot's terms outside, where their zeros are skipped, unless they
-    # are the one-term factor
-    xs, ys = (a.terms, terms) if len(terms) == 1 < len(a.terms) else \
-        (terms, a.terms)
-    if len(ys) == 1 and not acc:   # keys shifted by one key stay distinct
-        (k2, c2), = ys.items()
-        c2 *= m
-        out[0] = {k + k2: c * c2 for k, c in xs.items()}
-    else:
-        _mul_terms(acc, xs, ys, m)
+def mul_into(out: list, a: TorusAlgebraElement, blk: list) -> None:
+    """Add a times every id of ``blk`` to the same id of the block ``out``;
+    a one-term factor is a key shift and a scalar product."""
+    parts, den = blk
+    acc_parts, oden = out
+    den = None if a.den is den is None else _qden(a.den) * _qden(den)
+    m = 1
+    if oden != den:
+        out[1], fs, m = _common(oden, den)
+        if fs != 1:
+            for terms, _ in acc_parts.values():
+                for k in terms:
+                    terms[k] *= fs
+    xa, abound = a.terms, a.bound
+    for u, (terms, bound) in parts.items():
+        bound = _check_bound(abound + bound)
+        part = acc_parts.get(u)
+        # the block's terms outside, where their zeros are skipped, unless
+        # they are the one-term factor
+        xs, ys = (xa, terms) if len(terms) == 1 < len(xa) else (terms, xa)
+        if part is None:
+            if len(ys) == 1:   # keys shifted by one key stay distinct
+                (k2, c2), = ys.items()
+                c2 *= m
+                acc_parts[u] = [{k + k2: c * c2 for k, c in xs.items()},
+                                bound]
+                continue
+            part = acc_parts[u] = [{}, bound]
+        elif bound > part[1]:
+            part[1] = bound
+        _mul_terms(part[0], xs, ys, m)
 
 
-def map_monomials(c: list, step: tuple, shorter: bool, image: list,
-                  corr: list) -> None:
-    """Add f(c) to the slot ``image`` and g(c) factor, plus f(c) bracket
-    when ``shorter`` (and bracket is not None), to the slot ``corr``, for
-    c a slot and ``step`` = (table, build, factor, bracket): f and g fix
-    the z- (r-) part and are linear over it, and ``build(x)`` gives
-    (f(theta_x), g(theta_x)), free of z and over ZZ.  ``table``, bound to
-    this step, maps each lattice part x met so far to (bound of
-    f(theta_x), bound of g(theta_x), f(theta_x), g(theta_x) factor,
-    g(theta_x) factor + f(theta_x) bracket): (key offset, scalar) pairs
-    kept once by ``_shared``, the products over the common denominator
-    of factor and bracket, so that an entry serves both kinds of step; a
-    part whose ``build`` raises is not recorded.  f(c) has the bound F =
-    max(bound(c), those of f(theta_x)); the correction, checked before
-    ``corr`` is written, G + bound(factor) (G the same for g, over the
-    nonzero g(theta_x) factor) and, when ``shorter``, at least F +
-    bound(bracket)."""
+def map_monomials(blk: list, step: tuple, perm, lengths) -> list:
+    """The block of N_s times the block ``blk``: the coefficient c of id u
+    gives f(c) to id perm[u] and g(c) factor, plus f(c) bracket when
+    lengths[perm[u]] < lengths[u] (and bracket is not None), to id u, for
+    ``step`` = (table, build, factor, bracket): f and g fix the z- (r-)
+    part and are linear over it, and ``build(x)`` gives (f(theta_x),
+    g(theta_x)), free of z and over ZZ.  ``table``, bound to this step,
+    maps each lattice part x met so far to (bound of f(theta_x), bound of
+    g(theta_x), f(theta_x), g(theta_x) factor, g(theta_x) factor +
+    f(theta_x) bracket): (key offset, scalar) pairs kept once by
+    ``_shared``, the products over the common denominator mden of factor
+    and bracket, which the new block's den(blk) mden holds; a part whose
+    ``build`` raises is not recorded.  Per id, f(c) has the bound F =
+    max(bound(c), those of f(theta_x)); the correction, checked before it
+    is written, G + bound(factor) (G the same for g, over the nonzero
+    g(theta_x) factor) and, when shorter, at least F + bound(bracket)."""
     table, build, factor, bracket = step
-    terms, bound, den = c
+    parts, den = blk
     rank = factor.rank
     offset, mask = _low_split(rank)
     mden, ff, fb = (factor.den, 1, 1) if bracket is None else \
         _common(factor.den, bracket.den)
-    mi = _join(image, den, bound)
-    acc = image[0]
-    get = acc.get
-    fbound, gbound = bound, -1   # -1: no g(theta_x) factor met
-    hits = []   # (key, scalar, correction terms), added once in range
-    for k, v in terms.items():
-        if not v:
+    mi = 1 if den is mden is None else _qden(mden)   # f(c) over the new den
+    den = None if den is mden is None else _qden(den) * mi
+    out: Dict[int, list] = {}
+    get_part = out.get
+    for u, (terms, bound) in parts.items():
+        su = perm[u]
+        image = get_part(su)
+        if image is None:
+            image = out[su] = [{}, 0]
+        corr = get_part(u)
+        if corr is None:
+            corr = out[u] = [{}, 0]
+        shorter = lengths[su] < lengths[u]
+        acc = image[0]
+        get = acc.get
+        fbound, gbound = bound, -1   # -1: no g(theta_x) factor met
+        hits = []   # (key, scalar, correction terms), added once in range
+        for k, v in terms.items():
+            if not v:
+                continue
+            xk = ((k + offset) & mask) - offset
+            entry = table.get(xk)
+            if entry is None:
+                f, g = build(_unpack(xk, rank)[0])
+                long: Dict[int, object] = {}
+                _mul_terms(long, g.terms, factor.terms, ff)
+                short = dict(long)
+                if bracket is not None:
+                    _mul_terms(short, f.terms, bracket.terms, fb)
+                entry = table[xk] = (f.bound, g.bound, *(_shared(tuple(
+                    (ek - xk, w) for ek, w in e.items() if w))
+                    for e in (f.terms, long, short)))
+            bf, bg, fs, long, short = entry
+            if bf > fbound:
+                fbound = bf
+            if long and bg > gbound:
+                gbound = bg
+            vi = v * mi
+            for d, w in fs:
+                d += k
+                acc[d] = get(d, 0) + vi * w
+            ts = short if shorter else long
+            if ts:
+                hits.append((k, v, ts))
+        if fbound > image[1]:
+            image[1] = fbound
+        if not hits:
             continue
-        xk = ((k + offset) & mask) - offset
-        entry = table.get(xk)
-        if entry is None:
-            f, g = build(_unpack(xk, rank)[0])
-            long: Dict[int, object] = {}
-            _mul_terms(long, g.terms, factor.terms, ff)
-            short = dict(long)
-            if bracket is not None:
-                _mul_terms(short, f.terms, bracket.terms, fb)
-            entry = table[xk] = (f.bound, g.bound, *(_shared(tuple(
-                (ek - xk, w) for ek, w in e.items() if w))
-                for e in (f.terms, long, short)))
-        bf, bg, fs, long, short = entry
-        if bf > fbound:
-            fbound = bf
-        if long and bg > gbound:
-            gbound = bg
-        vi = v * mi
-        for d, w in fs:
-            d += k
-            acc[d] = get(d, 0) + vi * w
-        ts = short if shorter else long
-        if ts:
-            hits.append((k, v, ts))
-    image[1] = max(image[1], fbound)
-    if not hits:
-        return
-    cbound = max(bound, gbound) + factor.bound if gbound >= 0 else 0
-    if shorter and bracket is not None:
-        cbound = max(cbound, fbound + bracket.bound)
-    m = _join(corr, None if den is mden is None else
-              _qden(den) * _qden(mden), _check_bound(cbound))
-    acc = corr[0]
-    get = acc.get
-    for k, v, ts in hits:
-        v *= m
-        for d, w in ts:
-            d += k
-            acc[d] = get(d, 0) + v * w
+        cbound = max(bound, gbound) + factor.bound if gbound >= 0 else 0
+        if shorter and bracket is not None:
+            cbound = max(cbound, fbound + bracket.bound)
+        if _check_bound(cbound) > corr[1]:
+            corr[1] = cbound
+        acc = corr[0]
+        get = acc.get
+        for k, v, ts in hits:
+            for d, w in ts:
+                d += k
+                acc[d] = get(d, 0) + v * w
+    return [{u: p for u, p in out.items() if p[0]}, den]
 
 
 @lru_cache(maxsize=4096)

@@ -24,9 +24,9 @@ with the group algebra embedded (no quadratic correction).
 
 Both algebras share one multiplication skeleton (``multiply``, with the
 left actions ``_ns_mul`` and ``_ngamma_mul``) and one N_s kernel,
-``coeffs.map_monomials``, which adds s(c) and the correction term in one
-pass into the slots (raw sums of coefficients, one per table id) of s u
-and u; a descriptor supplies only its action on coefficients
+``coeffs.map_monomials``, which maps a block (one raw coefficient per
+table id) in one call, s(c) to s u and the correction to u; a
+descriptor supplies only its action on coefficients
 (``act_coeff``) and, per simple root, what its N_s step does to one
 monomial theta_x (``_step``).  Basis keys are ``ExtendedWeylElement``s;
 ``multiply`` turns them into W_ext ``GroupTable`` ids on entry and back
@@ -41,13 +41,12 @@ partial products.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .coeffs import (LaurentZ, TorusAlgebraElement, as_slot, map_monomials,
-                     mul_into, new_slot, settle, z_bracket)
+from .coeffs import (LaurentZ, TorusAlgebraElement, block, map_monomials,
+                     monomial_groups, mul_into, settle, z_bracket)
 from .root_data import Root, RootDatum, pairing, reflect, vscale, vsub
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, Matrix,
                    RGroup, Vector, WeylElement, mat_apply, stabilizer_of_point)
@@ -105,8 +104,8 @@ class HeckeElement:
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            _add_term(out, w, c)
-        return type(self)(out)
+            out[w] = out[w] + c if w in out else c
+        return type(self)(out)   # zeros dropped
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + other.scale(-1)
@@ -131,14 +130,6 @@ class GradedElement(HeckeElement):
         # rename the display variable of the scalar parts
         return " + ".join("(%s)*N[%r]" % (repr(c).replace("z", "r"), w)
                           for w, c in self.terms.items())
-
-
-def _add_term(out: Dict, key, c: TorusAlgebraElement):
-    s = out[key] + c if key in out else c
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -353,37 +344,27 @@ def spread_invariant(rd: RootDatum, wext: ExtendedGroup,
 # Multiplication: one skeleton for the affine and the graded algebra
 # ---------------------------------------------------------------------------
 
-def _ns_mul(desc: HeckeDescriptor, i: int, terms: Dict[int, list]
-            ) -> Dict[int, list]:
-    """Left multiplication by N_{s_i} on slots keyed by table ids:
-    N_s (c N_u) = s(c) N_{s u} + correction N_u, one ``map_monomials``
-    call adding s(c) to the slot of s u and the correction, with the
-    bracket term only when s u is shorter than u, to the slot of u."""
-    step = desc._steps[i]
+def _ns_mul(desc: HeckeDescriptor, i: int, blk: list) -> list:
+    """Left multiplication by N_{s_i} on a block: N_s (c N_u) = s(c)
+    N_{s u} + correction N_u, with the bracket term only where s u is
+    shorter than u, in one ``map_monomials`` call."""
     table = desc.wext.table
-    perm, lengths = table.perms[i], table.lengths
-    out: Dict[int, list] = defaultdict(new_slot)
-    for u, c in terms.items():
-        su = perm[u]
-        map_monomials(c, step, lengths[su] < lengths[u], out[su], out[u])
-    return {u: s for u, s in out.items() if s[0]}   # drop unwritten slots
+    return map_monomials(blk, desc._steps[i], table.perms[i], table.lengths)
 
 
 def _ngamma_mul(desc: HeckeDescriptor, label: str,
-                terms: Dict[int, TorusAlgebraElement]) -> Dict[int, list]:
-    """Left multiplication by N_gamma on terms keyed by table ids, as
-    slots."""
+                terms: Dict[int, TorusAlgebraElement]) -> list:
+    """Left multiplication by N_gamma on terms keyed by table ids."""
     if label == desc.wext.rgroup.identity:
-        return {u: as_slot(c) for u, c in terms.items()}
+        return block(terms)
     amat = desc.wext.rgroup.matrix(label)
     table = desc.wext.table
     perm, labels = table.perms[table.gen_index[label]], table.labels
-    out: Dict[int, list] = {}
+    out: Dict[int, TorusAlgebraElement] = {}
     for u, c in terms.items():
         cg = desc.act_coeff(amat, c)
-        sign = desc.cocycle(label, labels[u])
-        out[perm[u]] = as_slot(cg if sign == 1 else -cg)
-    return out
+        out[perm[u]] = cg if desc.cocycle(label, labels[u]) == 1 else -cg
+    return block(out)
 
 
 def _check_element(desc: HeckeDescriptor, elem: HeckeElement) -> None:
@@ -409,9 +390,9 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
     closed under prefixes, so a walk in lexicographic order with a stack
     of partial products makes one ``_ns_mul`` per node of their trie: 7
     for all of W(B2), where one walk per term made 16.  Partial products
-    are slots keyed by table id; c times each partial product is added
-    into the output slot of its id by ``coeffs.mul_into``, and each output
-    slot becomes one element at the end.
+    are blocks keyed by table id: each step is one ``map_monomials`` call,
+    each word adds c times its partial product into the output block by
+    one ``coeffs.mul_into`` call, and ``settle`` makes the elements.
 
     Both factors must have their keys in W_ext (``HeckeError``
     otherwise).  The first product on a descriptor builds the W_ext
@@ -426,7 +407,7 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
         w = ExtendedWeylElement(key.weyl, desc.wext.rgroup.identity)
         w_inv = table.elements[table.inverse[table.index[w]]].weyl
         labels.setdefault(key.diagram, []).append((wg.reduced_word(w_inv), c))
-    out: Dict[int, list] = defaultdict(new_slot)
+    out = [{}, None]
     for label, words in labels.items():
         # (i_1 .. i_k, N_{s_{i_k}} .. N_{s_{i_1}} N_gamma b) along the word
         path = [((), _ngamma_mul(desc, label, b_ids))]
@@ -436,10 +417,9 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
             for i in word[len(path[-1][0]):]:
                 prefix, t = path[-1]
                 path.append((prefix + (i,), _ns_mul(desc, i, t)))
-            for u, c2 in path[-1][1].items():
-                mul_into(out[u], c, c2)
-    return desc.element({table.elements[u]: settle(s, desc._coeff_zero)
-                         for u, s in out.items()})
+            mul_into(out, c, path[-1][1])
+    return desc.element({table.elements[u]: c for u, c in
+                         settle(out, desc._coeff_zero).items()})
 
 
 graded_multiply = multiply
@@ -465,7 +445,8 @@ def multiply_crossed(desc: AffineDescriptor, a: HeckeElement, b: HeckeElement
             prod = cw * dv.act_matrix(desc.wext.action_matrix(w))
             if desc.cocycle(w.diagram, v.diagram) == -1:
                 prod = -prod
-            _add_term(out, desc.wext.mult(w, v), prod)
+            wv = desc.wext.mult(w, v)
+            out[wv] = out[wv] + prod if wv in out else prod
     return HeckeElement(out)
 
 
@@ -500,31 +481,23 @@ def serialize_element(desc: AffineDescriptor, elem: HeckeElement) -> str:
     group element (length, matrix, diagram label)."""
     if not elem.terms:
         return "0"
-    pieces: List[Tuple[tuple, tuple, tuple, str, object]] = []
-    for w in elem.terms:
-        gkey = (desc.wext.weyl.length(w.weyl), w.weyl.matrix, w.diagram)
-        word = " ".join(str(i + 1) for i in desc.wext.weyl.reduced_word(w.weyl))
-        nstr = "N[%s|%s]" % (word, w.diagram)
-        for x, ze, cval in elem.terms[w].monomials(desc.d):
-            factors = []
-            if any(x):
-                factors.append("theta[%s]" % ",".join(map(str, x)))
-            for j, e in enumerate(ze):
-                if e:
-                    factors.append("z%d^%d" % (j + 1, e))
-            factors.append(nstr)
-            pieces.append((x, ze, gkey, "*".join(factors), cval))
-    pieces.sort(key=lambda p: (p[0], p[1], p[2]))
+    wg, rank = desc.wext.weyl, desc.rd.rank
+    ws = sorted(elem.terms, key=lambda w: (wg.length(w.weyl), w.weyl.matrix,
+                                           w.diagram))
+    nstrs = ["N[%s|%s]" % (" ".join(str(i + 1) for i in wg.reduced_word(
+        w.weyl)), w.diagram) for w in ws]
     chunks = []
-    for _, _, _, body, cval in pieces:
-        mag = abs(cval)
-        coef = "" if mag == 1 else "%s*" % mag
-        term = coef + body
-        if not chunks:
-            chunks.append(term if cval > 0 else "-" + term)
-        else:
-            chunks.append(("+ " if cval > 0 else "- ") + term)
-    return " ".join(chunks)
+    for exps, js in monomial_groups([elem.terms[w] for w in ws], desc.d):
+        x = exps[:rank]
+        head = "theta[%s]*" % ",".join(map(str, x)) if any(x) else ""
+        head += "".join("z%d^%d*" % (j + 1, e)
+                        for j, e in enumerate(exps[rank:]) if e)
+        for i, cval in js:
+            mag = abs(cval)
+            chunks.append(("+ " if cval > 0 else "- ") + (
+                "" if mag == 1 else "%s*" % mag) + head + nstrs[i])
+    text = " ".join(chunks)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from heckealg import hecke
 from heckealg.checks import random_graded
 from heckealg.coeffs import TorusAlgebraElement, settle
-from heckealg.hecke import HeckeElement, HeckeError, _add_term, graded_multiply
+from heckealg.hecke import HeckeElement, HeckeError, graded_multiply
 from heckealg.params import ParameterError
 from heckealg.spectra import _commutation_rows, extended_quotient_count
 from heckealg.root_data import (Root, RootDatum, build_classical, pairing,
@@ -115,8 +115,8 @@ def multiply_by_words(desc, a, b):
         t = hecke._ngamma_mul(desc, key.diagram, b_ids)
         for i in reversed(wg.reduced_word(key.weyl)):
             t = hecke._ns_mul(desc, i, t)
-        for u, c2 in t.items():
-            _add_term(out, u, c * settle(c2, c))
+        for u, c2 in settle(t, c).items():
+            out[u] = out[u] + c * c2 if u in out else c * c2
     return desc.element({table.elements[u]: c for u, c in out.items()})
 
 
@@ -619,7 +619,7 @@ def specialize_element(spec_desc, elem):
         terms = {}
         for x, e, v in c.monomials(len(zvals)):
             terms[x] = terms.get(x, 0) + v * spec_desc.zmonomial(e)
-        _add_term(out, w, TorusAlgebraElement(c.rank, terms))
+        out[w] = TorusAlgebraElement(c.rank, terms)
     return HeckeElement(out)
 
 

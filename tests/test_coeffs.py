@@ -7,8 +7,8 @@ from operator import mul
 import pytest
 
 from heckealg.coeffs import (MAX_EXP, LaurentZ, PackedRangeError,
-                             TorusAlgebraElement, as_slot, map_monomials,
-                             new_slot, settle, z_bracket)
+                             TorusAlgebraElement, block, map_monomials,
+                             settle, z_bracket)
 from heckealg.hecke import AffineDescriptor, GradedDescriptor
 from heckealg.root_data import Root, RootDatum, vneg
 from heckealg.weyl import Cocycle, ExtendedGroup, RGroup, identity_matrix
@@ -18,11 +18,13 @@ from oracle_helpers import run_capped
 
 def _mapped(c, step, shorter=False):
     """(f(c), g(c) factor, plus f(c) bracket when ``shorter``) from
-    ``map_monomials`` on c into two new slots, for ``step`` = (table,
-    build, factor, bracket)."""
-    image, corr = new_slot(), new_slot()
-    map_monomials(as_slot(c), step, shorter, image, corr)
-    return settle(image, c), settle(corr, c)
+    ``map_monomials`` on the block of c at id u of the two ids 0 and 1,
+    swapped by the step and of lengths 0 and 1, for ``step`` = (table,
+    build, factor, bracket); u = 1 makes the step shorter."""
+    u = int(shorter)
+    out = settle(map_monomials(block({u: c}), step, (1, 0), (0, 1)), c)
+    zero = TorusAlgebraElement.zero(c.rank)
+    return out.get(1 - u, zero), out.get(u, zero)
 
 
 def rand_laurent(rng, nvars, nterms=3):

@@ -15,7 +15,7 @@ from heckealg import hecke
 from heckealg.checks import random_graded
 from heckealg.coeffs import (MAX_EXP, LaurentZ, PackedRangeError,
                              TorusAlgebraElement, _signed_permutation,
-                             as_slot, new_slot, settle)
+                             block, settle)
 from heckealg.hecke import (AffineDescriptor, GradedDescriptor, HeckeElement,
                             HeckeError, affine_to_graded, bernstein_divide,
                             graded_multiply, im_involution, is_central,
@@ -261,12 +261,12 @@ def _ns_step_oracle(desc, info, c, shorter):
 
 
 def _ns_step(desc, info, c, shorter):
-    """(s(c), correction): the slots of s u and u after ``_ns_mul`` on
-    c N_u, with u = s when ``shorter`` and u = e otherwise."""
+    """(s(c), correction): the coefficients of s u and u after ``_ns_mul``
+    on c N_u, with u = s when ``shorter`` and u = e otherwise."""
     table, i = desc.wext.table, info.index
     u = table.perms[i][table.identity] if shorter else table.identity
-    out = hecke._ns_mul(desc, i, {u: as_slot(c)})
-    return tuple(settle(out.get(v, new_slot()), c)
+    out = settle(hecke._ns_mul(desc, i, block({u: c})), c)
+    return tuple(out.get(v, TorusAlgebraElement.zero(c.rank))
                  for v in (table.perms[i][u], u))
 
 
@@ -786,6 +786,23 @@ def test_multiply_makes_one_ns_step_per_word_trie_node(monkeypatch):
     multiply(twisted, _on_all_of_wext(twisted, rng, one(twisted)),
              twisted.theta_elem((1, 0, 0, 0)))
     assert len(steps) == 6
+
+
+def test_multiply_makes_one_kernel_call_per_step_and_per_word(monkeypatch):
+    # the W(B2) product of the test above, through the module attributes:
+    # each of the 7 _ns_mul steps is one map_monomials call over all ids,
+    # and each of the 8 words adds its partial product with one mul_into
+    calls = dict.fromkeys(("_ns_mul", "map_monomials", "mul_into"), 0)
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(hecke, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(hecke, name, counted)
+    b2 = DESCS["B2"]
+    a = _on_all_of_wext(b2, random.Random(7), one(b2))
+    multiply(b2, a, b2.theta_elem((1, 0)))
+    assert len(a.terms) == 8
+    assert calls == {"_ns_mul": 7, "map_monomials": 7, "mul_into": 8}
 
 
 # ---------------------------------------------------------------------------
