@@ -463,7 +463,16 @@ def settle(blk: list, like: TorusAlgebraElement
     holds, by id."""
     den = blk[1]
     return {u: c for u, (terms, bound) in blk[0].items()
-            if (c := _settled(like, terms, bound, den))}
+            if (c := _settled(like, terms, bound, den)).terms}
+
+
+def negate_lattice(c: TorusAlgebraElement, n: int) -> TorusAlgebraElement:
+    """(-1)^n c(-x), z- (r-) part untouched: each monomial times (-1)^(n +
+    sum of its lattice exponents), read off the lattice digits' low bits."""
+    offset = _low_split(c.rank)[0]
+    low = offset >> (WIDTH - 1)   # the lowest bit of each lattice digit
+    return _new(c, {k: -v if (((k + offset) & low).bit_count() + n) & 1
+                    else v for k, v in c.terms.items()}, c.bound, c.den)
 
 
 def _mul_terms(acc: Dict[int, object], xs: Dict[int, object],

@@ -25,18 +25,15 @@ with the group algebra embedded (no quadratic correction).
 Both algebras share one multiplication skeleton (``multiply``, with the
 left actions ``_ns_mul`` and ``_ngamma_mul``) and one N_s kernel,
 ``coeffs.map_monomials``, which maps a block (one raw coefficient per
-table id) in one call, s(c) to s u and the correction to u; a
-descriptor supplies only its action on coefficients
-(``act_coeff``) and, per simple root, what its N_s step does to one
-monomial theta_x (``_step``).  Basis keys are ``ExtendedWeylElement``s;
-``multiply`` turns them into W_ext ``GroupTable`` ids on entry and back
-on exit, and in between moves them by the table's left-multiplication
-permutations and compares lengths from its ``lengths``; it never
-multiplies group elements itself.
-``multiply`` applies N_w along the recorded word of w^-1; these words
-are closed under prefixes, so per diagram label one depth-first walk of
-their trie makes one N_s step per node and keeps O(longest word)
-partial products.
+table id) in one call; a descriptor supplies only its action on
+coefficients (``act_coeff``) and, per simple root, what its N_s step
+does to one monomial theta_x (``_step``).  Basis keys are
+``ExtendedWeylElement``s; ``multiply``, ``multiply_crossed``,
+``im_involution`` and ``serialize_element`` check their inputs and turn
+the keys into W_ext ``GroupTable`` ids on entry (``_ids``, one lookup per
+key) and back on exit (``_keyed``).  In between they read the table's
+permutations, products, lengths and labels by id and build no group
+element.
 """
 
 from __future__ import annotations
@@ -46,7 +43,8 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .coeffs import (LaurentZ, TorusAlgebraElement, block, map_monomials,
-                     monomial_groups, mul_into, settle, z_bracket)
+                     monomial_groups, mul_into, negate_lattice, settle,
+                     z_bracket)
 from .root_data import Root, RootDatum, pairing, reflect, vscale, vsub
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, Matrix,
                    RGroup, Vector, WeylElement, mat_apply, stabilizer_of_point)
@@ -367,17 +365,33 @@ def _ngamma_mul(desc: HeckeDescriptor, label: str,
     return block(out)
 
 
-def _check_element(desc: HeckeDescriptor, elem: HeckeElement) -> None:
-    """HeckeError unless every key is in W_ext and every coefficient has
+def _ids(desc: HeckeDescriptor, elem: HeckeElement
+         ) -> Dict[int, TorusAlgebraElement]:
+    """``elem`` as {table id: coefficient}, one ``table.index`` lookup per
+    key; HeckeError unless every key is in W_ext and every coefficient has
     the rank and scalar mode (QQ only if specialized) of ``desc``."""
     index = desc.wext.table.index
-    specialized = desc.z_values is not None
+    rank, specialized = desc.rd.rank, desc.z_values is not None
+    out: Dict[int, TorusAlgebraElement] = {}
     for key, c in elem.terms.items():
-        if key not in index or c.rank != desc.rd.rank:
+        u = index.get(key)
+        if u is None or c.rank != rank:
             raise HeckeError("element does not belong to this descriptor")
         if not (c.den if specialized else c.den is None):
             raise HeckeError("element scalar mode does not match the "
                              "descriptor (symbolic vs specialized)")
+        out[u] = c
+    return out
+
+
+def _keyed(desc: HeckeDescriptor, coeffs: Dict[int, TorusAlgebraElement]
+           ) -> HeckeElement:
+    """The element with the nonzero ``coeffs`` by table id, built without
+    the constructor's zero test."""
+    elem = object.__new__(desc.element_type)
+    elements = desc.wext.table.elements
+    elem.terms = {elements[u]: c for u, c in coeffs.items()}
+    return elem
 
 
 def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
@@ -390,23 +404,23 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
     closed under prefixes, so a walk in lexicographic order with a stack
     of partial products makes one ``_ns_mul`` per node of their trie: 7
     for all of W(B2), where one walk per term made 16.  Partial products
-    are blocks keyed by table id: each step is one ``map_monomials`` call,
-    each word adds c times its partial product into the output block by
-    one ``coeffs.mul_into`` call, and ``settle`` makes the elements.
+    are blocks keyed by table id: each step is one ``map_monomials`` call
+    and each word one ``coeffs.mul_into`` call into the output block.
 
-    Both factors must have their keys in W_ext (``HeckeError``
-    otherwise).  The first product on a descriptor builds the W_ext
-    table, O(|W_ext|) time and memory, under the same
-    ``ENUMERATION_CAP`` as ``affine_to_graded`` and ``count``."""
-    _check_element(desc, a)
-    _check_element(desc, b)
+    Both factors must belong to ``desc`` (``HeckeError`` otherwise).  The
+    first product on a descriptor builds the W_ext table, O(|W_ext|) time
+    and memory, under the same ``ENUMERATION_CAP`` as ``affine_to_graded``
+    and ``count``."""
+    a_ids, b_ids = _ids(desc, a), _ids(desc, b)
     wg, table = desc.wext.weyl, desc.wext.table
-    b_ids = {table.index[key]: c for key, c in b.terms.items()}
+    # id k |W| + j is (w_j, l_k); e0 + j is (w_j, e)
+    nw = len(table.inverse) // desc.wext.rgroup.order()
+    e0 = table.identity - table.identity % nw
     labels: Dict[str, list] = {}
-    for key, c in a.terms.items():
-        w = ExtendedWeylElement(key.weyl, desc.wext.rgroup.identity)
-        w_inv = table.elements[table.inverse[table.index[w]]].weyl
-        labels.setdefault(key.diagram, []).append((wg.reduced_word(w_inv), c))
+    for u, c in a_ids.items():
+        w_inv = table.elements[table.inverse[e0 + u % nw]].weyl
+        labels.setdefault(table.labels[u], []).append(
+            (wg.reduced_word(w_inv), c))
     out = [{}, None]
     for label, words in labels.items():
         # (i_1 .. i_k, N_{s_{i_k}} .. N_{s_{i_1}} N_gamma b) along the word
@@ -418,8 +432,7 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
                 prefix, t = path[-1]
                 path.append((prefix + (i,), _ns_mul(desc, i, t)))
             mul_into(out, c, path[-1][1])
-    return desc.element({table.elements[u]: c for u, c in
-                         settle(out, desc._coeff_zero).items()})
+    return _keyed(desc, settle(out, desc._coeff_zero))
 
 
 graded_multiply = multiply
@@ -439,15 +452,17 @@ def multiply_crossed(desc: AffineDescriptor, a: HeckeElement, b: HeckeElement
     """Independent crossed-product multiplication on O(T) x| ZZ[W_ext, cocycle]:
     (c_w N_w)(d_v N_v) = cocycle * c_w (w . d_v) N_{w v}.  Used as the
     degeneration oracle for the z = 1 quotient."""
-    out: Dict[ExtendedWeylElement, TorusAlgebraElement] = {}
-    for w, cw in a.terms.items():
-        for v, dv in b.terms.items():
-            prod = cw * dv.act_matrix(desc.wext.action_matrix(w))
-            if desc.cocycle(w.diagram, v.diagram) == -1:
+    table = desc.wext.table
+    actions, labels, b_ids = table.actions, table.labels, _ids(desc, b)
+    out: Dict[int, TorusAlgebraElement] = {}
+    for w, cw in _ids(desc, a).items():
+        for v, dv in b_ids.items():
+            prod = cw * dv.act_matrix(actions[w])
+            if desc.cocycle(labels[w], labels[v]) == -1:
                 prod = -prod
-            wv = desc.wext.mult(w, v)
+            wv = table.mult(w, v)
             out[wv] = out[wv] + prod if wv in out else prod
-    return HeckeElement(out)
+    return HeckeElement({table.elements[u]: c for u, c in out.items()})
 
 
 def symmetrize(desc: AffineDescriptor, x: Sequence[int]) -> HeckeElement:
@@ -479,15 +494,17 @@ def serialize_element(desc: AffineDescriptor, elem: HeckeElement) -> str:
     """Deterministic text form: one `theta[..]*z..*N[word|label]` per term,
     ordered lattice-lexicographically, then by z-exponents, then by the
     group element (length, matrix, diagram label)."""
-    if not elem.terms:
+    terms = _ids(desc, elem)
+    if not terms:
         return "0"
-    wg, rank = desc.wext.weyl, desc.rd.rank
-    ws = sorted(elem.terms, key=lambda w: (wg.length(w.weyl), w.weyl.matrix,
-                                           w.diagram))
+    wg, table, rank = desc.wext.weyl, desc.wext.table, desc.rd.rank
+    elements, labels = table.elements, table.labels
+    ws = sorted(terms, key=lambda u: (table.lengths[u],
+                                      elements[u].weyl.matrix, labels[u]))
     nstrs = ["N[%s|%s]" % (" ".join(str(i + 1) for i in wg.reduced_word(
-        w.weyl)), w.diagram) for w in ws]
+        elements[u].weyl)), labels[u]) for u in ws]
     chunks = []
-    for exps, js in monomial_groups([elem.terms[w] for w in ws], desc.d):
+    for exps, js in monomial_groups([terms[u] for u in ws], desc.d):
         x = exps[:rank]
         head = "theta[%s]*" % ",".join(map(str, x)) if any(x) else ""
         head += "".join("z%d^%d*" % (j + 1, e)
@@ -570,12 +587,13 @@ class GradedDescriptor(HeckeDescriptor):
 
 def im_involution(desc: GradedDescriptor, a: GradedElement) -> GradedElement:
     """N_w -> sign(w) N_w on the reflection part (trivial on the diagram
-    part), r_j -> r_j, xi -> -xi in degree one; sign(w) = (-1)^l(w)."""
-    rank = desc.rd.rank
-    neg = tuple(tuple(-int(i == j) for j in range(rank)) for i in range(rank))
-    out = {key: c.substitute(neg) for key, c in a.terms.items()}
-    return desc.element({key: -c if desc.weyl.length(key.weyl) % 2 else c
-                         for key, c in out.items()})
+    part), r_j -> r_j, xi -> -xi in degree one; sign(w) = (-1)^l(w).  So
+    a monomial x^m r^e of the coefficient of N_w gets the sign (-1)^(l(w) +
+    sum of m), in one ``coeffs.negate_lattice`` pass with l(w) read by id.
+    ``a`` must belong to ``desc`` (``HeckeError`` otherwise)."""
+    lengths = desc.wext.table.lengths
+    return _keyed(desc, {u: negate_lattice(c, lengths[u])
+                         for u, c in _ids(desc, a).items()})
 
 
 # ---------------------------------------------------------------------------

@@ -479,9 +479,6 @@ class ExtendedGroup:
             raise WeylError("%r is not an element of this group" % (g,)) \
                 from None
 
-    def action_matrix(self, g: ExtendedWeylElement) -> Matrix:
-        return self.table.actions[self._id(g)]
-
     def mult(self, g: ExtendedWeylElement, h: ExtendedWeylElement
              ) -> ExtendedWeylElement:
         t = self.table

@@ -128,13 +128,18 @@ def multiply_by_words(desc, a, b):
 # lattice and z-exponent tuples.  The module is induced from the character
 # N_s -> z^lambda, N_gamma -> 1 of the finite part (Lusztig, JAMS 2, 1989,
 # section 4; Macdonald, Affine Hecke Algebras and Orthogonal Polynomials,
-# ch. 4): theta_x acts by multiplication, N_gamma by theta_x -> theta_{gamma
-# x} (so the cocycle must be trivial), and N_s by
+# ch. 4): theta_x acts by multiplication, N_gamma by theta_x -> i^k(gamma)
+# theta_{gamma x}, and N_s by
 #     theta_x -> z^lambda theta_{s x} + D_x ((z^lambda - z^-lambda)
 #                + theta_{-alpha} (z^lambda* - z^-lambda*)),
 # D_x (theta_0 - theta_{-alpha}) = theta_x - theta_{s x}, the second summand
-# and a doubled step only for a halvable coroot.  Everything is read from the
-# root datum and the parameter maps, not from the N_s tables of the product.
+# and a doubled step only for a halvable coroot.  The scalars i^k(gamma)
+# satisfy i^k(a) i^k(b) = cocycle(a, b) i^k(ab), so N_a N_b = cocycle(a, b)
+# N_ab holds: all 1 for a trivial cocycle, N_g -> i g for the twisted
+# A1 x A1.  Everything is read from the root datum, the cocycle and the
+# parameter maps, not from the N_s tables of the product.  ``poly_act``
+# works over ZZ[i]: a polynomial there is a pair (real part, imaginary
+# part) of the dicts above.
 
 
 def _poly_add(out, key, c):
@@ -198,20 +203,45 @@ def poly_ns(desc, i, f):
     return out
 
 
+def _cocycle_powers(desc):
+    """{label: k} with i^k(a) i^k(b) = cocycle(a, b) i^k(ab) for all labels,
+    the first such k in {0, 1, 2, 3}^R."""
+    rg, cocycle = desc.wext.rgroup, desc.cocycle
+    labels = rg.labels
+    for ks in itertools.product(range(4), repeat=len(labels)):
+        k = dict(zip(labels, ks))
+        if all((k[a] + k[b] - k[rg.mult(a, b)]) % 4 == (1 - cocycle(a, b))
+               for a in labels for b in labels):
+            return k
+    raise AssertionError("the cocycle has no character i^k")
+
+
+def _times_i(f, k):
+    """i^k f for a pair f = (real part, imaginary part)."""
+    re, im = f
+    for _ in range(k % 4):
+        re, im = {key: -v for key, v in im.items()}, re
+    return re, im
+
+
 def poly_act(desc, elem, f):
-    """The element ``elem`` of a symbolic affine descriptor with a trivial
-    cocycle on the polynomial f: sum c_w N_w N_gamma, with N_w the product
-    of the N_s along a reduced word of w found by descents."""
-    assert set(desc.cocycle.table.values()) <= {1}, "twisted cocycle"
+    """The element ``elem`` of a symbolic affine descriptor on the ZZ[i]
+    polynomial f = (real part, imaginary part): sum c_w N_w N_gamma, with
+    N_w the product of the N_s along a reduced word of w found by
+    descents."""
     rd = desc.rd
-    out = {}
+    powers = _cocycle_powers(desc)
+    out = ({}, {})
     for key, c in elem.terms.items():
         matrix = desc.wext.rgroup.matrix(key.diagram)
-        g = {(mat_apply(matrix, x), e): v for (x, e), v in f.items()}
+        g = _times_i(tuple({(mat_apply(matrix, x), e): v
+                            for (x, e), v in part.items()} for part in f),
+                     powers[key.diagram])
         for i in reversed(descent_word(rd, key.weyl.matrix)):
-            g = poly_ns(desc, i, g)
-        for k, v in poly_mul(poly_of(c, desc.d), g).items():
-            _poly_add(out, k, v)
+            g = tuple(poly_ns(desc, i, part) for part in g)
+        for acc, part in zip(out, g):
+            for k, v in poly_mul(poly_of(c, desc.d), part).items():
+                _poly_add(acc, k, v)
     return out
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from heckealg.coeffs import (MAX_EXP, LaurentZ, PackedRangeError,
                              TorusAlgebraElement, block, map_monomials,
-                             settle, z_bracket)
+                             negate_lattice, settle, z_bracket)
 from heckealg.hecke import AffineDescriptor, GradedDescriptor
 from heckealg.root_data import Root, RootDatum, vneg
 from heckealg.weyl import Cocycle, ExtendedGroup, RGroup, identity_matrix
@@ -312,6 +312,24 @@ def test_one_term_products_match_the_general_product():
         expect = a.shift(x).scale(scalar)
         assert a * mono == expect and mono * a == expect
         assert (a * mono).bound == a.bound + mono.bound
+
+
+def test_negate_lattice_is_the_minus_identity_substitution():
+    # (-1)^n c(-x) from the digits' low bits against substitute(-I), with
+    # negative and extreme exponents, z-digits and both scalar modes
+    rng = random.Random(11)
+    edge = TorusAlgebraElement(2, {(MAX_EXP, -MAX_EXP): LaurentZ.monomial(
+        1, (-MAX_EXP,), 3), (-1, MAX_EXP - 1): 2})
+    for c in [edge] + [rand_tae(rng, rank, 2) for rank in (1, 2, 3)
+                       for _ in range(4)]:
+        rank = c.rank
+        neg = tuple(tuple(-int(i == j) for j in range(rank))
+                    for i in range(rank))
+        for c in (c, c.scale(Fraction(2, 3))):
+            for n in (0, 1, 4):
+                got = negate_lattice(c, n)
+                assert got == c.substitute(neg).scale((-1) ** n)
+                assert (got.bound, got.den) == (c.bound, c.den)
 
 
 def test_exponent_past_packed_range_raises():

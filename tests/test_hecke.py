@@ -19,10 +19,11 @@ from heckealg.coeffs import (MAX_EXP, LaurentZ, PackedRangeError,
 from heckealg.hecke import (AffineDescriptor, GradedDescriptor, HeckeElement,
                             HeckeError, affine_to_graded, bernstein_divide,
                             graded_multiply, im_involution, is_central,
-                            multiply, quotient_z1, serialize_element,
-                            spread_invariant, symmetrize)
+                            multiply, multiply_crossed, quotient_z1,
+                            serialize_element, spread_invariant, symmetrize)
 from heckealg.root_data import build_classical, product
-from heckealg.weyl import Cocycle, ExtendedGroup, identity_matrix
+from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
+                           identity_matrix)
 
 from oracle_helpers import (load_bench_module, root_lattice_a2,
                             specialize_element)
@@ -189,7 +190,7 @@ def test_invariance_checks_read_the_kept_root_images(monkeypatch):
 
 
 def test_descriptor_mismatch_rejected():
-    from heckealg.weyl import ExtendedWeylElement, WeylElement
+    from heckealg.weyl import WeylElement
     desc = DESCS["B2"]
     # a lattice automorphism that does not permute the B2 roots
     shear = WeylElement(((1, 1), (0, 1)))
@@ -223,6 +224,24 @@ def test_descriptor_mismatch_rejected():
         multiply(spec, spec.unit(), DESCS["A1"].unit())
     with pytest.raises(HeckeError):
         multiply(DESCS["A1"], spec.unit(), spec.unit())
+    # the IM involution, the text form and the crossed product check their
+    # inputs as multiply does: a rank-3 coefficient or an unknown label in
+    # B2, and a symbolic coefficient at z = 1
+    gd = graded_test_descriptors(DESCS)["B2@1"]
+    for key, c in ((gd.wext.identity, TorusAlgebraElement(
+            3, {(1, 1, 1): LaurentZ.one(1)})),
+                   (ExtendedWeylElement(gd.weyl.identity, "nolabel"),
+                    TorusAlgebraElement.theta((1, 0), LaurentZ.one(1)))):
+        with pytest.raises(HeckeError):
+            im_involution(gd, gd.element({key: c}))
+    q1 = quotient_z1(desc)
+    with pytest.raises(HeckeError):
+        serialize_element(q1, q1.element({q1.wext.identity: TorusAlgebraElement(
+            3, {(1, 1, 1): Fraction(1)})}))
+    with pytest.raises(HeckeError):
+        multiply_crossed(q1, q1.element({q1.wext.identity:
+                                         TorusAlgebraElement.theta((0, 0), 1)}),
+                         q1.unit())
 
 
 def test_mixed_scalar_modes_rejected_in_any_order():
@@ -365,6 +384,11 @@ def test_graded_ns_step_matches_chain(name):
         _ns_step(gd, info, big, False)
 
 
+def _action(desc, g):
+    """The action matrix of the W_ext element g, read from the table."""
+    return desc.wext.table.actions[desc.wext.table.index[g]]
+
+
 def test_act_examples():
     desc = DESCS["A1"]
     e = TorusAlgebraElement.theta((1, 0), one(desc))
@@ -372,10 +396,9 @@ def test_act_examples():
         else desc.wext.elements()[0]
     # the nontrivial element of W(A1) swaps the coordinates
     nontriv = [w for w in desc.wext.elements() if w != desc.wext.identity][0]
-    m = desc.wext.action_matrix
-    assert e.act_matrix(m(nontriv)) == \
+    assert e.act_matrix(_action(desc, nontriv)) == \
         TorusAlgebraElement.theta((0, 1), one(desc))
-    assert e.act_matrix(m(desc.wext.identity)) == e
+    assert e.act_matrix(_action(desc, desc.wext.identity)) == e
 
     b2 = DESCS["B2"]
     wg = b2.wext.weyl
@@ -383,7 +406,7 @@ def test_act_examples():
     from heckealg.weyl import ExtendedWeylElement
     g = ExtendedWeylElement(longest, "e")
     e = TorusAlgebraElement.theta((1, 2), one(b2))
-    assert e.act_matrix(b2.wext.action_matrix(g)) == \
+    assert e.act_matrix(_action(b2, g)) == \
         TorusAlgebraElement.theta((-1, -2), one(b2))
 
 
@@ -391,7 +414,9 @@ def test_act_composition_automorphism():
     desc = DESCS["B2"]
     rng = random.Random(4)
     els = desc.wext.elements()
-    m = desc.wext.action_matrix
+
+    def m(g):
+        return _action(desc, g)
     for _ in range(15):
         g, h = rng.choice(els), rng.choice(els)
         e = TorusAlgebraElement(2, {(rng.randint(-2, 2), rng.randint(-2, 2)):
@@ -586,6 +611,33 @@ def GradedScale(elem, c, nvars=1):
                 v.rank, {mono: LaurentZ.monomial(nvars, rexp, val * c)})
         out[k] = acc
     return GradedElement(out)
+
+
+def test_graded_product_and_im_make_no_keys_and_test_no_zeros(monkeypatch):
+    # past its inputs, a graded product and its IM image work on table ids:
+    # no ExtendedWeylElement is made and no coefficient is tested for zero
+    gd = graded_test_descriptors(DESCS)["B2@(1,1)/2"]
+    rng = random.Random(5)
+    a, b = random_graded(gd, rng, nterms=4), random_graded(gd, rng, nterms=3)
+    expect = graded_multiply(gd, a, b)   # fills the W_ext and step tables
+    made, tested = [], []
+    post_init = ExtendedWeylElement.__post_init__
+    nonzero = TorusAlgebraElement.__bool__
+
+    def counting_init(self):
+        made.append(self)
+        post_init(self)
+
+    def counting_bool(self):
+        tested.append(self)
+        return nonzero(self)
+    monkeypatch.setattr(ExtendedWeylElement, "__post_init__", counting_init)
+    monkeypatch.setattr(TorusAlgebraElement, "__bool__", counting_bool)
+    ab = graded_multiply(gd, a, b)
+    im = im_involution(gd, ab)
+    monkeypatch.undo()
+    assert (made, tested) == ([], [])
+    assert ab == expect and len(im.terms) == len(ab.terms) > 1
 
 
 def test_im_trivial_on_diagram_part():
@@ -814,8 +866,7 @@ def _sp58():
     return assemble(datum_from_json(BUILTIN_EXAMPLES["sp58"])).descriptor
 
 
-POLY_REP = sorted(n for n, d in DESCS.items()
-                  if set(d.cocycle.table.values()) == {1}) + ["sp58"]
+POLY_REP = sorted(DESCS) + ["sp58"]
 
 
 @pytest.mark.parametrize("name", POLY_REP)
@@ -849,7 +900,7 @@ def test_multiply_matches_polynomial_representation(name):
                 for _ in range(2))
         ab = multiply(desc, a, b)
         for _ in range(2):
-            f = monomial()
+            f = (monomial(), {})
             assert poly_act(desc, ab, f) == poly_act(desc, a,
                                                      poly_act(desc, b, f))
 
@@ -870,7 +921,7 @@ def test_step_entries_serve_longer_and_shorter_steps(name):
         tuple(rng.randint(-3, 3) for _ in range(rank)): LaurentZ.monomial(
             d, [rng.randint(-1, 1) for _ in range(d)], rng.choice((-2, 1, 3)))
         for _ in range(6)})
-    fs = [{(tuple(rng.randint(-2, 2) for _ in range(rank)), (0,) * d): 1}
+    fs = [({(tuple(rng.randint(-2, 2) for _ in range(rank)), (0,) * d): 1}, {})
           for _ in range(2)]
 
     def fresh(z_values):
