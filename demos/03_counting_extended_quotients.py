@@ -22,7 +22,7 @@ total, orbits = extended_quotient_count(g, coc, 2, pts)
 print("W(B2) at order-2 points: total", total)
 for o in orbits:
     print("   rep %-8r orbit %d  |stab| %2d  count %d"
-          % (list(o.representative.exponents), o.orbit_size,
+          % (list(o.representative), o.orbit_size,
              o.stabilizer_order, o.count))
 print()
 

@@ -14,9 +14,9 @@ from .pipeline import (BUILTIN_EXAMPLES, BlockDatum, HeckeReport,
                        specialize_report, validate)
 from .root_data import (Root, RootDatum, RootDatumError, build_classical,
                         empty_datum, product, weyl_order_classical)
-from .spectra import (FiniteGroup, FiniteTorusPoint, classify,
-                      count_twisted_irreps, extended_quotient_count,
-                      is_distinguished, twisted_algebra_center_dim)
+from .spectra import (FiniteGroup, classify, count_twisted_irreps,
+                      extended_quotient_count, is_distinguished,
+                      twisted_algebra_center_dim)
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, RGroup,
                    WeylElement, WeylGroup, cone_classify, min_coset_reps,
                    stabilizer_of_point)

@@ -113,7 +113,7 @@ def cmd_count(args) -> int:
         "torus_dim": rank,
         "total": total,
         "orbits": [{
-            "representative": list(o.representative.exponents),
+            "representative": list(o.representative),
             "orbit_size": o.orbit_size,
             "stabilizer_order": o.stabilizer_order,
             "count": o.count,
@@ -126,7 +126,7 @@ def cmd_count(args) -> int:
         print("total irreducibles: %d in %d orbit(s)" % (total, len(orbits)))
         for o in orbits:
             print("  rep %r  orbit %d  stabilizer %d  count %d"
-                  % (list(o.representative.exponents), o.orbit_size,
+                  % (list(o.representative), o.orbit_size,
                      o.stabilizer_order, o.count))
     return 0
 

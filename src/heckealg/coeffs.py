@@ -28,10 +28,10 @@ Every ``TorusAlgebraElement`` carries ``bound``, an upper bound on the
 absolute value of its exponents, updated in O(1) per operation.  An
 operation whose result could hold an exponent beyond ``MAX_EXP`` raises
 ``PackedRangeError`` instead of letting a digit wrap into its neighbour.
-``monomials`` and ``monomial_groups`` decode the keys, which stay private
-to this module.  The Hecke layer reaches them only through ring
-operations, ``divide_linear`` and blocks: a partial product is one block,
-a raw [terms, bound] per table id over one denominator.
+``monomial_groups`` decodes the keys, which stay private to this
+module.  The Hecke layer reaches them only through ring operations,
+``divide_linear`` and blocks: a partial product is one block, a raw
+[terms, bound] per table id over one denominator.
 ``map_monomials``, the one N_s kernel of both algebras, maps a whole block
 in one call; ``mul_into`` adds a coefficient times a block into another,
 and ``settle`` turns a block into elements.
@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 Exps = Tuple[int, ...]
 
@@ -99,9 +99,10 @@ def _low_split(n: int) -> Tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _signed_permutation(matrix) -> Optional[Tuple[Tuple[int, int], ...]]:
-    """(column, sign) of the one nonzero entry of each row of a signed
-    permutation matrix; None for any other matrix."""
+def _signed_permutation(matrix) -> Optional[Tuple[tuple, int]]:
+    """For a signed permutation matrix, its entrywise absolute value and
+    the mask of the lowest bit of digit i for each row i holding a -1;
+    None for any other matrix."""
     out = []
     for row in matrix:
         nonzero = [(j, v) for j, v in enumerate(row) if v]
@@ -110,18 +111,8 @@ def _signed_permutation(matrix) -> Optional[Tuple[Tuple[int, int], ...]]:
         out.append(nonzero[0])
     if sorted(j for j, _ in out) != list(range(len(out))):
         return None
-    return tuple(out)
-
-
-@lru_cache(maxsize=4096)
-def _permuted_key(perm, xk: int, rank: int) -> Tuple[int, int]:
-    """(key offset, sign) that the signed permutation ``perm`` gives the
-    lattice part xk: digit j moves to digit perm[j], and the scalar takes
-    the sign prod_j sign_j^(new digit j)."""
-    x = _unpack(xk, rank)[0]
-    y = [x[j] for j, _ in perm]
-    odd = sum(v for v, (_, s) in zip(y, perm) if s < 0) % 2
-    return _pack(y) - xk, -1 if odd else 1
+    return (tuple(tuple(map(abs, row)) for row in matrix),
+            sum(1 << (WIDTH * i) for i, (_, v) in enumerate(out) if v < 0))
 
 
 class TorusAlgebraElement:
@@ -266,19 +257,15 @@ class TorusAlgebraElement:
 
     def substitute(self, matrix) -> "TorusAlgebraElement":
         """x_i -> sum_j matrix[j][i] x_j on polynomials in the lattice
-        coordinates, z- (r-) part untouched.  A signed permutation is an
-        exponent shuffle with signs; any other matrix expands each
-        monomial as a product of linear forms."""
+        coordinates, z- (r-) part untouched.  A signed permutation is
+        ``act_matrix`` by its absolute value, then a sign per monomial, the
+        parity of its new exponents at the rows holding a -1; any other
+        matrix expands each monomial as a product of linear forms."""
         perm = _signed_permutation(matrix)
+        if perm is not None:
+            return _flip_signs(self.act_matrix(perm[0]), perm[1], 0)
         rank = self.rank
         offset, mask = _low_split(rank)
-        if perm is not None:
-            out: Dict[int, object] = {}
-            for k, c in self.terms.items():
-                move, sign = _permuted_key(perm, ((k + offset) & mask)
-                                           - offset, rank)
-                out[k + move] = c if sign == 1 else -c
-            return _new(self, out, self.bound, self.den)
         lin = [TorusAlgebraElement(rank, {
             tuple(int(k == j) for k in range(rank)): matrix[j][i]
             for j in range(rank) if matrix[j][i]}) for i in range(rank)]
@@ -347,14 +334,6 @@ class TorusAlgebraElement:
             raise ArithmeticError("nonzero remainder in division by %r"
                                   % (alpha,))
         return _new(self, quot, self.bound, den)
-
-    def monomials(self, nvars: int) -> List[Tuple[Exps, Exps, object]]:
-        """(x, e, scalar) for every term, sorted: the lattice exponents,
-        the ``nvars`` z- (or r-) exponents and the scalar, as in
-        ``monomial_groups``."""
-        rank = self.rank
-        return [(exps[:rank], exps[rank:], v) for exps, ((_, v),) in
-                monomial_groups([self], nvars)]
 
     def __repr__(self):
         if not self.terms:
@@ -466,13 +445,19 @@ def settle(blk: list, like: TorusAlgebraElement
             if (c := _settled(like, terms, bound, den)).terms}
 
 
-def negate_lattice(c: TorusAlgebraElement, n: int) -> TorusAlgebraElement:
-    """(-1)^n c(-x), z- (r-) part untouched: each monomial times (-1)^(n +
-    sum of its lattice exponents), read off the lattice digits' low bits."""
+def _flip_signs(c: TorusAlgebraElement, low: int, n: int
+                ) -> TorusAlgebraElement:
+    """Each monomial of c times (-1)^(n + the sum of its lattice exponents
+    at the digits whose lowest bit ``low`` holds), read off those bits."""
     offset = _low_split(c.rank)[0]
-    low = offset >> (WIDTH - 1)   # the lowest bit of each lattice digit
     return _new(c, {k: -v if (((k + offset) & low).bit_count() + n) & 1
                     else v for k, v in c.terms.items()}, c.bound, c.den)
+
+
+def negate_lattice(c: TorusAlgebraElement, n: int) -> TorusAlgebraElement:
+    """(-1)^n c(-x), z- (r-) part untouched: the sign pass over every
+    lattice digit."""
+    return _flip_signs(c, _low_split(c.rank)[0] >> (WIDTH - 1), n)
 
 
 def _mul_terms(acc: Dict[int, object], xs: Dict[int, object],

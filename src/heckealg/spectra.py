@@ -26,19 +26,6 @@ class SpectraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteTorusPoint:
-    """exp(2*pi*i*exponents/order) in the unitary torus."""
-    order: int
-    exponents: Tuple[int, ...]
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise SpectraError("order must be positive")
-        object.__setattr__(self, "exponents",
-                           tuple(e % self.order for e in self.exponents))
-
-
 # ---------------------------------------------------------------------------
 # Finite groups with multiplication tables
 # ---------------------------------------------------------------------------
@@ -163,7 +150,7 @@ def twisted_algebra_center_dim(group: FiniteGroup) -> int:
 
 @dataclass
 class OrbitReport:
-    representative: FiniteTorusPoint
+    representative: Tuple[int, ...]
     orbit_size: int
     stabilizer_order: int
     count: int
@@ -191,13 +178,13 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
     representative of its class on a quotient torus (the group action
     must descend to classes); counting then happens on classes.
 
-    Group elements are the ids of ``group.table``.  The starting points
-    are swept once in sorted order, skipping those already seen; each
-    orbit costs one ``GroupTable.images`` pass, which gives the orbit and
-    the stabilizer of the swept point.  Stabilizers of points in one
-    orbit are conjugate, so their order and count are the orbit's.  A
-    stabilizer that is all of W_ext takes the table's generators, a
-    proper one those picked greedily, shortest first.
+    Group elements are the ids of ``group.table``.  The points are swept
+    once as they come, skipping those already seen; each orbit costs one
+    ``GroupTable.images`` pass, which gives the orbit and the stabilizer
+    of the point met first.  Stabilizers of points in one orbit are
+    conjugate, so their order and count are the orbit's whichever point
+    comes first.  A stabilizer that is all of W_ext takes the table's
+    generators, a proper one those picked greedily, shortest first.
     """
     if common_order(group, [order]) != order:
         raise SpectraError("order %d is not a multiple of the translation "
@@ -210,11 +197,11 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
     def cocycle_fn(a, b):
         return cocycle(labels[a], labels[b])
 
-    starts = {canon(tuple(a % order for a in e), order) for e in points}
     seen = set()
     reports: List[OrbitReport] = []
     total = 0
-    for e in sorted(starts):
+    for e in points:
+        e = canon(tuple(a % order for a in e), order)
         if e in seen:
             continue
         moved = [canon(x, order) for x in table.images(e, order)]
@@ -226,10 +213,9 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
                           table.identity, cocycle_fn,
                           table_gens if len(stab) == len(moved) else None)
         cnt = count_twisted_irreps(sub)
-        reports.append(OrbitReport(FiniteTorusPoint(order, min(orbit)),
-                                   len(orbit), len(stab), cnt))
+        reports.append(OrbitReport(min(orbit), len(orbit), len(stab), cnt))
         total += cnt
-    reports.sort(key=lambda r: r.representative.exponents)
+    reports.sort(key=lambda r: r.representative)
     return total, reports
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from heckealg import hecke
 from heckealg.checks import random_graded
-from heckealg.coeffs import TorusAlgebraElement, settle
+from heckealg.coeffs import TorusAlgebraElement, monomial_groups, settle
 from heckealg.hecke import HeckeElement, HeckeError, graded_multiply
 from heckealg.params import ParameterError
 from heckealg.spectra import _commutation_rows, extended_quotient_count
@@ -40,6 +40,14 @@ def run_capped(body, seconds=120, mib=1024):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=seconds, preexec_fn=cap)
     assert proc.returncode == 0, proc.stderr
+
+
+def monomials(c, nvars):
+    """(x, e, scalar) for every term of c, sorted: the lattice exponents,
+    the ``nvars`` z- (or r-) exponents and the scalar, as
+    ``coeffs.monomial_groups`` gives them."""
+    return [(exps[:c.rank], exps[c.rank:], v)
+            for exps, ((_, v),) in monomial_groups([c], nvars)]
 
 
 def load_bench_module(name):
@@ -161,7 +169,7 @@ def poly_mul(f, g):
 def poly_of(c, nvars):
     """A coefficient of a symbolic element as a polynomial."""
     out = {}
-    for x, e, v in c.monomials(nvars):
+    for x, e, v in monomials(c, nvars):
         _poly_add(out, (x, e), v)
     return out
 
@@ -647,7 +655,7 @@ def specialize_element(spec_desc, elem):
     zvals = spec_desc.z_values
     for w, c in elem.terms.items():
         terms = {}
-        for x, e, v in c.monomials(len(zvals)):
+        for x, e, v in monomials(c, len(zvals)):
             terms[x] = terms.get(x, 0) + v * spec_desc.zmonomial(e)
         out[w] = TorusAlgebraElement(c.rank, terms)
     return HeckeElement(out)

@@ -36,7 +36,7 @@ from heckealg.hecke import (graded_multiply, im_involution, multiply,
                             quotient_z1, serialize_element)
 from heckealg.pipeline import BUILTIN_EXAMPLES
 
-from oracle_helpers import specialize_element
+from oracle_helpers import monomials, specialize_element
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden.json"
@@ -114,7 +114,7 @@ def graded_form(gd, elem):
     rows = []
     for key, coeff in elem.terms.items():
         word = list(gd.weyl.reduced_word(key.weyl))
-        for mono, rexp, c in coeff.monomials(gd.d):
+        for mono, rexp, c in monomials(coeff, gd.d):
             rows.append([word, key.diagram, list(mono), list(rexp), c])
     return sorted(rows)
 

@@ -25,8 +25,8 @@ from heckealg.root_data import build_classical, product
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
                            identity_matrix)
 
-from oracle_helpers import (load_bench_module, root_lattice_a2,
-                            specialize_element)
+from oracle_helpers import (load_bench_module, monomials,
+                            root_lattice_a2, specialize_element)
 
 DESCS = standard_descriptors()
 
@@ -267,7 +267,7 @@ def _ns_step_oracle(desc, info, c, shorter):
     rank = desc.rd.rank
     cs = c.act_matrix(info.matrix)
     corr = TorusAlgebraElement(rank)
-    for x, e, v in c.monomials(desc.d):
+    for x, e, v in monomials(c, desc.d):
         div = bernstein_divide(x, info.root, info.halvable,
                                desc.zmonomial(e) * v)
         corr = corr + div.scale(desc.zbracket(info.zvar, info.lam))
@@ -291,7 +291,7 @@ def _ns_step(desc, info, c, shorter):
 
 def _largest_exponent(elem, nvars):
     return max((max(map(abs, x + e), default=0)
-                for x, e, _ in elem.monomials(nvars)), default=0)
+                for x, e, _ in monomials(elem, nvars)), default=0)
 
 
 @pytest.mark.parametrize("name", sorted(DESCS))
@@ -313,7 +313,7 @@ def test_ns_step_matches_bernstein_oracle(name):
                                     range(desc.d)]) * rng.choice((-3, 1, 2))
                     for _ in range(rng.randint(1, 5))})
                 reach = max(abs(sum(a * b for a, b in zip(x, info.root.coroot)))
-                            for x, _, _ in c.monomials(desc.d))
+                            for x, _, _ in monomials(c, desc.d))
                 for shorter in (False, True):
                     cs, corr = _ns_step(desc, info, c, shorter)
                     ocs, ocorr = _ns_step_oracle(desc, info, c, shorter)
@@ -550,7 +550,7 @@ def test_graded_linear_case():
     diff = xi - sxi
     if diff:
         q = diff.divide_linear(alpha.vector)
-        const = [c for mono, _, c in q.monomials(1) if mono == (0, 0)]
+        const = [c for mono, _, c in monomials(q, 1) if mono == (0, 0)]
         pairing = 0  # <x1, (2 e2)> = 0
         assert not const and pairing == 0
     xi2 = TorusAlgebraElement(2, {(0, 1): LaurentZ.one(1)})  # x2
@@ -606,7 +606,7 @@ def GradedScale(elem, c, nvars=1):
     out = {}
     for k, v in elem.terms.items():
         acc = TorusAlgebraElement.zero(v.rank)
-        for mono, rexp, val in v.monomials(nvars):
+        for mono, rexp, val in monomials(v, nvars):
             acc = acc + TorusAlgebraElement(
                 v.rank, {mono: LaurentZ.monomial(nvars, rexp, val * c)})
         out[k] = acc

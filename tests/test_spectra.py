@@ -131,15 +131,15 @@ def test_extended_quotient_one_pass_per_orbit(monkeypatch):
     total, orbits = extended_quotient_count(
         g, Cocycle.trivial(("e",)), 2, [(1, 0)])
     assert passes == [8]
-    assert [(o.representative.exponents, o.orbit_size, o.stabilizer_order)
+    assert [(o.representative, o.orbit_size, o.stabilizer_order)
             for o in orbits] == [((0, 1), 2, 4)]
     assert total == orbits[0].count
 
 
 def test_count_builds_no_element_objects_or_matrices(monkeypatch):
     """Counting sp58 at order 2 on ``count``'s points reads ids only: the
-    table builds no element objects, index, action or point matrices,
-    and no ``WeylElement`` is made."""
+    table builds no element objects, index or action matrices, and no
+    ``WeylElement`` is made."""
     desc = assemble(datum_from_json(BUILTIN_EXAMPLES["sp58"])).descriptor
     made = []
     post_init = WeylElement.__post_init__
@@ -154,8 +154,7 @@ def test_count_builds_no_element_objects_or_matrices(monkeypatch):
     total, orbits = extended_quotient_count(desc.wext, desc.cocycle, common,
                                             points)
     assert (total, len(orbits)) == (560, 12)
-    assert not {"elements", "index", "actions", "point_matrices"} & \
-        set(vars(desc.wext.table))
+    assert not {"elements", "index", "actions"} & set(vars(desc.wext.table))
     assert made == []
 
 

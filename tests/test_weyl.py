@@ -358,7 +358,8 @@ def test_group_table_matches_matrix_definition(name):
         action = mat_mul(g.weyl.matrix, rg.matrix(g.diagram))
         assert group.table.actions[group.table.index[g]] == action
         point = mat_transpose(mat_inv(action))
-        assert group.table.point_matrices[group.table.index[g]] == point
+        inverse = group.table.inverse[group.table.index[g]]
+        assert mat_transpose(group.table.actions[inverse]) == point
         li = rg.inv(g.diagram)
         assert group.inv(g) == ExtendedWeylElement(
             WeylElement(conj(li, mat_inv(g.weyl.matrix))), li)
@@ -500,6 +501,30 @@ def test_b6_count_within_104_mib():
     matrix per id."""
     from oracle_helpers import run_capped
     run_capped(_b6_count_in_the_cli, seconds=30, mib=104)
+
+
+# eight D1 blocks and one empty one: |W| = 1, R-group (Z/2)^8, trivial cocycle
+D8 = {"group": {"family": "Sp", "n": 8},
+      "blocks": [{"side": "O", "dim": 1, "e": 1, "ell": 0}] * 8 +
+      [{"side": "O", "dim": 1, "e": 0, "ell": 1}]}
+
+
+def _d8_describe_in_the_cli():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "d8.json"
+        path.write_text(json.dumps(D8))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["describe", "--input", str(path)]) == 0
+    assert "R-group: (Z/2)^8" in out.getvalue()
+
+
+def test_d8_describe_skips_the_trivial_cocycle_identity():
+    """``describe`` on 8 D1 blocks, |R| = 256, runs in a child capped at
+    10 s of wall clock and 128 MiB of address space: the trivial cocycle
+    skips the |R|^3 identity check, which took over 20 s."""
+    from oracle_helpers import run_capped
+    run_capped(_d8_describe_in_the_cli, seconds=10, mib=128)
 
 
 @pytest.mark.parametrize("name", ["B2", "A1xA1-twisted"])
