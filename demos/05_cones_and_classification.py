@@ -45,7 +45,7 @@ x = [Fraction(-1), Fraction(-1, 2)]
 print("x in subsystem obtuse cone :",
       cone_classify(stab.subsystem, x).antidominant_obtuse)
 print("w x in ambient obtuse cone for every representative:",
-      all(cone_classify(b2, mat_apply(group.table.actions[w], x))
+      all(cone_classify(b2, mat_apply(group.table.action(w), x))
           .antidominant_obtuse for w in reps))
 print()
 

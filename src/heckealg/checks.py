@@ -313,7 +313,7 @@ def check_coset_cones(name: str, rd: RootDatum, point: Tuple[int, ...],
     stab = stabilizer_of_point(group, point, 2)
     sub = stab.subsystem
     # the R-group is trivial: the action matrices are W in matrix order
-    weyl = group.table.actions
+    weyl = list(map(group.table.action, range(len(group.table.labels))))
     rep_ids = min_coset_reps(group, stab.reflection_part)
     reps = [weyl[w] for w in rep_ids]
 

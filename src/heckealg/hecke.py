@@ -248,9 +248,8 @@ class AffineDescriptor(HeckeDescriptor):
                   for s in rd.simple_roots]
         images += self.wext.root_images.values()
         for image in images:
-            for v in nondiv:
-                w = image.get(v, v)
-                if self.lam[v] != self.lam.get(w):
+            for v, w in image.items():
+                if v in nondiv and self.lam[v] != self.lam.get(w):
                     raise HeckeError("lambda is not W-invariant")
                 if v in halvable and self.lam_star[v] != self.lam_star.get(w):
                     raise HeckeError("lambda* is not W-invariant")
@@ -326,11 +325,11 @@ class AffineDescriptor(HeckeDescriptor):
 
 def spread_invariant(rd: RootDatum, wext: ExtendedGroup,
                      seeds: Dict[Vector, int]) -> Dict[Vector, int]:
-    """Complete a root->value map to a W_ext-invariant function on the
-    W_ext-orbits of the seed roots."""
+    """Complete a vector->value map to a W_ext-invariant function on the
+    W_ext-orbits of the seed vectors."""
     out: Dict[Vector, int] = {}
     for v, val in seeds.items():
-        for m in wext.table.actions:
+        for m in map(wext.table.action, range(len(wext.table.labels))):
             w = mat_apply(m, v)
             if out.get(w, val) != val:
                 raise HeckeError("seed values collide on an orbit")
@@ -453,11 +452,12 @@ def multiply_crossed(desc: AffineDescriptor, a: HeckeElement, b: HeckeElement
     (c_w N_w)(d_v N_v) = cocycle * c_w (w . d_v) N_{w v}.  Used as the
     degeneration oracle for the z = 1 quotient."""
     table = desc.wext.table
-    actions, labels, b_ids = table.actions, table.labels, _ids(desc, b)
+    labels, b_ids = table.labels, _ids(desc, b)
     out: Dict[int, TorusAlgebraElement] = {}
     for w, cw in _ids(desc, a).items():
+        m = table.action(w)
         for v, dv in b_ids.items():
-            prod = cw * dv.act_matrix(actions[w])
+            prod = cw * dv.act_matrix(m)
             if desc.cocycle(labels[w], labels[v]) == -1:
                 prod = -prod
             wv = table.mult(w, v)
@@ -467,9 +467,8 @@ def multiply_crossed(desc: AffineDescriptor, a: HeckeElement, b: HeckeElement
 
 def symmetrize(desc: AffineDescriptor, x: Sequence[int]) -> HeckeElement:
     """Orbit sum sum_{y in W_ext x} theta_y (central by the Bernstein centre)."""
-    orbit = {mat_apply(m, x) for m in desc.wext.table.actions}
-    one = desc.scalar_one()
-    coeff = TorusAlgebraElement(desc.rd.rank, {y: one for y in orbit})
+    terms = spread_invariant(desc.rd, desc.wext, {tuple(x): desc.scalar_one()})
+    coeff = TorusAlgebraElement(desc.rd.rank, terms)
     return HeckeElement({desc.wext.identity: coeff})
 
 
@@ -616,18 +615,18 @@ def affine_to_graded(desc: AffineDescriptor, exponents: Vector, order: int
         v = r.vector
         k[v] = desc.lam[v] + stab.root_values[v] * desc.lam_star[v] \
             if r.halvable else 2 * desc.lam[v]
-    # the relative diagram group, closed on W_ext table ids
+    # the relative diagram group on table ids, (w_j, l_k) being k |W| + j
     wt = desc.wext.table
+    nw = len(wt.labels) // desc.wext.rgroup.order()
     labels = ["e"]
     label_of: Dict[int, str] = {}
-    for gid in sorted(stab.diagram_part,
-                      key=lambda g: (wt.elements[g].weyl.matrix, wt.labels[g])):
+    for gid in sorted(stab.diagram_part, key=lambda g: (g % nw, wt.labels[g])):
         if gid == wt.identity:
             label_of[gid] = "e"
         else:
             label_of[gid] = "g%d" % len(labels)
             labels.append(label_of[gid])
-    matrices = {l: wt.actions[gid] for gid, l in label_of.items()}
+    matrices = {l: wt.action(gid) for gid, l in label_of.items()}
     table: Dict[Tuple[str, str], str] = {}
     cocycle_table: Dict[Tuple[str, str], int] = {}
     for ga, a in label_of.items():

@@ -54,8 +54,8 @@ def reflect(x: Vector, alpha: Vector, coroot: Vector) -> Vector:
 
 def reflection_matrix(rank: int, alpha: Vector, coroot: Vector) -> Tuple[Vector, ...]:
     """Rows of x -> x - <x, coroot> alpha acting on column vectors."""
-    return tuple(tuple(int(i == j) - alpha[i] * coroot[j] for j in range(rank))
-                 for i in range(rank))
+    return tuple(vsub(_unit(rank, i), vscale(coroot, a)) if a else
+                 _unit(rank, i) for i, a in enumerate(alpha))
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def _direction(v: Vector) -> Vector:
 # ---------------------------------------------------------------------------
 
 def _unit(n: int, i: int, c: int = 1) -> Vector:
-    return tuple(c if k == i else 0 for k in range(n))
+    return (0,) * i + (c,) + (0,) * (n - i - 1)
 
 
 def build_classical(family: str, n: int) -> RootDatum:

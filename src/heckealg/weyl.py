@@ -32,9 +32,9 @@ Matrix = Tuple[Tuple[int, ...], ...]
 Vector = Tuple[int, ...]
 Perm = Tuple[int, ...]
 
-# A table id costs about 0.8 KB retained (B6, 46,080 ids: 37.7 MB under
-# tracemalloc) and 1.3 KB of peak RSS (B7, 645,120 ids: 839 MB), so the
-# cap's 2,000,000 ids admit about 2.6 GB.
+# A table id costs about 625 bytes retained (B6, 46,080 ids: 28.8 MB under
+# tracemalloc) and 1,085 bytes of peak RSS (B7, 645,120 ids: 667.5 MB), so
+# the cap's 2,000,000 ids admit about 2.2 GB (2.0 GiB) of peak RSS.
 ENUMERATION_CAP = 2_000_000
 
 
@@ -156,11 +156,11 @@ class WeylGroup:
     def search(self) -> Tuple[List[Perm], List[Tuple[int, ...]],
                               List[List[int]]]:
         """(perms, words, right) in matrix order: each element's permutation
-        of ``orbit``, its reduced word and ``right[i][j]``, the number of
-        w_j s_i.  Each length level is reached from the last by right
-        multiplication with the simple reflections in the outer loop, so
-        w s_i is first met through its least right descent i, and its word
-        is word(w) + (i,)."""
+        of ``orbit``, its reduced word read right to left and ``right[i][j]``,
+        the number of w_j s_i.  Each length level is reached from the last
+        by right multiplication with the simple reflections in the outer
+        loop, so w s_i is first met through its least right descent i, and
+        its letters are (i,) + those of w."""
         simple = list(map(self.permutation, self.simple_matrices))
         perms = [tuple(range(len(self.orbit)))]
         words, found = [()], {perms[0]: 0}
@@ -176,7 +176,7 @@ class WeylGroup:
                         if b >= ENUMERATION_CAP:
                             raise WeylError("group enumeration cap exceeded")
                         perms.append(q)
-                        words.append(words[a] + (i,))
+                        words.append((i,) + words[a])
                     right[i].append(b)
             level = range(start, len(perms))
         # a matrix sorts as the integer whose digits, in base ``base``, are
@@ -202,7 +202,7 @@ class WeylGroup:
 
     @cached_property
     def _words(self) -> Dict[WeylElement, Tuple[int, ...]]:
-        return dict(zip(self.enumerate(), self.search[1]))
+        return {w: s[::-1] for w, s in zip(self.enumerate(), self.search[1])}
 
     def reduced_word(self, w: WeylElement) -> Tuple[int, ...]:
         """Reduced word in simple-reflection indices (0-based), recorded by
@@ -411,15 +411,15 @@ class RGroup:
                         ) -> Dict[str, Dict[Vector, Vector]]:
         """Labels permute the roots and fix the positive system; each
         translation is W-invariant mod ZZ^rank, so that W_ext acts on
-        points.  Returns, per label, the image of each root vector."""
-        # a simple reflection is its own inverse, so its point matrix is s^T
-        points = [mat_transpose(s) for s in rd.simple_reflections]
+        points.  Returns the image of each root per non-identity label."""
         images = {}
         for l in self.labels:
             m = self.matrices[l]
             if len(m) != rd.rank:
                 raise WeylError("matrix of label %r is not %dx%d"
                                 % (l, rd.rank, rd.rank))
+            if l == self.identity:
+                continue
             image = images[l] = {r.vector: mat_apply(m, r.vector)
                                  for r in rd.roots}
             if not all(map(rd.has_root, image.values())):
@@ -430,8 +430,9 @@ class RGroup:
                     "diagram label %r does not stabilize the positive system"
                     % (l,))
             t = self.translations[l]
-            for p in points if any(t) else ():
-                if not _integral(a - b for a, b in zip(mat_apply(p, t), t)):
+            # s_alpha moves t by -<alpha, t> alpha^vee
+            for s in rd.simple_roots if any(t) else ():
+                if not _integral(pairing(s.vector, t) * c for c in s.coroot):
                     raise WeylError("translation of label %r is not "
                                     "W-invariant mod ZZ^%d" % (l, rd.rank))
         return images
@@ -493,7 +494,7 @@ class ExtendedGroup:
 
     def act_point(self, g: ExtendedWeylElement, exponents: Vector, order: int
                   ) -> Vector:
-        return self.table.act_point(self._id(g), exponents, order)
+        return self.table.images(exponents, order)[self._id(g)]
 
 
 class GroupTable:
@@ -504,19 +505,18 @@ class GroupTable:
     (s_i w, l) and gamma (w, l) = (gamma w gamma^-1, gamma l).
 
     Per id the table keeps one record, read off ``WeylGroup.search`` by
-    list lookups: label, length (that of w), inverse, a walk over
-    ``perms`` (the generator of l, then the word of w read right to left)
-    and the rows of the point matrix, as positions in the orbit.
-    ``elements``, ``index`` and ``actions`` are built on first access:
-    column j of the action of (w, l) is ``orbit[p_w[r_l[j]]]``, with p_w
-    and r_l the permutations of w and R(l); the point matrix of g, the
-    transposed action of g^-1, is kept as rows of orbit positions.
+    list lookups: label, length (that of w), inverse, a walk (generator
+    indices: that of l, then the letters of w right to left, the search's
+    own tuple) and the rows of the point matrix, as positions in the orbit.
+    The point matrix of g is the transposed action of g^-1, so ``action``
+    reads the columns of g's matrix off the point rows of g^-1.
+    ``elements`` and ``index`` are built on first access.
     """
 
     def __init__(self, group: ExtendedGroup):
         rg = self._rgroup = group.rgroup
         wg = self._weyl = group.weyl
-        words, right = wg.search[1:]
+        perms, words, right = wg.search
         nw, e, one = len(words), rg.identity, words.index(())
 
         def walk(letters):               # the number of s_i1 s_i2 ..
@@ -529,14 +529,14 @@ class GroupTable:
         # gamma^-1 has the word of w with each s_i sent to gamma s_i
         # gamma^-1, the simple reflection of the simple root gamma alpha_i
         # (W_ext is finite, as its orbit is, so it keeps an inner product)
-        w_inv = [walk(reversed(word)) for word in words]
+        w_inv = list(map(walk, words))
         gens = [(None, [w_inv[r[x]] for x in w_inv]) for r in right]
         simple = {s.vector: i for i, s in enumerate(group.rd.simple_roots)}
         for l in rg.labels:
             if l != e:
                 image = group.root_images[l]
                 sigma = [simple[image[s]] for s in simple]
-                gens.append((l, [walk(map(sigma.__getitem__, word))
+                gens.append((l, [walk(map(sigma.__getitem__, reversed(word)))
                                  for word in words]))
         ids = list(range(nw * len(rg.labels)))
         block = {l: ids[k * nw:(k + 1) * nw] for k, l in enumerate(rg.labels)}
@@ -551,25 +551,19 @@ class GroupTable:
         self.identity = block[e][one]
         self.inverse: List[int] = [gen.get(rg.inv(l), ids)[block[e][x]]
                                    for l in rg.labels for x in w_inv]
-        tails = [tuple(map(self.perms.__getitem__, reversed(word)))
-                 for word in words]
-        self._walks = [(gen[l],) + t if l in gen else t
-                       for l in rg.labels for t in tails]
-        self._label_columns = [wg.permutation(rg.matrix(l))[:wg.rank]
-                               for l in rg.labels]
+        walks = [words if l == e else [(self.gen_index[l],) + t for t in words]
+                 for l in rg.labels]
+        self._walks = walks[0] if len(walks) == 1 else list(chain(*walks))
         self._shifts: Dict[Tuple[str, int], Vector] = {}
         # point rows are orbit positions; orbit vectors as their nonzeros
         self._sparse = [tuple((j, a) for j, a in enumerate(v) if a)
                         for v in wg.orbit]
-        self._point_rows = list(map(self._columns(range(len(wg.orbit)))
-                                    .__getitem__, self.inverse))
-
-    def _columns(self, vectors: Sequence) -> List[tuple]:
-        """Per id, ``vectors`` at the orbit positions of the columns of
-        its action matrix."""
-        perms = self._weyl.search[0]
-        return [tuple(map(vectors.__getitem__, map(p.__getitem__, r)))
-                for r in self._label_columns for p in perms]
+        # column j of the action of (w, l) is orbit[p_w[r_l[j]]], with p_w
+        # and r_l the permutations of w and R(l)
+        columns = [tuple(map(p.__getitem__, r))
+                   for r in (wg.permutation(rg.matrix(l))[:wg.rank]
+                             for l in rg.labels) for p in perms]
+        self._point_rows = list(map(columns.__getitem__, self.inverse))
 
     @cached_property
     def elements(self) -> List[ExtendedWeylElement]:
@@ -580,13 +574,15 @@ class GroupTable:
     def index(self) -> Dict[ExtendedWeylElement, int]:
         return {g: i for i, g in enumerate(self.elements)}
 
-    @cached_property
-    def actions(self) -> List[Matrix]:
-        return [tuple(zip(*c)) for c in self._columns(self._weyl.orbit)]
+    def action(self, g: int) -> Matrix:
+        """The action matrix of id g, built from the point rows of g^-1."""
+        return tuple(zip(*map(self._weyl.orbit.__getitem__,
+                              self._point_rows[self.inverse[g]])))
 
     def mult(self, g: int, h: int) -> int:
-        for perm in self._walks[g]:
-            h = perm[h]
+        perms = self.perms
+        for i in self._walks[g]:
+            h = perms[i][h]
         return h
 
     def subgroup(self, gens: Iterable[int]) -> List[int]:
@@ -614,11 +610,6 @@ class GroupTable:
                 out.append(int(s))
             self._shifts[key] = tuple(out)
         return self._shifts[key]
-
-    def act_point(self, g: int, exponents: Vector, order: int) -> Vector:
-        return tuple((sum(a * exponents[j] for j, a in self._sparse[p]) + s)
-                     % order for p, s in zip(self._point_rows[g],
-                                             self.shift(self.labels[g], order)))
 
     def images(self, exponents: Vector, order: int) -> List[Vector]:
         """The point moved by every id, in id order, from each orbit
@@ -652,9 +643,11 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
     The reflection part W(subsystem) is closed on the table from the simple
     reflections of the subsystem of the alpha with alpha(t) = 1, or -1 when
     the coroot is halvable (this includes a doubled root 2*alpha with
-    2*alpha(t) = 1).  The relative diagram part is the complement to it in
-    the stabilizer made of the elements that send the subsystem's simple
-    roots to positive roots.
+    2*alpha(t) = 1).  A reflection is its own inverse, so its id is the
+    one in the stabilizer, with the identity label, whose point rows are
+    its matrix's columns.  The relative diagram part is the complement to
+    the reflection part in the stabilizer made of the elements that send
+    the subsystem's simple roots to positive roots.
     """
     rd = group.rd
     exponents = tuple(e % order for e in exponents)
@@ -670,12 +663,14 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
         elif r.halvable and 2 * pair == order:
             root_values[r.vector] = -1
     subsystem = subdatum(rd, root_values)
+    columns = {group.weyl.permutation(m)[:rd.rank]
+               for m in subsystem.simple_reflections}
     reflection_part = table.subgroup(
-        table.index[ExtendedWeylElement(WeylElement(m), group.rgroup.identity)]
-        for m in subsystem.simple_reflections)
+        g for g in stab if table.labels[g] == group.rgroup.identity
+        and table._point_rows[g] in columns)
     diagram_part = [
-        g for g in stab
-        if all(subsystem.is_positive(mat_apply(table.actions[g], s.vector))
+        g for g, m in zip(stab, map(table.action, stab))
+        if all(subsystem.is_positive(mat_apply(m, s.vector))
                for s in subsystem.simple_roots)]
     return PointStabilizer(stab, subsystem, reflection_part, diagram_part,
                            root_values)

@@ -11,6 +11,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 from heckealg import hecke
 from heckealg.checks import random_graded
@@ -19,10 +20,10 @@ from heckealg.hecke import HeckeElement, HeckeError, graded_multiply
 from heckealg.params import ParameterError
 from heckealg.spectra import _commutation_rows, extended_quotient_count
 from heckealg.root_data import (Root, RootDatum, build_classical, pairing,
-                                reflect, vadd, vscale, vsub)
+                                reflect, subdatum, vadd, vscale, vsub)
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
                            RGroup, WeylElement, WeylError, identity_matrix,
-                           mat_apply, mat_mul, rref)
+                           mat_apply, mat_mul, mat_transpose, rref)
 
 
 def run_capped(body, seconds=120, mib=1024):
@@ -627,9 +628,9 @@ def b6_table_spot_checks():
     rng = random.Random(6)
     for _ in range(50):
         g, h = rng.randrange(46080), rng.randrange(46080)
-        assert table.actions[table.mult(g, h)] == \
-            mat_mul(table.actions[g], table.actions[h])
-        assert mat_mul(table.actions[g], table.actions[table.inverse[g]]) \
+        assert table.action(table.mult(g, h)) == \
+            mat_mul(table.action(g), table.action(h))
+        assert mat_mul(table.action(g), table.action(table.inverse[g])) \
             == identity_matrix(6)
     return group
 
@@ -645,6 +646,45 @@ def b6_count_at_order_one(group, seconds):
     assert (total, [(o.orbit_size, o.stabilizer_order, o.count)
                     for o in orbits]) == (65, [(1, 46080, 65)])
     assert elapsed < seconds, "count took %.2f s" % elapsed
+
+
+@lru_cache(maxsize=None)
+def _point_matrix(action):
+    return mat_transpose(mat_inv(action))
+
+
+def stabilizer_oracle(group, exponents, order):
+    """``weyl.stabilizer_of_point`` on matrices, as (elements, reflection
+    part, diagram part, root values): the stabilizer from each element's
+    action matrix and translation, the reflection part closed on the table
+    from the ids that ``index`` gives the subsystem's simple reflections,
+    and the diagram part from the action matrices."""
+    rd, rg, table = group.rd, group.rgroup, group.table
+    x = tuple(e % order for e in exponents)
+    actions = [mat_mul(g.weyl.matrix, rg.matrix(g.diagram))
+               for g in table.elements]
+    stab = []
+    for i, (g, action) in enumerate(zip(table.elements, actions)):
+        moved = mat_apply(_point_matrix(action), x)
+        shift = [int(t * order) for t in rg.translations[g.diagram]]
+        if tuple((a + s) % order for a, s in zip(moved, shift)) == x:
+            stab.append(i)
+    root_values = {}
+    for r in rd.roots:
+        pair = pairing(r.vector, x) % order
+        if pair == 0:
+            root_values[r.vector] = 1
+        elif r.halvable and 2 * pair == order:
+            root_values[r.vector] = -1
+    subsystem = subdatum(rd, root_values)
+    reflection_part = table.subgroup(
+        table.index[ExtendedWeylElement(WeylElement(m), rg.identity)]
+        for m in subsystem.simple_reflections)
+    diagram_part = [
+        g for g in stab
+        if all(subsystem.is_positive(mat_apply(actions[g], s.vector))
+               for s in subsystem.simple_roots)]
+    return stab, reflection_part, diagram_part, root_values
 
 
 def specialize_element(spec_desc, elem):

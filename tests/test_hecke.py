@@ -170,10 +170,11 @@ def test_descriptor_parameter_validation():
 
 
 def test_invariance_checks_read_the_kept_root_images(monkeypatch):
-    """W_ext-invariance of lambda and of the z-variables is checked on
-    the root images the extended group keeps, with no matrix applied:
-    the swap label of A1 x A1 refuses lambda 1 and 2 on its two factors,
-    and two z-variables."""
+    """W_ext-invariance of lambda, lambda* and the z-variables is checked
+    on the simple reflections' and the extended group's root images, with
+    no matrix applied: the swap label of A1 x A1 refuses lambda 1 and 2 on
+    its two factors, and two z-variables; the reflection s_{e1-e2} of B2
+    refuses lambda* 2 on +-e1 and 1 on +-e2."""
     def no_matrix(*args):
         raise AssertionError("mat_apply called")
     good = DESCS["A1xA1-twisted"]
@@ -187,6 +188,10 @@ def test_invariance_checks_read_the_kept_root_images(monkeypatch):
     with pytest.raises(HeckeError, match="z-variable"):
         AffineDescriptor(two, ExtendedGroup(two, w.rgroup), good.lam, {},
                          cocycle)
+    b2 = DESCS["B2"]
+    lam_star = {v: 1 + (v[0] != 0) for v in b2.lam_star}
+    with pytest.raises(HeckeError, match=r"lambda\* is not W-invariant"):
+        AffineDescriptor(b2.rd, b2.wext, b2.lam, lam_star, b2.cocycle)
 
 
 def test_descriptor_mismatch_rejected():
@@ -386,7 +391,7 @@ def test_graded_ns_step_matches_chain(name):
 
 def _action(desc, g):
     """The action matrix of the W_ext element g, read from the table."""
-    return desc.wext.table.actions[desc.wext.table.index[g]]
+    return desc.wext.table.action(desc.wext.table.index[g])
 
 
 def test_act_examples():

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import operator
@@ -11,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 from oracle_helpers import (descent_word, fraction_rref, mat_inv,
-                            root_count_length, root_lattice_a2, word_matrix)
+                            root_count_length, root_lattice_a2,
+                            stabilizer_oracle, word_matrix)
 
 from heckealg import cli, weyl
 from heckealg.checks import (check_braid, graded_test_descriptors,
@@ -257,7 +259,7 @@ def test_rgroup_validation():
     b1b1 = product(build_classical("B", 1), build_classical("B", 1))
     table = ExtendedGroup(b1b1, rg).table
     g = table.index[ExtendedWeylElement(WeylElement(ident), "g")]
-    assert table.actions[table.inverse[g]] == swap
+    assert table.action(table.inverse[g]) == swap
     with pytest.raises(WeylError, match="cocycle labels repeat"):
         Cocycle(("e", "e"), {("e", "e"): 1})
 
@@ -309,6 +311,11 @@ def _table_test_groups():
     shear = ((1, 0), (1, -1))
     groups["rank2-shear-label"] = ExtendedGroup(empty_datum(2), RGroup(
         ("e", "g"), {"e": identity_matrix(2), "g": shear}, z2))
+    # a label acting by the identity matrix with no translation: (s, g)
+    # acts as the reflection s but is not in W(R_t)
+    groups["B1-identity-label"] = ExtendedGroup(
+        build_classical("B", 1),
+        RGroup(("e", "g"), {l: identity_matrix(1) for l in "eg"}, z2))
     return groups
 
 
@@ -334,7 +341,7 @@ def test_recorded_words_and_lengths_match_oracles(name):
         assert table.lengths[g] == root_count_length(rd, elem.weyl.matrix)
         h = table.inverse[g]
         assert table.labels[h] == rg.inv(elem.diagram)
-        assert mat_mul(table.actions[g], table.actions[h]) == \
+        assert mat_mul(table.action(g), table.action(h)) == \
             identity_matrix(rd.rank)
 
 
@@ -356,10 +363,10 @@ def test_group_table_matches_matrix_definition(name):
 
     for g in els:
         action = mat_mul(g.weyl.matrix, rg.matrix(g.diagram))
-        assert group.table.actions[group.table.index[g]] == action
+        assert group.table.action(group.table.index[g]) == action
         point = mat_transpose(mat_inv(action))
         inverse = group.table.inverse[group.table.index[g]]
-        assert mat_transpose(group.table.actions[inverse]) == point
+        assert mat_transpose(group.table.action(inverse)) == point
         li = rg.inv(g.diagram)
         assert group.inv(g) == ExtendedWeylElement(
             WeylElement(conj(li, mat_inv(g.weyl.matrix))), li)
@@ -401,13 +408,17 @@ def test_group_table_matches_matrix_definition(name):
             assert table.elements[perm[table.index[h]]] == want
 
 
+def _translation_den(group):
+    return math.lcm(*(t.denominator for v in group.rgroup.translations
+                      .values() for t in v))
+
+
 def _stabilizer_points(group):
     """The stabilizer test points (the origin, order-2 points, an order-3
     point and a generic point of order 101) in the group's rank, written
     over an order that its R-group translations preserve."""
     rank = group.rd.rank
-    den = math.lcm(*(t.denominator for v in group.rgroup.translations.values()
-                     for t in v))
+    den = _translation_den(group)
     first = tuple(int(i == 0) for i in range(rank))
     points = [((0,) * rank, 1), (first, 2), ((1,) * rank, 2),
               (tuple(range(rank)), 3), (tuple(range(1, rank + 1)), 101)]
@@ -438,6 +449,38 @@ def test_stabilizer_decomposition(name):
         assert set(products) == elements
 
 
+def _assert_stabilizer_matches_oracle(group, x, order):
+    stab = stabilizer_of_point(group, x, order)
+    assert (stab.elements, stab.reflection_part, stab.diagram_part,
+            stab.root_values) == stabilizer_oracle(group, x, order)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, group in TABLE_GROUPS.items() if group.rd.rank <= 3))
+def test_stabilizer_matches_the_matrix_oracle(name):
+    """At every point of order 1, 2 and 4 (written over an order that the
+    R-group translations preserve), the stabilizer, both of its parts and
+    the root values agree with the construction on matrices and ``index``."""
+    group = TABLE_GROUPS[name]
+    den = _translation_den(group)
+    for order in (1, 2, 4):
+        for x in itertools.product(range(order), repeat=group.rd.rank):
+            _assert_stabilizer_matches_oracle(
+                group, tuple(den * a for a in x), den * order)
+
+
+def test_stabilizer_matches_the_matrix_oracle_on_sp58():
+    """The same comparison on sp58 at 30 seeded points of orders 2 to 10,
+    their coordinates biased to 0 and order / 2."""
+    group = TABLE_GROUPS["sp58"]
+    rng = random.Random(58)
+    for _ in range(30):
+        order = rng.choice((2, 4, 8, 10))
+        x = tuple(rng.choice((0, order // 2, rng.randrange(order)))
+                  for _ in range(group.rd.rank))
+        _assert_stabilizer_matches_oracle(group, x, order)
+
+
 def _recorded_mat_mul_calls(monkeypatch):
     """Route every ``heckealg`` module's ``mat_mul`` through a recorder
     and return the list it appends the calls to."""
@@ -461,7 +504,8 @@ def test_no_matrix_products_in_enumeration_or_table_build(name, monkeypatch):
     group = TABLE_GROUPS[name]
     calls = _recorded_mat_mul_calls(monkeypatch)
     fresh = ExtendedGroup(group.rd, group.rgroup)
-    assert fresh.table.actions == group.table.actions
+    assert all(fresh.table.action(g) == group.table.action(g)
+               for g in range(len(group.table.labels)))
     assert fresh.table.perms == group.table.perms
     assert calls == []
 
@@ -484,15 +528,20 @@ B6 = {"group": {"family": "Sp", "n": 6},
       "blocks": [{"side": "O", "dim": 1, "e": 6, "ell": 1, "torsion": 1}]}
 
 
-def _b6_count_in_the_cli():
+def _cli(datum, command, *args):
+    """(exit code, stdout, stderr) of ``cli.main`` on the datum."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "b6.json"
-        path.write_text(json.dumps(B6))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(["count", "--input", str(path), "--order", "1",
-                             "--format", "json"]) == 0
-    assert json.loads(out.getvalue())["total"] == 65
+        path = pathlib.Path(tmp) / "datum.json"
+        path.write_text(json.dumps(datum))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--input", str(path), *args])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _b6_count_in_the_cli():
+    code, out, _ = _cli(B6, "count", "--order", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["total"] == 65
 
 
 def test_b6_count_within_104_mib():
@@ -510,13 +559,8 @@ D8 = {"group": {"family": "Sp", "n": 8},
 
 
 def _d8_describe_in_the_cli():
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "d8.json"
-        path.write_text(json.dumps(D8))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(["describe", "--input", str(path)]) == 0
-    assert "R-group: (Z/2)^8" in out.getvalue()
+    code, out, _ = _cli(D8, "describe")
+    assert code == 0 and "R-group: (Z/2)^8" in out
 
 
 def test_d8_describe_skips_the_trivial_cocycle_identity():
@@ -525,6 +569,51 @@ def test_d8_describe_skips_the_trivial_cocycle_identity():
     skips the |R|^3 identity check, which took over 20 s."""
     from oracle_helpers import run_capped
     run_capped(_d8_describe_in_the_cli, seconds=10, mib=128)
+
+
+def _b6_stabilizer_on_ids():
+    group = ExtendedGroup(build_classical("B", 6))
+    made, post_init = [], WeylElement.__post_init__
+
+    def counting(self):
+        made.append(self)
+        post_init(self)
+    WeylElement.__post_init__ = counting
+    stab = stabilizer_of_point(group, (1, 0, 0, 0, 0, 0), 2)
+    # W(B1 x B5), |W(B1)| |W(B5)| = 2 * 3840, and no diagram part
+    assert len(stab.elements) == len(stab.reflection_part) == 7680
+    assert stab.diagram_part == [group.table.identity]
+    assert made == []
+    assert not {"elements", "index"} & set(vars(group.table))
+
+
+def test_b6_stabilizer_builds_no_element_objects():
+    """``stabilizer_of_point`` on W(B6) at an order-2 point, in a child
+    capped at 30 s of wall clock and 104 MiB of address space, builds its
+    table and finds both parts on ids: no ``WeylElement`` is made, and
+    the table's ``elements`` and ``index`` stay unbuilt."""
+    from oracle_helpers import run_capped
+    run_capped(_b6_stabilizer_on_ids, seconds=30, mib=104)
+
+
+# 15 GL_12 blocks with Levi GL_1: rank 180 and |W_ext| = (12!)^15
+GL15 = {"group": {"family": "GL", "n": 180},
+        "blocks": [{"side": "GL", "dim": 1, "e": 12, "levi": 1}] * 15}
+
+
+def _gl15_count_refused_in_the_cli():
+    code, out, err = _cli(GL15, "count", "--order", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: |W_ext| = ") and \
+        err.endswith(" exceeds the enumeration cap 2000000\n")
+
+
+def test_gl15_count_refused_within_four_seconds():
+    """``count`` refuses 15 GL_12 blocks, rank 180, on the |W_ext| cap in
+    a child capped at 4 s of wall clock and 256 MiB of address space:
+    assembling the datum applies no dense rank x rank matrix per root."""
+    from oracle_helpers import run_capped
+    run_capped(_gl15_count_refused_in_the_cli, seconds=4, mib=256)
 
 
 @pytest.mark.parametrize("name", ["B2", "A1xA1-twisted"])
