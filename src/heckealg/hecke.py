@@ -153,7 +153,7 @@ class HeckeDescriptor:
         self.wext = wext
         self.d = rd.num_z_vars
         self.cocycle = cocycle
-        cocycle.check(wext.rgroup.table, wext.rgroup.identity)
+        cocycle.check(wext.rgroup)
         self._one = Fraction(1) if self.z_values else LaurentZ.one(self.d)
         self._coeff_zero = TorusAlgebraElement.zero(rd.rank)
 

@@ -28,7 +28,8 @@ from .hecke import AffineDescriptor, HeckeError
 from .params import a_from_ell, is_admissible_ell, lambda_from_jordan
 from .root_data import (Root, RootDatum, RootDatumError, build_classical,
                         empty_datum, product, weyl_order_classical)
-from .weyl import Cocycle, ExtendedGroup, RGroup, WeylError
+from .weyl import (ENUMERATION_CAP, Cocycle, ExtendedGroup, RGroup,
+                   WeylError)
 
 Torsion = Union[int, str]
 
@@ -344,65 +345,50 @@ def _root_params(datum_family: str, b: BlockDatum, fam: str, r: Root
 # R-groups
 # ---------------------------------------------------------------------------
 
-def _flip_matrix(rank: int, coords: Sequence[int]):
-    return tuple(tuple((-1 if (i == j and i in coords) else
-                        (1 if i == j else 0)) for j in range(rank))
-                 for i in range(rank))
-
-
 def build_rgroup(datum: InertialDatum, offsets: Sequence[int]
                  ) -> Tuple[RGroup, Cocycle, str]:
     """Elementary abelian 2-group of sign flips r_tau for the D-type
     blocks (O side, e >= 1, no discrete part), with the even-SO rule for
     pure-GL Levis; trivial cocycle.  Block i has the coordinates
-    offsets[i] .. offsets[i + 1] - 1."""
+    offsets[i] .. offsets[i + 1] - 1.  Members are bitmasks over the
+    candidate blocks, multiplied by xor; the |R|^2-entry table is refused
+    above ``ENUMERATION_CAP`` before any member is built."""
     rank = offsets[-1]
-    candidates: List[int] = []   # block indices (0-based) carrying r_tau
-    odd_dim: Dict[int, bool] = {}
-    for i, b in enumerate(datum.blocks):
-        if b.side == "O" and b.e >= 1 and b.ell_total() == 0:
-            candidates.append(i)
-            odd_dim[i] = (b.dim % 2 == 1)
-    pure_gl = all(b.ell_total() == 0 for b in datum.blocks)
-    if datum.family == "SOeven" and pure_gl:
-        members = [frozenset(s) for s in _even_odd_subsets(candidates, odd_dim)]
-        structure = ("trivial" if len(members) == 1 else
-                     "subgroup of (Z/2)^%d with even odd-dimensional support, "
-                     "order %d" % (len(candidates), len(members)))
+    candidates = [i for i, b in enumerate(datum.blocks)   # carry r_tau
+                  if b.side == "O" and b.e >= 1 and b.ell_total() == 0]
+    k = len(candidates)
+    odd = sum(1 << j for j, i in enumerate(candidates)
+              if datum.blocks[i].dim % 2 == 1)
+    even_rule = datum.family == "SOeven" and \
+        all(b.ell_total() == 0 for b in datum.blocks)
+    order = 2 ** (k - 1) if even_rule and odd else 2 ** k
+    if order ** 2 > ENUMERATION_CAP:
+        raise ValidationError(["|R| = %d: its table of %d entries exceeds "
+                               "the enumeration cap %d"
+                               % (order, order ** 2, ENUMERATION_CAP)])
+    members = [m for m in range(1 << k)
+               if not even_rule or (m & odd).bit_count() % 2 == 0]
+    if order == 1:
+        structure = "trivial"
+    elif even_rule:
+        structure = ("subgroup of (Z/2)^%d with even odd-dimensional "
+                     "support, order %d" % (k, order))
     else:
-        members = [frozenset(s) for s in _all_subsets(candidates)]
-        structure = ("trivial" if len(members) == 1 else
-                     "(Z/2)^%d generated by %s" % (
-                         len(candidates),
-                         ", ".join("r%d" % (i + 1) for i in candidates)))
-    labels = {}
-    matrices = {}
-    for s in members:
-        label = "e" if not s else "*".join("r%d" % (i + 1) for i in sorted(s))
-        labels[s] = label
-        coords = []
-        for i in s:
-            coords.append(offsets[i + 1] - 1)   # last coordinate of block i
-        matrices[label] = _flip_matrix(rank, coords)
-    table = {}
-    for s1 in members:
-        for s2 in members:
-            table[(labels[s1], labels[s2])] = labels[s1 ^ s2]
-    rg = RGroup(tuple(labels[s] for s in members), matrices, table)
-    cocycle = Cocycle.trivial(tuple(labels[s] for s in members))
-    return rg, cocycle, structure
-
-
-def _all_subsets(items):
-    out = [set()]
-    for i in items:
-        out += [s | {i} for s in out]
-    return out
-
-
-def _even_odd_subsets(items, odd_dim):
-    return [s for s in _all_subsets(items)
-            if len([i for i in s if odd_dim[i]]) % 2 == 0]
+        structure = "(Z/2)^%d generated by %s" % (
+            k, ", ".join("r%d" % (i + 1) for i in candidates))
+    labels, matrices = {}, {}
+    for m in members:
+        bits = [j for j in range(k) if m >> j & 1]
+        labels[m] = "*".join("r%d" % (candidates[j] + 1) for j in bits) or "e"
+        # r_tau flips the last coordinate of its block
+        flips = {offsets[candidates[j] + 1] - 1 for j in bits}
+        matrices[labels[m]] = tuple(
+            tuple((-1 if i in flips else 1) if i == j else 0
+                  for j in range(rank)) for i in range(rank))
+    table = {(labels[a], labels[b]): labels[a ^ b]
+             for a in members for b in members}
+    rg = RGroup(tuple(labels.values()), matrices, table)
+    return rg, Cocycle.trivial(rg.labels), structure
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,7 @@ def extended_quotient_count(group: ExtendedGroup, cocycle: Cocycle,
     comes first.  A stabilizer that is all of W_ext takes the table's
     generators, a proper one those picked greedily, shortest first.
     """
+    cocycle.check(group.rgroup)
     if common_order(group, [order]) != order:
         raise SpectraError("order %d is not a multiple of the translation "
                            "denominators" % order)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import mul, ne
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .root_data import RootDatum, pairing, subdatum
@@ -274,15 +274,20 @@ class Cocycle:
     def __call__(self, a: str, b: str) -> int:
         return self.table[(a, b)]
 
-    def check(self, mult: Dict[Tuple[str, str], str], identity: str) -> None:
-        """Exhaustive cocycle identity and normalization check; the
-        constant cocycle 1 passes both at once."""
+    def check(self, rgroup: "RGroup") -> None:
+        """The cocycle is on the labels of ``rgroup``, normalized and a
+        cocycle; the constant 1 passes at once.  The identity is checked at
+        (g, b, c) for generators g: its defect is a 3-cocycle (Brown,
+        Cohomology of Groups, IV), 1 at g y when at g and y, and at e."""
+        if set(self.labels) != set(rgroup.labels):
+            raise WeylError("cocycle labels are not the R-group labels")
         if all(v == 1 for v in self.table.values()):
             return
+        identity, mult = rgroup.identity, rgroup.table
         for a in self.labels:
             if self(identity, a) != 1 or self(a, identity) != 1:
                 raise WeylError("cocycle is not normalized")
-        for a in self.labels:
+        for a in rgroup.generators:
             for b in self.labels:
                 for c in self.labels:
                     lhs = self(a, b) * self(mult[(a, b)], c)
@@ -298,11 +303,12 @@ class RGroup:
     positive roots of the ambient datum) and an optional translation
     part: a tuple of Fractions mod 1 describing how the element moves
     finite-order torus points beyond its linear action.  The identity
-    is the label ``"e"``, acting by the identity matrix; as the matrices
-    multiply as the table, M_a M_b = 1 for b = a^-1, so every matrix is
-    invertible over ZZ.  When the labels have distinct matrices, the
-    matrices multiplying as the table makes the table a group law; when
-    two labels share a matrix, the table itself is checked.
+    is the label ``"e"``, acting by the identity matrix.  The group law
+    is checked on ``generators``, in label order each label that left
+    multiplication by those before it does not reach from e: any other
+    label is g y, y reached earlier, so (g y) c = g (y c) and M_g M_y =
+    M_{gy} for all g give associativity and M_a M_b = M_{ab} by induction
+    (Clifford and Preston, Semigroups I, 1.2); M_a M_{a^-1} = 1 over ZZ.
     """
 
     def __init__(self, labels: Sequence[str], matrices: Dict[str, Matrix],
@@ -334,53 +340,59 @@ class RGroup:
         if unknown:
             raise WeylError("translations given for unknown labels %s"
                             % sorted(unknown))
-        for l, t in self.translations.items():
-            if len(t) != rank:
+        for l, v in self.translations.items():
+            if len(v) != rank:
                 raise WeylError("translation of label %r has %d entries, "
-                                "not %d" % (l, len(t), rank))
-        self._inverse = {}
+                                "not %d" % (l, len(v), rank))
+        e, t = self.identity, self.table
+        self._inverse, rows = {}, {}   # rows[a][i] = a labels[i]
         for a in self.labels:
-            for b in self.labels:
-                c = self.table.get((a, b))
+            rows[a] = tuple(t.get((a, b)) for b in self.labels)
+            for b, c in zip(self.labels, rows[a]):
                 if c not in self.matrices:
                     raise WeylError("R-group table has no label at %r"
                                     % ((a, b),))
-                if mat_mul(self.matrices[a], self.matrices[b]) != \
-                        self.matrices[c]:
-                    raise WeylError("R-group matrices do not multiply as the "
-                                    "table at %r" % ((a, b),))
-                if c == self.identity:
+                if c == e:
                     self._inverse[a] = b
-        if len(self.table) > len(self.labels) ** 2:   # every pair is a key
+        if len(t) > len(self.labels) ** 2:   # every pair is a key
             raise WeylError("R-group table has keys that are not pairs of "
                             "labels")
-        if len(set(self.matrices.values())) < len(self.labels):
-            self._check_group_law()
+        for a in self.labels:
+            if t[(e, a)] != a or t[(a, e)] != a:
+                raise WeylError("R-group table: %r is not the identity at %r"
+                                % (e, a))
+        self.generators, reached = [], {e}
+        for a in self.labels:
+            if a not in reached:
+                self.generators.append(a)
+                todo = list(reached)
+                for y in todo:
+                    for gy in {t[(g, y)] for g in self.generators} - reached:
+                        reached.add(gy)
+                        todo.append(gy)
+        for g in self.generators:
+            left = dict(zip(self.labels, rows[g]))
+            for b, gb in zip(self.labels, rows[g]):
+                if mat_mul(self.matrices[g], self.matrices[b]) != \
+                        self.matrices[gb]:
+                    raise WeylError("R-group matrices do not multiply as the "
+                                    "table at %r" % ((g, b),))
+                moved = tuple(map(left.__getitem__, rows[b]))   # g (b c)
+                if moved != rows[gb]:
+                    c = self.labels[[*map(ne, moved, rows[gb])].index(True)]
+                    raise WeylError("R-group table is not associative "
+                                    "at %r" % ((g, b, c),))
         for a in self.labels:
             if a not in self._inverse:
                 raise WeylError("label %r has no inverse" % (a,))
         if any(map(any, self.translations.values())):
             self._check_translation_law()
 
-    def _check_group_law(self) -> None:
-        """The identity law and associativity of the table."""
-        e, t = self.identity, self.table
-        for a in self.labels:
-            if t[(e, a)] != a or t[(a, e)] != a:
-                raise WeylError("R-group table: %r is not the identity at %r"
-                                % (e, a))
-        for a in self.labels:
-            for b in self.labels:
-                ab = t[(a, b)]
-                for c in self.labels:
-                    if t[(ab, c)] != t[(a, t[(b, c)])]:
-                        raise WeylError("R-group table is not associative "
-                                        "at %r" % ((a, b, c),))
-
     def _check_translation_law(self) -> None:
         """The point action e -> P_a e + t(a) is an action only if
-        t(ab) = t(a) + P_a t(b) mod ZZ^rank."""
-        for a in self.labels:
+        t(ab) = t(a) + P_a t(b) mod ZZ^rank; checked as the matrices are,
+        and at a = e, which makes t(e) integral."""
+        for a in (self.identity, *self.generators):
             point = mat_transpose(self.matrices[self.inv(a)])
             for b in self.labels:
                 moved = mat_apply(point, self.translations[b])

@@ -687,6 +687,43 @@ def stabilizer_oracle(group, exponents, order):
     return stab, reflection_part, diagram_part, root_values
 
 
+def rgroup_oracle(labels, matrices, table, translations):
+    """Whether ``RGroup`` must accept labels whose matrices and
+    translations have the right shapes, checked on every pair and
+    triple: the table has a label at every pair, e as its identity, an
+    inverse for every label and is associative; the matrices multiply as
+    the table; t(ab) = t(a) + P_a t(b) mod ZZ^rank, P_a = M_{a^-1}^T."""
+    pairs = list(itertools.product(labels, repeat=2))
+    t = table
+    if any(t.get(p) not in matrices for p in pairs) or \
+            any(t[("e", a)] != a or t[(a, "e")] != a for a in labels) or \
+            any(t[(t[(a, b)], c)] != t[(a, t[(b, c)])]
+                for a, b, c in itertools.product(labels, repeat=3)):
+        return False
+    inverse = {a: b for a, b in pairs if t[(a, b)] == "e"}
+    if len(inverse) < len(labels):
+        return False
+    for a, b in pairs:
+        if mat_mul(matrices[a], matrices[b]) != matrices[t[(a, b)]]:
+            return False
+        moved = mat_apply(mat_transpose(matrices[inverse[a]]),
+                          translations[b])
+        if any(Fraction(x + m - w).denominator != 1 for x, m, w in
+               zip(translations[a], moved, translations[t[(a, b)]])):
+            return False
+    return True
+
+
+def cocycle_oracle(values, labels, table):
+    """Whether ``Cocycle.check`` must accept the +-1 table ``values`` on
+    a group law: normalized, and the cocycle identity at every triple."""
+    if any(values[("e", a)] != 1 or values[(a, "e")] != 1 for a in labels):
+        return False
+    return all(values[(a, b)] * values[(table[(a, b)], c)] ==
+               values[(b, c)] * values[(a, table[(b, c)])]
+               for a, b, c in itertools.product(labels, repeat=3))
+
+
 def specialize_element(spec_desc, elem):
     """Map a symbolic element into the specialized algebra."""
     if spec_desc.z_values is None:

@@ -23,7 +23,7 @@ from heckealg.hecke import (AffineDescriptor, GradedDescriptor, HeckeElement,
                             serialize_element, spread_invariant, symmetrize)
 from heckealg.root_data import build_classical, product
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
-                           identity_matrix)
+                           WeylError, identity_matrix)
 
 from oracle_helpers import (load_bench_module, monomials,
                             root_lattice_a2, specialize_element)
@@ -167,6 +167,15 @@ def test_descriptor_parameter_validation():
     good = AffineDescriptor(b2, w, lam, lam_star, Cocycle.trivial(("e",)))
     with pytest.raises(HeckeError):
         good.specialized((Fraction(-2),))
+
+
+def test_descriptor_refuses_a_cocycle_on_other_labels():
+    """A cocycle on other labels than the R-group's is refused when the
+    descriptor is built, not by a KeyError in the first N_gamma product."""
+    desc = DESCS["A1xA1-twisted"]
+    with pytest.raises(WeylError, match="cocycle labels"):
+        AffineDescriptor(desc.rd, desc.wext, desc.lam, desc.lam_star,
+                         Cocycle.trivial(("e",)))
 
 
 def test_invariance_checks_read_the_kept_root_images(monkeypatch):

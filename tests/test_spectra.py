@@ -13,7 +13,7 @@ from heckealg.spectra import (FiniteGroup, SpectraError, classify,
                               extended_quotient_count, is_distinguished,
                               twisted_algebra_center_dim)
 from heckealg.weyl import (Cocycle, ExtendedGroup, GroupTable, RGroup,
-                           WeylElement, identity_matrix)
+                           WeylElement, WeylError, identity_matrix)
 from oracle_helpers import (all_subgroups, bilinear_cocycles,
                             count_twisted_irreps_by_member,
                             distinguished_bruteforce, weyl_finite_group,
@@ -46,13 +46,29 @@ def test_count_examples():
     coc = Cocycle(lbls, {(x, y): (-1) ** ((1 if "b" in x else 0) *
                                           (1 if "a" in y else 0))
                          for x in lbls for y in lbls})
-    coc.check(table, "e")
+    coc.check(rg)
     fg2 = FiniteGroup.from_extended(gg, cocycle=coc)
     assert count_twisted_irreps(fg2) == 1
     assert twisted_algebra_center_dim(fg2) == 1
     # the same count where the point's stabilizer is the whole group
     total, _ = extended_quotient_count(gg, coc, 1, [(0,)])
     assert total == 1
+
+
+def test_extended_quotient_count_checks_the_cocycle():
+    """The count refuses a sign table that fails the cocycle identity and
+    one on other labels than the R-group's, before it counts."""
+    lbls = ("e", "a", "b", "ab")
+    bits = {"e": 0, "a": 1, "b": 2, "ab": 3}
+    table = {(x, y): lbls[bits[x] ^ bits[y]] for x in lbls for y in lbls}
+    group = ExtendedGroup(empty_datum(1), RGroup(
+        lbls, {l: identity_matrix(1) for l in lbls}, table))
+    broken = Cocycle(lbls, {**Cocycle.trivial(lbls).table, ("a", "b"): -1})
+    with pytest.raises(WeylError, match=r"fails at \('a', 'a', 'b'\)"):
+        extended_quotient_count(group, broken, 1, [(0,)])
+    with pytest.raises(WeylError, match="cocycle labels"):
+        extended_quotient_count(group, Cocycle.trivial(("e", "x")), 1,
+                                [(0,)])
 
 
 def _table_group(family, rank, table_gens=False):

@@ -8,12 +8,13 @@ import pathlib
 import random
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
-from oracle_helpers import (descent_word, fraction_rref, mat_inv,
-                            root_count_length, root_lattice_a2,
-                            stabilizer_oracle, word_matrix)
+from oracle_helpers import (cocycle_oracle, descent_word, fraction_rref,
+                            mat_inv, rgroup_oracle, root_count_length,
+                            root_lattice_a2, stabilizer_oracle, word_matrix)
 
 from heckealg import cli, weyl
 from heckealg.checks import (check_braid, graded_test_descriptors,
@@ -173,15 +174,16 @@ def test_essentially_interior_vs_interior():
 def test_cocycle_validation():
     labels = ("e", "g")
     mult = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"}
+    rg = RGroup(labels, dict.fromkeys(labels, identity_matrix(1)), mult)
     triv = Cocycle.trivial(labels)
-    triv.check(mult, "e")
+    triv.check(rg)
     tw = Cocycle(labels, {("e", "e"): 1, ("e", "g"): 1, ("g", "e"): 1,
                           ("g", "g"): -1})
-    tw.check(mult, "e")
+    tw.check(rg)
     bad = Cocycle(labels, {("e", "e"): 1, ("e", "g"): -1, ("g", "e"): 1,
                            ("g", "g"): 1})
     with pytest.raises(WeylError):
-        bad.check(mult, "e")
+        bad.check(rg)
 
 
 def test_translation_order_compatibility():
@@ -262,6 +264,163 @@ def test_rgroup_validation():
     assert table.action(table.inverse[g]) == swap
     with pytest.raises(WeylError, match="cocycle labels repeat"):
         Cocycle(("e", "e"), {("e", "e"): 1})
+
+
+# ---------------------------------------------------------------------------
+# R-group and cocycle checks on generators against the exhaustive oracle
+# ---------------------------------------------------------------------------
+
+def _label_group(elements, mult, matrix, translation=None, seed=0):
+    """(labels, matrices, table, translations) of a finite group given
+    by its elements (the identity first), product and matrices, with its
+    labels in a seeded random order, the identity named e."""
+    names = ["e"] + ["g%d" % i for i in range(1, len(elements))]
+    name = dict(zip(elements, names))
+    random.Random(seed).shuffle(names)
+    rank = len(matrix(elements[0]))
+    translation = translation or (lambda x: (Fraction(0),) * rank)
+    return (tuple(names), {name[x]: matrix(x) for x in elements},
+            {(name[x], name[y]): name[mult(x, y)]
+             for x in elements for y in elements},
+            {name[x]: tuple(translation(x)) for x in elements})
+
+
+def _perm_matrix(p):
+    return tuple(tuple(int(i == p[j]) for j in range(len(p)))
+                 for i in range(len(p)))
+
+
+def _s3_coboundary(p):
+    # t(a) = P_a v - v, P_a = M_{a^-1}^T = M_a, satisfies the law
+    v = (Fraction(1, 2), Fraction(1, 3), Fraction(0))
+    return tuple(x - y for x, y in zip(mat_apply(_perm_matrix(p), v), v))
+
+
+S3 = list(itertools.permutations(range(3)))
+LABEL_GROUPS = {
+    # Z/5 as cyclic shifts of ZZ^5
+    "Z5-shifts": (range(5), lambda a, b: (a + b) % 5,
+                  lambda a: _perm_matrix([(j + a) % 5 for j in range(5)]),
+                  None),
+    # (Z/2)^3 as diagonal sign matrices
+    "Z2^3-signs": (range(8), operator.xor,
+                   lambda a: tuple(tuple((-1) ** (a >> i & 1) * (i == j)
+                                         for j in range(3))
+                                   for i in range(3)), None),
+    "S3-permutations": (S3, lambda p, q: tuple(p[i] for i in q),
+                        _perm_matrix, None),
+    # every label acts by the identity, as in demo 03
+    "Z2^2-identity": (range(4), operator.xor,
+                      lambda a: identity_matrix(1), None),
+    "Z4-translations": (range(4), lambda a, b: (a + b) % 4,
+                        lambda a: identity_matrix(2),
+                        lambda a: (Fraction(a, 4), Fraction(a, 2))),
+    "S3-translations": (S3, lambda p, q: tuple(p[i] for i in q),
+                        _perm_matrix, _s3_coboundary),
+}
+
+
+def _rgroup_accepts(labels, matrices, table, translations):
+    try:
+        RGroup(labels, matrices, table, translations)
+    except WeylError:
+        return False
+    return True
+
+
+def _table_mutations(labels, table, rng):
+    """Tables with one entry changed, and tables whose rows along one
+    left orbit of a label are composed with one permutation fixing e,
+    which the checks with that label alone cannot tell from a group."""
+    for _ in range(40):
+        key = rng.choice(sorted(table))
+        yield {**table, key: rng.choice([l for l in labels
+                                         if l != table[key]])}
+    for _ in range(40):
+        a, x = rng.choice(labels), rng.choice(labels)
+        rest = [l for l in labels if l != "e"]
+        tau = dict(zip(rest, rng.sample(rest, len(rest))), e="e")
+        orbit = [x]
+        while table[(a, orbit[-1])] not in orbit:
+            orbit.append(table[(a, orbit[-1])])
+        yield {**table, **{(y, c): table[(y, tau[c])]
+                           for y in orbit for c in labels}}
+
+
+def _mutations(labels, matrices, table, translations, rng):
+    yield matrices, table, translations
+    for mutated in _table_mutations(labels, table, rng):
+        yield matrices, mutated, translations
+    for x, y in itertools.combinations(labels, 2):
+        yield {**matrices, x: matrices[y], y: matrices[x]}, table, \
+            translations
+    rank = len(matrices["e"])
+    for _ in range(20 if rank else 0):
+        label, i = rng.choice(labels), rng.randrange(rank)
+        moved = list(translations[label])
+        moved[i] += Fraction(rng.randrange(1, 6), 6)
+        yield matrices, table, {**translations, label: tuple(moved)}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_GROUPS))
+def test_rgroup_check_on_generators_matches_the_oracle(name):
+    """``RGroup`` accepts a label group exactly when the checks on every
+    pair and triple do, on seeded mutations of a small group: a changed
+    table entry, rows composed with a permutation, two matrices swapped,
+    a changed translation."""
+    for seed in range(3):
+        rng = random.Random(seed)
+        labels, *group = _label_group(*LABEL_GROUPS[name], seed=seed)
+        verdicts = set()
+        for case in _mutations(labels, *group, rng):
+            verdict = rgroup_oracle(labels, *case)
+            assert _rgroup_accepts(labels, *case) == verdict, case
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def _cocycles(labels, table, rng):
+    """Seeded coboundaries f(a) f(b) / f(ab) on the group, each with
+    one and with two of its signs flipped."""
+    for _ in range(10):
+        f = {l: rng.choice((1, -1)) if l != "e" else 1 for l in labels}
+        kappa = {(a, b): f[a] * f[b] * f[table[(a, b)]]
+                 for a in labels for b in labels}
+        yield kappa
+        for flips in (1, 2):
+            keys = rng.sample(sorted(kappa), flips)
+            yield {**kappa, **{k: -kappa[k] for k in keys}}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_GROUPS))
+def test_cocycle_check_on_generators_matches_the_oracle(name):
+    """``Cocycle.check`` accepts exactly when normalization and the
+    cocycle identity at every triple hold; on (Z/2)^2, for every
+    normalized sign table."""
+    for seed in range(3):
+        rng = random.Random(seed)
+        labels, matrices, table, translations = _label_group(
+            *LABEL_GROUPS[name], seed=seed)
+        rg = RGroup(labels, matrices, table, translations)
+        values = list(_cocycles(labels, table, rng))
+        if name == "Z2^2-identity":
+            inner = [(a, b) for a in labels for b in labels
+                     if "e" not in (a, b)]
+            values += [{**Cocycle.trivial(labels).table,
+                        **dict(zip(inner, signs))}
+                       for signs in itertools.product((1, -1),
+                                                      repeat=len(inner))]
+        verdicts = set()
+        for kappa in values:
+            verdict = cocycle_oracle(kappa, labels, table)
+            try:
+                Cocycle(labels, kappa).check(rg)
+                accepted = True
+            except WeylError:
+                accepted = False
+            assert accepted == verdict, kappa
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -552,23 +711,51 @@ def test_b6_count_within_104_mib():
     run_capped(_b6_count_in_the_cli, seconds=30, mib=104)
 
 
-# eight D1 blocks and one empty one: |W| = 1, R-group (Z/2)^8, trivial cocycle
-D8 = {"group": {"family": "Sp", "n": 8},
-      "blocks": [{"side": "O", "dim": 1, "e": 1, "ell": 0}] * 8 +
-      [{"side": "O", "dim": 1, "e": 0, "ell": 1}]}
+def _d_blocks(k):
+    """k D1 blocks and one empty one: |W| = 1, R-group (Z/2)^k, trivial
+    cocycle."""
+    return {"group": {"family": "Sp", "n": k},
+            "blocks": [{"side": "O", "dim": 1, "e": 1, "ell": 0}] * k +
+            [{"side": "O", "dim": 1, "e": 0, "ell": 1}]}
 
 
 def _d8_describe_in_the_cli():
-    code, out, _ = _cli(D8, "describe")
+    code, out, _ = _cli(_d_blocks(8), "describe")
     assert code == 0 and "R-group: (Z/2)^8" in out
 
 
+def _d10_describe_in_the_cli():
+    code, out, _ = _cli(_d_blocks(10), "describe")
+    assert code == 0 and "R-group: (Z/2)^10" in out
+
+
 def test_d8_describe_skips_the_trivial_cocycle_identity():
-    """``describe`` on 8 D1 blocks, |R| = 256, runs in a child capped at
-    10 s of wall clock and 128 MiB of address space: the trivial cocycle
-    skips the |R|^3 identity check, which took over 20 s."""
+    """``describe`` on 8 D1 blocks, |R| = 256, and on 10, |R| = 1024,
+    runs in children capped at 10 s of wall clock and 128 and 512 MiB of
+    address space: the trivial cocycle skips the |R|^3 identity check,
+    and the R-group checks its group law on generators, not on all
+    |R|^2 pairs of matrices."""
     from oracle_helpers import run_capped
     run_capped(_d8_describe_in_the_cli, seconds=10, mib=128)
+    run_capped(_d10_describe_in_the_cli, seconds=10, mib=512)
+
+
+def _d_blocks_refused_in_the_cli():
+    for k in (11, 20):
+        start = time.perf_counter()
+        code, out, err = _cli(_d_blocks(k), "describe")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("input error: |R| = %d: its table of " % 2 ** k)
+
+
+def test_d_blocks_with_a_table_past_the_cap_are_refused():
+    """``describe`` refuses 11 and 20 D1 blocks, each within 1 s, on the
+    closed-form |R| = 2^k, whose |R|^2-entry table passes the enumeration
+    cap, before any label is built; in a child capped at 4 s of wall
+    clock, interpreter start included, and 128 MiB of address space."""
+    from oracle_helpers import run_capped
+    run_capped(_d_blocks_refused_in_the_cli, seconds=4, mib=128)
 
 
 def _b6_stabilizer_on_ids():
