@@ -254,6 +254,95 @@ def poly_act(desc, elem, f):
     return out
 
 
+# ---------------------------------------------------------------------------
+# The polynomial representation of the graded algebra
+# ---------------------------------------------------------------------------
+#
+# The graded algebra acts on S(t^*) (x) ZZ[r], as plain dicts {(m, e): int}
+# of exponent tuples of the coordinates x_i and of r_1 .., by the module
+# induced from the character N_s -> 1, N_gamma -> i^k(gamma) (Lusztig,
+# JAMS 2, 1989, section 4): xi acts by multiplication, N_gamma by the
+# linear substitution x_i -> sum_j M[j][i] x_j of its matrix, and N_s by
+# the Demazure-Lusztig operator
+#     f -> s f + k(alpha) r_j Delta(f),   Delta(f) = (f - s f) / alpha,
+# with Delta computed by the twisted Leibniz rule Delta(x_i) = coroot_i,
+# Delta(f g) = Delta(f) g + (s f) Delta(g), not by division.
+
+
+def _graded_linear_image(matrix, i, nr):
+    """The image of x_i under the substitution by ``matrix``."""
+    rank = len(matrix)
+    return {(tuple(int(k == j) for k in range(rank)), (0,) * nr): matrix[j][i]
+            for j in range(rank) if matrix[j][i]}
+
+
+def graded_substitute(matrix, f, nr):
+    """f with x_i -> sum_j matrix[j][i] x_j, r untouched."""
+    rank = len(matrix)
+    images = [_graded_linear_image(matrix, i, nr) for i in range(rank)]
+    out = {}
+    for (m, e), v in f.items():
+        prod = {((0,) * rank, e): v}
+        for i, a in enumerate(m):
+            for _ in range(a):
+                prod = poly_mul(prod, images[i])
+        for k, w in prod.items():
+            _poly_add(out, k, w)
+    return out
+
+
+def graded_demazure(root, f, nr):
+    """Delta(f) = (f - s f) / alpha by the twisted Leibniz rule, peeling
+    one variable off each monomial at a time."""
+    rank = len(root.vector)
+    refl = tuple(tuple(int(i == j) - root.vector[i] * root.coroot[j]
+                       for j in range(rank)) for i in range(rank))
+    out = {}
+    for (m, e), v in f.items():
+        if not any(m):
+            continue
+        i = next(i for i, a in enumerate(m) if a)
+        rest = {(tuple(a - int(k == i) for k, a in enumerate(m)), e): v}
+        # Delta(x_i rest) = coroot_i rest + s(x_i) Delta(rest)
+        terms = [{k: root.coroot[i] * w for k, w in rest.items()},
+                 poly_mul(_graded_linear_image(refl, i, nr),
+                          graded_demazure(root, rest, nr))]
+        for part in terms:
+            for k, w in part.items():
+                _poly_add(out, k, w)
+    return out
+
+
+def graded_ns(gd, i, f):
+    """N_{s_i} on the polynomial f of the graded descriptor ``gd``."""
+    root = gd.rd.simple_roots[i]
+    nr = gd.d
+    r = tuple(int(k == root.component_index - 1) for k in range(nr))
+    out = graded_substitute(gd.rd.simple_reflections[i], f, nr)
+    for k, w in poly_mul({((0,) * gd.rd.rank, r): gd.k[root.vector]},
+                         graded_demazure(root, f, nr)).items():
+        _poly_add(out, k, w)
+    return out
+
+
+def graded_act(gd, elem, f):
+    """The element ``elem`` of a graded descriptor on the ZZ[i] polynomial
+    f = (real part, imaginary part): sum c_w N_w N_gamma, with N_w the
+    product of the N_s along a reduced word of w found by descents."""
+    powers = _cocycle_powers(gd)
+    out = ({}, {})
+    for key, c in elem.terms.items():
+        matrix = gd.wext.rgroup.matrix(key.diagram)
+        g = _times_i(tuple(graded_substitute(matrix, part, gd.d)
+                           for part in f), powers[key.diagram])
+        for i in reversed(descent_word(gd.rd, key.weyl.matrix)):
+            g = tuple(graded_ns(gd, i, part) for part in g)
+        for acc, part in zip(out, g):
+            for k, v in poly_mul(poly_of(c, gd.d), part).items():
+                _poly_add(acc, k, v)
+    return out
+
+
 def root_count_length(rd, matrix):
     """Number of reduced positive roots the matrix sends to negative roots."""
     return sum(not rd.is_positive(mat_apply(matrix, r.vector))

@@ -676,6 +676,45 @@ def test_graded_associativity():
             name
 
 
+@pytest.mark.parametrize("name", sorted(graded_test_descriptors(DESCS)))
+def test_graded_multiply_matches_polynomial_representation(name):
+    # act(a b)(f) = act(a)(act(b)(f)) on monomials f, where act is built
+    # from the subsystem, k and the diagram matrices alone; the oracle's
+    # N_s is first checked against N_s^2 = 1 and its commutation rule
+    from oracle_helpers import (graded_act, graded_ns, graded_substitute,
+                                poly_mul)
+    gd = graded_test_descriptors(DESCS)[name]
+    rng = random.Random(1989)
+    rank, d = gd.rd.rank, gd.d
+
+    def monomial():
+        return {(tuple(rng.randint(0, 2) for _ in range(rank)),
+                 tuple(rng.randint(0, 1) for _ in range(d))): 1}
+
+    for i, root in enumerate(gd.rd.simple_roots):
+        f = monomial()
+        assert graded_ns(gd, i, graded_ns(gd, i, f)) == f
+        # N_s (x_j f) - (s x_j) N_s f = k r <x_j, coroot> f
+        r = tuple(int(k == root.component_index - 1) for k in range(d))
+        for j in range(rank):
+            xj = {(tuple(int(k == j) for k in range(rank)), (0,) * d): 1}
+            lhs = graded_ns(gd, i, poly_mul(xj, f))
+            sxj = graded_substitute(gd.rd.simple_reflections[i], xj, d)
+            for k, v in poly_mul(sxj, graded_ns(gd, i, f)).items():
+                lhs[k] = lhs.get(k, 0) - v
+            rhs = poly_mul({((0,) * rank, r): gd.k[root.vector]
+                            * root.coroot[j]}, f)
+            assert {k: v for k, v in lhs.items() if v} == \
+                {k: v for k, v in rhs.items() if v}
+    for _ in range(4):
+        a, b = (random_graded(gd, rng, nterms=3) for _ in range(2))
+        ab = graded_multiply(gd, a, b)
+        for _ in range(2):
+            f = (monomial(), {})
+            assert graded_act(gd, ab, f) == graded_act(gd, a,
+                                                       graded_act(gd, b, f))
+
+
 def test_graded_descriptor_with_diagram_stabilizer():
     # identity-point reduction of the swapped A1 x A1 algebra keeps the
     # diagram group; its twisted relation N_g^2 = -1 survives grading
