@@ -38,42 +38,20 @@ def _swap_blocks_matrix(k: int):
 def standard_descriptors() -> Dict[str, AffineDescriptor]:
     """The fixed descriptor zoo used by the relation suites."""
     out: Dict[str, AffineDescriptor] = {}
-
-    a1 = build_classical("A", 1)
-    w = ExtendedGroup(a1)
-    out["A1"] = AffineDescriptor(
-        a1, w, spread_invariant(a1, w, {(1, -1): 2}), {},
-        Cocycle.trivial(("e",)))
-
-    bc1 = build_classical("BC", 1)
-    w = ExtendedGroup(bc1)
-    out["BC1"] = AffineDescriptor(
-        bc1, w, spread_invariant(bc1, w, {(1,): 3}),
-        spread_invariant(bc1, w, {(1,): 1}), Cocycle.trivial(("e",)))
-
-    b1 = build_classical("B", 1)   # A1 with halvable coroot (alpha^vee = 2e1)
-    w = ExtendedGroup(b1)
-    out["B1"] = AffineDescriptor(
-        b1, w, spread_invariant(b1, w, {(1,): 2}),
-        spread_invariant(b1, w, {(1,): 1}), Cocycle.trivial(("e",)))
-
-    a2 = build_classical("A", 2)
-    w = ExtendedGroup(a2)
-    out["A2"] = AffineDescriptor(
-        a2, w, spread_invariant(a2, w, {(1, -1, 0): 1}), {},
-        Cocycle.trivial(("e",)))
-
-    b2 = build_classical("B", 2)
-    w = ExtendedGroup(b2)
-    out["B2"] = AffineDescriptor(
-        b2, w, spread_invariant(b2, w, {(1, -1): 1, (0, 1): 2}),
-        spread_invariant(b2, w, {(0, 1): 1}), Cocycle.trivial(("e",)))
-
-    bc2 = build_classical("BC", 2)
-    w = ExtendedGroup(bc2)
-    out["BC2"] = AffineDescriptor(
-        bc2, w, spread_invariant(bc2, w, {(1, -1): 1, (1, 0): 3}),
-        spread_invariant(bc2, w, {(1, 0): 2}), Cocycle.trivial(("e",)))
+    # name: (family, rank, lambda seeds, lambda* seeds); B1 is A1 with a
+    # halvable coroot (alpha^vee = 2 e1)
+    for name, (fam, n, lam, lam_star) in {
+            "A1": ("A", 1, {(1, -1): 2}, {}),
+            "BC1": ("BC", 1, {(1,): 3}, {(1,): 1}),
+            "B1": ("B", 1, {(1,): 2}, {(1,): 1}),
+            "A2": ("A", 2, {(1, -1, 0): 1}, {}),
+            "B2": ("B", 2, {(1, -1): 1, (0, 1): 2}, {(0, 1): 1}),
+            "BC2": ("BC", 2, {(1, -1): 1, (1, 0): 3}, {(1, 0): 2})}.items():
+        rd = build_classical(fam, n)
+        w = ExtendedGroup(rd)
+        out[name] = AffineDescriptor(
+            rd, w, spread_invariant(rd, w, lam),
+            spread_invariant(rd, w, lam_star), Cocycle.trivial(("e",)))
 
     # A1 x A1 swapped by a Z/2 diagram group; one shared z-variable.
     a1a1 = merge_components(product(build_classical("A", 1),
@@ -126,10 +104,9 @@ def check_quadratic(desc: AffineDescriptor) -> bool:
     """(N_s + z^-lambda)(N_s - z^lambda) = 0 for every simple reflection."""
     for info in desc.simple_info:
         ns = desc.n_simple(info.index)
-        zneg = desc.unit().scale(desc.zmonomial(
-            tuple(-info.lam if j + 1 == info.zvar else 0 for j in range(desc.d))))
-        zpos = desc.unit().scale(desc.zmonomial(
-            tuple(info.lam if j + 1 == info.zvar else 0 for j in range(desc.d))))
+        zneg, zpos = (desc.unit().scale(desc.zmonomial(tuple(
+            e if j + 1 == info.zvar else 0 for j in range(desc.d))))
+            for e in (-info.lam, info.lam))
         if multiply(desc, ns + zneg, ns - zpos):
             return False
     return True
@@ -180,8 +157,7 @@ def check_braid(desc: AffineDescriptor) -> bool:
     for i in range(n):
         for j in range(i + 1, n):
             m = _braid_order(desc, i, j)
-            left = desc.unit()
-            right = desc.unit()
+            left = right = desc.unit()
             for k in range(m):
                 left = multiply(desc, left,
                                 desc.n_simple(i if k % 2 == 0 else j))
@@ -195,9 +171,8 @@ def check_braid(desc: AffineDescriptor) -> bool:
 def check_associativity(desc: AffineDescriptor, rng: random.Random,
                         triples: int, max_length: int | None = None) -> bool:
     for _ in range(triples):
-        a = random_element(desc, rng, max_length=max_length)
-        b = random_element(desc, rng, max_length=max_length)
-        c = random_element(desc, rng, max_length=max_length)
+        a, b, c = (random_element(desc, rng, max_length=max_length)
+                   for _ in range(3))
         if multiply(desc, multiply(desc, a, b), c) != \
                 multiply(desc, a, multiply(desc, b, c)):
             return False
@@ -268,8 +243,7 @@ def random_graded(gd, rng: random.Random, nterms: int = 2) -> GradedElement:
 
 def check_im(gd, rng: random.Random, pairs: int) -> bool:
     for _ in range(pairs):
-        a = random_graded(gd, rng)
-        b = random_graded(gd, rng)
+        a, b = random_graded(gd, rng), random_graded(gd, rng)
         if im_involution(gd, graded_multiply(gd, a, b)) != \
                 graded_multiply(gd, im_involution(gd, a), im_involution(gd, b)):
             return False
@@ -285,17 +259,10 @@ def check_im(gd, rng: random.Random, pairs: int) -> bool:
 def coset_cone_cases() -> List[Tuple[str, RootDatum, Tuple[int, ...]]]:
     """(ambient datum, order-2 point) pairs whose reflection stabilizers
     drive the minimal-coset and cone identities."""
-    cases = []
-    b2 = build_classical("B", 2)
-    for pt in ((1, 0), (1, 1)):
-        cases.append(("B2@%s" % (pt,), b2, pt))
-    b3 = build_classical("B", 3)
-    for pt in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
-        cases.append(("B3@%s" % (pt,), b3, pt))
-    a3 = build_classical("A", 3)
-    for pt in ((1, 0, 0, 0), (1, 1, 0, 0)):
-        cases.append(("A3@%s" % (pt,), a3, pt))
-    return cases
+    return [("%s%d@%s" % (fam, n, pt), rd, pt) for fam, n, pts in (
+        ("B", 2, ((1, 0), (1, 1))), ("B", 3, ((1, 0, 0), (1, 1, 0), (1, 1, 1))),
+        ("A", 3, ((1, 0, 0, 0), (1, 1, 0, 0))))
+        for rd in [build_classical(fam, n)] for pt in pts]
 
 
 def _random_vector(rng: random.Random, rank: int) -> Tuple[int, ...]:

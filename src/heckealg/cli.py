@@ -66,12 +66,9 @@ def cmd_check(args) -> int:
                              im_pairs=args.im_pairs,
                              cone_samples=args.cone_samples)
     width = max((len(r[0]) for r in results), default=20)
-    failures = 0
     for name, ok, detail in results:
-        status = "ok" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print("%-*s  %-4s  %s" % (width, name, status, detail))
+        print("%-*s  %-4s  %s" % (width, name, "ok" if ok else "FAIL", detail))
+    failures = sum(not ok for _, ok, _ in results)
     print("%d checks, %d failure(s)" % (len(results), failures))
     return 1 if failures else 0
 

@@ -1,47 +1,40 @@
 """Exact coefficient arithmetic.
 
 One sparse ring carries every coefficient of the Hecke algebras:
+``TorusAlgebraElement``, the sums of theta_x z^e, x in X^*(T) and e in
+ZZ^d, of ZZ[X^*(T)] (x) ZZ[z_1^{\\pm 1}, .., z_d^{\\pm 1}] (with exponents
+>= 0 the graded S(t^*) (x) ZZ[r_1..r_d]), and ``LaurentZ``, the same ring
+at rank d with the z-exponents as lattice digits.  ``terms`` maps an int
+key per lattice part to an int value, both Kronecker-packed (Monagan-
+Pearce, ISSAC 2009; Harvey, J. Symbolic Comput. 44, 2009):
 
-* ``TorusAlgebraElement`` -- finite sums of monomials theta_x z^e with
-  x in X^*(T) and e in ZZ^d, i.e. the ring
-  ZZ[X^*(T)] (x) ZZ[z_1^{\\pm 1}, .., z_d^{\\pm 1}] of the affine algebra.
-  ``terms`` maps one packed int per monomial to its scalar (Kronecker
-  packing of monomials, as in Monagan-Pearce, ISSAC 2009):
+    key   = sum_i x_i B^i + q B^rank + sum_{j>1} e_j B^(rank + j - 1),
+    value = sum_k c_k 2^(slot k),  c_k the scalar of z_1^(q + k - base),
 
-      key(x, e) = sum_i x_i B^i + sum_j e_j B^(rank + j),   B = 2^WIDTH,
-
-  every exponent one balanced digit in [-MAX_EXP, MAX_EXP].  Then
-  key(a) + key(b) = key(ab), and a monomial without z-part has the same
-  key whatever d is.  Scalars are ``int``s (ZZ-mode: the symbolic and
-  graded algebras) or ``int`` numerators over one content-reduced
-  denominator (QQ-mode: specialized algebras, z fixed to rationals;
-  Geddes-Czapor-Labahn, Algorithms for Computer Algebra, ch. 2), so
-  ring operations stay in integer arithmetic.
-* The graded coefficient ring S(t^*) (x) ZZ[r_1..r_d] is the same ring
-  with nonnegative exponents; the r-exponents take the z-digits.
-* ``LaurentZ`` -- ZZ[z_1^{\\pm 1}, .., z_d^{\\pm 1}] = ZZ[ZZ^d], the same
-  ring at rank d with the z-exponents as lattice digits.  A
-  ``TorusAlgebraElement`` absorbs it on construction and in ``scale`` by
-  shifting its keys up by ``rank`` digits; no coefficient stores one.
-
-Every ``TorusAlgebraElement`` carries ``bound``, an upper bound on the
-absolute value of its exponents, updated in O(1) per operation.  An
-operation whose result could hold an exponent beyond ``MAX_EXP`` raises
-``PackedRangeError`` instead of letting a digit wrap into its neighbour.
-``monomial_groups`` decodes the keys, which stay private to this
-module.  The Hecke layer reaches them only through ring operations,
-``divide_linear`` and blocks: a partial product is one block, a raw
-[terms, bound] per table id over one denominator.
-``map_monomials``, the one N_s kernel of both algebras, maps a whole block
-in one call; ``mul_into`` adds a coefficient times a block into another,
-and ``settle`` turns a block into elements.
+B = 2^WIDTH, key digits balanced in [-MAX_EXP, MAX_EXP], each c_k a
+balanced ``slot``-bit digit, so a product is one int product per pair of
+lattice parts.  Scalars are ``int``s (ZZ-mode) or ``int`` numerators over
+one content-reduced ``den`` (QQ-mode, specialized algebras; Geddes-
+Czapor-Labahn, Algorithms for Computer Algebra, ch. 2).  ``height`` bounds
+the sum of all |scalars| (sums add, products multiply): ``slot`` bits hold
+them while height < 2^(slot - 1), and an operation that would pass that
+first moves to SLOT doubled until it fits.  ``bound`` bounds |exponents|;
+past MAX_EXP an operation raises ``PackedRangeError``.  Elements handed
+out are canonical: slot 0 for a QQ-element free of z_1 (values are its
+scalars), else _fit(SLOT, sum of |scalars|); base max(0, -lowest
+z_1-exponent); q 0 unless the z_1-exponents span SPAN slots or more, when
+q picks a window of SPAN.  A partial product is a block [parts, den,
+slot, base, height], a raw [terms, bound] per W_ext table id in parts;
+``map_monomials`` (the N_s kernel) maps a block, ``mul_into`` adds a
+coefficient times one into another, and ``settle`` makes elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import lru_cache, reduce
+from math import ceil, gcd, lcm
+from operator import attrgetter, or_
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 Exps = Tuple[int, ...]
@@ -50,6 +43,8 @@ WIDTH = 32
 _HALF = 1 << (WIDTH - 1)
 _MASK = (1 << WIDTH) - 1
 MAX_EXP = _HALF - 1
+SLOT = 64    # bits per z_1-slot, doubled while a height needs more
+SPAN = 256   # z_1-slots per window of a value
 
 
 class PackedRangeError(OverflowError):
@@ -64,22 +59,23 @@ def _check_bound(bound: int) -> int:
     return bound
 
 
-def _pack(exps: Iterable[int]) -> int:
-    """Packed key of an exponent vector: lattice digits, then z-digits.
+def _fit(slot: int, height: int) -> int:
+    """The first of slot, 2 slot, 4 slot, .. that holds scalars of height."""
+    while height >> (slot - 1):
+        slot *= 2
+    return slot
 
-    Does not check the range; an element checks its bound instead."""
-    key = 0
-    for e in reversed(tuple(exps)):
-        key = (key << WIDTH) + e
-    return key
+
+def _pack(exps: Iterable[int]) -> int:
+    """Packed key of an exponent vector, unchecked: elements check bounds."""
+    return sum(e << (WIDTH * i) for i, e in enumerate(exps))
 
 
 def _unpack(key: int, n: int) -> Tuple[Exps, int]:
     """The n lowest digits of ``key`` and the key of the digits above."""
     out = []
     for _ in range(n):
-        d = ((key + _HALF) & _MASK) - _HALF
-        out.append(d)
+        out.append(d := ((key + _HALF) & _MASK) - _HALF)
         key = (key - d) >> WIDTH
     return tuple(out), key
 
@@ -115,46 +111,38 @@ def _signed_permutation(matrix) -> Optional[Tuple[tuple, int]]:
             sum(1 << (WIDTH * i) for i, (_, v) in enumerate(out) if v < 0))
 
 
+@lru_cache(maxsize=4096)
+def _moves(matrix) -> Dict[int, Tuple[int, int]]:
+    """theta_x -> theta_{Mx}: each key met so far, x its lattice part, to
+    (key(Mx) - key(x), largest |exponent| of Mx), kept across calls."""
+    return {}
+
+
 class TorusAlgebraElement:
-    """Element of ZZ[X^*(T)] (x) scalar ring on packed monomial keys.
+    """Element of ZZ[X^*(T)] (x) scalar ring (module docstring); den 1 for
+    zero in QQ-mode.  Scalars ``LaurentZ`` (absorbed into z) or ``int``
+    give ZZ-mode, ``Fraction`` QQ-mode, others TypeError; both kinds give
+    ``den`` 0, which ``hecke.multiply``, ``+`` and ``*`` refuse.  Ring
+    operations return the type of ``self``, ZZ and QQ combining in QQ."""
 
-    ``terms`` maps key(x, e) (see the module docstring) to a nonzero
-    ``int``: the scalar in ZZ-mode (``den`` None), its numerator in
-    QQ-mode (``den`` > 0, gcd(den, numerators) = 1, den 1 for zero);
-    ``bound`` bounds the absolute value of every exponent.  Constructor
-    scalars: ``LaurentZ`` (absorbed into the z-digits) or ``int`` give
-    ZZ-mode, ``Fraction`` QQ-mode (a ZZ and a QQ element combine in QQ),
-    others raise TypeError; both kinds at once give ``den`` 0, kept as
-    given, which ``hecke.multiply`` refuses and ``+`` and ``*`` raise
-    TypeError on.  theta_x * theta_y = theta_{x+y}, extended bilinearly;
-    ring operations return an element of the type of ``self``.
-    """
-
-    __slots__ = ("rank", "terms", "bound", "den")
+    __slots__ = ("rank", "terms", "bound", "den", "slot", "base", "height")
 
     def __init__(self, rank: int, terms: Dict[Exps, object] | None = None):
         self.rank = rank
-        out: Dict[int, object] = {}
-        get = out.get
-        bound = 0
-        ints = fracs = False   # the scalar kinds given
+        out: Dict[int, object] = {}   # by key(x, e), z_1 at digit rank
+        get, bound, fracs = out.get, 0, set()   # fracs: each a Fraction?
         for x, v in (terms or {}).items():
             x = tuple(x)
             if len(x) != rank:
                 raise ValueError("lattice vector %r has rank %d, expected %d"
                                  % (x, len(x), rank))
             xk, size = _packed(x)
+            fracs.add(isinstance(v, Fraction))
             if isinstance(v, LaurentZ) and v.den is None:   # to the z-digits
-                ints = True
                 size = max(size, v.bound)
                 for zk, c in v.terms.items():
-                    k = xk + (zk << (WIDTH * rank))
-                    out[k] = get(k, 0) + c
-            elif isinstance(v, int):
-                ints = True
-                out[xk] = get(xk, 0) + v
-            elif isinstance(v, Fraction):
-                fracs = True
+                    out[k] = get(k := xk + (zk << (WIDTH * rank)), 0) + c
+            elif isinstance(v, (int, Fraction)):
                 out[xk] = get(xk, 0) + v
             else:
                 raise TypeError("scalar %r is not an int, a Fraction or a "
@@ -162,16 +150,16 @@ class TorusAlgebraElement:
             bound = max(bound, size)
         out = {k: c for k, c in out.items() if c}
         den = None
-        if fracs:
-            if ints:
+        if True in fracs:
+            if False in fracs:
                 den = 0
             else:   # lowest terms in, so gcd(den, numerators) = 1 out
                 den = lcm(*(c.denominator for c in out.values()))
                 out = {k: c.numerator * (den // c.denominator)
                        for k, c in out.items()}
-        self.terms = out
+        self.terms, self.den, self.slot, self.base, self.height = \
+            _packed_terms(rank, out, den)
         self.bound = _check_bound(bound)
-        self.den = den
 
     @classmethod
     def zero(cls, rank: int) -> "TorusAlgebraElement":
@@ -186,25 +174,31 @@ class TorusAlgebraElement:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        """By value: ZZ-integers equal QQ-ones over den 1."""
+        """By value: ZZ-integers equal QQ-ones over den 1 (slot 0 and a
+        slot hold scalars of z_1^0 alike)."""
         return type(other) is type(self) and self.rank == other.rank \
-            and self.terms == other.terms \
-            and (self.den or 1) == (other.den or 1)
+            and self.terms == other.terms and self.base == other.base \
+            and (self.den or 1) == (other.den or 1) and (
+                self.slot == other.slot or not self.base and not max(
+                    map(abs, self.terms.values()), default=0) >> (min(
+                        self.slot or other.slot, other.slot or self.slot) - 1))
 
     def __neg__(self) -> "TorusAlgebraElement":
-        return _new(self, {k: -c for k, c in self.terms.items()},
-                    self.bound, self.den)
+        return _like(self, {k: -c for k, c in self.terms.items()})
 
     def __add__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         den, fs, fo = _common(self.den, other.den)
-        acc = dict(self.terms) if fs == 1 else \
-            {k: c * fs for k, c in self.terms.items()}
+        height = self.height * fs + other.height * fo
+        slot = max(self.slot, other.slot)
+        to = slot and _fit(slot, height), max(self.base, other.base)
+        acc = dict(_recode(self, to, fs))
         get = acc.get
-        for k, c in other.terms.items():
-            acc[k] = get(k, 0) + c * fo
-        return _settled(self, acc, max(self.bound, other.bound), den)
+        for k, c in _recode(other, to, fo).items():
+            acc[k] = get(k, 0) + c
+        return _settled(self, acc, max(self.bound, other.bound), den, *to,
+                        height)
 
     def __sub__(self, other: "TorusAlgebraElement") -> "TorusAlgebraElement":
         return self + (-other)
@@ -214,46 +208,43 @@ class TorusAlgebraElement:
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out = [{}, None]
-        mul_into(out, self, [{0: [other.terms, other.bound]}, other.den])
+        out = block({})
+        mul_into(out, self, block({0: other}))
         (terms, bound), = out[0].values()
-        return _settled(self, terms, bound, out[1])
+        return _settled(self, terms, bound, *out[1:])
 
     def scale(self, scalar) -> "TorusAlgebraElement":
         """Multiply by a scalar the constructor takes (a Fraction moves a
         ZZ-element to QQ); any other raises TypeError."""
-        if isinstance(scalar, int):   # no scalar element to build
-            return _new(self, {k: c * scalar for k, c in self.terms.items()}
-                        if scalar else {}, self.bound if scalar else 0,
-                        self.den)
         return self * TorusAlgebraElement(self.rank,
                                           {(0,) * self.rank: scalar})
 
     def shift(self, x: Exps) -> "TorusAlgebraElement":
         """Multiply by theta_x."""
         d, size = _packed(tuple(x))
-        return _new(self, {k + d: c for k, c in self.terms.items()},
-                    _check_bound(self.bound + size), self.den)
+        return _like(self, {k + d: c for k, c in self.terms.items()},
+                     _check_bound(self.bound + size))
 
     def act_matrix(self, matrix) -> "TorusAlgebraElement":
-        """theta_x -> theta_{Mx}, z-part untouched."""
+        """theta_x -> theta_{Mx} for an invertible M, z-part untouched; each
+        lattice part is decoded once per matrix (``_moves``)."""
         rank = self.rank
         offset, mask = _low_split(rank)
-        moves: Dict[int, int] = {}
+        moves = _moves(matrix)
         bound = self.bound
         out: Dict[int, object] = {}
-        get = out.get
         for k, c in self.terms.items():
-            xk = ((k + offset) & mask) - offset
-            move = moves.get(xk)
+            move = moves.get(k)
             if move is None:
-                x, _ = _unpack(xk, rank)
+                xk = ((k + offset) & mask) - offset
+                x = _unpack(xk, rank)[0]
                 y = [sum(a * b for a, b in zip(row, x)) for row in matrix]
-                bound = _check_bound(max([bound] + [abs(v) for v in y]))
-                move = moves[xk] = _pack(y) - xk
-            k += move
-            out[k] = get(k, 0) + c
-        return _settled(self, out, bound, self.den)
+                move = moves[k] = (_pack(y) - xk,
+                                   max(map(abs, y), default=0))
+            if move[1] > bound:
+                bound = _check_bound(move[1])
+            out[k + move[0]] = c
+        return _like(self, out, bound)
 
     def substitute(self, matrix) -> "TorusAlgebraElement":
         """x_i -> sum_j matrix[j][i] x_j on polynomials in the lattice
@@ -275,7 +266,7 @@ class TorusAlgebraElement:
             x, _ = _unpack(xk, rank)
             if min(x, default=0) < 0:
                 raise ValueError("substitution needs nonnegative exponents")
-            prod = _new(self, {k - xk: c}, self.bound, self.den)
+            prod = _like(self, {k - xk: c})
             for i, a in enumerate(x):
                 for _ in range(a):
                     prod = prod * lin[i]
@@ -283,76 +274,50 @@ class TorusAlgebraElement:
         return out
 
     def divide_linear(self, alpha: Exps) -> "TorusAlgebraElement":
-        """Exact quotient of a polynomial by the linear form
-        sum_i alpha_i x_i.
-
-        Works down the layers of the pivot variable's digit, carrying the
-        other digits (the r-exponents among them) along.  A nonzero
-        remainder or a fractional quotient in ZZ-mode raises
-        ArithmeticError.  QQ-mode first multiplies numerators and ``den``
-        by |c_pivot|: by Gauss's lemma an exact quotient has a denominator
-        dividing den * content(alpha), so every step then divides."""
-        rank = self.rank
-        den = self.den
-        if not self:
-            return _new(self, {}, 0, den)
-        pivots = [i for i, c in enumerate(alpha) if c]
-        pivot = min(pivots, key=lambda i: (abs(alpha[i]) != 1, i))
-        c_piv = alpha[pivot]
-        # each step moves one unit from the pivot digit to another digit, so
-        # no digit passes twice the input's bound
-        _check_bound(2 * self.bound)
-        unit = 1 << (WIDTH * pivot)
-        others = [(1 << (WIDTH * j), cj) for j, cj in enumerate(alpha)
-                  if j != pivot and cj]
-        clear = 1
-        if den is not None:
-            clear = abs(c_piv)
-            den = _qden(den) * clear
-        layers: Dict[int, Dict[int, object]] = {}
-        low = _low_split(pivot + 1)[0]   # layers by the pivot digit
-        for k, v in self.terms.items():
-            layers.setdefault((((k + low) >> (WIDTH * pivot)) & _MASK) - _HALF,
-                              {})[k] = v * clear
-        quot: Dict[int, object] = {}
-        for deg in range(max(layers), 0, -1):
-            layer = layers.pop(deg, {})
-            below = layers.setdefault(deg - 1, {})
-            for k, v in layer.items():
-                if not v:
-                    continue
-                if v % c_piv:
-                    raise ArithmeticError("inexact division by %r" % (alpha,))
-                q = v // c_piv
-                qk = k - unit
-                quot[qk] = q
-                # subtract q * (alpha - c_piv x_pivot): the other variables
-                for unit_j, cj in others:
-                    mk = qk + unit_j
-                    below[mk] = below.get(mk, 0) - q * cj
-        if any(any(layer.values()) for layer in layers.values()):
-            raise ArithmeticError("nonzero remainder in division by %r"
-                                  % (alpha,))
-        return _new(self, quot, self.bound, den)
+        """Exact quotient by the linear form sum_i alpha_i x_i: the top layer
+        in the pivot variable x_p over c_p x_p, times the form, is taken off
+        until nothing is left, the scalars decoded first, so that c_p must
+        divide each of them (ZZ-mode; QQ-mode divides den instead).  A
+        nonzero remainder or an inexact scalar raises ArithmeticError."""
+        _check_bound(2 * self.bound)   # no digit passes it on the way
+        rank, den, p = self.rank, self.den, min(
+            (i for i, c in enumerate(alpha) if c),
+            key=lambda i: (abs(alpha[i]) != 1, i))
+        c, top, low = alpha[p], WIDTH * p, _low_split(p + 1)[0]
+        form = TorusAlgebraElement(rank, {tuple(
+            int(i == j) for j in range(rank)): a for i, a in enumerate(alpha)
+            if a})
+        quot, rest = _new(self, 0, *_packed_terms(rank, {}, den)), self
+        while rest:
+            full = _exploded(rest.terms, rank, rest.slot, rest.base)
+            deg = {k: (((k + low) >> top) & _MASK) - _HALF for k in full}
+            d = max(deg.values())
+            layer = {k - (1 << top): v for k, v in full.items() if deg[k] == d}
+            if d < 1 or den is None and any(v % c for v in layer.values()):
+                raise ArithmeticError("%s division by %r" % (
+                    "inexact" if d > 0 else "nonzero remainder in", alpha))
+            t = _new(self, self.bound, *_packed_terms(rank, {
+                k: v // c if den is None else v * (c // abs(c))
+                for k, v in layer.items()}, den and den * abs(c)))
+            quot, rest = quot + t, rest - t * form
+        return _like(quot, quot.terms, self.bound)
 
     def __repr__(self):
         if not self.terms:
             return "0"
         groups: Dict[Exps, Dict[int, object]] = {}   # z-keys by lattice part
         den = self.den
-        for k, c in self.terms.items():
+        for k, c in _exploded(self.terms, self.rank, self.slot,
+                              self.base).items():
             x, zk = _unpack(k, self.rank)
             groups.setdefault(x, {})[zk] = Fraction(c, den) if den else c
         # enough z-digits for every z-key; the text shows no zero exponent
         nvars = max(abs(zk) for g in groups.values() for zk in g
                     ).bit_length() // WIDTH + 1
-        parts = []
-        for x in sorted(groups):
-            g = groups[x]
-            text = repr(g[0]) if len(g) == 1 and isinstance(
-                g.get(0), Fraction) else _z_text(g, nvars)
-            parts.append("(%s)*theta%s" % (text, list(x)))
-        return " + ".join(parts)
+        return " + ".join("(%s)*theta%s" % (repr(g[0]) if len(g) == 1 and
+                                            isinstance(g.get(0), Fraction)
+                                            else _z_text(g, nvars), list(x))
+                          for x, g in sorted(groups.items()))
 
 
 # The ring product, reached by LaurentZ directly so that a wrapper on
@@ -360,29 +325,107 @@ class TorusAlgebraElement:
 _product = TorusAlgebraElement.__mul__
 
 
-def _new(like: TorusAlgebraElement, terms: Dict[int, object], bound: int,
-         den: Optional[int]) -> TorusAlgebraElement:
-    """An element of the type and rank of ``like`` on already packed,
-    already nonzero terms; a QQ-element is reduced by its content."""
-    if den:
-        g = gcd(den, *terms.values())
-        if g != 1:
-            terms = {k: c // g for k, c in terms.items()}
-            den //= g
+def _new(like: TorusAlgebraElement, bound: int, terms: Dict[int, object],
+         den: Optional[int], slot: int, base: int, height: int
+         ) -> TorusAlgebraElement:
+    """An element of the type and rank of ``like`` with these fields."""
     r = object.__new__(type(like))
-    r.rank = like.rank
-    r.terms = terms
-    r.bound = bound
-    r.den = den
+    r.rank, r.terms, r.bound, r.den = like.rank, terms, bound, den
+    r.slot, r.base, r.height = slot, base, height
     return r
 
 
+def _like(c: TorusAlgebraElement, terms: Dict[int, object], bound=None
+          ) -> TorusAlgebraElement:
+    """``terms`` with the fields of c (and ``bound``, if given)."""
+    return _new(c, c.bound if bound is None else bound, terms, c.den,
+                c.slot, c.base, c.height)
+
+
+def _exploded(terms: Dict[int, object], rank: int, slot: int, base: int
+              ) -> Dict[int, object]:
+    """The nonzero scalars of packed ``terms`` by key(x, e), z_1 at digit
+    ``rank``, read off the balanced digits of each value."""
+    if not slot:
+        return terms
+    out, top, half = {}, WIDTH * rank, 1 << (slot - 1)
+    for k, v in terms.items():
+        k -= base << top
+        while v:
+            c = ((v + half) & ((half << 1) - 1)) - half
+            out[k] = out.get(k, 0) + c
+            v, k = (v - c) >> slot, k + (1 << top)
+    return {k: c for k, c in out.items() if c}
+
+
+def _packed_terms(rank: int, full: Dict[int, object], den: Optional[int],
+                  to: Optional[Tuple[int, int]] = None) -> tuple:
+    """(terms, den, slot, base, height) of the nonzero scalars ``full`` by
+    key(x, e) over den: canonical, content-reduced in QQ-mode, or at
+    (slot, base) ``to``.  Keys below 2^(WIDTH rank - 1) hold no z."""
+    if den and (g := gcd(den, *full.values())) != 1:
+        full, den = {k: c // g for k, c in full.items()}, den // g
+    height, top = sum(map(abs, full.values())), WIDTH * rank
+    es = {k: (((k + _low_split(rank + 1)[0]) >> top) & _MASK) - _HALF
+          for k in full} if 2 * max(map(abs, full), default=0) >> top else {}
+    if to is None and not any(es.values()):   # free of z_1: the scalars
+        return full, den, _fit(SLOT, height) if den is None else 0, 0, height
+    # ceil: a Fraction height only for mixed scalars
+    (slot, base), terms = to or (_fit(SLOT, ceil(height)),
+                                 max(0, -min(es.values()))), {}
+    for k, c in full.items():
+        s = (es.get(k, 0) + base) % SPAN   # the slot; q = e + base - s
+        k += (base - s) << top
+        terms[k] = terms.get(k, 0) + c * (1 << slot * s)
+    return terms, den, slot, base, height
+
+
 def _settled(like: TorusAlgebraElement, terms: Dict[int, object], bound: int,
-             den: Optional[int]) -> TorusAlgebraElement:
-    """``_new`` on terms that may hold zeros."""
+             den: Optional[int], slot: int, base: int, height: int
+             ) -> TorusAlgebraElement:
+    """The canonical element of ``terms``, which may hold zeros: a
+    ZZ-result at SLOT whose exponents span fewer than SPAN slots drops its
+    empty low slots, a QQ-result free of z_1 its content, and any other
+    result is packed again from its scalars."""
     if 0 in terms.values():
         terms = {k: c for k, c in terms.items() if c}
-    return _new(like, terms, bound, den)
+    if slot:
+        if den or slot > SLOT or 2 * bound >= SPAN or base >= SPAN \
+                or not terms:
+            return _new(like, bound, *_packed_terms(like.rank, _exploded(
+                terms, like.rank, slot, base), den))
+        if base:
+            low = reduce(or_, terms.values())
+            drop = min(base, ((low & -low).bit_length() - 1) // slot)
+            if drop:
+                terms = {k: v >> slot * drop for k, v in terms.items()}
+                base -= drop
+    elif den:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            den, height = den // g, height // g
+    return _new(like, bound, terms, den, slot, base, height)
+
+
+def _recode(c, to: Tuple[int, int], f=1, rank=None) -> Dict[int, object]:
+    """f times the terms of c, an element or a (terms, slot, base) triple of
+    that ``rank``, at the (slot, base) ``to``, no narrower and no
+    shallower; the same dict when nothing changes."""
+    terms, s0, b0 = (c.terms, c.slot, c.base) if rank is None else c
+    rank, (s1, b1) = c.rank if rank is None else rank, to
+    if s0 in (0, s1) and b1 - b0 < SPAN:
+        f <<= s1 * (b1 - b0)
+        return terms if f == 1 else {k: v * f for k, v in terms.items()}
+    return _packed_terms(rank, {k: v * f for k, v in _exploded(
+        terms, rank, s0, b0).items()}, None, to)[0]
+
+
+def _widened(blk: list, slot: int, rank: int) -> list:
+    """The block ``blk`` at the wider ``slot``."""
+    parts, den, s0, base, height = blk
+    return [{u: [_recode((terms, s0, base), (slot, base), 1, rank), bound]
+             for u, (terms, bound) in parts.items()}, den, slot, base, height]
 
 
 def _qden(den: Optional[int]) -> int:
@@ -410,7 +453,7 @@ def monomial_groups(cs: Sequence[TorusAlgebraElement], nvars: int) -> list:
     by_key: Dict[int, list] = {}
     for j, c in enumerate(cs):
         den = c.den
-        for k, v in c.terms.items():
+        for k, v in _exploded(c.terms, c.rank, c.slot, c.base).items():
             by_key.setdefault(k, []).append((j, Fraction(v, den) if den
                                              else v))
     n = cs[0].rank + nvars if cs else 0
@@ -424,25 +467,41 @@ def monomial_groups(cs: Sequence[TorusAlgebraElement], nvars: int) -> list:
 # Blocks: partial products over table ids
 # ---------------------------------------------------------------------------
 
+_shape, _height = attrgetter("den", "slot", "base"), attrgetter("height")
+
+
 def block(cs: Dict[int, TorusAlgebraElement]) -> list:
-    """The block [parts, den] of the elements ``cs``: parts maps each id to
-    [terms, bound], an element's but for zeros in the terms, which readers
-    skip, over den, None in ZZ-mode and else the lcm of the dens of cs,
-    content not reduced.  No function writes into a block it only reads."""
-    dens = {c.den for c in cs.values()}
+    """The block of the elements ``cs``: [terms, bound] of each by id (zeros
+    in terms are skipped by readers) over the lcm of the dens (None in
+    ZZ-mode), at the widest slot, the deepest base and the largest height.
+    No function writes into a block it only reads."""
+    if not cs:
+        return [{}, None, 0, 0, 0]
+    vals = cs.values()
+    shapes = set(map(_shape, vals))
+    height = max(map(_height, vals))
+    if len(shapes) == 1:   # every part as it is
+        (den, slot, base), = shapes
+        if not (slot and height >> (slot - 1)):
+            return [{u: [c.terms, c.bound] for u, c in cs.items()}, den,
+                    slot, base, height]
+    dens = {d for d, _, _ in shapes}
     den = None if dens <= {None} else lcm(*map(_qden, dens))
-    return [{u: [c.terms if c.den == den else {
-        k: v * (den // _qden(c.den)) for k, v in c.terms.items()}, c.bound]
-        for u, c in cs.items()}, den]
+    lift = {u: _qden(den) // _qden(c.den) for u, c in cs.items()}
+    height = max(c.height * lift[u] for u, c in cs.items())
+    slot = max(s for _, s, _ in shapes)
+    to = slot and _fit(slot, height), max(b for _, _, b in shapes)
+    return [{u: [_recode(c, to, lift[u]), c.bound] for u, c in cs.items()},
+            den, *to, height]
 
 
 def settle(blk: list, like: TorusAlgebraElement
            ) -> Dict[int, TorusAlgebraElement]:
     """The nonzero elements, of the type and rank of ``like``, that ``blk``
     holds, by id."""
-    den = blk[1]
-    return {u: c for u, (terms, bound) in blk[0].items()
-            if (c := _settled(like, terms, bound, den)).terms}
+    parts, den, slot, base, height = blk
+    return {u: c for u, (terms, bound) in parts.items() if (c := _settled(
+        like, terms, bound, den, slot, base, height)).terms}
 
 
 def _flip_signs(c: TorusAlgebraElement, low: int, n: int
@@ -450,8 +509,8 @@ def _flip_signs(c: TorusAlgebraElement, low: int, n: int
     """Each monomial of c times (-1)^(n + the sum of its lattice exponents
     at the digits whose lowest bit ``low`` holds), read off those bits."""
     offset = _low_split(c.rank)[0]
-    return _new(c, {k: -v if (((k + offset) & low).bit_count() + n) & 1
-                    else v for k, v in c.terms.items()}, c.bound, c.den)
+    return _like(c, {k: -v if (((k + offset) & low).bit_count() + n) & 1
+                     else v for k, v in c.terms.items()})
 
 
 def negate_lattice(c: TorusAlgebraElement, n: int) -> TorusAlgebraElement:
@@ -461,13 +520,12 @@ def negate_lattice(c: TorusAlgebraElement, n: int) -> TorusAlgebraElement:
 
 
 def _mul_terms(acc: Dict[int, object], xs: Dict[int, object],
-               ys: Dict[int, object], m) -> None:
-    """Add m times the product of the term dicts ``xs`` and ``ys`` into
-    ``acc``; zeros of ``xs`` are skipped.  Checks no range."""
+               ys: Dict[int, object]) -> None:
+    """Add the product of the term dicts ``xs`` and ``ys`` into ``acc``;
+    zeros of ``xs`` are skipped.  Checks no range."""
     get = acc.get
     for k1, c1 in xs.items():
         if c1:
-            c1 *= m
             for k2, c2 in ys.items():
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
@@ -475,18 +533,36 @@ def _mul_terms(acc: Dict[int, object], xs: Dict[int, object],
 
 def mul_into(out: list, a: TorusAlgebraElement, blk: list) -> None:
     """Add a times every id of ``blk`` to the same id of the block ``out``;
-    a one-term factor is a key shift and a scalar product."""
-    parts, den = blk
-    acc_parts, oden = out
+    a one-term factor is a key shift and a scalar product.  ``out`` and the
+    factors first take one slot, the widest, or a wider one that holds the
+    new height, and one base, the deepest."""
+    parts, den, bslot, bbase, bheight = blk
+    acc_parts, oden, oslot, obase, oheight = out
     den = None if a.den is den is None else _qden(a.den) * _qden(den)
-    m = 1
+    fs = m = 1
     if oden != den:
         out[1], fs, m = _common(oden, den)
         if fs != 1:
             for terms, _ in acc_parts.values():
                 for k in terms:
                     terms[k] *= fs
-    xa, abound = a.terms, a.bound
+    out[4] = height = oheight * fs + a.height * bheight * m
+    xa, rank = a.terms, a.rank
+    if not acc_parts:   # ``out`` takes the shape of the product
+        out[2], out[3] = oslot, obase = bslot, a.base + bbase
+    if a.slot != bslot or bslot != oslot or a.base + bbase != obase \
+            or oslot and height >> (oslot - 1):
+        slot = max(oslot, a.slot, bslot)
+        to = slot and _fit(slot, height), max(obase, a.base + bbase)
+        for part in acc_parts.values():
+            part[0] = _recode((part[0], oslot, obase), to, 1, rank)
+        if bslot not in (0, to[0]):
+            parts = _widened(blk, to[0], rank)[0]
+        xa = _recode(a, (to[0], to[1] - bbase))
+        out[2:4] = to
+    if m != 1:   # a over the new den
+        xa = {k: c * m for k, c in xa.items()}
+    abound = a.bound
     for u, (terms, bound) in parts.items():
         bound = _check_bound(abound + bound)
         part = acc_parts.get(u)
@@ -496,40 +572,51 @@ def mul_into(out: list, a: TorusAlgebraElement, blk: list) -> None:
         if part is None:
             if len(ys) == 1:   # keys shifted by one key stay distinct
                 (k2, c2), = ys.items()
-                c2 *= m
                 acc_parts[u] = [{k + k2: c * c2 for k, c in xs.items()},
                                 bound]
                 continue
             part = acc_parts[u] = [{}, bound]
         elif bound > part[1]:
             part[1] = bound
-        _mul_terms(part[0], xs, ys, m)
+        _mul_terms(part[0], xs, ys)
 
 
 def map_monomials(blk: list, step: tuple, perm, lengths) -> list:
-    """The block of N_s times the block ``blk``: the coefficient c of id u
-    gives f(c) to id perm[u] and g(c) factor, plus f(c) bracket when
-    lengths[perm[u]] < lengths[u] (and bracket is not None), to id u, for
-    ``step`` = (table, build, factor, bracket): f and g fix the z- (r-)
-    part and are linear over it, and ``build(x)`` gives (f(theta_x),
-    g(theta_x)), free of z and over ZZ.  ``table``, bound to this step,
-    maps each lattice part x met so far to (bound of f(theta_x), bound of
-    g(theta_x), f(theta_x), g(theta_x) factor, g(theta_x) factor +
-    f(theta_x) bracket): (key offset, scalar) pairs kept once by
-    ``_shared``, the products over the common denominator mden of factor
-    and bracket, which the new block's den(blk) mden holds; a part whose
-    ``build`` raises is not recorded.  Per id, f(c) has the bound F =
-    max(bound(c), those of f(theta_x)); the correction, checked before it
-    is written, G + bound(factor) (G the same for g, over the nonzero
-    g(theta_x) factor) and, when shorter, at least F + bound(bracket)."""
+    """The block of N_s times the block ``blk``: c at id u gives f(c) to
+    perm[u] and g(c) factor, plus f(c) bracket when lengths[perm[u]] <
+    lengths[u] and bracket is not None, to u; ``step`` = (table, build,
+    factor, bracket), f and g linear over and fixing the z-part, build(x)
+    = (f(theta_x), g(theta_x)) free of z over ZZ.  ``table`` maps each key
+    met (lattice part x) to (bounds of f(theta_x) and g(theta_x), then
+    f(theta_x) mden, g(theta_x) factor and that + f(theta_x) bracket as
+    (key offset, value) pairs shared by ``_shared`` over the common den
+    mden at the slot and base of factor and bracket, and their height);
+    a part whose build raises is not recorded.  A block at another slot
+    is mapped at the wider on a table for the call, and at a wider one
+    when height(blk) times the highest entry met passes it.  Per id, f(c)
+    has bound F = max(bound(c), those of f(theta_x)); the correction,
+    checked before it is written, G + bound(factor) (G the same for the
+    nonzero g(theta_x) factor), if shorter >= F + bound(bracket)."""
     table, build, factor, bracket = step
-    parts, den = blk
+    parts, den, slot, base, height = blk
     rank = factor.rank
+    pair = factor if bracket is None else bracket
+    tslot = max(factor.slot, pair.slot)
+    if slot != tslot and slot and tslot:   # one slot, the wider
+        if slot < tslot:
+            return map_monomials(_widened(blk, tslot, rank), step, perm,
+                                 lengths)
+        return map_monomials(blk, ({}, build) + tuple(
+            c if c is None or c.slot in (0, slot) else _new(
+                c, c.bound, _recode(c, (slot, c.base)), c.den, slot, c.base,
+                c.height) for c in (factor, bracket)), perm, lengths)
+    to = tslot, max(factor.base, pair.base)
     offset, mask = _low_split(rank)
     mden, ff, fb = (factor.den, 1, 1) if bracket is None else \
         _common(factor.den, bracket.den)
-    mi = 1 if den is mden is None else _qden(mden)   # f(c) over the new den
+    mi = _qden(mden)   # f(c) over the new den
     den = None if den is mden is None else _qden(den) * mi
+    hmax = 0
     out: Dict[int, list] = {}
     get_part = out.get
     for u, (terms, bound) in parts.items():
@@ -544,31 +631,35 @@ def map_monomials(blk: list, step: tuple, perm, lengths) -> list:
         acc = image[0]
         get = acc.get
         fbound, gbound = bound, -1   # -1: no g(theta_x) factor met
-        hits = []   # (key, scalar, correction terms), added once in range
+        hits = []   # (key, value, correction terms), added once in range
         for k, v in terms.items():
             if not v:
                 continue
-            xk = ((k + offset) & mask) - offset
-            entry = table.get(xk)
+            entry = table.get(k)
             if entry is None:
+                xk = ((k + offset) & mask) - offset
                 f, g = build(_unpack(xk, rank)[0])
                 long: Dict[int, object] = {}
-                _mul_terms(long, g.terms, factor.terms, ff)
+                _mul_terms(long, g.terms, _recode(factor, to, ff))
                 short = dict(long)
+                h = f.height * mi + g.height * factor.height * ff
                 if bracket is not None:
-                    _mul_terms(short, f.terms, bracket.terms, fb)
-                entry = table[xk] = (f.bound, g.bound, *(_shared(tuple(
-                    (ek - xk, w) for ek, w in e.items() if w))
-                    for e in (f.terms, long, short)))
-            bf, bg, fs, long, short = entry
+                    _mul_terms(short, f.terms, _recode(bracket, to, fb))
+                    h += f.height * bracket.height * fb
+                entry = table[k] = (f.bound, g.bound, *(_shared(tuple(
+                    (ek - xk, w * lift) for ek, w in e.items() if w))
+                    for e, lift in ((f.terms, mi << to[0] * to[1]),
+                                    (long, 1), (short, 1))), h)
+            bf, bg, fs, long, short, h = entry
             if bf > fbound:
                 fbound = bf
             if long and bg > gbound:
                 gbound = bg
-            vi = v * mi
+            if h > hmax:
+                hmax = h
             for d, w in fs:
                 d += k
-                acc[d] = get(d, 0) + vi * w
+                acc[d] = get(d, 0) + v * w
             ts = short if shorter else long
             if ts:
                 hits.append((k, v, ts))
@@ -587,7 +678,13 @@ def map_monomials(blk: list, step: tuple, perm, lengths) -> list:
             for d, w in ts:
                 d += k
                 acc[d] = get(d, 0) + v * w
-    return [{u: p for u, p in out.items() if p[0]}, den]
+    height *= hmax
+    slot = slot or tslot
+    if slot and height >> (slot - 1):
+        return map_monomials(_widened(blk, _fit(slot, height), rank), step,
+                             perm, lengths)
+    return [{u: p for u, p in out.items() if p[0]}, den, slot, base + to[1],
+            height]
 
 
 @lru_cache(maxsize=4096)

@@ -24,16 +24,12 @@ with the group algebra embedded (no quadratic correction).
 
 Both algebras share one multiplication skeleton (``multiply``, with the
 left actions ``_ns_mul`` and ``_ngamma_mul``) and one N_s kernel,
-``coeffs.map_monomials``, which maps a block (one raw coefficient per
-table id) in one call; a descriptor supplies only its action on
-coefficients (``act_coeff``) and, per simple root, what its N_s step
-does to one monomial theta_x (``_step``).  Basis keys are
-``ExtendedWeylElement``s; ``multiply``, ``multiply_crossed``,
-``im_involution`` and ``serialize_element`` check their inputs and turn
-the keys into W_ext ``GroupTable`` ids on entry (``_ids``, one lookup per
-key) and back on exit (``_keyed``).  In between they read the table's
-permutations, products, lengths and labels by id and build no group
-element.
+``coeffs.map_monomials``, which maps a block of coefficients by table id;
+a descriptor supplies its action on coefficients (``act_coeff``) and per
+simple root what its N_s step does to a monomial theta_x (``_step``).
+Basis keys are ``ExtendedWeylElement``s, turned into W_ext ``GroupTable``
+ids on entry (``_ids``) and back on exit (``_keyed``); in between only
+the table's permutations, products, lengths and labels are read.
 """
 
 from __future__ import annotations
@@ -112,9 +108,8 @@ class HeckeElement:
         return type(self)({w: c.scale(scalar) for w, c in self.terms.items()})
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("(%r)*N[%r]" % (c, w) for w, c in self.terms.items())
+        return " + ".join("(%r)*N[%r]" % (c, w)
+                          for w, c in self.terms.items()) or "0"
 
 
 class GradedElement(HeckeElement):
@@ -122,12 +117,9 @@ class GradedElement(HeckeElement):
 
     __slots__ = ()
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        # rename the display variable of the scalar parts
+    def __repr__(self):   # the scalar parts' variable shown as r
         return " + ".join("(%s)*N[%r]" % (repr(c).replace("z", "r"), w)
-                          for w, c in self.terms.items())
+                          for w, c in self.terms.items()) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +271,10 @@ class AffineDescriptor(HeckeDescriptor):
     def _step(self, info: SimpleRootInfo) -> tuple:
         """N_s c = s(c) N_s + sum_x c_x D_x factor (Bernstein-Lusztig), with
         factor = (z^lambda - z^-lambda) + theta_{-alpha} (z^lambda* -
-        z^-lambda*), the second summand only for a halvable coroot, which
-        halves the pairing and steps by 2 alpha (D_x of
-        ``bernstein_divide``); the bracket is the constant z^lambda -
-        z^-lambda of the quadratic relation.  ``build`` reflects theta_x
-        first, so a part whose image leaves the packed range raises before
-        its D_x is built."""
+        z^-lambda*), the second summand only for a halvable coroot (D_x of
+        ``bernstein_divide``); the bracket is z^lambda - z^-lambda.
+        ``build`` reflects theta_x first, so a part whose image leaves the
+        packed range raises before its D_x is built."""
         rank = self.rd.rank
         terms = {(0,) * rank: self.zbracket(info.zvar, info.lam)}
         bracket = TorusAlgebraElement(rank, terms)
@@ -357,11 +347,9 @@ def _ngamma_mul(desc: HeckeDescriptor, label: str,
     amat = desc.wext.rgroup.matrix(label)
     table = desc.wext.table
     perm, labels = table.perms[table.gen_index[label]], table.labels
-    out: Dict[int, TorusAlgebraElement] = {}
-    for u, c in terms.items():
-        cg = desc.act_coeff(amat, c)
-        out[perm[u]] = cg if desc.cocycle(label, labels[u]) == 1 else -cg
-    return block(out)
+    return block({perm[u]: cg if desc.cocycle(label, labels[u]) == 1 else -cg
+                  for u, c in terms.items()
+                  for cg in [desc.act_coeff(amat, c)]})
 
 
 def _ids(desc: HeckeDescriptor, elem: HeckeElement
@@ -401,10 +389,8 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
     computed once; N_s then follows for each letter of the recorded word
     of w^-1 (a reduced word of w read right to left).  These words are
     closed under prefixes, so a walk in lexicographic order with a stack
-    of partial products makes one ``_ns_mul`` per node of their trie: 7
-    for all of W(B2), where one walk per term made 16.  Partial products
-    are blocks keyed by table id: each step is one ``map_monomials`` call
-    and each word one ``coeffs.mul_into`` call into the output block.
+    of partial products (blocks) makes one ``_ns_mul`` per node of their
+    trie, and each word one ``coeffs.mul_into`` into the output block.
 
     Both factors must belong to ``desc`` (``HeckeError`` otherwise).  The
     first product on a descriptor builds the W_ext table, O(|W_ext|) time
@@ -420,7 +406,7 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
         w_inv = table.elements[table.inverse[e0 + u % nw]].weyl
         labels.setdefault(table.labels[u], []).append(
             (wg.reduced_word(w_inv), c))
-    out = [{}, None]
+    out = block({})
     for label, words in labels.items():
         # (i_1 .. i_k, N_{s_{i_k}} .. N_{s_{i_1}} N_gamma b) along the word
         path = [((), _ngamma_mul(desc, label, b_ids))]
@@ -467,9 +453,9 @@ def multiply_crossed(desc: AffineDescriptor, a: HeckeElement, b: HeckeElement
 
 def symmetrize(desc: AffineDescriptor, x: Sequence[int]) -> HeckeElement:
     """Orbit sum sum_{y in W_ext x} theta_y (central by the Bernstein centre)."""
-    terms = spread_invariant(desc.rd, desc.wext, {tuple(x): desc.scalar_one()})
-    coeff = TorusAlgebraElement(desc.rd.rank, terms)
-    return HeckeElement({desc.wext.identity: coeff})
+    return HeckeElement({desc.wext.identity: TorusAlgebraElement(
+        desc.rd.rank, spread_invariant(desc.rd, desc.wext,
+                                       {tuple(x): desc.scalar_one()}))})
 
 
 def is_central(desc: AffineDescriptor, a: HeckeElement) -> bool:
@@ -479,10 +465,7 @@ def is_central(desc: AffineDescriptor, a: HeckeElement) -> bool:
     gens += [desc.n_simple(i) for i in range(len(desc.rd.simple_roots))]
     gens += [desc.n_gamma(l) for l in desc.wext.rgroup.labels
              if l != desc.wext.rgroup.identity]
-    for g in gens:
-        if multiply(desc, a, g) != multiply(desc, g, a):
-            return False
-    return True
+    return all(multiply(desc, a, g) == multiply(desc, g, a) for g in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +593,9 @@ def affine_to_graded(desc: AffineDescriptor, exponents: Vector, order: int
     """
     stab = stabilizer_of_point(desc.wext, tuple(exponents), order)
     sub = stab.subsystem
-    k: Dict[Vector, int] = {}
-    for r in sub.nondivisible_roots:
-        v = r.vector
-        k[v] = desc.lam[v] + stab.root_values[v] * desc.lam_star[v] \
-            if r.halvable else 2 * desc.lam[v]
+    k = {v: desc.lam[v] + stab.root_values[v] * desc.lam_star[v]
+         if r.halvable else 2 * desc.lam[v]
+         for r in sub.nondivisible_roots for v in [r.vector]}
     # the relative diagram group on table ids, (w_j, l_k) being k |W| + j
     wt = desc.wext.table
     nw = len(wt.labels) // desc.wext.rgroup.order()

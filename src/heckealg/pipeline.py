@@ -215,10 +215,9 @@ def datum_from_json(doc: Union[str, dict]) -> InertialDatum:
 def validate(datum: InertialDatum) -> InertialDatum:
     """Check all block invariants and the rank accounting; returns the
     normalized datum (blocks canonically sorted)."""
-    errors: List[str] = []
     if datum.family not in FAMILIES:
-        errors.append("unknown family %r" % (datum.family,))
-        raise ValidationError(errors)
+        raise ValidationError(["unknown family %r" % (datum.family,)])
+    errors: List[str] = []
     if datum.sl_rgroup is not None and datum.family != "SL":
         errors.append("sl_rgroup is only meaningful for SL data")
     classical = datum.family in ("Sp", "SOodd", "SOeven")
@@ -251,12 +250,8 @@ def validate(datum: InertialDatum) -> InertialDatum:
 
     if classical:
         nvee = 2 * datum.n + 1 if datum.family == "Sp" else 2 * datum.n
-        total = 0
-        for b in datum.blocks:
-            if b.side == "GL":
-                total += 2 * b.e * b.dim
-            else:
-                total += b.dim * (2 * b.e + b.ell_total())
+        total = sum(2 * b.e * b.dim if b.side == "GL" else
+                    b.dim * (2 * b.e + b.ell_total()) for b in datum.blocks)
         if total != nvee:
             errors.append("rank accounting: blocks cover dimension %d, the "
                           "standard representation has dimension %d"
@@ -294,18 +289,11 @@ def root_component(side: str, e: int, ell_total: int
     BC_e otherwise; O row: D_e / B_e likewise; GL row: A_{e-1} once two
     copies meet.
     """
-    if side == "S":
-        if e == 0:
-            return None
-        return ("C", e) if ell_total == 0 else ("BC", e)
-    if side == "O":
-        if e == 0:
-            return None
-        return ("D", e) if ell_total == 0 else ("B", e)
+    if side in ("S", "O"):
+        fams = ("C", "BC") if side == "S" else ("D", "B")
+        return (fams[ell_total != 0], e) if e else None
     if side == "GL":
-        if e <= 1:
-            return None
-        return ("A", e - 1)
+        return ("A", e - 1) if e > 1 else None
     raise ValidationError(["unknown side %r" % (side,)])
 
 
@@ -314,18 +302,13 @@ def _block_datum(family_rank: Optional[Tuple[str, int]], e: int) -> RootDatum:
     if family_rank is None:
         return empty_datum(e)
     fam, rank = family_rank
-    if fam == "A":
-        return build_classical("A", rank)          # lives in ZZ^{rank+1} = ZZ^e
     if fam == "D" and rank == 1:
         return empty_datum(1)                      # SO_2: no roots on one coordinate
-    return build_classical(fam, rank)
+    return build_classical(fam, rank)              # A_rank lives in ZZ^{rank+1} = ZZ^e
 
 
 def _block_weyl_order(family_rank: Optional[Tuple[str, int]]) -> int:
-    if family_rank is None:
-        return 1
-    fam, rank = family_rank
-    return weyl_order_classical(fam, rank)
+    return 1 if family_rank is None else weyl_order_classical(*family_rank)
 
 
 def _root_params(datum_family: str, b: BlockDatum, fam: str, r: Root
@@ -441,12 +424,8 @@ class HeckeReport:
         return out
 
     def to_json(self) -> dict:
-        fams = []
-        for fr in self.block_systems:
-            fams.append(None if fr is None else "%s%d" % fr)
-        reds = []
-        for fr in self.block_reduced:
-            reds.append(None if fr is None else "%s%d" % fr)
+        fams, reds = ([None if fr is None else "%s%d" % fr for fr in frs]
+                      for frs in (self.block_systems, self.block_reduced))
         return {
             "family": self.datum.family,
             "n": self.datum.n,
@@ -472,9 +451,8 @@ class HeckeReport:
         }
 
     def to_text(self) -> str:
-        lines = []
-        lines.append("Twisted affine Hecke algebra for %s (n = %d)"
-                     % (self.datum.family, self.datum.n))
+        lines = ["Twisted affine Hecke algebra for %s (n = %d)"
+                 % (self.datum.family, self.datum.n)]
         sysnames = [("%s%d" % fr) if fr else "empty"
                     for fr in self.block_systems]
         rednames = [("%s%d" % fr) if fr else "empty"
@@ -541,16 +519,8 @@ def assemble(datum: InertialDatum) -> HeckeReport:
             raise
         raise ValidationError(["sl_rgroup: %s" % exc]) from exc
 
-    group_order = 1
-    reduced: List[Optional[Tuple[str, int]]] = []
-    for fr in systems:
-        group_order *= _block_weyl_order(fr)
-        if fr is None:
-            reduced.append(None)
-        elif fr[0] == "BC":
-            reduced.append(("B", fr[1]))
-        else:
-            reduced.append(fr)
+    group_order = math.prod(map(_block_weyl_order, systems))
+    reduced = [("B", fr[1]) if fr and fr[0] == "BC" else fr for fr in systems]
 
     # the simple roots in descending lexicographic order are those of
     # block 1, then block 2, ..., each in its own order
@@ -566,10 +536,9 @@ def assemble(datum: InertialDatum) -> HeckeReport:
 
     charlat = None
     if datum.family == "SL":
-        weights = []
-        for b, rd in zip(datum.blocks, block_data):
-            t = b.torsion if isinstance(b.torsion, int) else 1
-            weights.extend([t] * rd.rank)
+        weights = [b.torsion if isinstance(b.torsion, int) else 1
+                   for b, rd in zip(datum.blocks, block_data)
+                   for _ in range(rd.rank)]
         g = math.gcd(*weights) if weights else 1
         charlat = {
             "constraint": weights,
@@ -632,13 +601,9 @@ def specialize_report(report: HeckeReport, q: Fraction) -> List[dict]:
     rels, q = report.specializations(), Fraction(q)
     _check_q_bits(report, max((q.numerator - 1).bit_length(),
                               (q.denominator - 1).bit_length()))
-    out = []
-    for rel in rels:
-        item = dict(rel)
-        if isinstance(rel["exponent"], int):
-            item["q_power_value"] = str(q ** rel["exponent"])
-        out.append(item)
-    return out
+    return [dict(rel, q_power_value=str(q ** rel["exponent"]))
+            if isinstance(rel["exponent"], int) else dict(rel)
+            for rel in rels]
 
 
 # ---------------------------------------------------------------------------

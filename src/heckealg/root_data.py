@@ -16,6 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, permutations
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 Vector = Tuple[int, ...]
@@ -114,9 +115,8 @@ class RootDatum:
     # -- construction-time checks -------------------------------------
 
     def _half_in(self, v: Vector) -> bool:
-        if any(x % 2 for x in v):
-            return False
-        return tuple(x // 2 for x in v) in self._by_vector
+        return not any(x % 2 for x in v) and \
+            tuple(x // 2 for x in v) in self._by_vector
 
     def _validate(self):
         lines = Counter(map(_direction, self._by_vector))
@@ -242,20 +242,16 @@ def build_classical(family: str, n: int) -> RootDatum:
         roots.append(Root(vec, co, 1))
 
     if family == "A":
-        for i in range(rank):
-            for j in range(rank):
-                if i != j:
-                    v = vsub(_unit(rank, i), _unit(rank, j))
-                    add(v, v)
+        for i, j in permutations(range(rank), 2):
+            v = vsub(_unit(rank, i), _unit(rank, j))
+            add(v, v)
     elif family in ("B", "C", "D", "BC"):
         if family == "D" and n < 2:
             raise RootDatumError("D requires rank >= 2")
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = vadd(_unit(n, i, si), _unit(n, j, sj))
-                        add(v, v)
+        for i, j in combinations(range(n), 2):
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                v = vadd(_unit(n, i, si), _unit(n, j, sj))
+                add(v, v)
         if family in ("B", "BC"):
             for i in range(n):
                 for s in (1, -1):
@@ -323,7 +319,5 @@ def weyl_order_classical(family: str, n: int) -> int:
     if family in ("B", "C", "BC"):
         return 2 ** n * math.factorial(n)
     if family == "D":
-        if n == 1:
-            return 1
-        return 2 ** (n - 1) * math.factorial(n)
+        return 2 ** (n - 1) * math.factorial(n) if n > 1 else 1
     raise RootDatumError("unsupported family %r" % (family,))

@@ -550,7 +550,9 @@ class GroupTable:
                 sigma = [simple[image[s]] for s in simple]
                 gens.append((l, [walk(map(sigma.__getitem__, reversed(word)))
                                  for word in words]))
-        ids = list(range(nw * len(rg.labels)))
+        # ids 0 .. |W| - 1 are the search's own int objects, not copies
+        ids = sorted(right[0] if right else [one]) + \
+            list(range(nw, nw * len(rg.labels)))
         block = {l: ids[k * nw:(k + 1) * nw] for k, l in enumerate(rg.labels)}
         self.perms: List[List[int]] = [list(chain.from_iterable(
             map(block[b if l is None else rg.mult(l, b)].__getitem__, moved)
@@ -700,14 +702,9 @@ class ConeMembership:
     essentially_interior: bool           # strict, modulo the central subspace
 
     def labels(self) -> frozenset:
-        out = set()
-        if self.dominant:
-            out.add("dominant")
-        if self.antidominant_obtuse:
-            out.add("antidominant_obtuse")
-        if self.antidominant_obtuse_interior:
-            out.add("antidominant_obtuse_interior")
-        return frozenset(out) if out else frozenset({"none"})
+        return frozenset({name for name in ("dominant", "antidominant_obtuse",
+                                            "antidominant_obtuse_interior")
+                          if getattr(self, name)} or {"none"})
 
 
 def _solve_coroot_combination(rd: RootDatum, x: Sequence[int]):
@@ -722,11 +719,8 @@ def _solve_coroot_combination(rd: RootDatum, x: Sequence[int]):
     simples = rd.simple_roots
     b = [pairing(s.vector, x) for s in simples]
     coeffs = [sum(a * bj for a, bj in zip(row, b)) for row in inverse]
-    v = [d * xi for xi in x]
-    for c, s in zip(coeffs, simples):
-        for i in range(rd.rank):
-            v[i] -= c * s.coroot[i]
-    return coeffs, v
+    return coeffs, [d * xi - sum(c * s.coroot[i] for c, s in
+                                 zip(coeffs, simples)) for i, xi in enumerate(x)]
 
 
 def cone_classify(rd: RootDatum, x: Sequence[Fraction]) -> ConeMembership:

@@ -6,9 +6,10 @@ from operator import mul
 
 import pytest
 
-from heckealg.coeffs import (MAX_EXP, LaurentZ, PackedRangeError,
-                             TorusAlgebraElement, block, map_monomials,
-                             negate_lattice, settle, z_bracket)
+from heckealg.coeffs import (MAX_EXP, SLOT, SPAN, LaurentZ,
+                             PackedRangeError, TorusAlgebraElement, _fit,
+                             block, map_monomials, negate_lattice, settle,
+                             z_bracket)
 from heckealg.hecke import AffineDescriptor, GradedDescriptor
 from heckealg.root_data import Root, RootDatum, vneg
 from heckealg.weyl import Cocycle, ExtendedGroup, RGroup, identity_matrix
@@ -503,3 +504,177 @@ def test_map_monomials_past_packed_range_raises():
 
 def test_map_monomials_checks_range_before_telescoping():
     run_capped(_telescope_range_checked_first)
+
+
+# ---------------------------------------------------------------------------
+# The packed value: slots, heights, widening, base and windows
+# ---------------------------------------------------------------------------
+
+def _element(rank, nvars, poly):
+    """The element of ``poly`` = {(x, e): int or Fraction}, built one
+    monomial at a time through the constructor."""
+    out = TorusAlgebraElement(rank)
+    for (x, e), v in poly.items():
+        scalar = LaurentZ.monomial(nvars, e, v) if isinstance(v, int) else v
+        if not isinstance(v, int):
+            assert not any(e)
+        out = out + TorusAlgebraElement(rank, {x: scalar})
+    return out
+
+
+def _poly(elem, nvars):
+    return {(x, e): v for x, e, v in monomials(elem, nvars)}
+
+
+def _poly_product(f, g):
+    out = {}
+    for (x, e), v in f.items():
+        for (y, d), w in g.items():
+            key = (tuple(map(sum, zip(x, y))), tuple(map(sum, zip(e, d))))
+            out[key] = out.get(key, 0) + v * w
+    return {k: v for k, v in out.items() if v}
+
+
+def test_packed_ring_with_more_z_variables_matches_sympy():
+    # z_1 packed in the values, z_2 and z_3 in the keys: products, sums,
+    # the lattice action and the sign pass against sympy at d = 2 and 3,
+    # with negative z-exponents and scalars up to 2^70
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(30)
+    for nvars in (2, 3):
+        rank = 2
+        gens = sympy.symbols("x1:%d z1:%d" % (rank + 1, nvars + 1))
+        ring = sympy.ring(gens, sympy.ZZ)[0]
+
+        def poly(elem, lift=8):
+            return ring.from_dict({tuple(k + lift for k in x + e): v
+                                   for x, e, v in monomials(elem, nvars)})
+
+        for trial in range(12):
+            big = 1 << rng.choice((3, 40, 70))
+            a, b = (TorusAlgebraElement(rank, {
+                tuple(rng.randint(-2, 2) for _ in range(rank)):
+                LaurentZ(nvars, {tuple(rng.randint(-3, 3) for _ in
+                                       range(nvars)):
+                                 rng.randint(-big, big) for _ in range(3)})
+                for _ in range(3)}) for _ in range(2))
+            assert poly(a * b, 16) == poly(a) * poly(b)
+            assert poly(a + b) == poly(a) + poly(b)
+            assert poly(a - a) == 0 and not (a - a)
+            swap = ((0, 1), (1, 0))
+            assert _poly(a.act_matrix(swap), nvars) == {
+                (x[::-1], e): v for (x, e), v in _poly(a, nvars).items()}
+            assert _poly(negate_lattice(a, 1), nvars) == {
+                (x, e): -v if sum(x) % 2 == 0 else v
+                for (x, e), v in _poly(a, nvars).items()}
+
+
+def test_scalars_at_the_edge_of_the_slot():
+    # +-(2^(SLOT-1) - 1) fits a slot; the sum of two of them, and any
+    # product, moves to wider slots and reads back exactly; every result
+    # is canonical, so it equals the element built from its monomials
+    edge = (1 << (SLOT - 1)) - 1
+    z = LaurentZ.var_power(1, 1, 1)
+    for c in (edge, -edge):
+        a = TorusAlgebraElement(1, {(0,): LaurentZ(1, {(-1,): c, (2,): -c}),
+                                    (1,): z.scale(c)})
+        assert a.slot == _fit(SLOT, a.height) == 2 * SLOT
+        one = TorusAlgebraElement(1, {(0,): LaurentZ(1, {(-1,): c})})
+        assert one.slot == SLOT and one.height == edge
+        assert _poly(one, 1) == {((0,), (-1,)): c}
+        for got, want in ((a + a, {k: 2 * v for k, v in _poly(a, 1).items()}),
+                          (a * a, _poly_product(_poly(a, 1), _poly(a, 1))),
+                          (one + one, {((0,), (-1,)): 2 * c})):
+            assert _poly(got, 1) == want
+            assert got == _element(1, 1, want)
+            assert got.slot == _fit(SLOT, sum(map(abs, want.values())))
+
+
+def test_a_product_chain_widens_its_slots():
+    # (1 + z)^2^k times 2^60: heights double in bits at each squaring, so
+    # the slots widen past SLOT; every step agrees with the dict product
+    # and returns to SLOT once the scalars are small again
+    c = TorusAlgebraElement(1, {(0,): LaurentZ(1, {(0,): 1 << 60,
+                                                   (-1,): -(1 << 60)})})
+    poly = _poly(c, 1)
+    for _ in range(3):
+        c, poly = c * c, _poly_product(poly, poly)
+        assert _poly(c, 1) == poly
+        assert c.slot > SLOT and c == _element(1, 1, poly)
+    small = TorusAlgebraElement(1, {(0,): LaurentZ.var_power(1, 1, -3)})
+    assert (c - c + small).slot == SLOT
+    # a block past its slot in an N_s step is mapped again at a wider one
+    (_, build, _, _), _ = _rank_one_steps(Root((1, -1), (1, -1), 1))
+    factor = TorusAlgebraElement(2, {(0, 0): z_bracket(1, 1, 1)})
+    big = TorusAlgebraElement(2, {(3, 0): LaurentZ(1, {
+        (0,): (1 << (SLOT - 2)) + 1, (-2,): 5})})
+    cs, corr = _mapped(big, ({}, build, factor, None))
+    assert corr.slot > SLOT
+    assert _poly(cs, 1) == {((0, 3), e): v for (_, e), v in
+                            _poly(big, 1).items()}
+    expect = {}
+    for (x, e), v in _poly(big, 1).items():   # D_x = theta_x + .. , n = 3
+        for k in range(3):
+            for (y, d), w in _poly(factor, 1).items():
+                key = ((x[0] - k + y[0], x[1] + k + y[1]), (e[0] + d[0],))
+                expect[key] = expect.get(key, 0) + v * w
+    assert _poly(corr, 1) == {k: v for k, v in expect.items() if v}
+
+
+def test_negative_z_exponents_normalize_the_base():
+    # base = max(0, -lowest z_1-exponent): products and sums whose lowest
+    # exponents cancel drop their empty low slots, so they equal the
+    # elements built from their monomials, fields and all
+    z, zinv = LaurentZ.var_power(1, 1, 1), LaurentZ.var_power(1, 1, -1)
+    a = TorusAlgebraElement(2, {(1, 0): zinv.scale(3) + z, (0, 1): zinv})
+    b = TorusAlgebraElement(2, {(0, 0): z})
+    for got, want in (
+            (a * b, {((1, 0), (0,)): 3, ((1, 0), (2,)): 1,
+                     ((0, 1), (0,)): 1}),
+            (a * b * b, {((1, 0), (1,)): 3, ((1, 0), (3,)): 1,
+                         ((0, 1), (1,)): 1}),
+            (a - TorusAlgebraElement(2, {(1, 0): zinv.scale(3),
+                                         (0, 1): zinv}),
+             {((1, 0), (1,)): 1}),
+            (a * a, _poly_product(_poly(a, 1), _poly(a, 1)))):
+        assert _poly(got, 1) == want
+        built = _element(2, 1, want)
+        assert got == built
+        assert (got.base, got.slot) == (built.base, built.slot) == (
+            max(0, -min(e[0] for _, e in want)), SLOT)
+    # z_1-exponents far apart take windows of SPAN slots, not one value
+    far = TorusAlgebraElement(1, {(0,): LaurentZ(1, {(-MAX_EXP,): 2, (0,): 3,
+                                                     (MAX_EXP,): 5})})
+    assert max(v.bit_length() for v in far.terms.values()) <= SLOT * SPAN
+    assert _poly(far.scale(7), 1) == {((0,), (-MAX_EXP,)): 14,
+                                      ((0,), (0,)): 21,
+                                      ((0,), (MAX_EXP,)): 35}
+
+
+def _inexact_division_by_slots():
+    # in a child: a test of the packed value would pass, and a zero
+    # quotient step would then loop
+    two_plus_z = LaurentZ(1, {(0,): 2, (1,): 1})
+    with pytest.raises(ArithmeticError, match="inexact"):
+        TorusAlgebraElement(1, {(1,): two_plus_z}).divide_linear((3,))
+
+
+def test_qq_content_and_exact_division_read_the_slots():
+    # 2^SLOT = 1 mod 3: the packed value of 2 + z is divisible by 3 while
+    # neither scalar is, so content and exactness are decided per slot
+    assert pow(2, SLOT, 3) == 1
+    two_plus_z = LaurentZ(1, {(0,): 2, (1,): 1})
+    q = TorusAlgebraElement(1, {(1,): two_plus_z}).scale(Fraction(1, 3))
+    assert q.den == 3 and _poly(q, 1) == {((1,), (0,)): Fraction(2, 3),
+                                          ((1,), (1,)): Fraction(1, 3)}
+    assert q.scale(3) == TorusAlgebraElement(1, {(1,): two_plus_z})
+    assert (q + q + q).den == 1
+    run_capped(_inexact_division_by_slots, seconds=20)
+    # and the same division over QQ is exact
+    assert _poly(q.divide_linear((3,)), 1) == {
+        ((0,), (0,)): Fraction(2, 9), ((0,), (1,)): Fraction(1, 9)}
+    # over two variables, with a pivot of size 3
+    g = TorusAlgebraElement(2, {(2, 0): two_plus_z.scale(6),
+                                (1, 1): two_plus_z.scale(2)})
+    assert g.divide_linear((3, 1)) == TorusAlgebraElement(2, {
+        (1, 0): two_plus_z.scale(2)})
