@@ -719,8 +719,11 @@ def _solve_coroot_combination(rd: RootDatum, x: Sequence[int]):
     simples = rd.simple_roots
     b = [pairing(s.vector, x) for s in simples]
     coeffs = [sum(a * bj for a, bj in zip(row, b)) for row in inverse]
-    return coeffs, [d * xi - sum(c * s.coroot[i] for c, s in
-                                 zip(coeffs, simples)) for i, xi in enumerate(x)]
+    v = [d * xi for xi in x]
+    for c, s in zip(coeffs, simples):
+        for i in range(rd.rank):
+            v[i] -= c * s.coroot[i]
+    return coeffs, v
 
 
 def cone_classify(rd: RootDatum, x: Sequence[Fraction]) -> ConeMembership:
