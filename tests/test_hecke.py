@@ -1069,3 +1069,29 @@ def test_multiply_over_qq_specializes_in_lowest_terms():
                 assert product == ab.scale(scale)
                 for c in product.terms.values():
                     assert c.den and gcd(c.den, *c.terms.values()) == 1
+
+
+@pytest.mark.parametrize("name", ["B2", "A1xA1-twisted"])
+def test_multiply_past_the_slot_width_matches_polynomial_representation(
+        name):
+    # scalars near 2^61 push the heights of blocks and products past the
+    # 64-bit slots, so steps and word sums widen on the way; the product
+    # still acts as its factors do, and (ab)b = a(bb)
+    from oracle_helpers import poly_act
+    desc = DESCS[name]
+    rng = random.Random(7)
+
+    def big(e):
+        return HeckeElement({w: TorusAlgebraElement(c.rank, {
+            x: LaurentZ.monomial(desc.d, ze, v * ((1 << 61) + 3))
+            for x, ze, v in monomials(c, desc.d)})
+            for w, c in e.terms.items()})
+
+    a, b = (big(random_element(desc, rng, nterms=3)) for _ in range(2))
+    ab = multiply(desc, a, b)
+    assert all(c.slot > 64 for c in ab.terms.values())
+    for _ in range(2):
+        f = ({(tuple(rng.randint(-2, 2) for _ in range(desc.rd.rank)),
+               tuple(rng.randint(-1, 1) for _ in range(desc.d))): 1}, {})
+        assert poly_act(desc, ab, f) == poly_act(desc, a, poly_act(desc, b, f))
+    assert multiply(desc, ab, b) == multiply(desc, a, multiply(desc, b, b))
