@@ -27,16 +27,17 @@ left actions ``_ns_mul`` and ``_ngamma_mul``) and one N_s kernel,
 ``coeffs.map_monomials``, which maps a block of coefficients by table id;
 a descriptor supplies its action on coefficients (``act_coeff``) and per
 simple root what its N_s step does to a monomial theta_x (``_step``).
-Basis keys are ``ExtendedWeylElement``s, turned into W_ext ``GroupTable``
-ids on entry (``_ids``) and back on exit (``_keyed``); in between only
-the table's permutations, products, lengths and labels are read.
+Basis keys are ``ExtendedWeylElement``s; an element used with a descriptor
+is bound to it with an id map {W_ext ``GroupTable`` id: coefficient}
+(``_ids``, ``_keyed``), and work on one descriptor reads only those ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .coeffs import (LaurentZ, TorusAlgebraElement, block, map_monomials,
                      monomial_groups, mul_into, negate_lattice, settle,
@@ -82,33 +83,63 @@ def bernstein_divide(x: Vector, alpha: Root, doubled: bool, one
 # ---------------------------------------------------------------------------
 
 class HeckeElement:
-    """Normal form sum_w c_w N_w; keys are extended Weyl elements."""
+    """Normal form sum_w c_w N_w; ``terms`` is read-only, by extended Weyl
+    element.  A result keeps its descriptor and id map, and derives it."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms", "_desc", "_ids")
+    _var = "z"
 
     def __init__(self, terms: Dict[ExtendedWeylElement, TorusAlgebraElement]):
-        self.terms = {w: c for w, c in terms.items() if c}
+        self._terms = MappingProxyType({w: c for w, c in terms.items() if c})
+        self._desc = self._ids = None
+
+    @property
+    def terms(self) -> Mapping[ExtendedWeylElement, TorusAlgebraElement]:
+        if self._terms is None:
+            elements = self._desc.wext.table.elements
+            self._terms = MappingProxyType({elements[u]: c
+                                            for u, c in self._ids.items()})
+        return self._terms
+
+    def _maps(self, *others: "HeckeElement") -> tuple:
+        """(make, maps of self and others): id maps and a maker of bound
+        elements if all share a descriptor, else keyed terms and the
+        constructor.  Both makers drop zero coefficients."""
+        desc = self._desc
+        if desc is None or any(o._desc is not desc for o in others):
+            return (type(self), self.terms) + tuple(o.terms for o in others)
+        return (lambda ids: _keyed(desc, {u: c for u, c in ids.items() if c}),
+                self._ids) + tuple(o._ids for o in others)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms if self._desc is None else self._ids)
 
     def __eq__(self, other):
-        return isinstance(other, HeckeElement) and self.terms == other.terms
+        if not isinstance(other, HeckeElement):
+            return False
+        _make, mine, theirs = self._maps(other)
+        return mine == theirs
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
+        make, mine, theirs = self._maps(other)
+        out = dict(mine)
+        for w, c in theirs.items():
             out[w] = out[w] + c if w in out else c
-        return type(self)(out)   # zeros dropped
+        return make(out)   # zeros dropped
+
+    def __neg__(self) -> "HeckeElement":
+        make, mine = self._maps()
+        return make({w: -c for w, c in mine.items()})
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scale(-1)
+        return self + -other
 
     def scale(self, scalar) -> "HeckeElement":
-        return type(self)({w: c.scale(scalar) for w, c in self.terms.items()})
+        make, mine = self._maps()
+        return make({w: c.scale(scalar) for w, c in mine.items()})
 
     def __repr__(self):
-        return " + ".join("(%r)*N[%r]" % (c, w)
+        return " + ".join("(%s)*N[%r]" % (repr(c).replace("z", self._var), w)
                           for w, c in self.terms.items()) or "0"
 
 
@@ -116,10 +147,7 @@ class GradedElement(HeckeElement):
     """Graded normal form; scalars live in ZZ[r_1..r_d]."""
 
     __slots__ = ()
-
-    def __repr__(self):   # the scalar parts' variable shown as r
-        return " + ".join("(%s)*N[%r]" % (repr(c).replace("z", "r"), w)
-                          for w, c in self.terms.items()) or "0"
+    _var = "r"     # the scalar parts' variable, as shown by repr
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +382,12 @@ def _ngamma_mul(desc: HeckeDescriptor, label: str,
 
 def _ids(desc: HeckeDescriptor, elem: HeckeElement
          ) -> Dict[int, TorusAlgebraElement]:
-    """``elem`` as {table id: coefficient}, one ``table.index`` lookup per
-    key; HeckeError unless every key is in W_ext and every coefficient has
-    the rank and scalar mode (QQ only if specialized) of ``desc``."""
+    """``elem``'s id map, first bound to ``desc`` from its ``terms`` (read
+    under any old binding) by one ``table.index`` lookup per key;
+    HeckeError, and no binding, unless every key is in W_ext and every
+    coefficient has the rank and scalar mode (QQ iff specialized)."""
+    if elem._desc is desc:
+        return elem._ids
     index = desc.wext.table.index
     rank, specialized = desc.rd.rank, desc.z_values is not None
     out: Dict[int, TorusAlgebraElement] = {}
@@ -368,16 +399,15 @@ def _ids(desc: HeckeDescriptor, elem: HeckeElement
             raise HeckeError("element scalar mode does not match the "
                              "descriptor (symbolic vs specialized)")
         out[u] = c
+    elem._desc, elem._ids = desc, out
     return out
 
 
 def _keyed(desc: HeckeDescriptor, coeffs: Dict[int, TorusAlgebraElement]
            ) -> HeckeElement:
-    """The element with the nonzero ``coeffs`` by table id, built without
-    the constructor's zero test."""
+    """The element bound to ``desc`` with id map ``coeffs``, kept as is."""
     elem = object.__new__(desc.element_type)
-    elements = desc.wext.table.elements
-    elem.terms = {elements[u]: c for u, c in coeffs.items()}
+    elem._desc, elem._ids, elem._terms = desc, coeffs, None
     return elem
 
 
@@ -401,9 +431,9 @@ def multiply(desc: HeckeDescriptor, a: HeckeElement, b: HeckeElement
     # id k |W| + j is (w_j, l_k); e0 + j is (w_j, e)
     nw = len(table.inverse) // desc.wext.rgroup.order()
     e0 = table.identity - table.identity % nw
-    labels: Dict[str, list] = {}
+    weyl_elements, labels = wg.enumerate(), {}
     for u, c in a_ids.items():
-        w_inv = table.elements[table.inverse[e0 + u % nw]].weyl
+        w_inv = weyl_elements[table.inverse[e0 + u % nw] % nw]
         labels.setdefault(table.labels[u], []).append(
             (wg.reduced_word(w_inv), c))
     out = block({})
@@ -448,7 +478,7 @@ def multiply_crossed(desc: AffineDescriptor, a: HeckeElement, b: HeckeElement
                 prod = -prod
             wv = table.mult(w, v)
             out[wv] = out[wv] + prod if wv in out else prod
-    return HeckeElement({table.elements[u]: c for u, c in out.items()})
+    return _keyed(desc, {u: c for u, c in out.items() if c})
 
 
 def symmetrize(desc: AffineDescriptor, x: Sequence[int]) -> HeckeElement:

@@ -1095,3 +1095,184 @@ def test_multiply_past_the_slot_width_matches_polynomial_representation(
                tuple(rng.randint(-1, 1) for _ in range(desc.d))): 1}, {})
         assert poly_act(desc, ab, f) == poly_act(desc, a, poly_act(desc, b, f))
     assert multiply(desc, ab, b) == multiply(desc, a, multiply(desc, b, b))
+
+
+# ---------------------------------------------------------------------------
+# bound elements: results keep their id maps, keyed terms are derived
+# ---------------------------------------------------------------------------
+
+def _fresh(elem):
+    """An unbound element with the keyed terms of ``elem``."""
+    return type(elem)(dict(elem.terms))
+
+
+def _eager_terms(desc, elem):
+    """The keyed terms as built from the id map on every call before
+    elements kept their id maps."""
+    elements = desc.wext.table.elements
+    return {elements[u]: c for u, c in hecke._ids(desc, elem).items()}
+
+
+BOUND_CASES = [(name, False) for name in sorted(DESCS)] + \
+    [(name, True) for name in sorted(GRADED)]
+
+
+@pytest.mark.parametrize("name, graded", BOUND_CASES)
+def test_bound_results_derive_the_eager_terms(name, graded):
+    # products, IM images, sums, differences, negatives and scalings are
+    # bound to their descriptor, and their terms are what the eager
+    # conversion gave; the arithmetic by id matches the arithmetic by key
+    # on unbound copies
+    desc = GRADED[name] if graded else DESCS[name]
+    rng = random.Random(31)
+    draw = random_graded if graded else random_element
+    a, b = draw(desc, rng, nterms=3), draw(desc, rng, nterms=3)
+    built = dict(a.terms)
+    ab, ba = multiply(desc, a, b), multiply(desc, b, a)
+    # the user-built factor is bound, its read-only terms unchanged
+    assert a._desc is desc and a.terms == built == _eager_terms(desc, a)
+    results = {"ab": ab, "ab + ba": ab + ba, "ab - ba": ab - ba,
+               "-ab": -ab, "2 ab": ab.scale(2), "ab + a": ab + a}
+    if graded:
+        results["im(ab)"] = im_involution(desc, ab)
+    for label, r in results.items():
+        assert r._desc is desc and r._terms is None, label
+        assert dict(r.terms) == _eager_terms(desc, r), label
+    fab, fba, fa = _fresh(ab), _fresh(ba), _fresh(a)
+    keyed = {"ab + ba": fab + fba, "ab - ba": fab - fba, "-ab": -fab,
+             "2 ab": fab.scale(2), "ab + a": fab + fa}
+    for label, k in keyed.items():
+        assert k._desc is None and dict(results[label].terms) == k.terms, \
+            label
+
+
+def test_bound_equality_agrees_with_keyed_equality():
+    # every pair from a pool of bound, unbound and rebound elements, of
+    # equal and of different values, on two descriptors whose tables
+    # number the shared group elements differently
+    full = GRADED["B2@1"]
+    sub = affine_to_graded(DESCS["B2"], (0, 1), 2)
+    assert any(full.wext.table.index[g] != sub.wext.table.index[g]
+               for g in sub.wext.elements())
+    rng = random.Random(3)
+    a = _on_all_of_wext(sub, rng, LaurentZ.one(1), 0)
+    b = random_graded(sub, rng, nterms=2)
+    pool = [a, _fresh(a), b, sub.zero(), full.zero(),
+            multiply(sub, a, sub.unit()), multiply(full, a, full.unit()),
+            multiply(sub, b, sub.unit()), multiply(full, _fresh(b), b),
+            multiply(sub, _fresh(b), b), a - a, full.zero() + sub.zero()]
+    for x in pool:
+        for y in pool:
+            assert (x == y) == (dict(x.terms) == dict(y.terms))
+    # a's value bound to sub and to full: equal, by different id maps
+    x, y = multiply(sub, a, sub.unit()), multiply(full, a, full.unit())
+    assert hecke._ids(sub, x) != hecke._ids(full, y) and x == y == a
+
+
+def test_bound_element_is_checked_against_another_scalar_mode():
+    # B2.specialized shares B2's W_ext table but not its scalar mode, so an
+    # element bound to B2 is checked again, and refused
+    b2 = DESCS["B2"]
+    spec = b2.specialized((Fraction(3, 2),))
+    rng = random.Random(2)
+    ab = multiply(b2, random_element(b2, rng), random_element(b2, rng))
+    for elem in (ab, b2.unit()):
+        multiply(b2, elem, b2.unit())     # bound to B2
+        with pytest.raises(HeckeError, match="scalar mode"):
+            multiply(spec, elem, spec.unit())
+        with pytest.raises(HeckeError, match="scalar mode"):
+            serialize_element(spec, elem)
+        assert elem._desc is b2
+
+
+def test_rebound_element_multiplies_as_a_fresh_one():
+    # a product of one descriptor, its terms never read, used with a
+    # second descriptor whose table numbers its group elements otherwise
+    full = GRADED["B2@1"]
+    sub = affine_to_graded(DESCS["B2"], (0, 1), 2)
+    rng = random.Random(11)
+    a = _on_all_of_wext(sub, rng, LaurentZ.one(1), 0)
+    b, c = random_graded(sub, rng, nterms=3), random_graded(full, rng)
+    x, kept = multiply(sub, a, b), _fresh(multiply(sub, a, b))
+    assert x._terms is None
+    assert multiply(full, x, c) == multiply(full, kept, c)
+    assert x._desc is full and multiply(full, c, x) == multiply(full, c, kept)
+    # and back: the rebound element still multiplies as before in sub
+    assert multiply(sub, x, b) == multiply(sub, kept, b)
+    assert im_involution(full, x) == im_involution(full, kept)
+
+
+def test_terms_are_read_only():
+    desc = DESCS["B2"]
+    key = desc.wext.identity
+    for elem in (desc.unit(), multiply(desc, desc.unit(), desc.n_simple(0))):
+        with pytest.raises(TypeError):
+            elem.terms[key] = TorusAlgebraElement.theta((1, 0), one(desc))
+        with pytest.raises(AttributeError):
+            elem.terms = {}
+
+
+@pytest.mark.parametrize("form", ["ZZ", "specialized", "z1"])
+def test_subtraction_negates_coefficients(form, monkeypatch):
+    # a - b = a + (-1) b, by value and in text, for unbound and bound
+    # operands, without a ring product per coefficient
+    products = []
+    ring_mul = TorusAlgebraElement.__mul__
+
+    def counted(self, other):
+        products.append(self)
+        return ring_mul(self, other)
+    base = DESCS["B2"]
+    desc = {"ZZ": base, "specialized": base.specialized((Fraction(3, 2),)),
+            "z1": quotient_z1(base)}[form]
+    rng = random.Random(13)
+    a, b, c = (random_element(base, rng, nterms=3) for _ in range(3))
+    if form != "ZZ":
+        a, b, c = (specialize_element(desc, e) for e in (a, b, c))
+    ab, bc = multiply(desc, a, b), multiply(desc, b, c)
+    for x, y in ((a, b), (ab, bc), (ab, c), (a, ab), (ab, ab)):
+        monkeypatch.setattr(TorusAlgebraElement, "__mul__", counted)
+        diff = x - y
+        monkeypatch.undo()
+        plus = x + y.scale(-1)
+        assert products == []
+        assert diff == plus and not (x - x)
+        assert serialize_element(desc, diff) == serialize_element(desc, plus)
+        assert -(-y) == y and (x - y) + y == x
+
+
+@pytest.mark.parametrize("name, graded", [("B2", False), ("A1xA1-twisted",
+                                                           False),
+                                          ("B2@(1,1)/2", True),
+                                          ("A1xA1-twisted@1", True)])
+def test_chained_products_on_bound_elements_make_no_keys(name, graded,
+                                                         monkeypatch):
+    # once the operands are bound, products, IM images, sums, differences,
+    # scalings and comparisons read id maps only: the table's keyed
+    # views raise
+    from heckealg.weyl import GroupTable
+    desc = GRADED[name] if graded else DESCS[name]
+    rng = random.Random(17)
+    draw = random_graded if graded else random_element
+    a, b = draw(desc, rng, nterms=3), draw(desc, rng, nterms=3)
+
+    def chain():
+        ab = multiply(desc, a, b)
+        ba = multiply(desc, b, a)
+        if graded:
+            ab = im_involution(desc, ab) + multiply(
+                desc, im_involution(desc, b), im_involution(desc, a))
+        out = multiply(desc, ab - ba.scale(2), -a)
+        return out, out == ab, bool(out - out), multiply(desc, a, b) == ab
+
+    expect = chain()
+    made = []
+
+    def refuse(self):
+        made.append(self)
+        raise AssertionError("keyed view of the W_ext table read")
+    monkeypatch.setattr(GroupTable, "index", property(refuse))
+    monkeypatch.setattr(GroupTable, "elements", property(refuse))
+    got = chain()
+    monkeypatch.undo()
+    assert made == [] and got[1:] == expect[1:] and got[0] == expect[0]
