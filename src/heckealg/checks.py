@@ -16,7 +16,7 @@ from .hecke import (AffineDescriptor, GradedElement, HeckeElement,
                     im_involution, is_central, multiply, multiply_crossed,
                     quotient_z1, spread_invariant, symmetrize)
 from .root_data import (RootDatum, build_classical, merge_components, product,
-                        vneg)
+                        reflect, vneg)
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, RGroup,
                    cone_classify, mat_apply, min_coset_reps,
                    stabilizer_of_point)
@@ -124,7 +124,7 @@ def check_bernstein(desc: AffineDescriptor, rng: random.Random,
     for info in desc.simple_info:
         ns = desc.n_simple(info.index)
         for x in xs:
-            sx = mat_apply(info.matrix, x)
+            sx = reflect(x, info.root.vector, info.root.coroot)
             lhs = multiply(desc, desc.theta_elem(x), ns) - \
                 multiply(desc, ns, desc.theta_elem(sx))
             div = bernstein_divide(x, info.root, info.halvable, one)

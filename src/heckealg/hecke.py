@@ -44,7 +44,7 @@ from .coeffs import (LaurentZ, TorusAlgebraElement, block, map_monomials,
                      z_bracket)
 from .root_data import Root, RootDatum, pairing, reflect, vscale, vsub
 from .weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement, Matrix,
-                   RGroup, Vector, WeylElement, mat_apply, stabilizer_of_point)
+                   RGroup, Vector, mat_apply, stabilizer_of_point)
 
 
 class HeckeError(ValueError):
@@ -196,7 +196,7 @@ class HeckeDescriptor:
 
     def n_simple(self, i: int) -> HeckeElement:
         return self.n_element(ExtendedWeylElement(
-            WeylElement(self.simple_info[i].matrix), self.wext.rgroup.identity))
+            self.wext.weyl.simple_elements[i], self.wext.rgroup.identity))
 
     def n_gamma(self, label: str) -> HeckeElement:
         return self.n_element(ExtendedWeylElement(self.wext.weyl.identity,
@@ -211,7 +211,6 @@ class HeckeDescriptor:
 class SimpleRootInfo:
     index: int
     root: Root
-    matrix: Matrix
     zvar: int            # 1-based z-variable
     lam: int
     lam_star: Optional[int]
@@ -283,9 +282,8 @@ class AffineDescriptor(HeckeDescriptor):
     def _simple_info(self, i: int) -> SimpleRootInfo:
         root = self.rd.simple_roots[i]
         return SimpleRootInfo(
-            index=i, root=root, matrix=self.rd.simple_reflections[i],
-            zvar=root.component_index, lam=self.lam[root.vector],
-            lam_star=self.lam_star.get(root.vector), halvable=root.halvable)
+            i, root, root.component_index, self.lam[root.vector],
+            self.lam_star.get(root.vector), root.halvable)
 
     # -- scalar ring ---------------------------------------------------
 
@@ -303,16 +301,16 @@ class AffineDescriptor(HeckeDescriptor):
         ``bernstein_divide``); the bracket is z^lambda - z^-lambda.
         ``build`` reflects theta_x first, so a part whose image leaves the
         packed range raises before its D_x is built."""
-        rank = self.rd.rank
+        rank, alpha, coroot = self.rd.rank, info.root.vector, info.root.coroot
         terms = {(0,) * rank: self.zbracket(info.zvar, info.lam)}
         bracket = TorusAlgebraElement(rank, terms)
         if info.halvable:
-            terms[vscale(info.root.vector, -1)] = self.zbracket(
+            terms[vscale(alpha, -1)] = self.zbracket(
                 info.zvar, info.lam_star)
         factor = TorusAlgebraElement(rank, terms)
 
         def build(x):
-            return (TorusAlgebraElement.theta(x, 1).act_matrix(info.matrix),
+            return (TorusAlgebraElement.theta(reflect(x, alpha, coroot), 1),
                     bernstein_divide(x, info.root, info.halvable, 1))
         return {}, build, factor, bracket
 
@@ -537,7 +535,6 @@ def serialize_element(desc: AffineDescriptor, elem: HeckeElement) -> str:
 class GradedSimpleInfo:
     index: int
     root: Root
-    matrix: Matrix
     k: int
 
 
@@ -563,10 +560,8 @@ class GradedDescriptor(HeckeDescriptor):
             cocycle)
         self.weyl = self.wext.weyl
         self.diagram_matrices = self.wext.rgroup.matrices
-        self.simple_info = tuple(
-            GradedSimpleInfo(i, s, m, self.k[s.vector])
-            for i, (s, m) in enumerate(zip(sub_rd.simple_roots,
-                                           sub_rd.simple_reflections)))
+        self.simple_info = tuple(GradedSimpleInfo(i, s, self.k[s.vector])
+                                 for i, s in enumerate(sub_rd.simple_roots))
         self._steps = tuple(map(self._step, self.simple_info))
 
     def xi(self, coeffs: Sequence[int]) -> GradedElement:
@@ -586,10 +581,11 @@ class GradedDescriptor(HeckeDescriptor):
         """N_s c = s(c) N_s + k(alpha) r_j (c - s c)/alpha, with no bracket
         (the group algebra embeds); s fixes r, so the divided difference is
         linear over ZZ[r].  alpha divides m - s m exactly, so
-        ArithmeticError means an internal inconsistency."""
+        ArithmeticError means an internal inconsistency.  ``substitute``
+        takes s as the matrix ``WeylGroup.simple_elements`` derives."""
         def build(x):
             m = TorusAlgebraElement.theta(x, 1)
-            ms = m.substitute(info.matrix)
+            ms = m.substitute(self.weyl.simple_elements[info.index].matrix)
             return ms, (m - ms).divide_linear(info.root.vector)
         factor = TorusAlgebraElement(self.rd.rank, {
             (0,) * self.rd.rank: LaurentZ.var_power(

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
+from operator import mul
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 Vector = Tuple[int, ...]
@@ -46,17 +47,14 @@ def vscale(a: Vector, c: int) -> Vector:
 
 def pairing(x: Sequence[int], y: Sequence[int]) -> int:
     """Standard dot pairing between X^* and X_* in the ZZ^n realization."""
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def reflect(x: Vector, alpha: Vector, coroot: Vector) -> Vector:
-    return vsub(x, vscale(alpha, pairing(x, coroot)))
-
-
-def reflection_matrix(rank: int, alpha: Vector, coroot: Vector) -> Tuple[Vector, ...]:
-    """Rows of x -> x - <x, coroot> alpha acting on column vectors."""
-    return tuple(vsub(_unit(rank, i), vscale(coroot, a)) if a else
-                 _unit(rank, i) for i, a in enumerate(alpha))
+    """s_alpha x = x - <x, alpha^vee> alpha; x itself when the pairing is
+    0.  The one form of a reflection: a root and its coroot."""
+    n = pairing(x, coroot)
+    return tuple(a - n * b for a, b in zip(x, alpha)) if n else x
 
 
 @dataclass(frozen=True)
@@ -130,19 +128,17 @@ class RootDatum:
             if on_line not in (2, 4):
                 raise RootDatumError("line through %r has %d roots"
                                      % (r.vector, on_line))
-        # n = <v, r^vee> for the roots v meeting the support of r^vee (every
-        # other pairing is 0): s_r v = v - n r is a root, and for n != 0 r
-        # and v are on one component, with one component index
+        # s_r v is a root; only the roots v meeting the support of r^vee
+        # can pair nonzero with it, and those that do (s_r v is not v) are
+        # on r's component, with its component index
         roots, mixed = self._by_vector, False
         for r in self.roots:
-            support = [(i, x) for i, x in enumerate(r.coroot) if x]
             for v in self.roots_meeting(r.coroot):
-                n = sum(v[i] * x for i, x in support)
-                if not n:
-                    continue
-                if tuple(a - n * b for a, b in zip(v, r.vector)) not in roots:
+                w = reflect(v, r.vector, r.coroot)
+                if w not in roots:
                     raise RootDatumError("reflection does not preserve roots")
-                if r.component_index != roots[v].component_index:
+                if w is not v and \
+                        r.component_index != roots[v].component_index:
                     mixed = True
         if mixed:
             raise RootDatumError(
@@ -179,12 +175,6 @@ class RootDatum:
         """Vectors of the roots nonzero somewhere v is: every other root
         pairs to 0 with v."""
         return set().union(*(self._meets[i] for i, x in enumerate(v) if x))
-
-    @cached_property
-    def simple_reflections(self) -> Tuple[Tuple[Vector, ...], ...]:
-        """Matrices of the simple reflections, in ``simple_roots`` order."""
-        return tuple(reflection_matrix(self.rank, s.vector, s.coroot)
-                     for s in self.simple_roots)
 
     @cached_property
     def inverse_cartan(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:

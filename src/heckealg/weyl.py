@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import chain
 from operator import mul, ne
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .root_data import RootDatum, pairing, subdatum
+from .root_data import RootDatum, pairing, reflect, subdatum
 
 Matrix = Tuple[Tuple[int, ...], ...]
 Vector = Tuple[int, ...]
@@ -117,24 +117,28 @@ class WeylGroup:
     """The Weyl group of the reduced subsystem of a root datum.
 
     An element is a permutation p of ``orbit``, the standard basis closed
-    under the simple reflections and the matrices ``extra`` (the R-labels
-    of an extended group); column j of its matrix is ``orbit[p[j]]``.
-    Element objects are built from ``search`` on the first ``enumerate``.
+    under the generators, maps on vectors: ``reflect`` by each simple root
+    and the matrices ``extra`` (the R-labels of an extended group); column
+    j of its matrix is ``orbit[p[j]]``.  Element objects are built from
+    ``search`` on the first ``enumerate``.
     """
 
     def __init__(self, rd: RootDatum, extra: Iterable[Matrix] = ()):
         self.rd = rd
         self.rank = rd.rank
-        self.simple_matrices: Tuple[Matrix, ...] = rd.simple_reflections
         self.identity = WeylElement(identity_matrix(rd.rank))
-        self._gens = self.simple_matrices + tuple(extra)
+        self.simple_maps = tuple(partial(reflect, alpha=s.vector,
+                                         coroot=s.coroot)
+                                 for s in rd.simple_roots)
+        self._gens = self.simple_maps + tuple(partial(mat_apply, m)
+                                              for m in extra)
         self._elements: Optional[List[WeylElement]] = None
 
     @cached_property
     def orbit(self) -> List[Vector]:
         orbit, seen = list(self.identity.matrix), set(self.identity.matrix)
         for v in orbit:                  # the list grows while it is read
-            for u in (mat_apply(m, v) for m in self._gens):
+            for u in (f(v) for f in self._gens):
                 if u not in seen:
                     seen.add(u)
                     orbit.append(u)
@@ -144,13 +148,20 @@ class WeylGroup:
     def _position(self) -> Dict[Vector, int]:
         return {v: i for i, v in enumerate(self.orbit)}
 
-    def permutation(self, m: Matrix) -> Perm:
-        """The permutation of ``orbit`` by which the matrix acts."""
-        return tuple(self._position[mat_apply(m, v)] for v in self.orbit)
+    def permutation(self, f: Callable[[Vector], Vector]) -> Perm:
+        """The permutation of ``orbit`` by which the map on vectors acts."""
+        return tuple(self._position[f(v)] for v in self.orbit)
 
     def matrix_of(self, p: Perm) -> Matrix:
         """The matrix of a permutation of ``orbit``."""
         return tuple(zip(*(self.orbit[p[j]] for j in range(self.rank))))
+
+    @cached_property
+    def simple_elements(self) -> Tuple[WeylElement, ...]:
+        """The simple reflections as elements, for the interfaces that take
+        a matrix: each derived once from its orbit permutation."""
+        return tuple(WeylElement(self.matrix_of(self.permutation(f)))
+                     for f in self.simple_maps)
 
     @cached_property
     def search(self) -> Tuple[List[Perm], List[Tuple[int, ...]],
@@ -161,7 +172,7 @@ class WeylGroup:
         by right multiplication with the simple reflections in the outer
         loop, so w s_i is first met through its least right descent i, and
         its letters are (i,) + those of w."""
-        simple = list(map(self.permutation, self.simple_matrices))
+        simple = list(map(self.permutation, self.simple_maps))
         perms = [tuple(range(len(self.orbit)))]
         words, found = [()], {perms[0]: 0}
         right: List[List[int]] = [[] for _ in simple]
@@ -573,10 +584,10 @@ class GroupTable:
         self._sparse = [tuple((j, a) for j, a in enumerate(v) if a)
                         for v in wg.orbit]
         # column j of the action of (w, l) is orbit[p_w[r_l[j]]], with p_w
-        # and r_l the permutations of w and R(l)
-        columns = [tuple(map(p.__getitem__, r))
-                   for r in (wg.permutation(rg.matrix(l))[:wg.rank]
-                             for l in rg.labels) for p in perms]
+        # the permutation of w and r_l the positions of R(l)'s columns
+        columns = [tuple(map(p.__getitem__, r)) for r in (
+            tuple(map(wg._position.__getitem__, zip(*rg.matrix(l))))
+            for l in rg.labels) for p in perms]
         self._point_rows = list(map(columns.__getitem__, self.inverse))
 
     @cached_property
@@ -677,8 +688,9 @@ def stabilizer_of_point(group: ExtendedGroup, exponents: Vector, order: int
         elif r.halvable and 2 * pair == order:
             root_values[r.vector] = -1
     subsystem = subdatum(rd, root_values)
-    columns = {group.weyl.permutation(m)[:rd.rank]
-               for m in subsystem.simple_reflections}
+    columns = {group.weyl.permutation(partial(
+        reflect, alpha=s.vector, coroot=s.coroot))[:rd.rank]
+        for s in subsystem.simple_roots}
     reflection_part = table.subgroup(
         g for g in stab if table.labels[g] == group.rgroup.identity
         and table._point_rows[g] in columns)

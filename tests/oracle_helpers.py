@@ -103,9 +103,24 @@ def fraction_rref(rows, width):
     return mat[:len(pivots)], pivots
 
 
+def reflection_matrix(alpha, coroot):
+    """The dense oracle of a reflection: the rows of x -> x - <x, coroot>
+    alpha on column vectors, entry (i, j) = delta_ij - alpha_i coroot_j."""
+    n = len(alpha)
+    return tuple(tuple(int(i == j) - alpha[i] * coroot[j] for j in range(n))
+                 for i in range(n))
+
+
+def simple_reflections(rd):
+    """The dense matrices of the simple reflections, in ``simple_roots``
+    order."""
+    return tuple(reflection_matrix(s.vector, s.coroot)
+                 for s in rd.simple_roots)
+
+
 def word_matrix(rd, word):
     """The product s_{i_1} ... s_{i_m} of simple reflection matrices."""
-    simple = rd.simple_reflections
+    simple = simple_reflections(rd)
     m = identity_matrix(rd.rank)
     for i in word:
         m = mat_mul(m, simple[i])
@@ -318,7 +333,8 @@ def graded_ns(gd, i, f):
     root = gd.rd.simple_roots[i]
     nr = gd.d
     r = tuple(int(k == root.component_index - 1) for k in range(nr))
-    out = graded_substitute(gd.rd.simple_reflections[i], f, nr)
+    out = graded_substitute(reflection_matrix(root.vector, root.coroot), f,
+                            nr)
     for k, w in poly_mul({((0,) * gd.rd.rank, r): gd.k[root.vector]},
                          graded_demazure(root, f, nr)).items():
         _poly_add(out, k, w)
@@ -352,7 +368,7 @@ def root_count_length(rd, matrix):
 def descent_word(rd, matrix):
     """Reduced word (0-based) by peeling off the least right descent:
     w = w' s_i with i least such that w(alpha_i) < 0."""
-    simple = rd.simple_reflections
+    simple = simple_reflections(rd)
     word_rev = []
     m = matrix
     for _ in range(len(rd.reduced_positive) + 1):
@@ -768,7 +784,7 @@ def stabilizer_oracle(group, exponents, order):
     subsystem = subdatum(rd, root_values)
     reflection_part = table.subgroup(
         table.index[ExtendedWeylElement(WeylElement(m), rg.identity)]
-        for m in subsystem.simple_reflections)
+        for m in simple_reflections(subsystem))
     diagram_part = [
         g for g in stab
         if all(subsystem.is_positive(mat_apply(actions[g], s.vector))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -201,6 +202,24 @@ def test_oversized_root_datum_exit_2(command, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("input error: block 1: rank 40 exceeds")
     assert err.count("\n") == 1
+
+
+def test_gl_blocks_30_describe_within_256_mib():
+    """``describe`` on 30 GL blocks of type A11 (rank 360, 330 simple
+    reflections) exits 0 in a child capped at 256 MiB of address space
+    and 30 s of wall clock: a reflection is kept as its root and coroot,
+    and no rank x rank matrix is built per simple reflection."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    path = pathlib.Path(__file__).resolve().parent / "data" / \
+        "gl_blocks_30.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckealg.cli", "describe", "--input",
+         str(path)], capture_output=True, text=True, timeout=30,
+        preexec_fn=cap)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "torus dimension 360, 30 z-variable(s)" in proc.stdout
 
 
 # (representative, orbit size, stabilizer order, count) per orbit.  The

@@ -14,7 +14,7 @@ from heckealg.hecke import AffineDescriptor, GradedDescriptor
 from heckealg.root_data import Root, RootDatum, vneg
 from heckealg.weyl import Cocycle, ExtendedGroup, RGroup, identity_matrix
 
-from oracle_helpers import monomials, run_capped
+from oracle_helpers import monomials, reflection_matrix, run_capped
 
 
 def _mapped(c, step, shorter=False):
@@ -207,7 +207,7 @@ def test_packed_ring_matches_sympy():
         simple = _reflection(rng, rank, trial % 4 == 0)
         root = simple.vector
         step = [(2 if simple.halvable else 1) * a for a in root]
-        refl = _reflection_matrix(root, simple.coroot)
+        refl = reflection_matrix(root, simple.coroot)
         (_, build, _, _), (_, gbuild, _, _) = _rank_one_steps(simple)
         c = TorusAlgebraElement(rank, {
             tuple(rng.randint(-1, 1) for _ in range(rank)): rand_laurent(
@@ -391,12 +391,6 @@ def _reflection(rng, rank, halvable):
                         tuple(sign * scale * a for a in half), 1)
 
 
-def _reflection_matrix(root, coroot):
-    rank = len(root)
-    return tuple(tuple(int(i == j) - root[i] * coroot[j] for j in range(rank))
-                 for i in range(rank))
-
-
 def _rank_one_steps(alpha):
     """The N_s step data (table, build, factor, bracket) of the affine and
     of the graded algebra on the root datum {+-alpha}, every parameter 1."""
@@ -428,7 +422,7 @@ def test_map_monomials_solves_bernstein_lusztig():
         (_, build, _, _), _ = _rank_one_steps(alpha)
         table = {}
         cs, d = _mapped(c, (table, build, one, None))
-        image = c.act_matrix(_reflection_matrix(root, coroot))
+        image = c.act_matrix(reflection_matrix(root, coroot))
         assert cs == image and cs.bound == image.bound
         # an entry keeps the bounds of s(theta_x) and of D_x apart
         parts = {x for x, _, _ in monomials(c, nvars)}

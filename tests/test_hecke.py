@@ -25,7 +25,7 @@ from heckealg.root_data import build_classical, product
 from heckealg.weyl import (Cocycle, ExtendedGroup, ExtendedWeylElement,
                            WeylError, identity_matrix)
 
-from oracle_helpers import (load_bench_module, monomials,
+from oracle_helpers import (load_bench_module, monomials, reflection_matrix,
                             root_lattice_a2, specialize_element)
 
 DESCS = standard_descriptors()
@@ -279,7 +279,7 @@ def _ns_step_oracle(desc, info, c, shorter):
     """s(c) by act_matrix and the correction as a sum of bernstein_divide
     terms, the right-hand side of check_bernstein."""
     rank = desc.rd.rank
-    cs = c.act_matrix(info.matrix)
+    cs = c.act_matrix(reflection_matrix(info.root.vector, info.root.coroot))
     corr = TorusAlgebraElement(rank)
     for x, e, v in monomials(c, desc.d):
         div = bernstein_divide(x, info.root, info.halvable,
@@ -347,7 +347,7 @@ def test_ns_step_matches_bernstein_oracle(name):
 def _graded_chain(gd, info, c):
     """s(c) and k r_j (c - s c) / alpha by substitute, subtract,
     divide_linear and the factor, on the whole of c."""
-    cs = c.substitute(info.matrix)
+    cs = c.substitute(reflection_matrix(info.root.vector, info.root.coroot))
     diff = c - cs
     if not (diff and info.k):
         return cs, TorusAlgebraElement.zero(c.rank)
@@ -372,7 +372,8 @@ def test_graded_ns_step_matches_chain(name):
     rng = random.Random(1989)
     rank = gd.rd.rank
     if name == "A2-root-lattice":
-        assert not any(_signed_permutation(i.matrix) for i in gd.simple_info)
+        assert not any(_signed_permutation(w.matrix)
+                       for w in gd.weyl.simple_elements)
     for info in gd.simple_info:
         for _ in range(8):
             c = TorusAlgebraElement(rank, {
@@ -557,8 +558,8 @@ def test_poly_divide_linear_cases():
 def test_graded_linear_case():
     # (xi - s xi)/alpha = xi(alpha^vee) for linear xi
     b2 = build_classical("B", 2)
-    s = b2.simple_reflections[1]
     alpha = b2.simple_roots[1]           # short root e2, coroot 2 e2
+    s = reflection_matrix(alpha.vector, alpha.coroot)
     xi = TorusAlgebraElement(2, {(1, 0): LaurentZ.one(1)})  # x1
     sxi = xi.substitute(s)
     diff = xi - sxi
@@ -699,7 +700,8 @@ def test_graded_multiply_matches_polynomial_representation(name):
         for j in range(rank):
             xj = {(tuple(int(k == j) for k in range(rank)), (0,) * d): 1}
             lhs = graded_ns(gd, i, poly_mul(xj, f))
-            sxj = graded_substitute(gd.rd.simple_reflections[i], xj, d)
+            sxj = graded_substitute(reflection_matrix(root.vector,
+                                                      root.coroot), xj, d)
             for k, v in poly_mul(sxj, graded_ns(gd, i, f)).items():
                 lhs[k] = lhs.get(k, 0) - v
             rhs = poly_mul({((0,) * rank, r): gd.k[root.vector]
@@ -730,13 +732,15 @@ def test_graded_descriptor_with_diagram_stabilizer():
     assert sq == minus_unit
     # the label conjugates the two A1 factors into each other
     from heckealg.weyl import ExtendedWeylElement, WeylElement
-    i0 = gd.simple_info[0]
+    s0 = WeylElement(reflection_matrix(gd.rd.simple_roots[0].vector,
+                                       gd.rd.simple_roots[0].coroot))
     g = ExtendedWeylElement(gd.weyl.identity, labels[0])
-    conj = gd.wext.mult(gd.wext.mult(g, ExtendedWeylElement(
-        WeylElement(i0.matrix), "e")), gd.wext.inv(g))
+    conj = gd.wext.mult(gd.wext.mult(g, ExtendedWeylElement(s0, "e")),
+                        gd.wext.inv(g))
     assert conj.diagram == "e"
-    assert conj.weyl.matrix != i0.matrix
-    assert any(conj.weyl.matrix == info.matrix for info in gd.simple_info)
+    assert conj.weyl.matrix != s0.matrix
+    assert any(conj.weyl.matrix == reflection_matrix(s.vector, s.coroot)
+               for s in gd.rd.simple_roots)
 
 
 def test_affine_to_graded_parameters():

@@ -1,8 +1,14 @@
 import pytest
 
+from heckealg.checks import standard_descriptors
+from heckealg.coeffs import _signed_permutation
 from heckealg.root_data import (RootDatumError, build_classical, empty_datum,
                                 pairing, product, reflect, vscale,
                                 weyl_order_classical)
+from heckealg.weyl import WeylGroup, mat_apply
+
+from oracle_helpers import (reflection_matrix, root_lattice_a2,
+                            simple_reflections)
 
 
 def test_a1_roots():
@@ -52,6 +58,29 @@ def test_root_axioms():
             for b in rd.roots:
                 assert rd.has_root(reflect(b.vector, a.vector, a.coroot))
                 assert isinstance(pairing(b.vector, a.coroot), int)
+
+
+def test_reflect_agrees_with_the_dense_oracle():
+    """``reflect`` is the reflection matrix of the oracle applied to every
+    root, on every root pair of the standard descriptors and of A2 on its
+    root lattice, whose reflections are not signed permutations; a root
+    pairing to 0 with the coroot comes back as itself.  The matrices that
+    ``WeylGroup.simple_elements`` derives from the orbit permutations are
+    the oracle's."""
+    data = {name: d.rd for name, d in standard_descriptors().items()}
+    data["A2-root-lattice"] = root_lattice_a2()
+    assert not any(map(_signed_permutation,
+                       simple_reflections(data["A2-root-lattice"])))
+    for name, rd in data.items():
+        for a in rd.roots:
+            matrix = reflection_matrix(a.vector, a.coroot)
+            for b in rd.roots:
+                image = reflect(b.vector, a.vector, a.coroot)
+                assert image == mat_apply(matrix, b.vector), (name, a, b)
+                if not pairing(b.vector, a.coroot):
+                    assert image is b.vector
+        assert [w.matrix for w in WeylGroup(rd).simple_elements] == \
+            list(simple_reflections(rd)), name
 
 
 def test_product():

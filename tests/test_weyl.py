@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 from oracle_helpers import (cocycle_oracle, descent_word, fraction_rref,
                             mat_inv, rgroup_oracle, root_count_length,
-                            root_lattice_a2, stabilizer_oracle, word_matrix)
+                            root_lattice_a2, simple_reflections,
+                            stabilizer_oracle, word_matrix)
 
 from heckealg import cli, weyl
 from heckealg.checks import (check_braid, graded_test_descriptors,
@@ -550,7 +551,7 @@ def test_group_table_matches_matrix_definition(name):
     # gamma (w, l) = (gamma w gamma^-1, gamma l)
     table = group.table
     gens = [(k, s, rg.identity)
-            for k, s in enumerate(group.weyl.simple_matrices)]
+            for k, s in enumerate(simple_reflections(group.rd))]
     gens += [(table.gen_index[l], rg.matrix(l), l) for l in rg.labels
              if l != rg.identity]
     assert sorted(k for k, _s, _l in gens) == list(range(len(table.perms)))
